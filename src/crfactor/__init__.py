@@ -64,9 +64,7 @@ from .model import (
     Variable,
     build_clique_graph,
     build_joint_from_cpts,
-    build_joint_from_potentials,
     close,
-    rel_error,
 )
 from .modelfile import ParsedModel, parse_model, render_model
 from .rewrites import (

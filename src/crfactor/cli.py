@@ -22,6 +22,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
+from .cr import grid
 from .errors import (
     CRFactorError,
     ExprParseError,
@@ -41,18 +44,16 @@ from .factorizers import (
     mrf_factorize,
     rmrf_factorize,
 )
-from .model import JointTable, ModelGraph, build_clique_graph, rel_error
+from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, build_clique_graph
 from .modelfile import ParsedModel, parse_model, render_model
 from .randgen import random_model
 from .rewrites import replay_trace, trace_from_dicts
-from .separation import CIQuery, d_separated, numeric_ci_test, u_separated
+from .separation import CIQuery, numeric_ci_test, separated
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_PRECONDITION = 3
 EXIT_PARSE = 4
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass
@@ -84,30 +85,22 @@ class VerificationReport:
 def verify_expression(
     expr: FactorExpr,
     table: JointTable,
-    tol: float = DEFAULT_TOL,
-    expected: Callable[[dict[str, int]], float] | None = None,
+    tol: float = REL_TOL,
+    expected: Callable[[dict], object] | None = None,
 ) -> VerificationReport:
     """Compare eval_expr against `expected` (the joint entry by default) at
-    every full assignment."""
-    if expected is None:
-        expected = table.prob
-    checked = 0
-    max_abs = 0.0
-    max_rel = 0.0
-    worst = None
-    for a in table.assignments():
-        try:
-            actual = eval_expr(expr, table, a)
-        except UndefinedCRError as exc:
-            raise UndefinedCRError(f"{exc} (at assignment {a!r})") from None
-        want = expected(a)
-        abs_err = abs(actual - want)
-        checked += 1
-        max_rel = max(max_rel, rel_error(actual, want))
-        if worst is None or abs_err > max_abs:
-            max_abs = abs_err
-            worst = dict(a)
-    return VerificationReport(checked, max_abs, max_rel, worst, tol)
+    every full assignment at once: `expected` gets the table's grid (see
+    ``crfactor.cr.grid``). The worst row is the first largest absolute error."""
+    rows = grid(table)
+    shape = table.probs.shape
+    with np.errstate(all="ignore"):  # undefined rows hold inf or nan until eval_expr raises
+        actual = np.broadcast_to(eval_expr(expr, table, rows), shape).ravel()
+    want = np.broadcast_to(table.probs if expected is None else expected(rows), shape).ravel()
+    abs_err = np.abs(actual - want)
+    max_rel = float(np.fmax.reduce(abs_err / np.maximum(np.abs(want), ABS_TOL), initial=0.0))
+    worst = 0 if np.isnan(abs_err[0]) else int(np.argmax(np.where(np.isnan(abs_err), -1.0, abs_err)))
+    at = {n: int(s) for n, s in zip(table.names, np.unravel_index(worst, shape))}
+    return VerificationReport(actual.size, float(abs_err[worst]), max_rel, at, tol)
 
 
 class _UsageError(Exception):
@@ -279,10 +272,8 @@ def _parse_ci_query(text: str) -> CIQuery:
 def _cmd_indep(args) -> int:
     model = _load_model(args.model)
     query = _parse_ci_query(args.query)
-    if model.graph.kind == "directed":
-        print(f"d-separated: {'true' if d_separated(model.graph, query) else 'false'}")
-    else:
-        print(f"u-separated: {'true' if u_separated(model.graph, query) else 'false'}")
+    label = "d-separated" if model.graph.kind == "directed" else "u-separated"
+    print(f"{label}: {'true' if separated(model.graph, query) else 'false'}")
     if args.numeric:
         ok = numeric_ci_test(model.joint(), query, args.tol)
         print(f"numeric-ci: {'true' if ok else 'false'}")
@@ -326,7 +317,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--method", required=True, choices=["bn", "tree", "chain-crf", "mrf", "rmrf", "tcg", "trace"])
     p.add_argument("--model", required=True)
     p.add_argument("--trace", help="trace file (JSON) for --method trace")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=REL_TOL)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--y", help="comma-separated chain variables for chain-crf")
     p.set_defaults(func=_cmd_factorize)
@@ -334,7 +325,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("verify", help="evaluate an expression file against a model's joint")
     p.add_argument("--model", required=True)
     p.add_argument("--expr", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=REL_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen-random", help="emit a seeded random model file")
@@ -352,7 +343,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--query", required=True, help="e.g. 'D _|_ I | G'")
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=REL_TOL)
     p.set_defaults(func=_cmd_indep)
 
     p = sub.add_parser("export-dot", help="export the model graph as DOT")

@@ -9,13 +9,18 @@ The grouping matters: CR(A,B,C) and CR(A,BC) differ, although the numerator
 event is the same. A block member is either free (its state is read from the
 evaluation assignment) or pinned to a fixed state.
 
-These functions are the semantic ground truth that the symbolic layer in
-``expr``/``rewrites`` is tested against.
+One kernel, ``evaluate``, computes every CR and P value in the package, at
+one assignment or at a batch of them given as state arrays. It is the
+semantic ground truth that the symbolic layer in ``expr``/``rewrites`` is
+tested against.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import ModelError, UndefinedCRError
 from .model import Assignment, JointTable
@@ -86,31 +91,130 @@ def block(*members: BlockMemberSpec) -> Block:
 BlockList = Sequence[Block]
 
 
-def block_event(b: Block, assignment: Assignment) -> dict[str, int]:
-    """The concrete event described by a block at an assignment."""
-    event: dict[str, int] = {}
-    for name, state in b.members:
-        if state is None:
-            if name not in assignment:
-                raise ModelError(f"free variable {name!r} is not bound by the assignment")
-            event[name] = assignment[name]
-        else:
-            event[name] = state
-    return event
+def grid(table: JointTable, names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+    """Every assignment of `names` (default: the table's variables) as sparse
+    state arrays that broadcast together, row-major in the given order."""
+    names = table.names if names is None else tuple(dict.fromkeys(names))
+    return dict(zip(names, np.indices([table.cardinality(n) for n in names], sparse=True)))
 
 
-def joint_event(blocks: BlockList, assignment: Assignment) -> dict[str, int] | None:
-    """The union of several blocks read as one joint event.
-
-    Returns None when two occurrences of a variable disagree, i.e. the event
-    is impossible.
-    """
-    merged: dict[str, int] = {}
+def _prob(table: JointTable, blocks: BlockList, assignment: Assignment):
+    """P of the union of blocks as one event; 0 where two occurrences of a
+    variable disagree."""
+    event: dict = {}
+    conflict = False
     for b in blocks:
-        for name, state in block_event(b, assignment).items():
-            if merged.setdefault(name, state) != state:
-                return None
-    return merged
+        for name, state in b.members:
+            if state is None:
+                if name not in assignment:
+                    raise ModelError(f"free variable {name!r} is not bound by the assignment")
+                state = assignment[name]
+            first = event.setdefault(name, state)
+            if first is not state:
+                conflict = conflict | (first != state)
+    if isinstance(conflict, np.ndarray):
+        return np.where(conflict, 0.0, table.event_prob(event))
+    return 0.0 if conflict else table.event_prob(event)
+
+
+def _div(num, den):
+    """num / den, or num when den is None; rows where den is zero carry a cause."""
+    if den is None:
+        return num
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        with np.errstate(all="ignore"):
+            return num / den
+    return num / den if den else math.nan
+
+
+def _pow(base: float, exponent: int) -> float:
+    """Python's float power; rows where it fails carry a cause."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+    except ZeroDivisionError:
+        return math.nan
+
+
+_pow_each = np.frompyfunc(_pow, 2, 1)
+
+
+def _note(causes: list, mask, message: str, *args) -> None:
+    if isinstance(mask, np.ndarray) or mask:
+        causes.append((mask, message.format(*args)))
+
+
+def term_text(kind: str, blocks: BlockList, cond: Block | None = None, exponent: int = 1) -> str:
+    """Textual form of a CR or P term, e.g. ``CR(A,B C|D)^-1``."""
+    inner = ",".join(str(b) for b in blocks) + ("" if cond is None else f"|{cond}")
+    return f"{kind}({inner})" + ("" if exponent == 1 else f"^{exponent}")
+
+
+def evaluate(
+    table: JointTable,
+    kind: str,
+    blocks: BlockList,
+    cond: Block | None,
+    assignment: Assignment,
+    exponent: int = 1,
+) -> tuple[object, list]:
+    """The one evaluation kernel: CR(blocks | cond)^exponent for kind "CR",
+    P(blocks | cond)^exponent (blocks read as one event) for kind "P".
+
+    States are plain ints (one row, giving a float) or integer arrays that
+    broadcast over the table's axes (a batch, see ``grid``). Also returns the
+    causes that leave rows undefined, as (bool or bool array, message) pairs
+    in the order one row meets them.
+    """
+    blocks = tuple(blocks)
+    if kind == "CR" and not blocks:
+        raise UndefinedCRError("CR of an empty block list is undefined")
+    causes: list = []
+    head, pc = (), None
+    if cond is not None:
+        head, pc = (cond,), _prob(table, (cond,), assignment)
+        _note(causes, pc == 0.0, "conditioning event{} has probability zero", f" ({cond})" if kind == "CR" else "")
+    value = _div(_prob(table, head + blocks, assignment), pc)
+    if kind == "CR":
+        what = "marginal" if cond is None else "conditional marginal"
+        denom = 1.0
+        for b in blocks:
+            p = _div(_prob(table, head + (b,), assignment), pc)
+            _note(causes, p == 0.0, "zero {} for block ({})", what, b)
+            denom = denom * p
+        value = _div(value, denom)
+    if exponent != 1:
+        _note(causes, exponent < 0 and value == 0.0, "zero raised to a negative exponent")
+        base = value
+        if isinstance(base, np.ndarray):
+            with np.errstate(all="ignore"):  # numpy reports the flag an overflowing pow sets
+                value = _pow_each(base, exponent).astype(float)
+        else:
+            value = _pow(base, exponent)
+        overflow = (value == math.inf) & (base != math.inf)
+        if isinstance(overflow, np.ndarray) or overflow:
+            causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
+    return value, causes
+
+
+def settle(value, causes: Sequence, assignment: Assignment):
+    """The value, or UndefinedCRError for the first cause holding at the
+    first row-major row where any holds; over a batch it names the row."""
+    if not causes:
+        return value
+    shape = np.broadcast_shapes(*map(np.shape, assignment.values()), *(np.shape(m) for m, _ in causes))
+    hit = np.zeros(shape, dtype=bool)
+    for mask, _ in causes:
+        hit |= mask
+    if not hit.any():
+        return value
+    row = np.unravel_index(int(np.argmax(hit)), shape)
+    message = next(msg for mask, msg in causes if np.broadcast_to(mask, shape)[row])
+    if shape:
+        at = {n: int(np.broadcast_to(s, shape)[row]) for n, s in assignment.items()}
+        message += f" (at assignment {at!r})"
+    raise UndefinedCRError(message)
 
 
 def cr_value(table: JointTable, blocks: BlockList, assignment: Assignment) -> float:
@@ -122,18 +226,7 @@ def cr_value(table: JointTable, blocks: BlockList, assignment: Assignment) -> fl
     denominator marginal is zero; a zero numerator over positive denominators
     yields 0.
     """
-    blocks = tuple(blocks)
-    if not blocks:
-        raise UndefinedCRError("CR of an empty block list is undefined")
-    denom = 1.0
-    for b in blocks:
-        p = table.event_prob(block_event(b, assignment))
-        if p == 0.0:
-            raise UndefinedCRError(f"zero marginal for block ({b})")
-        denom *= p
-    event = joint_event(blocks, assignment)
-    numer = 0.0 if event is None else table.event_prob(event)
-    return numer / denom
+    return settle(*evaluate(table, "CR", blocks, None, assignment), assignment)
 
 
 def conditional_cr_value(
@@ -145,41 +238,14 @@ def conditional_cr_value(
     UndefinedCRError when P(c) = 0 or any conditional marginal P(b_i | c)
     is zero.
     """
-    if cond is None:
-        return cr_value(table, blocks, assignment)
-    blocks = tuple(blocks)
-    if not blocks:
-        raise UndefinedCRError("CR of an empty block list is undefined")
-    cond_event = block_event(cond, assignment)
-    pc = table.event_prob(cond_event)
-    if pc == 0.0:
-        raise UndefinedCRError(f"conditioning event ({cond}) has probability zero")
-    denom = 1.0
-    for b in blocks:
-        ev = joint_event((b,), assignment)
-        merged = dict(cond_event)
-        impossible = False
-        for k, v in ev.items():
-            if merged.setdefault(k, v) != v:
-                impossible = True
-                break
-        p = 0.0 if impossible else table.event_prob(merged) / pc
-        if p == 0.0:
-            raise UndefinedCRError(f"zero conditional marginal for block ({b})")
-        denom *= p
-    full = joint_event(blocks, assignment)
-    if full is None:
-        return 0.0
-    merged = dict(cond_event)
-    for k, v in full.items():
-        if merged.setdefault(k, v) != v:
-            return 0.0
-    return (table.event_prob(merged) / pc) / denom
+    return settle(*evaluate(table, "CR", blocks, cond, assignment), assignment)
 
 
-def conditional_prob(table: JointTable, target: Block, given: Block, assignment: Assignment) -> float:
-    """P(target | given) for block events at an assignment."""
-    return table.conditional_prob(block_event(target, assignment), block_event(given, assignment))
+def conditional_prob(table: JointTable, target: Block, given: Block | None, assignment: Assignment) -> float:
+    """P(target | given) for block events at an assignment. Raises
+    UndefinedCRError when P(given) = 0; a target contradicting the
+    conditioning event has conditional probability 0."""
+    return settle(*evaluate(table, "P", (target,), given, assignment), assignment)
 
 
 def reconstruct_joint(table: JointTable, blocks: BlockList, assignment: Assignment) -> float:
@@ -187,7 +253,7 @@ def reconstruct_joint(table: JointTable, blocks: BlockList, assignment: Assignme
     partition the table's variables."""
     value = cr_value(table, blocks, assignment)
     for b in blocks:
-        value *= table.event_prob(block_event(b, assignment))
+        value *= evaluate(table, "P", (b,), None, assignment)[0]
     return value
 
 
@@ -203,13 +269,9 @@ def marginal_cr_check(
     remaining empty list the right side is 1 by convention CR(x) = 1.
     """
     blocks = tuple(blocks)
-    target = None
-    for i, b in enumerate(blocks):
-        if b.members == ((drop_var, None),):
-            target = i
-            break
-    if target is None:
+    if Block([drop_var]) not in blocks:
         raise ModelError(f"{drop_var!r} does not occur as a singleton free block")
+    target = blocks.index(Block([drop_var]))
     lhs = 0.0
     for s in range(table.cardinality(drop_var)):
         a = dict(assignment)

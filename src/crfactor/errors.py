@@ -30,7 +30,7 @@ class ExprParseError(CRFactorError):
 class UndefinedCRError(CRFactorError):
     """A co-occurrence rate or conditional probability is undefined:
     zero marginal in a denominator, zero-probability conditioning event,
-    or an empty block list."""
+    an empty block list, or a power that overflows."""
 
 
 class RewriteError(CRFactorError):

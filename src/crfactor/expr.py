@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ExprParseError, ModelError, UndefinedCRError
-from .cr import Block, conditional_cr_value, joint_event
+from .errors import ExprParseError, ModelError
+from .cr import Block, evaluate, settle, term_text
 from .model import Assignment, JointTable
 
 FactorExpr = Union["Const", "CRTerm", "PTerm", "Product", "Sum"]
@@ -129,45 +129,42 @@ def _as_block_opt(spec) -> Block | None:
 # Evaluation
 
 
-def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment) -> float:
+def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     """Evaluate an expression at a full (or sufficient) assignment.
 
     Products multiply, sums range over all states of their variable
     (shadowing any outer binding), CR-terms and P-terms evaluate from the
-    table and are raised to their exponents. UndefinedCRError propagates, and
-    a zero base with a negative exponent is undefined as well.
+    table and are raised to their exponents. States may be arrays, such as
+    ``crfactor.cr.grid(table)``, giving one value per row. An undefined row
+    raises UndefinedCRError (see ``crfactor.cr.settle``).
     """
+    return settle(*_evaluate(expr, table, assignment), assignment)
+
+
+def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
     if isinstance(expr, Const):
-        return expr.value
+        return expr.value, []
     if isinstance(expr, Product):
-        out = 1.0
+        out, causes = 1.0, []
         for child in expr.children:
-            out *= eval_expr(child, table, assignment)
-        return out
+            value, more = _evaluate(child, table, assignment)
+            out = out * value
+            causes += more
+        return out, causes
     if isinstance(expr, Sum):
-        total = 0.0
+        total, causes = 0.0, []
         inner = dict(assignment)
         for s in range(table.cardinality(expr.over)):
             inner[expr.over] = s
-            total += eval_expr(expr.child, table, inner)
-        return total
+            value, more = _evaluate(expr.child, table, inner)
+            total = total + value
+            causes += more
+        return total, causes
     if isinstance(expr, CRTerm):
-        base = conditional_cr_value(table, expr.blocks, expr.condition, assignment)
-        return _power(base, expr.exponent)
+        return evaluate(table, "CR", expr.blocks, expr.condition, assignment, expr.exponent)
     if isinstance(expr, PTerm):
-        event = joint_event((expr.block,), assignment)
-        if expr.condition is None:
-            base = table.event_prob(event)
-        else:
-            base = table.conditional_prob(event, joint_event((expr.condition,), assignment))
-        return _power(base, expr.exponent)
+        return evaluate(table, "P", (expr.block,), expr.condition, assignment, expr.exponent)
     raise ModelError(f"not a factor expression: {expr!r}")
-
-
-def _power(base: float, exponent: int) -> float:
-    if base == 0.0 and exponent < 0:
-        raise UndefinedCRError("zero raised to a negative exponent")
-    return base**exponent
 
 
 def expr_variables(expr: FactorExpr) -> set[str]:
@@ -243,15 +240,9 @@ def render(expr: FactorExpr) -> str:
     if isinstance(expr, Const):
         return f"{expr.value:g}"
     if isinstance(expr, CRTerm):
-        inner = ",".join(str(b) for b in expr.blocks)
-        if expr.condition is not None:
-            inner += f"|{expr.condition}"
-        return f"CR({inner})" + _exp_suffix(expr.exponent)
+        return term_text("CR", expr.blocks, expr.condition, expr.exponent)
     if isinstance(expr, PTerm):
-        inner = str(expr.block)
-        if expr.condition is not None:
-            inner += f"|{expr.condition}"
-        return f"P({inner})" + _exp_suffix(expr.exponent)
+        return term_text("P", (expr.block,), expr.condition, expr.exponent)
     if isinstance(expr, Product):
         if not expr.children:
             return "1"
@@ -265,10 +256,6 @@ def render(expr: FactorExpr) -> str:
     if isinstance(expr, Sum):
         return f"sum_{expr.over}[{render(expr.child)}]"
     raise ModelError(f"not a factor expression: {expr!r}")
-
-
-def _exp_suffix(exponent: int) -> str:
-    return "" if exponent == 1 else f"^{exponent}"
 
 
 def product_of(exprs) -> FactorExpr:

@@ -34,11 +34,6 @@ def close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = ABS_TOL) 
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_floor)
 
 
-def rel_error(actual: float, expected: float, abs_floor: float = ABS_TOL) -> float:
-    """|actual - expected| / max(|expected|, abs_floor)."""
-    return abs(actual - expected) / max(abs(expected), abs_floor)
-
-
 @dataclass(frozen=True)
 class Variable:
     """A named discrete variable with states 0 .. cardinality-1."""
@@ -113,17 +108,12 @@ class JointTable:
         for states in itertools.product(*(range(v.cardinality) for v in self.variables)):
             yield dict(zip(names, states))
 
-    def prob(self, assignment: Assignment) -> float:
-        """P at a full assignment."""
-        idx = []
-        for v in self.variables:
-            if v.name not in assignment:
-                raise ModelError(f"assignment does not bind variable {v.name!r}")
-            s = assignment[v.name]
-            if not 0 <= s < v.cardinality:
-                raise ModelError(f"state {s} out of range for variable {v.name!r}")
-            idx.append(s)
-        return float(self.probs[tuple(idx)])
+    def prob(self, assignment: Assignment):
+        """P at a full assignment, or at a batch of them (see event_prob)."""
+        for n in self.names:
+            if n not in assignment:
+                raise ModelError(f"assignment does not bind variable {n!r}")
+        return self.event_prob({n: assignment[n] for n in self.names})
 
     def _marginal(self, names: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
         key = frozenset(names)
@@ -148,36 +138,25 @@ class JointTable:
         variables = tuple(v for v in self.variables if v.name in kept)
         return JointTable(variables, arr)
 
-    def event_prob(self, event: Assignment) -> float:
+    def event_prob(self, event: Assignment):
         """P of a partial assignment (the event that each listed variable
-        takes its listed state); the empty event has probability 1."""
+        takes its listed state); the empty event has probability 1. States
+        are ints, or integer arrays that broadcast together (one P per row)."""
         if not event:
             return 1.0
         kept, arr = self._marginal(event.keys())
-        idx = []
+        flat = 0  # row-major offset into the marginal; an array for a batch
         for n in kept:
-            s = event[n]
-            if not 0 <= s < self._card[n]:
+            s, card = event[n], self._card[n]
+            try:
+                ok = 0 <= s < card
+            except ValueError:  # an array of states
+                bad = s[(s < 0) | (s >= card)]
+                ok, s = not bad.size, bad.flat[0] if bad.size else s
+            if not ok:
                 raise ModelError(f"state {s} out of range for variable {n!r}")
-            idx.append(s)
-        return float(arr[tuple(idx)])
-
-    def conditional_prob(self, target: Assignment, given: Assignment) -> float:
-        """P(target | given) over partial-assignment events.
-
-        Raises UndefinedCRError when P(given) = 0; a target contradicting the
-        conditioning event has conditional probability 0.
-        """
-        from .errors import UndefinedCRError
-
-        pg = self.event_prob(given)
-        if pg == 0.0:
-            raise UndefinedCRError("conditioning event has probability zero")
-        merged = dict(given)
-        for k, v in target.items():
-            if merged.setdefault(k, v) != v:
-                return 0.0
-        return self.event_prob(merged) / pg
+            flat = flat * card + s
+        return arr.item(flat) if isinstance(flat, int) else arr.reshape(-1)[flat]
 
     def allclose(self, other: "JointTable", rel: float = REL_TOL) -> bool:
         return self.names == other.names and bool(
@@ -401,6 +380,8 @@ class CPT:
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ModelError(f"CPT for {self.node!r} has non-finite entries")
         if np.any(arr < 0):
             raise ModelError(f"CPT for {self.node!r} has negative entries")
         rows = arr.reshape(-1, arr.shape[-1])
@@ -497,11 +478,6 @@ class GibbsModel:
         self.normalizer = z
         self._joint = JointTable(self.variables, arr / z)
         return self._joint
-
-
-def build_joint_from_potentials(gm: GibbsModel, max_nodes: int = MAX_MATERIALIZED_NODES) -> JointTable:
-    """Normalized product of a Gibbs model's potentials; strictly positive."""
-    return gm.to_joint(max_nodes=max_nodes)
 
 
 def build_clique_graph(graph: ModelGraph) -> CliqueGraph:

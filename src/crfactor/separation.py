@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .cr import Block, conditional_cr_value, cr_value
+import numpy as np
+
+from .cr import Block, conditional_cr_value, cr_value, evaluate, grid
 from .errors import ModelError, PreconditionError
 from .model import Assignment, JointTable, ModelGraph, REL_TOL
 
@@ -118,24 +120,19 @@ def ci_deviation(table: JointTable, query: CIQuery) -> float:
     positive, and as the absolute factorization gap where they vanish.
     Assignments with P(z) = 0 are skipped.
     """
-    for n in query.x + query.y + query.z:
-        table.cardinality(n)
-    worst = 0.0
-    for za in _assignments(table, query.z):
-        pz = table.event_prob(za)
-        if pz == 0.0:
-            continue
-        for xa in _assignments(table, query.x):
-            pxz = table.event_prob({**za, **xa})
-            for ya in _assignments(table, query.y):
-                pyz = table.event_prob({**za, **ya})
-                pxyz = table.event_prob({**za, **xa, **ya})
-                if pxz > 0.0 and pyz > 0.0:
-                    dev = abs(pxyz * pz / (pxz * pyz) - 1.0)
-                else:
-                    dev = abs(pxyz * pz - pxz * pyz)
-                worst = max(worst, dev)
-    return worst
+    rows = grid(table, query.x + query.y + query.z)
+
+    def p(*groups):  # P(groups) at every row, from the kernel
+        return evaluate(table, "P", [Block(g) for g in groups if g], None, rows)[0]
+
+    pz, pxz, pyz = p(query.z), p(query.z, query.x), p(query.z, query.y)
+    num, den = p(query.z, query.x, query.y) * pz, pxz * pyz
+    with np.errstate(all="ignore"):
+        dev = num / den
+    dev -= 1.0
+    num -= den  # in place: these arrays span the whole grid
+    np.copyto(dev, num, where=(pxz == 0.0) | (pyz == 0.0))
+    return float(np.max(np.abs(dev, out=dev), where=pz > 0.0, initial=0.0))
 
 
 def numeric_ci_test(table: JointTable, query: CIQuery, tol: float = REL_TOL) -> bool:
@@ -151,23 +148,11 @@ def mutual_independence_deviation(
     """Worst-case |CR(g_1, ..., g_k | condition) - 1| over all assignments of
     the grouped variables; 0 exactly when the groups are mutually independent
     (given the condition)."""
-    groups = [tuple(g) for g in groups]
     blocks = tuple(Block(g) for g in groups)
-    names = tuple(n for g in groups for n in g)
     cond_free = condition.free_vars if condition is not None else ()
-    worst = 0.0
-    for a in _assignments(table, names + tuple(cond_free)):
-        worst = max(worst, abs(conditional_cr_value(table, blocks, condition, a) - 1.0))
-    return worst
-
-
-def _assignments(table: JointTable, names: Iterable[str]):
-    names = tuple(dict.fromkeys(names))
-    if not names:
-        yield {}
-        return
-    for states in itertools.product(*(range(table.cardinality(n)) for n in names)):
-        yield dict(zip(names, states))
+    rows = grid(table, [n for b in blocks for n in b.vars] + list(cond_free))
+    value = conditional_cr_value(table, blocks, condition, rows)
+    return float(np.max(np.abs(value - 1.0), initial=0.0))
 
 
 def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> bool:

@@ -136,6 +136,14 @@ def test_verify_reports_undefined_value_with_assignment(tmp_path, capsys):
     assert "zero marginal" in err and "'A': 1" in err
 
 
+def test_verify_reports_overflow_with_term_and_assignment(tmp_path, capsys):
+    expr_file = tmp_path / "huge.txt"
+    expr_file.write_text("CR(A,B)^99999\n")
+    code, _, err = run(capsys, "verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file))
+    assert code == EXIT_PRECONDITION
+    assert err == "error: CR(A,B)^99999 overflows (at assignment {'A': 0, 'B': 0})\n"
+
+
 def test_verify_pass_and_fail(capsys):
     code, out, _ = run(
         capsys,

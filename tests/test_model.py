@@ -12,9 +12,10 @@ from crfactor import (
     ModelGraph,
     UndefinedCRError,
     Variable,
+    block,
     build_clique_graph,
     build_joint_from_cpts,
-    build_joint_from_potentials,
+    conditional_prob,
 )
 from crfactor.randgen import make_graph, random_gibbs_model
 
@@ -70,15 +71,16 @@ def test_marginal_sums_to_one(d3_table):
 
 
 def test_conditional_prob_examples(d2_table, coins_table):
-    assert d2_table.conditional_prob({"B": 0}, {"A": 0}) == pytest.approx(0.8)
-    assert d2_table.conditional_prob({"A": 1}, {"A": 1}) == pytest.approx(1.0)
-    assert coins_table.conditional_prob({"B": 0}, {"A": 1}) == pytest.approx(0.5)
+    assert conditional_prob(d2_table, block(("B", 0)), block(("A", 0)), {}) == pytest.approx(0.8)
+    assert conditional_prob(d2_table, block(("A", 1)), block(("A", 1)), {}) == pytest.approx(1.0)
+    assert conditional_prob(d2_table, block(("A", 0)), block(("A", 1)), {}) == 0.0
+    assert conditional_prob(coins_table, block(("B", 0)), block(("A", 1)), {}) == pytest.approx(0.5)
 
 
 def test_conditional_prob_zero_event():
     table = JointTable([Variable("A", 2), Variable("B", 2)], [[0.5, 0.5], [0.0, 0.0]])
-    with pytest.raises(UndefinedCRError):
-        table.conditional_prob({"B": 0}, {"A": 1})
+    with pytest.raises(UndefinedCRError, match="conditioning event has probability zero"):
+        conditional_prob(table, block(("B", 0)), block(("A", 1)), {})
 
 
 def test_build_joint_single_node():
@@ -108,6 +110,13 @@ def test_build_joint_cpt_errors():
         CPT("B", ("A",), np.array([[0.9, 0.2], [0.1, 0.9]]))
 
 
+def test_cpt_rejects_non_finite_entries():
+    with pytest.raises(ModelError, match="CPT for 'A' has non-finite entries"):
+        CPT("A", (), np.array([np.nan, np.nan]))
+    with pytest.raises(ModelError, match="'B'"):
+        CPT("B", ("A",), np.array([[0.5, 0.5], [np.inf, 0.0]]))
+
+
 def test_student_cpts_give_marginally_independent_roots(student_graph):
     from conftest import student_table
     from crfactor.separation import CIQuery, numeric_ci_test
@@ -124,16 +133,15 @@ def test_chain_rule_reproduces_cpts(student_graph):
     for node in student_graph.nodes:
         parents = student_graph.parents(node)
         for states in itertools.product(range(2), repeat=len(parents) + 1):
-            got = table.conditional_prob(
-                {node: states[-1]}, dict(zip(parents, states[:-1]))
-            )
+            given = block(*zip(parents, states[:-1])) if parents else None
+            got = conditional_prob(table, block((node, states[-1])), given, {})
             assert got == pytest.approx(float(cpts[node].probs[states]), abs=1e-12)
 
 
 def test_build_joint_from_potentials_uniform():
     g = ModelGraph("undirected", ["A", "B"], [("A", "B")])
     gm = GibbsModel([Variable("A", 2), Variable("B", 2)], g, {("A", "B"): np.ones((2, 2))})
-    table = build_joint_from_potentials(gm)
+    table = gm.to_joint()
     assert np.allclose(table.probs, 0.25)
     assert gm.normalizer == pytest.approx(4.0)
 
@@ -143,7 +151,7 @@ def test_build_joint_from_potentials_d2():
     gm = GibbsModel(
         [Variable("A", 2), Variable("B", 2)], g, {("A", "B"): np.array([[4.0, 1.0], [1.0, 4.0]])}
     )
-    table = build_joint_from_potentials(gm)
+    table = gm.to_joint()
     assert gm.normalizer == pytest.approx(10.0)
     assert table.prob({"A": 0, "B": 0}) == pytest.approx(0.4)
     assert table.strictly_positive
@@ -167,9 +175,7 @@ def test_materialization_cap():
     gm = random_gibbs_model(g, seed=0)
     with pytest.raises(PreconditionError):
         gm.to_joint()
-    with pytest.raises(PreconditionError):
-        build_joint_from_potentials(gm)
-    assert build_joint_from_potentials(gm, max_nodes=21).strictly_positive
+    assert gm.to_joint(max_nodes=21).strictly_positive
 
 
 def test_close_helper():
