@@ -32,7 +32,6 @@ from .errors import (
     ModelParseError,
     PreconditionError,
     RewriteError,
-    UndefinedCRError,
 )
 from .expr import FactorExpr, eval_expr, expr_variables, parse_expr, product_of, render
 from .factorizers import (
@@ -209,8 +208,13 @@ def _run_trace_file(path: str, model: ParsedModel, table, tol):
         raise ModelParseError(f"trace file {path!r}: {exc}") from None
     if not isinstance(data, dict) or "initial" not in data or "steps" not in data:
         raise ModelParseError(f"trace file {path!r} needs 'initial' and 'steps' fields")
+    if not isinstance(data["initial"], str):
+        raise ModelParseError(f"trace file {path!r}: 'initial' must be a string")
     initial = parse_expr(data["initial"])
-    steps = trace_from_dicts(data["steps"])
+    try:
+        steps = trace_from_dicts(data["steps"])
+    except RewriteError as exc:
+        raise ModelParseError(f"trace file {path!r}: {exc}") from None
     final = replay_trace(initial, steps, graph=model.graph, table=table, tol=tol)
     return initial, final
 
@@ -359,16 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ModelParseError, ExprParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PreconditionError, RewriteError, UndefinedCRError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ModelError as exc:
+    except (_UsageError, ModelError, ExprParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CRFactorError as exc:

@@ -19,14 +19,16 @@ certificate does not validate.
 
 A rewrite targets a node by its path (child positions from the root),
 returns a new tree plus a trace step, and never reorders untouched
-siblings. Replaying a recorded trace from the initial expression reproduces
-the final expression exactly, re-validating every certificate.
+siblings. `RULES` gives each rule's recorded params. Replaying a recorded
+trace from the initial expression reproduces the final expression exactly:
+each step must derive the certificate it recorded, and every certificate is
+re-validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .cr import Block
 from .errors import CertificateError, ModelError, RewriteError
@@ -39,17 +41,30 @@ from .separation import (
     separated,
 )
 
-RULES = (
-    "bipartition",
-    "merge",
-    "duplicate",
-    "condition",
-    "ci_reduce",
-    "ci_split",
-    "ci_collapse",
-    "independence",
-    "single_block",
-)
+
+# The JSON value of each param kind (`type(v) is int` keeps bools out).
+_KINDS = {
+    "int": lambda v: type(v) is int,
+    "int list": lambda v: isinstance(v, (list, tuple)) and all([type(i) is int for i in v]),
+    "name": lambda v: type(v) is str and v.isidentifier(),
+    "name list": lambda v: isinstance(v, (list, tuple)) and all([type(n) is str and n.isidentifier() for n in v]),
+}
+
+
+# rule -> ({recorded param: kind}, consumes a certificate). The params are
+# the keyword parameters of apply_<rule> after (root, path), in order; a
+# certificate rule also takes (cert_kind, *, ctx, validate).
+RULES: dict[str, tuple[dict[str, str], bool]] = {
+    "bipartition": ({"left": "int list", "right": "int list"}, False),
+    "merge": ({"i": "int", "j": "int"}, False),
+    "duplicate": ({"index": "int"}, False),
+    "condition": ({"over": "name"}, False),
+    "ci_reduce": ({"keep": "int", "y": "name list", "w": "name list"}, True),
+    "ci_split": ({"w_index": "int", "x": "name list", "y": "name list"}, True),
+    "ci_collapse": ({}, True),
+    "independence": ({}, True),
+    "single_block": ({}, False),
+}
 
 
 @dataclass(frozen=True)
@@ -81,12 +96,20 @@ class Certificate:
 class TraceStep:
     rule: str
     path: tuple[int, ...]
-    params: Mapping
+    params: dict
     certificate: Certificate | None = None
 
     def __post_init__(self):
-        if self.rule not in RULES:
+        if not isinstance(self.rule, str) or self.rule not in RULES:
             raise RewriteError(f"unknown rule {self.rule!r}")
+        if not _KINDS["int list"](self.path):
+            raise RewriteError(f"path must be a list of child positions, got {self.path!r}")
+        kinds = RULES[self.rule][0]
+        if not isinstance(self.params, dict) or self.params.keys() != kinds.keys():
+            raise RewriteError(f"{self.rule} takes params {list(kinds)}, got {self.params!r}")
+        for name, kind in kinds.items():
+            if not _KINDS[kind](value := self.params[name]):
+                raise RewriteError(f"{self.rule} param {name!r} must have kind {kind!r}, got {value!r}")
         object.__setattr__(self, "path", tuple(self.path))
         object.__setattr__(self, "params", dict(self.params))
 
@@ -152,47 +175,23 @@ def get_node(root: FactorExpr, path: Sequence[int]) -> FactorExpr:
     return node
 
 
-def _set_node(root: FactorExpr, path: Sequence[int], new: FactorExpr) -> FactorExpr:
+def _splice(node: FactorExpr, path: Sequence[int], replacement: Sequence[FactorExpr]) -> FactorExpr:
+    """Replace the node at `path`, already resolved by _target_cr, with the
+    given factors, dropping literal ones. Inside a product the factors are
+    spliced in place (later siblings shift, order is preserved); elsewhere
+    they are wrapped as needed."""
     if not path:
-        return new
+        factors = [r for r in replacement if r != ONE]
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0] if factors else ONE
     head, rest = path[0], path[1:]
-    if isinstance(root, Product):
-        kids = list(root.children)
-        kids[head] = _set_node(kids[head], rest, new)
-        return Product(tuple(kids))
-    if isinstance(root, Sum) and head == 0:
-        return Sum(root.over, _set_node(root.child, rest, new))
-    raise RewriteError(f"cannot descend path {path!r}")
-
-
-def _splice(root: FactorExpr, path: Sequence[int], replacement: Sequence[FactorExpr]) -> FactorExpr:
-    """Replace the node at `path` with the given factors, dropping literal
-    ones. Inside a product the factors are spliced in place (later siblings
-    shift, order is preserved); elsewhere they are wrapped as needed."""
-    filtered = [r for r in replacement if r != ONE]
-
-    def wrap() -> FactorExpr:
-        if not filtered:
-            return ONE
-        if len(filtered) == 1:
-            return filtered[0]
-        return Product(tuple(filtered))
-
-    if not path:
-        return wrap()
-    parent_path, idx = tuple(path[:-1]), path[-1]
-    parent = get_node(root, parent_path)
-    if isinstance(parent, Product):
-        kids = list(parent.children)
-        if not 0 <= idx < len(kids):
-            raise RewriteError(f"no child {idx} under {parent_path!r}")
-        kids[idx : idx + 1] = filtered
-        return _set_node(root, parent_path, Product(tuple(kids)))
-    if isinstance(parent, Sum):
-        if idx != 0:
-            raise RewriteError("a sum has a single child")
-        return _set_node(root, parent_path, Sum(parent.over, wrap()))
-    raise RewriteError("target's parent cannot hold children")
+    if isinstance(node, Sum):
+        return Sum(node.over, _splice(node.child, rest, replacement))
+    kids = list(node.children)
+    if rest:
+        kids[head] = _splice(kids[head], rest, replacement)
+    else:
+        kids[head : head + 1] = [r for r in replacement if r != ONE]
+    return Product(tuple(kids))
 
 
 def _target_cr(root: FactorExpr, path: Sequence[int]) -> CRTerm:
@@ -324,8 +323,8 @@ def apply_ci_reduce(
     root: FactorExpr,
     path: Sequence[int],
     keep: int,
-    y_vars: Sequence[str],
-    w_vars: Sequence[str],
+    y: Sequence[str],
+    w: Sequence[str],
     cert_kind: str = "graph",
     *,
     ctx: Context | None = None,
@@ -336,8 +335,8 @@ def apply_ci_reduce(
         (x ⊥ y | w)  =>  CR(x-block, y w-block) = CR(x-block, w-block)
 
     `keep` names the retained block (0 or 1); the other block's members must
-    split exactly into y_vars and w_vars, with w_vars non-empty (an empty w
-    is the plain independence rewrite)."""
+    split exactly into y and w, with w non-empty (an empty w is the plain
+    independence rewrite)."""
     term = _target_cr(root, path)
     if len(term.blocks) != 2:
         raise RewriteError("ci_reduce applies to two-block CR terms")
@@ -345,19 +344,17 @@ def apply_ci_reduce(
         raise RewriteError("keep must be 0 or 1")
     kept = term.blocks[keep]
     other = term.blocks[1 - keep]
-    y_vars = tuple(y_vars)
-    w_vars = tuple(w_vars)
-    if not w_vars or not y_vars:
+    y = tuple(y)
+    w = tuple(w)
+    if not w or not y:
         raise RewriteError("ci_reduce needs non-empty y and w variable sets")
-    if set(y_vars) | set(w_vars) != set(other.vars) or set(y_vars) & set(w_vars):
+    if set(y) | set(w) != set(other.vars) or set(y) & set(w):
         raise RewriteError("y and w must partition the reduced block's variables")
-    cert = Certificate(cert_kind, x=kept.vars, y=y_vars, z=w_vars + _cond_vars(term))
+    cert = Certificate(cert_kind, x=kept.vars, y=y, z=w + _cond_vars(term))
     if validate:
         validate_certificate(cert, ctx or Context())
-    result = CRTerm((kept, other.restrict(w_vars)), term.condition)
-    step = TraceStep(
-        "ci_reduce", tuple(path), {"keep": keep, "y": list(y_vars), "w": list(w_vars)}, cert
-    )
+    result = CRTerm((kept, other.restrict(w)), term.condition)
+    step = TraceStep("ci_reduce", tuple(path), {"keep": keep, "y": list(y), "w": list(w)}, cert)
     return _splice(root, path, [result]), step
 
 
@@ -365,8 +362,8 @@ def apply_ci_split(
     root: FactorExpr,
     path: Sequence[int],
     w_index: int,
-    x_vars: Sequence[str],
-    y_vars: Sequence[str],
+    x: Sequence[str],
+    y: Sequence[str],
     cert_kind: str = "graph",
     *,
     ctx: Context | None = None,
@@ -377,7 +374,7 @@ def apply_ci_split(
         (x ⊥ y | w)  =>  CR(w, x y) = CR(x, w) CR(y, w) CR(x, y)^-1
 
     `w_index` names the separator block (kept whole); the other block's
-    members must split exactly into x_vars and y_vars."""
+    members must split exactly into x and y."""
     term = _target_cr(root, path)
     if len(term.blocks) != 2:
         raise RewriteError("ci_split applies to two-block CR terms")
@@ -385,25 +382,23 @@ def apply_ci_split(
         raise RewriteError("w_index must be 0 or 1")
     w_block = term.blocks[w_index]
     xy = term.blocks[1 - w_index]
-    x_vars = tuple(x_vars)
-    y_vars = tuple(y_vars)
-    if not x_vars or not y_vars:
+    x = tuple(x)
+    y = tuple(y)
+    if not x or not y:
         raise RewriteError("ci_split needs non-empty x and y variable sets")
-    if set(x_vars) | set(y_vars) != set(xy.vars) or set(x_vars) & set(y_vars):
+    if set(x) | set(y) != set(xy.vars) or set(x) & set(y):
         raise RewriteError("x and y must partition the grouped block's variables")
-    cert = Certificate(cert_kind, x=x_vars, y=y_vars, z=w_block.vars + _cond_vars(term))
+    cert = Certificate(cert_kind, x=x, y=y, z=w_block.vars + _cond_vars(term))
     if validate:
         validate_certificate(cert, ctx or Context())
-    xb = xy.restrict(x_vars)
-    yb = xy.restrict(y_vars)
+    xb = xy.restrict(x)
+    yb = xy.restrict(y)
     replacement = [
         CRTerm((xb, w_block), term.condition),
         CRTerm((yb, w_block), term.condition),
         CRTerm((xb, yb), term.condition, exponent=-1),
     ]
-    step = TraceStep(
-        "ci_split", tuple(path), {"w_index": w_index, "x": list(x_vars), "y": list(y_vars)}, cert
-    )
+    step = TraceStep("ci_split", tuple(path), {"w_index": w_index, "x": list(x), "y": list(y)}, cert)
     return _splice(root, path, replacement), step
 
 
@@ -469,52 +464,21 @@ def apply_independence(
 # ---------------------------------------------------------------------------
 # Replay
 
-_CERT_FREE = {
-    "single_block": lambda root, step: apply_single_block(root, step.path),
-    "bipartition": lambda root, step: apply_bipartition(
-        root, step.path, step.params["left"], step.params["right"]
-    ),
-    "merge": lambda root, step: apply_merge(root, step.path, step.params["i"], step.params["j"]),
-    "duplicate": lambda root, step: apply_duplicate(root, step.path, step.params["index"]),
-    "condition": lambda root, step: apply_condition(root, step.path, step.params["over"]),
-}
-
-
 def replay_step(
     root: FactorExpr, step: TraceStep, *, ctx: Context | None = None, validate: bool = True
 ) -> FactorExpr:
-    if step.rule in _CERT_FREE:
-        new_root, _ = _CERT_FREE[step.rule](root, step)
-        return new_root
-    kind = step.certificate.kind if step.certificate is not None else "graph"
-    if step.rule == "ci_reduce":
-        new_root, _ = apply_ci_reduce(
-            root,
-            step.path,
-            step.params["keep"],
-            step.params["y"],
-            step.params["w"],
-            kind,
-            ctx=ctx,
-            validate=validate,
+    """Apply one recorded step: apply_<rule> with the recorded params, which
+    must derive the recorded certificate."""
+    kwargs, cert = dict(step.params), step.certificate
+    if RULES[step.rule][1]:  # with no recorded certificate, the mismatch below reports it
+        kwargs.update(cert_kind=getattr(cert, "kind", "graph"), ctx=ctx, validate=validate and cert is not None)
+    # Looked up at call time, so that wrappers of the module attribute see replays.
+    new_root, derived = globals()[f"apply_{step.rule}"](root, step.path, **kwargs)
+    if derived.certificate != cert:
+        raise RewriteError(
+            f"{step.rule} step at {step.path!r} records certificate {cert}, "
+            f"but the rule derives {derived.certificate}"
         )
-    elif step.rule == "ci_split":
-        new_root, _ = apply_ci_split(
-            root,
-            step.path,
-            step.params["w_index"],
-            step.params["x"],
-            step.params["y"],
-            kind,
-            ctx=ctx,
-            validate=validate,
-        )
-    elif step.rule == "ci_collapse":
-        new_root, _ = apply_ci_collapse(root, step.path, kind, ctx=ctx, validate=validate)
-    elif step.rule == "independence":
-        new_root, _ = apply_independence(root, step.path, kind, ctx=ctx, validate=validate)
-    else:
-        raise RewriteError(f"unknown rule {step.rule!r}")
     return new_root
 
 
@@ -567,19 +531,19 @@ def step_to_dict(step: TraceStep) -> dict:
     return out
 
 
-def step_from_dict(data: Mapping) -> TraceStep:
-    cert = None
-    if data.get("certificate") is not None:
-        c = data["certificate"]
-        cert = Certificate(
-            c.get("kind", "graph"),
-            x=tuple(c.get("x", ())),
-            y=tuple(c.get("y", ())),
-            z=tuple(c.get("z", ())),
-            groups=tuple(tuple(g) for g in c.get("groups", ())),
-        )
+def step_from_dict(data: dict) -> TraceStep:
+    if not isinstance(data, dict):
+        raise RewriteError(f"a trace step must be an object, got {data!r}")
+    cert = data.get("certificate")
+    if cert is not None:
+        if not isinstance(cert, dict):
+            raise RewriteError(f"certificate must be an object, got {cert!r}")
+        *fields, groups = (cert.get(f, ()) for f in ("x", "y", "z", "groups"))
+        if not isinstance(groups, (list, tuple)) or not all(map(_KINDS["name list"], [*fields, *groups])):
+            raise RewriteError(f"certificate x, y, z and each group must be name lists, got {cert!r}")
+        cert = Certificate(cert.get("kind", "graph"), *fields, groups)
     try:
-        return TraceStep(data["rule"], tuple(data["path"]), dict(data.get("params", {})), cert)
+        return TraceStep(data["rule"], data["path"], data.get("params", {}), cert)
     except KeyError as exc:
         raise RewriteError(f"trace step is missing field {exc}") from None
 
@@ -588,5 +552,14 @@ def trace_to_dicts(trace: Iterable[TraceStep]) -> list[dict]:
     return [step_to_dict(s) for s in trace]
 
 
-def trace_from_dicts(items: Iterable[Mapping]) -> OperationTrace:
-    return tuple(step_from_dict(d) for d in items)
+def trace_from_dicts(items: Sequence[dict]) -> OperationTrace:
+    """Steps from their JSON form; a RewriteError names the bad step."""
+    if not isinstance(items, (list, tuple)):
+        raise RewriteError(f"trace steps must be a list, got {items!r}")
+    steps = []
+    for n, data in enumerate(items):
+        try:
+            steps.append(step_from_dict(data))
+        except RewriteError as exc:
+            raise RewriteError(f"step {n}: {exc}") from None
+    return tuple(steps)

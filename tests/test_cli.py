@@ -101,6 +101,57 @@ def test_factorize_trace_requires_file(capsys):
     assert "--trace" in err
 
 
+def _merge_trace(**step):
+    return {"initial": "CR(a,b,c)", "steps": [{"rule": "merge", "path": [], "params": {"i": 0, "j": 1}, **step}]}
+
+
+MALFORMED_TRACES = {
+    "missing param": _merge_trace(params={"i": 0}),
+    "string int": _merge_trace(params={"i": "0", "j": 1}),
+    "int name": _merge_trace(rule="condition", params={"over": 5}),
+    "unknown param": _merge_trace(params={"i": 0, "j": 1, "k": 2}),
+    "step not object": {"initial": "CR(a,b,c)", "steps": [1]},
+    "steps not list": {"initial": "CR(a,b,c)", "steps": {"rule": "merge"}},
+    "initial not string": {"initial": 5, "steps": []},
+    "params not object": _merge_trace(params=[0, 1]),
+    "path not list": _merge_trace(path=0),
+    "certificate not object": _merge_trace(certificate="graph"),
+    "certificate field not list": _merge_trace(certificate={"kind": "graph", "x": "a", "y": ["b"]}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TRACES))
+def test_factorize_trace_malformed_file_exits_parse(case, tmp_path, capsys):
+    trace_file = tmp_path / "bad.trace.json"
+    trace_file.write_text(json.dumps(MALFORMED_TRACES[case]))
+    code, _, err = run(
+        capsys,
+        "factorize", "--method", "trace",
+        "--model", str(DATA / "path3_gibbs.model"),
+        "--trace", str(trace_file),
+    )
+    assert code == EXIT_PARSE
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_factorize_trace_tampered_certificate_exits_precondition(tmp_path, capsys):
+    g = make_graph("student")
+    _, trace = factorize_bn(g)
+    steps = trace_to_dicts(trace)
+    cert = next(s["certificate"] for s in steps if s["rule"] == "ci_reduce")
+    cert["x"] = [n for n in g.nodes if n not in cert["x"]][:1]
+    trace_file = tmp_path / "tampered.trace.json"
+    trace_file.write_text(json.dumps({"initial": render(singleton_cr(g.topological_order())), "steps": steps}))
+    code, _, err = run(
+        capsys,
+        "factorize", "--method", "trace",
+        "--model", str(DATA / "student.model"),
+        "--trace", str(trace_file),
+    )
+    assert code == EXIT_PRECONDITION
+    assert "records certificate" in err
+
+
 def test_factorize_chain_crf_cli(tmp_path, capsys):
     from crfactor import ModelGraph, ParsedModel, Variable, render_model
     from crfactor.randgen import random_gibbs_model

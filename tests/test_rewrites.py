@@ -1,7 +1,11 @@
+import inspect
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crfactor import rewrites
 from crfactor import (
     Block,
     CertificateError,
@@ -30,6 +34,7 @@ from crfactor import (
     trace_to_dicts,
 )
 from crfactor.randgen import random_gibbs_model, random_joint_table, make_graph
+from crfactor.rewrites import RULES
 
 from conftest import oracle_cr, D3_NAMES, D3_PROBS
 
@@ -404,6 +409,54 @@ def test_replay_revalidates_certificates(d3_table):
     # validation can be switched off to inspect the raw algebra
     out = replay_trace(e0, [s], table=bad, validate=False)
     assert render(out) == "CR(A,B)"
+
+
+def test_replay_requires_the_recorded_certificate(d3_table):
+    ctx = Context(table=d3_table)
+    e0 = CRTerm((block("A"), block("B", "C")))
+    _, reduce = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric", ctx=ctx)
+    _, merge = apply_merge(e0, (), 0, 1)
+    tampered = [
+        replace(reduce, certificate=replace(reduce.certificate, x=("B",))),
+        replace(reduce, certificate=None),
+        replace(merge, certificate=reduce.certificate),
+    ]
+    for step in tampered:
+        for validate in (True, False):
+            with pytest.raises(RewriteError, match="records certificate"):
+                replay_trace(e0, [step], table=d3_table, validate=validate)
+
+
+def test_apply_signatures_follow_the_rule_table():
+    for rule, (params, certified) in RULES.items():
+        names = list(inspect.signature(getattr(rewrites, f"apply_{rule}")).parameters)
+        cert_args = ["cert_kind", "ctx", "validate"] if certified else []
+        assert names == ["root", "path", *params, *cert_args], rule
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+STEP_LIKE = st.fixed_dictionaries(
+    {"rule": st.sampled_from(list(RULES)) | JSON, "path": st.lists(st.integers(0, 2), max_size=2) | JSON},
+    optional={
+        "params": st.dictionaries(st.sampled_from(["i", "j", "left", "over", "y", "w"]), JSON, max_size=3),
+        "certificate": st.fixed_dictionaries(
+            {}, optional={f: JSON for f in ("kind", "x", "y", "z", "groups")}
+        ) | JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STEP_LIKE, max_size=3) | JSON)
+def test_trace_from_dicts_raises_only_rewrite_errors(items):
+    try:
+        trace_from_dicts(items)
+    except RewriteError:
+        pass
 
 
 # ---------------------------------------------------------------------------
