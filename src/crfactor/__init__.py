@@ -92,7 +92,6 @@ from .separation import (
     d_separated,
     is_markov,
     mutual_independence_deviation,
-    numeric_ci_test,
     separated,
     u_separated,
     unconnected_nodes_check,

@@ -47,7 +47,7 @@ from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, build_clique_graph
 from .modelfile import ParsedModel, parse_model, render_model
 from .randgen import random_model
 from .rewrites import replay_trace, trace_from_dicts
-from .separation import CIQuery, numeric_ci_test, separated
+from .separation import CIQuery, ci_deviation, separated
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -210,7 +210,10 @@ def _run_trace_file(path: str, model: ParsedModel, table, tol):
         raise ModelParseError(f"trace file {path!r} needs 'initial' and 'steps' fields")
     if not isinstance(data["initial"], str):
         raise ModelParseError(f"trace file {path!r}: 'initial' must be a string")
-    initial = parse_expr(data["initial"])
+    try:
+        initial = parse_expr(data["initial"])
+    except ExprParseError as exc:
+        raise ModelParseError(f"trace file {path!r}: initial: {exc}") from None
     try:
         steps = trace_from_dicts(data["steps"])
     except RewriteError as exc:
@@ -279,7 +282,7 @@ def _cmd_indep(args) -> int:
     label = "d-separated" if model.graph.kind == "directed" else "u-separated"
     print(f"{label}: {'true' if separated(model.graph, query) else 'false'}")
     if args.numeric:
-        ok = numeric_ci_test(model.joint(), query, args.tol)
+        ok = ci_deviation(model.joint(), query) <= args.tol
         print(f"numeric-ci: {'true' if ok else 'false'}")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ evaluating probabilities as explicit sums over a table's entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -23,8 +24,9 @@ ABS_TOL = 1e-12
 # Joint tables must sum to one within this absolute slack.
 SUM_TOL = 1e-12
 
-# Eager materialization guard for Gibbs models.
-MAX_MATERIALIZED_NODES = 20
+# Largest table (joint, CPT, potential or their product) the package
+# allocates: 20 binary variables. Checked before allocating, by _check_cells.
+MAX_TABLE_CELLS = 2**20
 
 Assignment = Mapping[str, int]
 
@@ -46,6 +48,13 @@ class Variable:
             raise ModelError(f"variable name must be an identifier, got {self.name!r}")
         if not isinstance(self.cardinality, int) or self.cardinality < 2:
             raise ModelError(f"variable {self.name!r} needs cardinality >= 2, got {self.cardinality!r}")
+
+
+def _check_cells(shape: Sequence[int]) -> None:
+    """Refuse a table of this shape before it is allocated."""
+    cells = math.prod(shape)
+    if cells > MAX_TABLE_CELLS:
+        raise PreconditionError(f"a table of {cells} cells exceeds the cap of {MAX_TABLE_CELLS} cells")
 
 
 def _check_unique_names(names: Sequence[str], what: str) -> None:
@@ -402,6 +411,7 @@ def build_joint_from_cpts(
         raise ModelError("variables do not match graph nodes")
     names = tuple(v.name for v in variables)
     shape = tuple(v.cardinality for v in variables)
+    _check_cells(shape)
     arr = np.ones(shape)
     for node in dag.nodes:
         cpt = cpts.get(node)
@@ -461,16 +471,13 @@ class GibbsModel:
         self.normalizer: float | None = None
         self._joint: JointTable | None = None
 
-    def to_joint(self, max_nodes: int = MAX_MATERIALIZED_NODES) -> JointTable:
+    def to_joint(self) -> JointTable:
         """Materialize the full joint table (records the normalizer)."""
         if self._joint is not None:
             return self._joint
-        if len(self.variables) > max_nodes:
-            raise PreconditionError(
-                f"refusing to materialize {len(self.variables)} nodes (cap {max_nodes})"
-            )
         names = tuple(v.name for v in self.variables)
         shape = tuple(v.cardinality for v in self.variables)
+        _check_cells(shape)
         arr = np.ones(shape)
         for scope, table in self.potentials.items():
             arr = arr * _broadcast(table, scope, names)

@@ -34,6 +34,7 @@ from .model import (
     JointTable,
     ModelGraph,
     Variable,
+    _check_cells,
     build_joint_from_cpts,
 )
 
@@ -288,6 +289,7 @@ class _Builder:
 
         if self.dist_kind == "joint":
             shape = tuple(v.cardinality for v in self.variables)
+            _check_cells(shape)
             arr = np.zeros(shape)
             for states, prob in self.joint_rows.items():
                 arr[states] = prob
@@ -311,6 +313,7 @@ class _Builder:
                 parents = self.cpt_parents(node)
                 scope = parents + (node,)
                 shape = tuple(self.card(n) for n in scope)
+                _check_cells(shape)
                 arr = np.zeros(shape)
                 for states, prob in rows.items():
                     arr[states] = prob
@@ -331,6 +334,7 @@ class _Builder:
         pots: list[tuple[tuple[str, ...], np.ndarray]] = []
         for scope, lineno, rows in self.pot_rows:
             shape = tuple(self.card(n) for n in scope)
+            _check_cells(shape)
             expected = int(np.prod(shape))
             if len(rows) != expected:
                 raise ModelParseError(

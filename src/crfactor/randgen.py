@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelError, PreconditionError
-from .model import CPT, GibbsModel, JointTable, MAX_MATERIALIZED_NODES, ModelGraph, Variable
+from .errors import ModelError
+from .model import CPT, GibbsModel, JointTable, ModelGraph, Variable, _check_cells
 from .modelfile import ParsedModel
 
 POTENTIAL_RANGE = (0.1, 10.0)
@@ -169,8 +169,7 @@ def random_model(kind: str, spec: str, seed: int, cardinality: int = 2) -> Parse
     """A parsed model ready for rendering: kind "gibbs" (undirected graph
     spec, maximal-clique potentials) or "bn" (DAG spec, CPTs)."""
     graph = make_graph(spec, seed)
-    if len(graph.nodes) > MAX_MATERIALIZED_NODES:
-        raise PreconditionError(f"node count {len(graph.nodes)} exceeds the cap")
+    _check_cells([cardinality] * len(graph.nodes))
     variables = tuple(Variable(n, cardinality) for n in graph.nodes)
     if kind == "gibbs":
         if graph.kind != "undirected":

@@ -27,19 +27,15 @@ re-validated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cr import Block
-from .errors import CertificateError, ModelError, RewriteError
+from .errors import CertificateError, CRFactorError, ModelError, RewriteError
 from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum
 from .model import JointTable, ModelGraph, REL_TOL
-from .separation import (
-    CIQuery,
-    ci_deviation,
-    mutual_independence_deviation,
-    separated,
-)
+from .separation import CIQuery, mutual_independence_deviation, separated
 
 
 # The JSON value of each param kind (`type(v) is int` keeps bools out).
@@ -128,31 +124,18 @@ class Context:
 
 def validate_certificate(cert: Certificate, ctx: Context) -> None:
     """Raise CertificateError unless the certificate's declared source
-    confirms the recorded independence fact."""
+    confirms the recorded independence fact: every pair of groups separated
+    given z in the graph, or mutual independence given z in the table."""
+    groups = cert.groups or (cert.x, cert.y)
     if cert.kind == "graph":
         if ctx.graph is None:
             raise CertificateError("graph certificate given but no graph to check it against")
-        if cert.groups:
-            pairs = [
-                (gi, gj)
-                for i, gi in enumerate(cert.groups)
-                for gj in cert.groups[i + 1 :]
-            ]
-            ok = all(separated(ctx.graph, CIQuery(gi, gj, cert.z)) for gi, gj in pairs)
-        else:
-            ok = separated(ctx.graph, CIQuery(cert.x, cert.y, cert.z))
-        if not ok:
+        if not all(separated(ctx.graph, CIQuery(*pair, cert.z)) for pair in itertools.combinations(groups, 2)):
             raise CertificateError(f"graph separation does not hold: {cert}")
-    else:
-        if ctx.table is None:
-            raise CertificateError("numeric certificate given but no table to check it against")
-        if cert.groups:
-            cond = Block(cert.z) if cert.z else None
-            dev = mutual_independence_deviation(ctx.table, cert.groups, cond)
-        else:
-            dev = ci_deviation(ctx.table, CIQuery(cert.x, cert.y, cert.z))
-        if dev > ctx.tol:
-            raise CertificateError(f"numeric CI test fails (deviation {dev:.3e}): {cert}")
+    elif ctx.table is None:
+        raise CertificateError("numeric certificate given but no table to check it against")
+    elif (dev := mutual_independence_deviation(ctx.table, groups, cert.z)) > ctx.tol:
+        raise CertificateError(f"numeric CI test fails (deviation {dev:.3e}): {cert}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +480,15 @@ def replay_trace(
     yields the same final expression. With validate=True every certificate
     is re-checked against the supplied graph/table and a failing certificate
     raises CertificateError; validate=False replays the raw algebra (used to
-    inspect traces whose certificates are knowingly wrong)."""
+    inspect traces whose certificates are knowingly wrong). An error at step
+    N (from 0) is re-raised as the same class with "step N: " in front."""
     ctx = Context(graph=graph, table=table, tol=tol)
     expr = initial
-    for step in trace:
-        expr = replay_step(expr, step, ctx=ctx, validate=validate)
+    for n, step in enumerate(trace):
+        try:
+            expr = replay_step(expr, step, ctx=ctx, validate=validate)
+        except CRFactorError as exc:
+            raise type(exc)(f"step {n}: {exc}") from None
     return expr
 
 

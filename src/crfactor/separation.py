@@ -1,9 +1,10 @@
 """Independence certificates.
 
 Graph-based tests (d-separation for DAGs, vertex separation for undirected
-graphs), a numeric conditional-independence test against a joint table, and
-the exchange identity satisfied by any two non-adjacent nodes of a Markov
-network once their joint blanket is covered by the conditioning blocks.
+graphs), one numeric deviation from mutual independence given z against a
+joint table (a CI query is its two-group case), and the exchange identity
+satisfied by any two non-adjacent nodes of a Markov network once their
+joint blanket is covered by the conditioning blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cr import Block, conditional_cr_value, cr_value, evaluate, grid
+from .cr import Block, cr_value, evaluate, grid
 from .errors import ModelError, PreconditionError
 from .model import Assignment, JointTable, ModelGraph, REL_TOL
 
@@ -113,46 +114,38 @@ def separated(graph: ModelGraph, query: CIQuery) -> bool:
     return u_separated(graph, query)
 
 
-def ci_deviation(table: JointTable, query: CIQuery) -> float:
-    """Worst-case deviation from P(x,y|z) = P(x|z) P(y|z) across assignments.
+def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[str, ...]) -> float:
+    """Worst-case |P(z, g_1..g_k) P(z)^(k-1) / prod_i P(z, g_i) - 1|, i.e.
+    |CR(g_1, ..., g_k | z) - 1|, over the rows where every P(z, g_i) > 0;
+    0 exactly when the groups are mutually independent given z. Elsewhere
+    both sides of the factorization are 0, so those rows are skipped."""
+    rows = grid(table, [n for g in groups for n in g] + list(z))
 
-    Measured as |conditional CR - 1| where the conditional marginals are
-    positive, and as the absolute factorization gap where they vanish.
-    Assignments with P(z) = 0 are skipped.
-    """
-    rows = grid(table, query.x + query.y + query.z)
+    def p(*gs):  # P(gs) at every row, from the kernel
+        return evaluate(table, "P", [Block(g) for g in gs if g], None, rows)[0]
 
-    def p(*groups):  # P(groups) at every row, from the kernel
-        return evaluate(table, "P", [Block(g) for g in groups if g], None, rows)[0]
-
-    pz, pxz, pyz = p(query.z), p(query.z, query.x), p(query.z, query.y)
-    num, den = p(query.z, query.x, query.y) * pz, pxz * pyz
+    num, den, defined = p(z, *groups) * p(z) ** (len(groups) - 1), 1.0, True
+    for g in groups:
+        pg = p(z, g)
+        den = den * pg
+        defined = defined & (pg > 0.0)  # sparse shapes differ: no logical_and.reduce
     with np.errstate(all="ignore"):
         dev = num / den
-    dev -= 1.0
-    num -= den  # in place: these arrays span the whole grid
-    np.copyto(dev, num, where=(pxz == 0.0) | (pyz == 0.0))
-    return float(np.max(np.abs(dev, out=dev), where=pz > 0.0, initial=0.0))
+    dev -= 1.0  # in place: these arrays span the whole grid
+    return float(np.max(np.abs(dev, out=dev), where=defined, initial=0.0))
 
 
-def numeric_ci_test(table: JointTable, query: CIQuery, tol: float = REL_TOL) -> bool:
-    """True when the table satisfies (x ⊥ y | z) within tol."""
-    return ci_deviation(table, query) <= tol
+def ci_deviation(table: JointTable, query: CIQuery) -> float:
+    """Worst-case deviation from P(x,y|z) = P(x|z) P(y|z) across assignments:
+    |CR(x, y | z) - 1| where P(x,z) and P(y,z) are positive."""
+    return _deviation(table, (query.x, query.y), query.z)
 
 
-def mutual_independence_deviation(
-    table: JointTable,
-    groups: Iterable[tuple[str, ...]],
-    condition: Block | None = None,
-) -> float:
-    """Worst-case |CR(g_1, ..., g_k | condition) - 1| over all assignments of
-    the grouped variables; 0 exactly when the groups are mutually independent
-    (given the condition)."""
-    blocks = tuple(Block(g) for g in groups)
-    cond_free = condition.free_vars if condition is not None else ()
-    rows = grid(table, [n for b in blocks for n in b.vars] + list(cond_free))
-    value = conditional_cr_value(table, blocks, condition, rows)
-    return float(np.max(np.abs(value - 1.0), initial=0.0))
+def mutual_independence_deviation(table: JointTable, groups: Iterable[tuple[str, ...]], z: Iterable[str] = ()) -> float:
+    """Worst-case |CR(g_1, ..., g_k | z) - 1| over the assignments where
+    every P(z, g_i) is positive; 0 exactly when the groups are mutually
+    independent given z."""
+    return _deviation(table, tuple(map(tuple, groups)), tuple(z))
 
 
 def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> bool:
@@ -167,7 +160,7 @@ def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> boo
         if graph.has_edge(u, v):
             continue
         rest = tuple(n for n in graph.nodes if n not in (u, v))
-        if not numeric_ci_test(table, CIQuery((u,), (v,), rest), tol):
+        if ci_deviation(table, CIQuery((u,), (v,), rest)) > tol:
             return False
     return True
 

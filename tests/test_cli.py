@@ -117,6 +117,7 @@ MALFORMED_TRACES = {
     "path not list": _merge_trace(path=0),
     "certificate not object": _merge_trace(certificate="graph"),
     "certificate field not list": _merge_trace(certificate={"kind": "graph", "x": "a", "y": ["b"]}),
+    "initial not an expression": {"initial": "CR(", "steps": []},
 }
 
 
@@ -132,6 +133,41 @@ def test_factorize_trace_malformed_file_exits_parse(case, tmp_path, capsys):
     )
     assert code == EXIT_PARSE
     assert err.startswith("error:") and "Traceback" not in err
+    assert "trace file" in err
+
+
+def test_factorize_trace_replay_error_names_the_step(tmp_path, capsys):
+    trace_file = tmp_path / "leaf.trace.json"
+    trace_file.write_text(json.dumps(_merge_trace(path=[3])))
+    code, _, err = run(
+        capsys,
+        "factorize", "--method", "trace",
+        "--model", str(DATA / "path3_gibbs.model"),
+        "--trace", str(trace_file),
+    )
+    assert code == EXIT_PRECONDITION
+    assert err.startswith("error: step 0: path (3,) descends into a leaf")
+
+
+OVERSIZED_MODELS = {
+    "joint": "graph undirected\nvar a 100000\nvar b 100000\nvar c 100000\njoint\n0 0 0 1.0\n",
+    "cpt": (
+        "graph directed\nvar a 100000\nvar b 100000\nvar c 100000\nedge a c\nedge b c\n"
+        "cpt a\n0 1.0\ncpt b\n0 1.0\ncpt c\n0 0 0 1.0\n"
+    ),
+    # 2^64 cells: a product in int64 wraps to 0, the number of rows listed.
+    "potential": "graph undirected\nvar a 4294967296\nvar b 4294967296\nedge a b\npotential a b\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(OVERSIZED_MODELS))
+def test_oversized_model_file_exits_precondition(kind, tmp_path, capsys):
+    model_file = tmp_path / f"{kind}.model"
+    model_file.write_text(OVERSIZED_MODELS[kind])
+    code, _, err = run(capsys, "factorize", "--method", "bn", "--model", str(model_file))
+    assert code == EXIT_PRECONDITION
+    assert err.startswith("error: a table of ") and "cells exceeds the cap of 1048576 cells" in err
+    assert "Traceback" not in err
 
 
 def test_factorize_trace_tampered_certificate_exits_precondition(tmp_path, capsys):

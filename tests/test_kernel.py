@@ -252,6 +252,11 @@ def test_batched_checks_match_row_loops():
         assert ci_deviation(table, query) == worst
 
     table = TABLES["ternary"]
-    blocks = [block("A"), block("B")]
-    worst = max(abs(conditional_cr_value(table, blocks, block("C"), a) - 1.0) for a in table.assignments())
-    assert mutual_independence_deviation(table, [("A",), ("B",)], block("C")) == worst
+    worst = 0.0
+    for a in table.assignments():
+        pz = table.event_prob({"C": a["C"]})
+        pxz = table.event_prob({"A": a["A"], "C": a["C"]})
+        pyz = table.event_prob({"B": a["B"], "C": a["C"]})
+        if pxz > 0.0 and pyz > 0.0:
+            worst = max(worst, abs(table.prob(a) * pz / (pxz * pyz) - 1.0))
+    assert mutual_independence_deviation(table, [("A",), ("B",)], ("C",)) == worst

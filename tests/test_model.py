@@ -119,10 +119,11 @@ def test_cpt_rejects_non_finite_entries():
 
 def test_student_cpts_give_marginally_independent_roots(student_graph):
     from conftest import student_table
-    from crfactor.separation import CIQuery, numeric_ci_test
+    from crfactor.model import REL_TOL
+    from crfactor.separation import CIQuery, ci_deviation
 
     table = student_table(student_graph, seed=123)
-    assert numeric_ci_test(table, CIQuery(("D",), ("I",)))
+    assert ci_deviation(table, CIQuery(("D",), ("I",))) <= REL_TOL
 
 
 def test_chain_rule_reproduces_cpts(student_graph):
@@ -170,12 +171,18 @@ def test_disjoint_cliques_factorize():
 
 def test_materialization_cap():
     from crfactor import PreconditionError
+    from crfactor.randgen import random_cpts, random_model
 
+    over = f"a table of {2**21} cells exceeds the cap of {2**20} cells"
     g = make_graph("path:21")
     gm = random_gibbs_model(g, seed=0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=over):
         gm.to_joint()
-    assert gm.to_joint(max_nodes=21).strictly_positive
+    with pytest.raises(PreconditionError, match=over):
+        random_model("gibbs", "path:21", seed=0)
+    dag = make_graph("chain:21")
+    with pytest.raises(PreconditionError, match=over):
+        build_joint_from_cpts(dag, random_cpts(dag, seed=0), [Variable(n, 2) for n in dag.nodes])
 
 
 def test_close_helper():

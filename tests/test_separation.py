@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfactor import (
     CIQuery,
+    JointTable,
     ModelError,
     ModelGraph,
     PreconditionError,
@@ -12,13 +16,14 @@ from crfactor import (
     ci_deviation,
     d_separated,
     is_markov,
-    numeric_ci_test,
+    mutual_independence_deviation,
     u_separated,
     unconnected_nodes_check,
 )
+from crfactor.model import REL_TOL
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 
-from conftest import student_table
+from conftest import oracle_event_prob, student_table
 
 
 def test_ci_query_validation():
@@ -72,11 +77,11 @@ def test_u_separation_examples(fig4_graph):
 
 
 def test_numeric_ci_examples(coins_table, d2_table, d3_table):
-    assert numeric_ci_test(coins_table, CIQuery(("A",), ("B",)))
+    assert ci_deviation(coins_table, CIQuery(("A",), ("B",))) <= REL_TOL
     # D2 is attractive: CR = 1.6, far from independent
-    assert not numeric_ci_test(d2_table, CIQuery(("A",), ("B",)))
+    assert ci_deviation(d2_table, CIQuery(("A",), ("B",))) > REL_TOL
     assert ci_deviation(d2_table, CIQuery(("A",), ("B",))) == pytest.approx(0.6)
-    assert numeric_ci_test(d3_table, CIQuery(("A",), ("C",), ("B",)))
+    assert ci_deviation(d3_table, CIQuery(("A",), ("C",), ("B",))) <= REL_TOL
 
 
 def test_numeric_ci_skips_zero_condition_rows():
@@ -86,7 +91,49 @@ def test_numeric_ci_skips_zero_condition_rows():
     arr = np.zeros((2, 2, 2))
     arr[0] = 0.25  # B = 1 never happens... states: (B, X, Y)
     table = JointTable([Variable("B", 2), Variable("X", 2), Variable("Y", 2)], arr)
-    assert numeric_ci_test(table, CIQuery(("X",), ("Y",), ("B",)))
+    assert ci_deviation(table, CIQuery(("X",), ("Y",), ("B",))) <= REL_TOL
+
+
+@st.composite
+def _table_and_groups(draw):
+    """3-4 variables of cardinality 2-3 with integer weights 0..4 (so some
+    cells are exactly zero), and disjoint x, y, an optional third group w
+    and z."""
+    cards = draw(st.lists(st.integers(2, 3), min_size=3, max_size=4))
+    names = "ABCD"[: len(cards)]
+    weights = draw(st.lists(st.integers(0, 4), min_size=math.prod(cards), max_size=math.prod(cards)).filter(any))
+    arr = np.array(weights, dtype=float).reshape(cards)
+    table = JointTable([Variable(n, c) for n, c in zip(names, cards)], arr / arr.sum())
+    order = draw(st.permutations(names))
+    role = {order[0]: "x", order[1]: "y"} | {n: draw(st.sampled_from("xywz-")) for n in order[2:]}
+    x, y, w, z = (tuple(n for n in names if role[n] == r) for r in "xywz")
+    return table, tuple(g for g in (x, y, w) if g), z
+
+
+def _oracle_deviation(table, groups, z):
+    """max |P(z, g_1..g_k) P(z)^(k-1) / prod_i P(z, g_i) - 1| over the rows
+    where every P(z, g_i) > 0, by explicit sums."""
+    probs = {tuple(s): float(p) for s, p in np.ndenumerate(table.probs)}
+    worst = 0.0
+    for a in table.assignments():
+        def p(*gs):
+            return oracle_event_prob(probs, table.names, {n: a[n] for g in gs for n in g})
+
+        marginals = [p(z, g) for g in groups]
+        if all(m > 0.0 for m in marginals):
+            worst = max(worst, abs(p(z, *groups) * p(z) ** (len(groups) - 1) / math.prod(marginals) - 1.0))
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_and_groups())
+def test_one_deviation_for_ci_and_mutual_independence(case):
+    table, groups, z = case
+    got = mutual_independence_deviation(table, groups, z)
+    if len(groups) == 2:
+        assert ci_deviation(table, CIQuery(*groups, z)) == got
+    want = _oracle_deviation(table, groups, z)
+    assert abs(got - want) <= max(1e-9 * max(got, want), 1e-12)
 
 
 def test_d_separation_implies_numeric_ci(student_graph):
@@ -100,7 +147,7 @@ def test_d_separation_implies_numeric_ci(student_graph):
             x, y, z = nodes[:nx], nodes[nx : nx + ny], nodes[nx + ny : nx + ny + nz]
             q = CIQuery(tuple(x), tuple(y), tuple(z))
             if d_separated(student_graph, q):
-                assert numeric_ci_test(table, q), f"seed {seed} query {q}"
+                assert ci_deviation(table, q) <= REL_TOL, f"seed {seed} query {q}"
 
 
 def test_u_separation_implies_numeric_ci():
@@ -115,7 +162,7 @@ def test_u_separation_implies_numeric_ci():
             q = CIQuery(tuple(nodes[:nx]), tuple(nodes[nx : nx + ny]),
                         tuple(nodes[nx + ny : nx + ny + nz]))
             if u_separated(g, q):
-                assert numeric_ci_test(table, q), f"seed {seed} query {q}"
+                assert ci_deviation(table, q) <= REL_TOL, f"seed {seed} query {q}"
 
 
 def test_is_markov(d3_table):
