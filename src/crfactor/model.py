@@ -461,12 +461,9 @@ class GibbsModel:
                     arr = arr.reshape(expected)
                 except ValueError:
                     raise ModelError(f"potential over {scope!r} has wrong shape") from None
-            if np.any(arr <= 0):
-                raise ModelError(f"potential over {scope!r} has a non-positive entry")
-            if scope in checked:
-                checked[scope] = checked[scope] * arr
-            else:
-                checked[scope] = arr
+            if not np.all((arr > 0) & (arr < math.inf)):
+                raise ModelError(f"potential over {scope!r} has a non-positive or non-finite entry")
+            checked[scope] = arr
         self.potentials = checked
         self.normalizer: float | None = None
         self._joint: JointTable | None = None
@@ -479,9 +476,12 @@ class GibbsModel:
         shape = tuple(v.cardinality for v in self.variables)
         _check_cells(shape)
         arr = np.ones(shape)
-        for scope, table in self.potentials.items():
-            arr = arr * _broadcast(table, scope, names)
-        z = float(arr.sum())
+        with np.errstate(over="ignore", under="ignore"):
+            for scope, table in self.potentials.items():
+                arr = arr * _broadcast(table, scope, names)
+            z = float(arr.sum())
+        if not 0.0 < z < math.inf:
+            raise PreconditionError(f"the potentials' normalizer is {z!r}: their product leaves the float range")
         self.normalizer = z
         self._joint = JointTable(self.variables, arr / z)
         return self._joint

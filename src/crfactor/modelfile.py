@@ -12,22 +12,24 @@ followed by exactly one distribution block:
 
     joint                     # rows: <one state per variable> <probability>
     cpt <node>                # rows: <parent states> <node state> <probability>
-    potential <n1> <n2> ...   # rows: <states> <positive weight>
+    potential <n1> <n2> ...   # rows: <states> <positive finite weight>
 
 `cpt` and `potential` blocks may repeat (one cpt per node; several
-potentials). Unlisted joint rows default to zero; cpt and potential tables
-must be complete. Parse errors carry 1-based line numbers.
+potentials, and potentials over one scope multiply). Unlisted joint rows
+default to zero; cpt and potential tables must be complete. Parse errors
+carry 1-based line numbers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ModelError, ModelParseError
+from .errors import ModelError, ModelParseError, PreconditionError
 from .model import (
     CPT,
     GibbsModel,
@@ -67,7 +69,15 @@ class ParsedModel:
     def gibbs(self) -> GibbsModel:
         if self.kind != "potential":
             raise ModelError("not a potential model")
-        return GibbsModel(self.variables, self.graph, dict(self.potentials))
+        merged: dict[tuple[str, ...], np.ndarray] = {}
+        for scope, table in self.potentials:  # blocks over one scope multiply, in file order
+            if scope in merged:
+                with np.errstate(over="ignore", under="ignore"):
+                    table = merged[scope] * table
+                if not np.all((table > 0) & (table < math.inf)):
+                    raise PreconditionError(f"the potentials over {scope!r} multiply out of the float range")
+            merged[scope] = table
+        return GibbsModel(self.variables, self.graph, merged)
 
     def joint(self) -> JointTable:
         """Materialize the joint table (cached)."""
@@ -109,13 +119,8 @@ class _Builder:
         self.index: dict[str, int] = {}
         self.edges: list[tuple[str, str]] = []
         self.defaults: dict[str, int] = {}
-        self.dist_kind: str | None = None
-        # current block: ("joint",) | ("cpt", node, lineno) | ("potential", scope, lineno)
-        self.block = None
-        self.joint_rows: dict[tuple[int, ...], float] = {}
-        self.joint_line: int | None = None
-        self.cpt_rows: dict[str, tuple[int, dict[tuple[int, ...], float]]] = {}
-        self.pot_rows: list[tuple[tuple[str, ...], int, dict[tuple[int, ...], float]]] = []
+        # (kind, scope, header line, rows); the model's kind is its first block's
+        self.blocks: list[tuple[str, tuple[str, ...], int, dict[tuple[int, ...], float]]] = []
 
     def card(self, name: str) -> int:
         return self.variables[self.index[name]].cardinality
@@ -136,7 +141,7 @@ class _Builder:
         if self.graph_kind is None:
             raise ModelParseError("the first directive must be the graph line", lineno)
         if head == "var":
-            if self.dist_kind is not None:
+            if self.blocks:
                 raise ModelParseError("variable declared after the distribution block", lineno)
             if len(tokens) != 3:
                 raise ModelParseError("expected 'var <name> <cardinality>'", lineno)
@@ -151,7 +156,7 @@ class _Builder:
             self.index[name] = len(self.variables)
             self.variables.append(var)
         elif head == "edge":
-            if self.dist_kind is not None:
+            if self.blocks:
                 raise ModelParseError("edge declared after the distribution block", lineno)
             if len(tokens) != 3:
                 raise ModelParseError("expected 'edge <a> <b>'", lineno)
@@ -170,110 +175,71 @@ class _Builder:
             if not 0 <= state < self.card(name):
                 raise ModelParseError(f"default state {state} out of range for {name!r}", lineno)
             self.defaults[name] = state
-        elif head == "joint":
-            self.open_block("joint", lineno)
-            if len(tokens) != 1:
+        elif head in ("joint", "cpt", "potential"):
+            self.open_block(lineno, *tokens)
+        else:
+            raise ModelParseError(f"unknown directive {head!r}", lineno)
+
+    def open_block(self, lineno: int, kind: str, *args: str) -> None:
+        if not self.variables:
+            raise ModelParseError("distribution block before any variable", lineno)
+        if self.blocks and self.blocks[0][0] != kind:
+            raise ModelParseError(
+                f"model already has a {self.blocks[0][0]!r} distribution; cannot mix with {kind!r}",
+                lineno,
+            )
+        if kind == "joint":
+            if args:
                 raise ModelParseError("'joint' takes no arguments", lineno)
-            if self.joint_line is not None:
+            if self.blocks:
                 raise ModelParseError("duplicate joint block", lineno)
-            self.joint_line = lineno
-            self.block = ("joint",)
-        elif head == "cpt":
-            self.open_block("cpt", lineno)
-            if len(tokens) != 2:
+            scope = tuple(v.name for v in self.variables)
+        elif kind == "cpt":
+            if len(args) != 1:
                 raise ModelParseError("expected 'cpt <node>'", lineno)
-            node = tokens[1]
+            node = args[0]
             self.require_var(node, lineno)
-            if node in self.cpt_rows:
+            if any(scope[-1] == node for _, scope, _, _ in self.blocks):
                 raise ModelParseError(f"duplicate cpt block for {node!r}", lineno)
-            self.cpt_rows[node] = (lineno, {})
-            self.block = ("cpt", node)
-        elif head == "potential":
-            self.open_block("potential", lineno)
-            scope = tuple(tokens[1:])
+            parents = sorted((a for a, b in self.edges if b == node), key=self.index.__getitem__)
+            scope = (*parents, node)
+        else:
+            scope = args
             if not scope:
                 raise ModelParseError("a potential needs at least one variable", lineno)
             for n in scope:
                 self.require_var(n, lineno)
             if len(set(scope)) != len(scope):
                 raise ModelParseError("duplicate variable in potential scope", lineno)
-            self.pot_rows.append((scope, lineno, {}))
-            self.block = ("potential", len(self.pot_rows) - 1)
-        else:
-            raise ModelParseError(f"unknown directive {head!r}", lineno)
-
-    def open_block(self, kind: str, lineno: int) -> None:
-        if not self.variables:
-            raise ModelParseError("distribution block before any variable", lineno)
-        if self.dist_kind is None:
-            self.dist_kind = kind
-        elif self.dist_kind != kind:
-            raise ModelParseError(
-                f"model already has a {self.dist_kind!r} distribution; cannot mix with {kind!r}",
-                lineno,
-            )
+        self.blocks.append((kind, scope, lineno, {}))
 
     def row(self, lineno: int, tokens: list[str]) -> None:
-        if self.block is None:
+        if not self.blocks:
             if not tokens[0].lstrip("-").isdigit():
                 raise ModelParseError(f"unknown directive {tokens[0]!r}", lineno)
             raise ModelParseError("data row outside a distribution block", lineno)
-        if self.block[0] == "joint":
-            names = [v.name for v in self.variables]
-            if len(tokens) != len(names) + 1:
-                raise ModelParseError(
-                    f"joint row needs {len(names)} states and a probability", lineno
-                )
-            states = self.states(tokens[: len(names)], names, lineno)
-            prob = _parse_float(tokens[-1], lineno, "probability")
-            if not 0.0 <= prob <= 1.0 + 1e-9:
-                raise ModelParseError(f"probability {prob!r} out of range", lineno)
-            if states in self.joint_rows:
-                raise ModelParseError(f"duplicate joint row {states!r}", lineno)
-            self.joint_rows[states] = prob
-        elif self.block[0] == "cpt":
-            node = self.block[1]
-            parents = self.cpt_parents(node)
-            scope = parents + (node,)
-            if len(tokens) != len(scope) + 1:
-                raise ModelParseError(
-                    f"cpt row for {node!r} needs {len(scope)} states and a probability", lineno
-                )
-            states = self.states(tokens[: len(scope)], scope, lineno)
-            prob = _parse_float(tokens[-1], lineno, "probability")
-            if not 0.0 <= prob <= 1.0 + 1e-9:
-                raise ModelParseError(f"probability {prob!r} out of range", lineno)
-            rows = self.cpt_rows[node][1]
-            if states in rows:
-                raise ModelParseError(f"duplicate cpt row {states!r}", lineno)
-            rows[states] = prob
-        else:
-            idx = self.block[1]
-            scope, _, rows = self.pot_rows[idx]
-            if len(tokens) != len(scope) + 1:
-                raise ModelParseError(
-                    f"potential row needs {len(scope)} states and a weight", lineno
-                )
-            states = self.states(tokens[: len(scope)], scope, lineno)
-            weight = _parse_float(tokens[-1], lineno, "weight")
-            if weight <= 0.0:
-                raise ModelParseError(f"potential weight must be positive, got {weight!r}", lineno)
-            if states in rows:
-                raise ModelParseError(f"duplicate potential row {states!r}", lineno)
-            rows[states] = weight
-
-    def states(self, tokens: list[str], scope, lineno: int) -> tuple[int, ...]:
-        out = []
+        kind, scope, _, rows = self.blocks[-1]
+        what = f"cpt row for {scope[-1]!r}" if kind == "cpt" else f"{kind} row"
+        noun = "weight" if kind == "potential" else "probability"
+        if len(tokens) != len(scope) + 1:
+            raise ModelParseError(f"{what} needs {len(scope)} states and a {noun}", lineno)
+        states = []
         for token, name in zip(tokens, scope):
-            s = _parse_int(token, lineno, f"state of {name!r}")
-            if not 0 <= s < self.card(name):
-                raise ModelParseError(f"state {s} out of range for {name!r}", lineno)
-            out.append(s)
-        return tuple(out)
-
-    def cpt_parents(self, node: str) -> tuple[str, ...]:
-        order = {v.name: i for i, v in enumerate(self.variables)}
-        return tuple(sorted((a for a, b in self.edges if b == node), key=order.__getitem__))
+            state = _parse_int(token, lineno, f"state of {name!r}")
+            if not 0 <= state < self.card(name):
+                raise ModelParseError(f"state {state} out of range for {name!r}", lineno)
+            states.append(state)
+        states = tuple(states)
+        value = _parse_float(tokens[-1], lineno, noun)
+        if kind != "potential" and not 0.0 <= value <= 1.0 + 1e-9:
+            raise ModelParseError(f"probability {value!r} out of range", lineno)
+        if kind == "potential" and value <= 0.0:
+            raise ModelParseError(f"potential weight must be positive, got {value!r}", lineno)
+        if kind == "potential" and not value < math.inf:  # inf or nan
+            raise ModelParseError(f"potential weight must be positive and finite, got {value!r}", lineno)
+        if states in rows:
+            raise ModelParseError(f"duplicate {kind} row {states!r}", lineno)
+        rows[states] = value
 
     def finish(self) -> ParsedModel:
         if self.graph_kind is None:
@@ -284,72 +250,56 @@ class _Builder:
             graph = ModelGraph(self.graph_kind, [v.name for v in self.variables], self.edges)
         except ModelError as exc:
             raise ModelParseError(str(exc), None) from None
-        if self.dist_kind is None:
+        if not self.blocks:
             raise ModelParseError("model has no distribution block", None)
-
-        if self.dist_kind == "joint":
-            shape = tuple(v.cardinality for v in self.variables)
-            _check_cells(shape)
-            arr = np.zeros(shape)
-            for states, prob in self.joint_rows.items():
-                arr[states] = prob
-            total = float(arr.sum())
-            if abs(total - 1.0) > 1e-9:
-                raise ModelParseError(
-                    f"joint probabilities sum to {total!r}, not 1", self.joint_line
-                )
-            return ParsedModel(
-                "joint", tuple(self.variables), graph, self.defaults, joint_probs=arr / total
-            )
-
-        if self.dist_kind == "cpt":
+        kind = self.blocks[0][0]
+        if kind == "cpt":
             if graph.kind != "directed":
                 raise ModelParseError("cpt models require a directed graph", None)
-            missing = [v.name for v in self.variables if v.name not in self.cpt_rows]
+            missing = [n for n in graph.nodes if not any(s[-1] == n for _, s, _, _ in self.blocks)]
             if missing:
                 raise ModelParseError(f"missing cpt blocks for {missing!r}", None)
-            cpts = {}
-            for node, (lineno, rows) in self.cpt_rows.items():
-                parents = self.cpt_parents(node)
-                scope = parents + (node,)
-                shape = tuple(self.card(n) for n in scope)
-                _check_cells(shape)
-                arr = np.zeros(shape)
-                for states, prob in rows.items():
-                    arr[states] = prob
-                flat = arr.reshape(-1, shape[-1])
-                sums = flat.sum(axis=1)
+        if kind == "potential" and graph.kind != "undirected":
+            raise ModelParseError("potential models require an undirected graph", None)
+
+        tables = []
+        for _, scope, lineno, rows in self.blocks:
+            shape = tuple(self.card(n) for n in scope)
+            _check_cells(shape)
+            arr = np.zeros(shape)
+            for states, value in rows.items():
+                arr[states] = value
+            if kind == "joint":
+                total = float(arr.sum())
+                if abs(total - 1.0) > 1e-9:
+                    raise ModelParseError(f"joint probabilities sum to {total!r}, not 1", lineno)
+                arr = arr / total
+            elif kind == "cpt":
+                sums = arr.reshape(-1, shape[-1]).sum(axis=1)
                 bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
                 if bad.size:
                     raise ModelParseError(
-                        f"cpt rows for {node!r} (parent configuration index {int(bad[0])}) "
+                        f"cpt rows for {scope[-1]!r} (parent configuration index {int(bad[0])}) "
                         f"sum to {float(sums[bad[0]])!r}, not 1",
                         lineno,
                     )
-                cpts[node] = CPT(node, parents, arr)  # CPT normalizes the rows exactly
-            return ParsedModel("cpt", tuple(self.variables), graph, self.defaults, cpts=cpts)
+                arr = CPT(scope[-1], scope[:-1], arr)  # CPT normalizes the rows exactly
+            else:
+                if len(rows) != arr.size:
+                    raise ModelParseError(
+                        f"potential over {scope!r} lists {len(rows)} of {arr.size} entries", lineno
+                    )
+                for a, b in itertools.combinations(scope, 2):
+                    if not graph.has_edge(a, b):
+                        raise ModelParseError(f"potential scope {scope!r} is not a clique", lineno)
+            tables.append((scope, arr))
 
-        if graph.kind != "undirected":
-            raise ModelParseError("potential models require an undirected graph", None)
-        pots: list[tuple[tuple[str, ...], np.ndarray]] = []
-        for scope, lineno, rows in self.pot_rows:
-            shape = tuple(self.card(n) for n in scope)
-            _check_cells(shape)
-            expected = int(np.prod(shape))
-            if len(rows) != expected:
-                raise ModelParseError(
-                    f"potential over {scope!r} lists {len(rows)} of {expected} entries", lineno
-                )
-            arr = np.empty(shape)
-            for states, weight in rows.items():
-                arr[states] = weight
-            for a, b in itertools.combinations(scope, 2):
-                if not graph.has_edge(a, b):
-                    raise ModelParseError(f"potential scope {scope!r} is not a clique", lineno)
-            pots.append((scope, arr))
-        return ParsedModel(
-            "potential", tuple(self.variables), graph, self.defaults, potentials=pots
-        )
+        head = (kind, tuple(self.variables), graph, self.defaults)
+        if kind == "joint":
+            return ParsedModel(*head, joint_probs=tables[0][1])
+        if kind == "cpt":
+            return ParsedModel(*head, cpts={scope[-1]: cpt for scope, cpt in tables})
+        return ParsedModel(*head, potentials=tables)
 
 
 def parse_model(text: str) -> ParsedModel:
@@ -376,23 +326,15 @@ def render_model(model: ParsedModel) -> str:
         if model.defaults.get(name, 0) != 0:
             lines.append(f"default {name} {model.defaults[name]}")
     if model.kind == "joint":
-        lines.append("joint")
-        arr = model.joint_probs
-        for states in np.ndindex(arr.shape):
-            p = float(arr[states])
-            if p != 0.0:
-                lines.append(" ".join(str(s) for s in states) + f" {p!r}")
+        blocks = [("joint", model.joint_probs)]
     elif model.kind == "cpt":
-        for name in model.names:
-            cpt = model.cpts[name]
-            lines.append(f"cpt {name}")
-            for states in np.ndindex(cpt.probs.shape):
-                lines.append(
-                    " ".join(str(s) for s in states) + f" {float(cpt.probs[states])!r}"
-                )
+        blocks = [(f"cpt {name}", model.cpts[name].probs) for name in model.names]
     else:
-        for scope, arr in model.potentials:
-            lines.append("potential " + " ".join(scope))
-            for states in np.ndindex(arr.shape):
-                lines.append(" ".join(str(s) for s in states) + f" {float(arr[states])!r}")
+        blocks = [("potential " + " ".join(scope), arr) for scope, arr in model.potentials]
+    for header, arr in blocks:
+        lines.append(header)
+        for states in np.ndindex(arr.shape):
+            value = float(arr[states])
+            if value != 0.0 or model.kind != "joint":  # unlisted joint rows are zero
+                lines.append(" ".join(str(s) for s in states) + f" {value!r}")
     return "\n".join(lines) + "\n"

@@ -380,3 +380,17 @@ def test_verification_report_fields(d2_table):
     assert report.max_abs_error == pytest.approx(0.15)
     good = verify_expression(parse_expr("CR(A,B)·P(A)·P(B)"), d2_table, tol=1e-9)
     assert good.passed and good.max_rel_error <= 1e-12
+
+
+@pytest.mark.parametrize("weight, second", [("1e200", "b"), ("1e-200", "b"), ("1e200", "a")])
+def test_potential_product_out_of_float_range_exits_precondition(weight, second, tmp_path, capsys):
+    # every weight is a valid float; the product of the two blocks is not
+    model_file = tmp_path / "extreme.model"
+    model_file.write_text(
+        f"graph undirected\nvar a 2\nvar b 2\npotential a\n0 {weight}\n1 {weight}\n"
+        f"potential {second}\n0 {weight}\n1 {weight}\n"
+    )
+    code, _, err = run(capsys, "factorize", "--method", "mrf", "--model", str(model_file))
+    assert code == EXIT_PRECONDITION
+    assert err.startswith("error: ") and "float range" in err
+    assert "Warning" not in err

@@ -199,6 +199,8 @@ def test_potential_validation():
     vs = [Variable(n, 2) for n in "ABC"]
     with pytest.raises(ModelError):  # non-positive entry
         GibbsModel(vs, g, {("A", "B"): np.array([[1.0, 0.0], [1.0, 1.0]])})
+    with pytest.raises(ModelError, match="non-finite"):  # nan entry
+        GibbsModel(vs, g, {("A", "B"): np.array([[1.0, np.nan], [1.0, 1.0]])})
     with pytest.raises(ModelError):  # scope not a clique
         GibbsModel(vs, g, {("A", "C"): np.ones((2, 2))})
 

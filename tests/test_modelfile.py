@@ -1,7 +1,11 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crfactor import ModelParseError, parse_model, render_model
+from crfactor import ModelParseError, PreconditionError, parse_model, render_model
 
 from conftest import DATA
 
@@ -47,6 +51,8 @@ def test_malformed_edge_has_line_number():
         ("graph undirected\nvar A 2\njoint\n2 1.0\n", 4, "out of range"),
         ("graph sideways\n", 1, "graph"),
         ("graph undirected\nvar A 2\ndefault A 5\njoint\n0 1.0\n", 3, "out of range"),
+        ("graph undirected\nvar A 2\npotential A\n0 1.0\n1 nan\n", 5, "positive and finite, got nan"),
+        ("graph undirected\nvar A 2\npotential A\n0 inf\n1 1.0\n", 4, "positive and finite, got inf"),
     ],
 )
 def test_parse_errors(text, line, fragment):
@@ -124,3 +130,83 @@ def test_render_round_trip(name):
     assert np.allclose(again.joint().probs, model.joint().probs, rtol=1e-12, atol=1e-15)
     # canonical text is a fixed point
     assert render_model(again) == text
+
+
+def test_repeated_potential_scopes_multiply():
+    rows = "0 0 {}\n0 1 1\n1 0 1\n1 1 {}\n"
+    head = "graph undirected\nvar A 2\nvar B 2\nedge A B\n"
+    for second in ("potential A B", "potential B A"):
+        model = parse_model(head + "potential A B\n" + rows.format(1, 9) + second + "\n" + rows.format(1, 1))
+        assert model.joint().prob({"A": 1, "B": 1}) == pytest.approx(0.75, rel=1e-12)
+    model = parse_model(head + ("potential A B\n" + rows.format(2, 3)) * 2)
+    assert model.joint().prob({"A": 0, "B": 0}) == pytest.approx(4 / 15, rel=1e-12)
+
+
+MUTATION_FILES = ["d2.model", "student.model", "path3_gibbs.model", "cycle4_gibbs.model"]
+MUTATION_TOKENS = [
+    "nan", "inf", "-inf", "1e400", "1e200", "1e-200", "\n",
+    "0", "1", "2", "-1", "0.5", "a", "b", "potential",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(MUTATION_FILES), st.data())
+def test_mutated_model_files_end_in_a_documented_error(name, data):
+    tokens = re.findall(r"\S+|\n", (DATA / name).read_text())
+    for _ in range(data.draw(st.integers(0, 3))):
+        token = data.draw(st.sampled_from(MUTATION_TOKENS))
+        if data.draw(st.booleans()):
+            # any token, or the last of a line: mostly a probability or a weight
+            line_ends = [i for i, t in enumerate(tokens[:-1]) if t != "\n" and tokens[i + 1] == "\n"]
+            where = st.integers(0, len(tokens) - 1) | st.sampled_from(line_ends)
+            tokens[data.draw(where)] = token
+        else:
+            tokens.insert(data.draw(st.integers(0, len(tokens))), token)
+    try:
+        model = parse_model(" ".join(tokens))
+    except (ModelParseError, PreconditionError):
+        return
+    text = render_model(model)
+    assert render_model(parse_model(text)) == text
+    try:
+        model.joint()
+    except PreconditionError:
+        pass
+
+
+@st.composite
+def potential_files(draw):
+    """Potential files over a complete graph on A, B, C: cardinalities 2-3,
+    1-4 blocks whose scopes may repeat or list one clique in either order."""
+    cards = {n: draw(st.integers(2, 3)) for n in "ABC"}
+    scope_lists = st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)
+    blocks = []
+    for scope in draw(st.lists(scope_lists, min_size=1, max_size=4)):
+        states = itertools.product(*(range(cards[n]) for n in scope))
+        blocks.append((tuple(scope), {s: draw(st.integers(1, 9)) for s in states}))
+    return cards, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(potential_files())
+def test_potential_joint_is_the_normalized_product(case):
+    cards, blocks = case
+    lines = ["graph undirected"] + [f"var {n} {cards[n]}" for n in "ABC"]
+    lines += ["edge A B", "edge B C", "edge A C"]
+    for scope, weights in blocks:
+        lines.append("potential " + " ".join(scope))
+        lines += [" ".join(map(str, s)) + f" {w}" for s, w in weights.items()]
+    probs = parse_model("\n".join(lines) + "\n").joint().probs
+
+    expected = {}
+    for a in range(cards["A"]):
+        for b in range(cards["B"]):
+            for c in range(cards["C"]):
+                value = {"A": a, "B": b, "C": c}
+                product = 1.0
+                for scope, weights in blocks:
+                    product *= weights[tuple(value[n] for n in scope)]
+                expected[a, b, c] = product
+    total = sum(expected.values())
+    for states, product in expected.items():
+        assert probs[states] == pytest.approx(product / total, rel=1e-12, abs=0)
