@@ -89,15 +89,15 @@ def verify_expression(
 ) -> VerificationReport:
     """Compare eval_expr against `expected` (the joint entry by default) at
     every full assignment at once: `expected` gets the table's grid (see
-    ``crfactor.cr.grid``). The worst row is the first largest absolute error."""
+    ``crfactor.cr.grid``). A nan row fails and is the worst row; otherwise
+    the worst row is the first largest absolute error."""
     rows = grid(table)
     shape = table.probs.shape
-    with np.errstate(all="ignore"):  # undefined rows hold inf or nan until eval_expr raises
-        actual = np.broadcast_to(eval_expr(expr, table, rows), shape).ravel()
+    actual = np.broadcast_to(eval_expr(expr, table, rows), shape).ravel()
     want = np.broadcast_to(table.probs if expected is None else expected(rows), shape).ravel()
     abs_err = np.abs(actual - want)
-    max_rel = float(np.fmax.reduce(abs_err / np.maximum(np.abs(want), ABS_TOL), initial=0.0))
-    worst = 0 if np.isnan(abs_err[0]) else int(np.argmax(np.where(np.isnan(abs_err), -1.0, abs_err)))
+    max_rel = float(np.max(abs_err / np.maximum(np.abs(want), ABS_TOL)))
+    worst = int(np.argmax(abs_err))
     at = {n: int(s) for n, s in zip(table.names, np.unravel_index(worst, shape))}
     return VerificationReport(actual.size, float(abs_err[worst]), max_rel, at, tol)
 
@@ -212,7 +212,7 @@ def _run_trace_file(path: str, model: ParsedModel, table, tol):
         raise ModelParseError(f"trace file {path!r}: 'initial' must be a string")
     try:
         initial = parse_expr(data["initial"])
-    except ExprParseError as exc:
+    except (ExprParseError, ModelError) as exc:
         raise ModelParseError(f"trace file {path!r}: initial: {exc}") from None
     try:
         steps = trace_from_dicts(data["steps"])

@@ -112,19 +112,16 @@ def _prob(table: JointTable, blocks: BlockList, assignment: Assignment):
             first = event.setdefault(name, state)
             if first is not state:
                 conflict = conflict | (first != state)
-    if isinstance(conflict, np.ndarray):
-        return np.where(conflict, 0.0, table.event_prob(event))
-    return 0.0 if conflict else table.event_prob(event)
+    p = table.event_prob(event)
+    return p if conflict is False else np.where(conflict, 0.0, p)
 
 
 def _div(num, den):
     """num / den, or num when den is None; rows where den is zero carry a cause."""
     if den is None:
         return num
-    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
-        with np.errstate(all="ignore"):
-            return num / den
-    return num / den if den else math.nan
+    with np.errstate(all="ignore"):
+        return np.divide(num, den)
 
 
 def _pow(base: float, exponent: int) -> float:
@@ -162,8 +159,8 @@ def evaluate(
     """The one evaluation kernel: CR(blocks | cond)^exponent for kind "CR",
     P(blocks | cond)^exponent (blocks read as one event) for kind "P".
 
-    States are plain ints (one row, giving a float) or integer arrays that
-    broadcast over the table's axes (a batch, see ``grid``). Also returns the
+    States are integer arrays that broadcast over the table's axes (a batch,
+    see ``grid``); a plain int is a 0-d batch, one row. Also returns the
     causes that leave rows undefined, as (bool or bool array, message) pairs
     in the order one row meets them.
     """
@@ -187,34 +184,30 @@ def evaluate(
     if exponent != 1:
         _note(causes, exponent < 0 and value == 0.0, "zero raised to a negative exponent")
         base = value
-        if isinstance(base, np.ndarray):
-            with np.errstate(all="ignore"):  # numpy reports the flag an overflowing pow sets
-                value = _pow_each(base, exponent).astype(float)
-        else:
-            value = _pow(base, exponent)
+        with np.errstate(all="ignore"):  # numpy reports the flag an overflowing pow sets
+            value = np.asarray(_pow_each(base, exponent), dtype=float)
         overflow = (value == math.inf) & (base != math.inf)
-        if isinstance(overflow, np.ndarray) or overflow:
-            causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
+        _note(causes, overflow, "{} overflows", term_text(kind, blocks, cond, exponent))
     return value, causes
 
 
 def settle(value, causes: Sequence, assignment: Assignment):
-    """The value, or UndefinedCRError for the first cause holding at the
-    first row-major row where any holds; over a batch it names the row."""
-    if not causes:
-        return value
-    shape = np.broadcast_shapes(*map(np.shape, assignment.values()), *(np.shape(m) for m, _ in causes))
-    hit = np.zeros(shape, dtype=bool)
-    for mask, _ in causes:
-        hit |= mask
-    if not hit.any():
-        return value
-    row = np.unravel_index(int(np.argmax(hit)), shape)
-    message = next(msg for mask, msg in causes if np.broadcast_to(mask, shape)[row])
-    if shape:
-        at = {n: int(np.broadcast_to(s, shape)[row]) for n, s in assignment.items()}
-        message += f" (at assignment {at!r})"
-    raise UndefinedCRError(message)
+    """The value (a float for one row), or UndefinedCRError for the first
+    cause holding at the first row-major row where any holds; over a batch
+    it names the row."""
+    if causes:
+        shape = np.broadcast_shapes(*map(np.shape, assignment.values()), *(np.shape(m) for m, _ in causes))
+        hit = np.zeros(shape, dtype=bool)
+        for mask, _ in causes:
+            hit |= mask
+        if hit.any():
+            row = np.unravel_index(int(np.argmax(hit)), shape)
+            message = next(msg for mask, msg in causes if np.broadcast_to(mask, shape)[row])
+            if shape:
+                at = {n: int(np.broadcast_to(s, shape)[row]) for n, s in assignment.items()}
+                message += f" (at assignment {at!r})"
+            raise UndefinedCRError(message)
+    return value if np.ndim(value) else float(value)
 
 
 def cr_value(table: JointTable, blocks: BlockList, assignment: Assignment) -> float:

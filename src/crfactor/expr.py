@@ -23,6 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import ExprParseError, ModelError
 from .cr import Block, evaluate, settle, term_text
 from .model import Assignment, JointTable
@@ -138,7 +140,9 @@ def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     ``crfactor.cr.grid(table)``, giving one value per row. An undefined row
     raises UndefinedCRError (see ``crfactor.cr.settle``).
     """
-    return settle(*_evaluate(expr, table, assignment), assignment)
+    with np.errstate(all="ignore"):  # an undefined or overflowing row is a cause, not a warning
+        value, causes = _evaluate(expr, table, assignment)
+    return settle(value, causes, assignment)
 
 
 def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
@@ -238,7 +242,8 @@ def _bound_vars(expr: FactorExpr) -> set[str]:
 def render(expr: FactorExpr) -> str:
     """Deterministic textual form; ``parse_expr`` inverts it."""
     if isinstance(expr, Const):
-        return f"{expr.value:g}"
+        text = f"{expr.value:g}"
+        return text if float(text) == expr.value else repr(expr.value)
     if isinstance(expr, CRTerm):
         return term_text("CR", expr.blocks, expr.condition, expr.exponent)
     if isinstance(expr, PTerm):
@@ -346,6 +351,8 @@ class _Parser:
     def factor(self) -> FactorExpr:
         kind, val, off = self.next()
         if kind == "number":
+            if not np.isfinite(float(val)):
+                raise ExprParseError(f"number {val!r} at offset {off} is out of the float range")
             return Const(float(val))
         if val == "(":
             inner = self.product()

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cr import Block
+from .cr import Block, grid
 from .errors import ModelError, PreconditionError
 from .expr import CRTerm, FactorExpr, PTerm, Product, product_of
 from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, build_clique_graph
@@ -158,9 +158,10 @@ def factorize_chain_crf(
             raise ModelError("conditioning variables overlap the chain")
     cond = Block(x_vars) if x_vars else None
     if x_vars:
-        for states in itertools.product(*(range(table.cardinality(n)) for n in x_vars)):
-            if table.event_prob(dict(zip(x_vars, states))) == 0.0:
-                raise PreconditionError(f"conditioning configuration {states!r} has probability zero")
+        zero = (table.event_prob(grid(table, x_vars)) == 0.0).nonzero()  # row-major
+        if zero[0].size:
+            states = tuple(int(ix[0]) for ix in zero)
+            raise PreconditionError(f"conditioning configuration {states!r} has probability zero")
     factors: list[FactorExpr] = [
         CRTerm((Block([a]), Block([b])), cond) for a, b in zip(y_order, y_order[1:])
     ]

@@ -150,22 +150,19 @@ class JointTable:
     def event_prob(self, event: Assignment):
         """P of a partial assignment (the event that each listed variable
         takes its listed state); the empty event has probability 1. States
-        are ints, or integer arrays that broadcast together (one P per row)."""
+        are integer arrays that broadcast together, one P per row; plain ints
+        give one P."""
         if not event:
             return 1.0
         kept, arr = self._marginal(event.keys())
-        flat = 0  # row-major offset into the marginal; an array for a batch
+        flat = 0  # row-major offset into the marginal, broadcast over the rows
         for n in kept:
-            s, card = event[n], self._card[n]
-            try:
-                ok = 0 <= s < card
-            except ValueError:  # an array of states
-                bad = s[(s < 0) | (s >= card)]
-                ok, s = not bad.size, bad.flat[0] if bad.size else s
-            if not ok:
-                raise ModelError(f"state {s} out of range for variable {n!r}")
+            s, card = np.asarray(event[n]), self._card[n]
+            bad = s[(s < 0) | (s >= card)]
+            if bad.size:
+                raise ModelError(f"state {bad.flat[0]} out of range for variable {n!r}")
             flat = flat * card + s
-        return arr.item(flat) if isinstance(flat, int) else arr.reshape(-1)[flat]
+        return arr.reshape(-1)[flat]
 
     def allclose(self, other: "JointTable", rel: float = REL_TOL) -> bool:
         return self.names == other.names and bool(

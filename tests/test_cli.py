@@ -118,6 +118,9 @@ MALFORMED_TRACES = {
     "certificate not object": _merge_trace(certificate="graph"),
     "certificate field not list": _merge_trace(certificate={"kind": "graph", "x": "a", "y": ["b"]}),
     "initial not an expression": {"initial": "CR(", "steps": []},
+    "initial zero exponent": {"initial": "CR(a,b)^0", "steps": []},
+    "initial sum variable also free": {"initial": "sum_a[P(a)]·P(a)", "steps": []},
+    "initial sum variable not a name": {"initial": "sum_9[P(a)]", "steps": []},
 }
 
 
@@ -394,3 +397,19 @@ def test_potential_product_out_of_float_range_exits_precondition(weight, second,
     assert code == EXIT_PRECONDITION
     assert err.startswith("error: ") and "float range" in err
     assert "Warning" not in err
+
+
+def test_verification_fails_on_a_nan_row(tmp_path, capsys):
+    # P(a=0) = P(b=0) = 1e-200, so CR(a,b) at a=0, b=0 is 0 / (1e-200 * 1e-200),
+    # which underflows to 0 / 0: no marginal is zero, the value is nan
+    model_file = tmp_path / "tiny.model"
+    model_file.write_text(
+        "graph undirected\nvar a 2\nvar b 2\nedge a b\n"
+        "potential a\n0 1e-200\n1 1\npotential b\n0 1e-200\n1 1\n"
+    )
+    code, out, err = run(capsys, "factorize", "--method", "tree", "--model", str(model_file))
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert err == (
+        "verification: FAIL  assignments=4  max_rel_err=nan  max_abs_err=nan  worst=a=0,b=0\n"
+    )

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfactor import (
     Block,
@@ -91,6 +92,9 @@ def test_node_validation():
         (Const(1), "1"),
         (Const(0.5), "0.5"),
         (cr_term([("W", 1), "a"], "b"), "CR(W=1 a,b)"),
+        (Const(1e-5), "1e-05"),
+        (Const(0.1234567), "0.1234567"),
+        (Const(123456789), "123456789.0"),
     ],
 )
 def test_render_exact(expr, text):
@@ -137,6 +141,8 @@ def test_parse_flattens_nested_products():
         "CR(A=z,B)",
         "P(A) P(B)",
         "",
+        "1e999",
+        "2·CR(A,B)·1e400",
     ],
 )
 def test_parse_errors(text):
@@ -187,6 +193,38 @@ def test_random_round_trips():
     for _ in range(60):
         e = product_of([rand_term() for _ in range(rng.randint(1, 4))])
         assert parse_expr(render(e)) == e
+
+
+NAMES = st.sampled_from(["A", "B", "C", "x1"])
+BLOCKS = st.lists(st.tuples(NAMES, st.none() | st.integers(0, 3)), min_size=1, max_size=3,
+                  unique_by=lambda m: m[0]).map(Block)
+EXPONENTS = st.integers(-4, 4).filter(bool)
+CONSTS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Const)
+TERMS = st.one_of(
+    CONSTS,
+    st.builds(CRTerm, st.lists(BLOCKS, min_size=1, max_size=3).map(tuple), st.none() | BLOCKS, EXPONENTS),
+    st.builds(PTerm, BLOCKS, st.none() | BLOCKS, EXPONENTS),
+)
+
+
+def _expressions(inner):
+    # the parser's normal form: a product has two or more children, none a product
+    factor = st.one_of(TERMS, st.builds(Sum, NAMES, inner))
+    return factor | st.lists(factor, min_size=2, max_size=4).map(lambda cs: Product(tuple(cs)))
+
+
+def _well_scoped(e) -> bool:
+    try:
+        validate_scoping(e)
+    except ModelError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(TERMS, _expressions, max_leaves=8).filter(_well_scoped))
+def test_render_parse_round_trip_property(e):
+    assert parse_expr(render(e)) == e
 
 
 def test_product_of_drops_ones_and_flattens():

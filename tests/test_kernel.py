@@ -1,15 +1,17 @@
 """Batched evaluation against one-row evaluation and the explicit-sum oracle.
 
-Every CR and P value comes from one kernel that evaluates a term either at
-one assignment (plain int states) or at every row of a table at once (state
-arrays from ``grid``). These tests check that the two agree exactly, that
-both agree with the oracle in conftest, and that an undefined row is
+Every CR and P value comes from one kernel with one array path: it evaluates
+a term at every row of a table at once (state arrays from ``grid``), and a
+single assignment of plain int states is a 0-d batch of one row. These tests
+check that a row and the grid agree exactly, that both agree with the oracle
+in conftest, that one row gives a Python float, and that an undefined row is
 reported with the same cause and assignment a row-by-row scan finds first.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -260,3 +262,32 @@ def test_batched_checks_match_row_loops():
         if pxz > 0.0 and pyz > 0.0:
             worst = max(worst, abs(table.prob(a) * pz / (pxz * pyz) - 1.0))
     assert mutual_independence_deviation(table, [("A",), ("B",)], ("C",)) == worst
+
+
+def test_overflowing_product_is_inf_without_warning():
+    # each factor is (1e-150)^-2 = 1e300; only their product leaves the float range
+    table = JointTable([Variable("A", 2), Variable("B", 2)], [1e-150, 0.25, 0.25, 0.5 - 1e-150])
+    expr = parse_expr("P(A=0 B=0)^-2·P(A=0 B=0)^-2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_expr(expr, table, {"A": 0, "B": 0}) == np.inf
+        assert eval_expr(expr, table, grid(table)) == np.inf
+
+
+def test_one_row_gives_a_float():
+    """A 0-d batch must not leak out of a one-row entry point."""
+    table = TABLES["ternary"]
+    a = {"A": 1, "B": 2, "C": 0}
+    values = [
+        cr_value(table, [block("A"), block("B", "C")], a),
+        conditional_cr_value(table, [block("A"), block("B")], block("C"), a),
+        conditional_prob(table, block("A"), block("B"), a),
+        table.prob(a),
+        table.event_prob({"A": 1, "C": 0}),
+        eval_expr(parse_expr("CR(A=0,A)"), table, a),
+        eval_expr(parse_expr("CR(A,B)^-3"), table, a),
+        eval_expr(parse_expr("sum_B[CR(A,B)·P(B)]"), table, a),
+    ]
+    for v in values:
+        assert isinstance(v, float), type(v)
+    assert values[5] == 0.0
