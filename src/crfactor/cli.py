@@ -204,7 +204,7 @@ def _run_trace_file(path: str, model: ParsedModel, table, tol):
             data = json.load(fh)
     except OSError as exc:
         raise ModelParseError(f"cannot read trace file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelParseError(f"trace file {path!r}: {exc}") from None
     if not isinstance(data, dict) or "initial" not in data or "steps" not in data:
         raise ModelParseError(f"trace file {path!r} needs 'initial' and 'steps' fields")

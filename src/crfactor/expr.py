@@ -37,7 +37,10 @@ class Const:
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if not 0.0 <= value < np.inf:
+            raise ModelError(f"a constant must be finite and non-negative, got {value!r}")
+        object.__setattr__(self, "value", abs(value))  # -0.0 is stored as 0.0, which renders as "0"
 
 
 ONE = Const(1.0)
@@ -289,6 +292,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Parentheses and sums nested deeper than this are refused before they exhaust the stack.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -310,6 +316,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -355,9 +362,7 @@ class _Parser:
                 raise ExprParseError(f"number {val!r} at offset {off} is out of the float range")
             return Const(float(val))
         if val == "(":
-            inner = self.product()
-            self.expect(")")
-            return inner
+            return self.nested(off, ")")
         if kind == "name":
             if val in ("CR", "P"):
                 self.expect("(")
@@ -365,12 +370,18 @@ class _Parser:
                 self.expect(")")
                 return self.with_exponent(node)
             if val.startswith("sum_") and len(val) > 4:
-                over = val[4:]
                 self.expect("[")
-                child = self.product()
-                self.expect("]")
-                return Sum(over, child)
+                return Sum(val[4:], self.nested(off, "]"))
         raise ExprParseError(f"unexpected token {val!r} at offset {off}")
+
+    def nested(self, off: int, close: str) -> FactorExpr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprParseError(f"parentheses and sums nest deeper than {MAX_NESTING} at offset {off}")
+        inner = self.product()
+        self.expect(close)
+        self.depth -= 1
+        return inner
 
     def cr_or_p(self, head: str) -> FactorExpr:
         blocks = [self.block()]

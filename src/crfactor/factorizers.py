@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .cr import Block, grid
 from .errors import ModelError, PreconditionError
@@ -20,6 +20,7 @@ from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, build_clique_gr
 from .rewrites import (
     Context,
     OperationTrace,
+    TraceStep,
     apply_bipartition,
     apply_ci_collapse,
     apply_ci_reduce,
@@ -29,6 +30,18 @@ from .rewrites import (
     singleton_cr,
 )
 from .separation import is_markov
+
+
+class _Recorder:
+    """The expression a factorizer is rewriting and the steps taken so far."""
+
+    def __init__(self, expr: FactorExpr):
+        self.expr = expr
+        self.steps: list[TraceStep] = []
+
+    def apply(self, fn, *args, **kw) -> None:
+        self.expr, step = fn(self.expr, *args, **kw)
+        self.steps.append(step)
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +71,15 @@ def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[F
         if not dag.is_topological(order):
             raise PreconditionError(f"{order!r} is not a topological order of the graph")
     ctx = Context(graph=dag)
-
-    expr: FactorExpr = singleton_cr(order)
-    steps = []
-
-    def run(fn, *args, **kw):
-        nonlocal expr
-        expr, st = fn(*((expr,) + args), **kw)
-        steps.append(st)
-
+    rec = _Recorder(singleton_cr(order))
     rem_path: tuple[int, ...] = ()
     rem = list(order)
     for x in reversed(order[1:]):
         i0 = rem_path[-1] if rem_path else 0
         base = rem_path[:-1]
         k = rem.index(x)
-        run(apply_bipartition, rem_path, [k], [i for i in range(len(rem)) if i != k])
-        run(apply_single_block, base + (i0,))
+        rec.apply(apply_bipartition, rem_path, [k], [i for i in range(len(rem)) if i != k])
+        rec.apply(apply_single_block, base + (i0,))
         cut_path = base + (i0,)
         rem_path = base + (i0 + 1,)
         rem.remove(x)
@@ -82,18 +87,18 @@ def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[F
         if parents:
             rest = [v for v in rem if v not in parents]
             if rest:
-                run(apply_ci_reduce, cut_path, 0, rest, list(parents), "graph", ctx=ctx)
+                rec.apply(apply_ci_reduce, cut_path, 0, rest, list(parents), "graph", ctx=ctx)
         else:
-            run(apply_independence, cut_path, "graph", ctx=ctx)
+            rec.apply(apply_independence, cut_path, "graph", ctx=ctx)
             rem_path = base + (i0,)
-    run(apply_single_block, rem_path)
+    rec.apply(apply_single_block, rem_path)
 
     grouped = []
     for x in order:
         parents = dag.parents(x)
         cond = Block(parents) if parents else None
         grouped.append(PTerm(Block([x]), cond))
-    return Product(tuple(grouped)), tuple(steps)
+    return Product(tuple(grouped)), tuple(rec.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +188,19 @@ def _default_assignment(table: JointTable, default: Mapping[str, int] | None) ->
     return out
 
 
+def _subset_terms(
+    span: Sequence[str], clique: Sequence[str], pins: Mapping[str, int], cond: Block | None = None
+) -> Iterator[PTerm]:
+    """For each s ⊆ c, smallest first, P(X_s = x_s, X_{span∖s} = default | cond)^((-1)^(|c| - |s|)):
+    the Hammersley-Clifford terms of clique c, over `span` ⊇ c in table order."""
+    scope = set(clique)
+    members = [n for n in span if n in scope]
+    for r in range(len(members) + 1):
+        for s in itertools.combinations(members, r):
+            blk = Block([n if n in s else (n, pins[n]) for n in span])
+            yield PTerm(blk, cond, exponent=(-1) ** (len(members) - r))
+
+
 def hc_potential(
     table: JointTable, clique: Sequence[str], default: Mapping[str, int] | None = None
 ) -> FactorExpr:
@@ -202,15 +220,7 @@ def hc_potential(
         table.cardinality(n)
     if len(set(clique)) != len(clique):
         raise ModelError("duplicate variable in clique")
-    pins = _default_assignment(table, default)
-    factors = []
-    members = [n for n in table.names if n in set(clique)]
-    for r in range(len(members) + 1):
-        for s in itertools.combinations(members, r):
-            free = set(s)
-            blk = Block([n if n in free else (n, pins[n]) for n in table.names])
-            factors.append(PTerm(blk, exponent=(-1) ** (len(clique) - len(s))))
-    return Product(tuple(factors))
+    return Product(tuple(_subset_terms(table.names, clique, _default_assignment(table, default))))
 
 
 def mrf_factorize(
@@ -258,17 +268,11 @@ def rmrf_factorize(
     pins = _default_assignment(table, default)
     factors: list[FactorExpr] = []
     for c in graph.all_cliques():
-        if not c:
-            factors.append(PTerm(Block([(n, pins[n]) for n in table.names])))
-            continue
         blanket = graph.markov_blanket(c)
         cond = Block([(n, pins[n]) for n in blanket]) if blanket else None
-        members = [n for n in table.names if n in set(c)]
-        for r in range(len(members) + 1):
-            for s in itertools.combinations(members, r):
-                free = set(s)
-                blk = Block([n if n in free else (n, pins[n]) for n in members])
-                factors.append(PTerm(blk, cond, exponent=(-1) ** (len(c) - len(s))))
+        # The empty clique spans the whole table: its one term is P(X = default).
+        span = [n for n in table.names if n in set(c)] or table.names
+        factors.extend(_subset_terms(span, c, pins, cond))
     return Product(tuple(factors))
 
 
@@ -372,20 +376,15 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     names = tuple(n for n in table.names)
 
     initial = singleton_cr(names)
-    expr: FactorExpr = initial
-    steps = []
-
-    def run(fn, *args, **kw):
-        nonlocal expr
-        expr, st = fn(*((expr,) + args), **kw)
-        steps.append(st)
-
+    rec = _Recorder(initial)
+    factors: dict[tuple[str, ...], FactorExpr] = {}
     rem_path: tuple[int, ...] = ()
     rem = list(names)
     for clique, maxadj in check.elimination:
         sep = [n for n in names if n in set(clique) & set(maxadj)]
+        factors[clique] = Product((PTerm(Block(clique)), PTerm(Block(sep), exponent=-1)))
         for v in sep:
-            run(apply_duplicate, rem_path, rem.index(v))
+            rec.apply(apply_duplicate, rem_path, rem.index(v))
             rem.insert(rem.index(v) + 1, v)
             if not rem_path:
                 # the bare root term became a product; the CR term is child 0
@@ -400,25 +399,17 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
                 left.append(pos)
                 taken.add(v)
         right = [p for p in range(len(rem)) if p not in set(left)]
-        run(apply_bipartition, rem_path, left, right)
-        run(apply_ci_collapse, base + (i0 + 1,), "graph", ctx=ctx)
+        rec.apply(apply_bipartition, rem_path, left, right)
+        rec.apply(apply_ci_collapse, base + (i0 + 1,), "graph", ctx=ctx)
         rem_path = base + (i0 + 2,)
         rem = [rem[p] for p in right]
-
-    factors: dict[tuple[str, ...], FactorExpr] = {}
-    for clique, maxadj in check.elimination:
-        sep = tuple(n for n in names if n in set(clique) & set(maxadj))
-        factors[clique] = Product(
-            (PTerm(Block(clique)), PTerm(Block(sep), exponent=-1))
-        )
     factors[check.root] = PTerm(Block(check.root))
-    combined = product_of(factors.values())
     return TcgResult(
         clique_graph=check.clique_graph,
         elimination=check.elimination,
         root=check.root,
         factors=factors,
-        expr=combined,
+        expr=product_of(factors.values()),
         trace_initial=initial,
-        trace=tuple(steps),
+        trace=tuple(rec.steps),
     )

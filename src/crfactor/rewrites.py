@@ -63,6 +63,12 @@ RULES: dict[str, tuple[dict[str, str], bool]] = {
 }
 
 
+def _rule(rule) -> tuple[dict[str, str], bool]:
+    if not isinstance(rule, str) or rule not in RULES:
+        raise RewriteError(f"unknown rule {rule!r}")
+    return RULES[rule]
+
+
 @dataclass(frozen=True)
 class Certificate:
     """An independence fact and the source that justifies it.
@@ -90,24 +96,13 @@ class Certificate:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One recorded rewrite. `step_from_dict` checks a step read from JSON
+    against `RULES`; a step built in Python is taken as built."""
+
     rule: str
     path: tuple[int, ...]
     params: dict
     certificate: Certificate | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.rule, str) or self.rule not in RULES:
-            raise RewriteError(f"unknown rule {self.rule!r}")
-        if not _KINDS["int list"](self.path):
-            raise RewriteError(f"path must be a list of child positions, got {self.path!r}")
-        kinds = RULES[self.rule][0]
-        if not isinstance(self.params, dict) or self.params.keys() != kinds.keys():
-            raise RewriteError(f"{self.rule} takes params {list(kinds)}, got {self.params!r}")
-        for name, kind in kinds.items():
-            if not _KINDS[kind](value := self.params[name]):
-                raise RewriteError(f"{self.rule} param {name!r} must have kind {kind!r}, got {value!r}")
-        object.__setattr__(self, "path", tuple(self.path))
-        object.__setattr__(self, "params", dict(self.params))
 
 
 OperationTrace = tuple[TraceStep, ...]
@@ -194,6 +189,17 @@ def _merge_blocks(blocks: Iterable[Block]) -> Block:
         raise RewriteError(f"cannot merge blocks: {exc}") from None
 
 
+def _rewrite(
+    root: FactorExpr, path: Sequence[int], replacement: Sequence[FactorExpr], rule: str, params: dict,
+    cert: Certificate | None = None, ctx: Context | None = None, validate: bool = False,
+) -> tuple[FactorExpr, TraceStep]:
+    """Finish a rewrite: validate its certificate when asked, splice the
+    replacement in at `path` and record the step."""
+    if validate:
+        validate_certificate(cert, ctx or Context())
+    return _splice(root, path, replacement), TraceStep(rule, tuple(path), params, cert)
+
+
 # ---------------------------------------------------------------------------
 # Certificate-free rewrites
 
@@ -203,8 +209,7 @@ def apply_single_block(root: FactorExpr, path: Sequence[int]) -> tuple[FactorExp
     term = _target_cr(root, path)
     if len(term.blocks) != 1:
         raise RewriteError("single_block applies to one-block CR terms")
-    step = TraceStep("single_block", tuple(path), {})
-    return _splice(root, path, []), step
+    return _rewrite(root, path, [], "single_block", {})
 
 
 def apply_bipartition(
@@ -227,8 +232,7 @@ def apply_bipartition(
         cut,
         CRTerm(rblocks, term.condition),
     ]
-    step = TraceStep("bipartition", tuple(path), {"left": left, "right": right})
-    return _splice(root, path, replacement), step
+    return _rewrite(root, path, replacement, "bipartition", {"left": left, "right": right})
 
 
 def apply_merge(root: FactorExpr, path: Sequence[int], i: int, j: int) -> tuple[FactorExpr, TraceStep]:
@@ -248,8 +252,7 @@ def apply_merge(root: FactorExpr, path: Sequence[int], i: int, j: int) -> tuple[
         CRTerm(tuple(blocks), term.condition),
         CRTerm((term.blocks[i], term.blocks[j]), term.condition),
     ]
-    step = TraceStep("merge", tuple(path), {"i": i, "j": j})
-    return _splice(root, path, replacement), step
+    return _rewrite(root, path, replacement, "merge", {"i": i, "j": j})
 
 
 def apply_duplicate(root: FactorExpr, path: Sequence[int], index: int) -> tuple[FactorExpr, TraceStep]:
@@ -264,8 +267,7 @@ def apply_duplicate(root: FactorExpr, path: Sequence[int], index: int) -> tuple[
         CRTerm(tuple(blocks), term.condition),
         PTerm(dup, term.condition),
     ]
-    step = TraceStep("duplicate", tuple(path), {"index": index})
-    return _splice(root, path, replacement), step
+    return _rewrite(root, path, replacement, "duplicate", {"index": index})
 
 
 def apply_condition(root: FactorExpr, path: Sequence[int], over: str) -> tuple[FactorExpr, TraceStep]:
@@ -289,9 +291,7 @@ def apply_condition(root: FactorExpr, path: Sequence[int], over: str) -> tuple[F
     factors: list[FactorExpr] = [CRTerm(term.blocks, over_block)]
     factors.extend(CRTerm((b, over_block)) for b in term.blocks)
     factors.append(PTerm(over_block))
-    replacement = [Sum(over, Product(tuple(factors)))]
-    step = TraceStep("condition", tuple(path), {"over": over})
-    return _splice(root, path, replacement), step
+    return _rewrite(root, path, [Sum(over, Product(tuple(factors)))], "condition", {"over": over})
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +334,9 @@ def apply_ci_reduce(
     if set(y) | set(w) != set(other.vars) or set(y) & set(w):
         raise RewriteError("y and w must partition the reduced block's variables")
     cert = Certificate(cert_kind, x=kept.vars, y=y, z=w + _cond_vars(term))
-    if validate:
-        validate_certificate(cert, ctx or Context())
     result = CRTerm((kept, other.restrict(w)), term.condition)
-    step = TraceStep("ci_reduce", tuple(path), {"keep": keep, "y": list(y), "w": list(w)}, cert)
-    return _splice(root, path, [result]), step
+    params = {"keep": keep, "y": list(y), "w": list(w)}
+    return _rewrite(root, path, [result], "ci_reduce", params, cert, ctx, validate)
 
 
 def apply_ci_split(
@@ -372,8 +370,6 @@ def apply_ci_split(
     if set(x) | set(y) != set(xy.vars) or set(x) & set(y):
         raise RewriteError("x and y must partition the grouped block's variables")
     cert = Certificate(cert_kind, x=x, y=y, z=w_block.vars + _cond_vars(term))
-    if validate:
-        validate_certificate(cert, ctx or Context())
     xb = xy.restrict(x)
     yb = xy.restrict(y)
     replacement = [
@@ -381,8 +377,8 @@ def apply_ci_split(
         CRTerm((yb, w_block), term.condition),
         CRTerm((xb, yb), term.condition, exponent=-1),
     ]
-    step = TraceStep("ci_split", tuple(path), {"w_index": w_index, "x": list(x), "y": list(y)}, cert)
-    return _splice(root, path, replacement), step
+    params = {"w_index": w_index, "x": list(x), "y": list(y)}
+    return _rewrite(root, path, replacement, "ci_split", params, cert, ctx, validate)
 
 
 def apply_ci_collapse(
@@ -413,16 +409,10 @@ def apply_ci_collapse(
         raise RewriteError("shared sub-blocks carry different bindings")
     x_vars = tuple(n for n in b1.vars if n not in shared)
     y_vars = tuple(n for n in b2.vars if n not in shared)
-    cert = None
-    if x_vars and y_vars:
-        cert = Certificate(
-            cert_kind, x=x_vars, y=y_vars, z=tuple(sorted(shared)) + _cond_vars(term)
-        )
-        if validate:
-            validate_certificate(cert, ctx or Context())
+    z = tuple(sorted(shared)) + _cond_vars(term)
+    cert = Certificate(cert_kind, x=x_vars, y=y_vars, z=z) if x_vars and y_vars else None
     result = PTerm(b1.restrict(shared), term.condition, exponent=-1)
-    step = TraceStep("ci_collapse", tuple(path), {}, cert)
-    return _splice(root, path, [result]), step
+    return _rewrite(root, path, [result], "ci_collapse", {}, cert, ctx, validate and cert is not None)
 
 
 def apply_independence(
@@ -438,10 +428,7 @@ def apply_independence(
     term = _target_cr(root, path)
     groups = tuple(b.vars for b in term.blocks)
     cert = Certificate(cert_kind, z=_cond_vars(term), groups=groups)
-    if validate and len(term.blocks) > 1:
-        validate_certificate(cert, ctx or Context())
-    step = TraceStep("independence", tuple(path), {}, cert)
-    return _splice(root, path, []), step
+    return _rewrite(root, path, [], "independence", {}, cert, ctx, validate and len(term.blocks) > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +440,7 @@ def replay_step(
     """Apply one recorded step: apply_<rule> with the recorded params, which
     must derive the recorded certificate."""
     kwargs, cert = dict(step.params), step.certificate
-    if RULES[step.rule][1]:  # with no recorded certificate, the mismatch below reports it
+    if _rule(step.rule)[1]:  # with no recorded certificate, the mismatch below reports it
         kwargs.update(cert_kind=getattr(cert, "kind", "graph"), ctx=ctx, validate=validate and cert is not None)
     # Looked up at call time, so that wrappers of the module attribute see replays.
     new_root, derived = globals()[f"apply_{step.rule}"](root, step.path, **kwargs)
@@ -519,6 +506,7 @@ def step_to_dict(step: TraceStep) -> dict:
 
 
 def step_from_dict(data: dict) -> TraceStep:
+    """A step from its JSON form, checked against `RULES`: the one place a step enters from outside."""
     if not isinstance(data, dict):
         raise RewriteError(f"a trace step must be an object, got {data!r}")
     cert = data.get("certificate")
@@ -530,9 +518,18 @@ def step_from_dict(data: dict) -> TraceStep:
             raise RewriteError(f"certificate x, y, z and each group must be name lists, got {cert!r}")
         cert = Certificate(cert.get("kind", "graph"), *fields, groups)
     try:
-        return TraceStep(data["rule"], data["path"], data.get("params", {}), cert)
+        rule, path, params = data["rule"], data["path"], data.get("params", {})
     except KeyError as exc:
         raise RewriteError(f"trace step is missing field {exc}") from None
+    kinds = _rule(rule)[0]
+    if not _KINDS["int list"](path):
+        raise RewriteError(f"path must be a list of child positions, got {path!r}")
+    if not isinstance(params, dict) or params.keys() != kinds.keys():
+        raise RewriteError(f"{rule} takes params {list(kinds)}, got {params!r}")
+    for name, kind in kinds.items():
+        if not _KINDS[kind](value := params[name]):
+            raise RewriteError(f"{rule} param {name!r} must have kind {kind!r}, got {value!r}")
+    return TraceStep(rule, tuple(path), dict(params), cert)
 
 
 def trace_to_dicts(trace: Iterable[TraceStep]) -> list[dict]:

@@ -121,13 +121,17 @@ MALFORMED_TRACES = {
     "initial zero exponent": {"initial": "CR(a,b)^0", "steps": []},
     "initial sum variable also free": {"initial": "sum_a[P(a)]·P(a)", "steps": []},
     "initial sum variable not a name": {"initial": "sum_9[P(a)]", "steps": []},
+    "initial nested too deep": {"initial": "(" * 3000 + "P(a)" + ")" * 3000, "steps": []},
+    # raw text: json.dumps cannot write this nesting either
+    "steps nested too deep": '{"initial": "CR(a,b,c)", "steps": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_TRACES))
 def test_factorize_trace_malformed_file_exits_parse(case, tmp_path, capsys):
     trace_file = tmp_path / "bad.trace.json"
-    trace_file.write_text(json.dumps(MALFORMED_TRACES[case]))
+    data = MALFORMED_TRACES[case]
+    trace_file.write_text(data if isinstance(data, str) else json.dumps(data))
     code, _, err = run(
         capsys,
         "factorize", "--method", "trace",
@@ -268,6 +272,14 @@ def test_verify_unknown_variable(tmp_path, capsys):
     )
     assert code == EXIT_PRECONDITION
     assert "unknown variables" in err
+
+
+def test_verify_deeply_nested_expression_exits_parse(tmp_path, capsys):
+    expr_file = tmp_path / "deep.txt"
+    expr_file.write_text("(" * 3000 + "P(A)" + ")" * 3000 + "\n")
+    code, _, err = run(capsys, "verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file))
+    assert code == EXIT_PARSE
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_parse_error_exit_code(capsys):

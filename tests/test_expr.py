@@ -75,6 +75,10 @@ def test_node_validation():
         CRTerm((block("A"),), exponent=0)
     with pytest.raises(ModelError):
         PTerm(block("A"), exponent=0)
+    # render could not write these back: the grammar has no sign and no inf
+    for value in (-1.0, -1e-300, float("inf"), float("nan")):
+        with pytest.raises(ModelError):
+            Const(value)
 
 
 @pytest.mark.parametrize(
@@ -95,6 +99,7 @@ def test_node_validation():
         (Const(1e-5), "1e-05"),
         (Const(0.1234567), "0.1234567"),
         (Const(123456789), "123456789.0"),
+        (Const(-0.0), "0"),
     ],
 )
 def test_render_exact(expr, text):
@@ -110,6 +115,7 @@ def test_render_parse_round_trip_battery():
         Product((cr_term("A", "B"), p_term("A"), p_term("B"))),
         Sum("C", Product((cr_term("A", "B", condition="C"), cr_term("A", "C"), p_term("C")))),
         Const(2.5),
+        Const(-0.0),
         Product((Const(1), cr_term("A", "B"))),
     ]
     for e in exprs:
@@ -124,6 +130,12 @@ def test_parse_accepts_whitespace_and_star():
 def test_parse_flattens_nested_products():
     e = parse_expr("(P(A)·P(B))·P(C)")
     assert e == Product((p_term("A"), p_term("B"), p_term("C")))
+    # nesting up to the cap parses; one level more is in test_parse_errors
+    assert parse_expr("(" * 100 + "P(A)" + ")" * 100) == p_term("A")
+    deep = p_term("A")
+    for _ in range(100):
+        deep = Sum("A", deep)
+    assert parse_expr("sum_A[" * 100 + "P(A)" + "]" * 100) == deep
 
 
 @pytest.mark.parametrize(
@@ -143,6 +155,9 @@ def test_parse_flattens_nested_products():
         "",
         "1e999",
         "2·CR(A,B)·1e400",
+        pytest.param("(" * 101 + "P(A)" + ")" * 101, id="101 parentheses"),
+        pytest.param("sum_A[" * 101 + "P(A)" + "]" * 101, id="101 sums"),
+        pytest.param("(sum_A[" * 50 + "(P(A))" + "])" * 50, id="101 parentheses and sums"),
     ],
 )
 def test_parse_errors(text):

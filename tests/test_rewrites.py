@@ -1,7 +1,9 @@
 import inspect
+import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from crfactor import (
     Product,
     RewriteError,
     Sum,
+    TraceStep,
     apply_bipartition,
     apply_ci_collapse,
     apply_ci_reduce,
@@ -26,6 +29,8 @@ from crfactor import (
     apply_single_block,
     block,
     eval_expr,
+    factorize_bn,
+    factorize_tcg,
     p_term,
     render,
     replay_trace,
@@ -33,6 +38,7 @@ from crfactor import (
     trace_from_dicts,
     trace_to_dicts,
 )
+from crfactor.cr import grid
 from crfactor.randgen import random_gibbs_model, random_joint_table, make_graph
 from crfactor.rewrites import RULES
 
@@ -425,6 +431,66 @@ def test_replay_requires_the_recorded_certificate(d3_table):
         for validate in (True, False):
             with pytest.raises(RewriteError, match="records certificate"):
                 replay_trace(e0, [step], table=d3_table, validate=validate)
+
+
+def test_replay_refuses_an_unknown_rule():
+    with pytest.raises(RewriteError, match="step 0: unknown rule 'bogus'"):
+        replay_trace(singleton_cr("AB"), [TraceStep("bogus", (), {})])
+
+
+def _json_round_trip(trace):
+    return trace_from_dicts(json.loads(json.dumps(trace_to_dicts(trace))))
+
+
+@pytest.mark.parametrize("spec, card", [
+    ("dag:10:0.3", 2), ("dag:12:0.3", 2), ("chain:12", 2), ("dag:14:0.3", 2), ("dag:8:0.4", 3), ("student", 3),
+])
+def test_factorize_bn_steps_pass_the_json_boundary(spec, card):
+    # the steps the library builds itself are checked only where JSON enters
+    _, trace = factorize_bn(make_graph(spec, 0))
+    assert _json_round_trip(trace) == trace
+
+
+@pytest.mark.parametrize("spec", ["path:10", "triangles:4"])
+def test_factorize_tcg_steps_pass_the_json_boundary(spec):
+    graph = make_graph(spec, 0)
+    trace = factorize_tcg(random_gibbs_model(graph, 1).to_joint(), graph).trace
+    assert {s.rule for s in trace} == {"duplicate", "bipartition", "ci_collapse"}
+    assert _json_round_trip(trace) == trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certificate_free_rewrites_preserve_value_and_round_trip(data):
+    n, card = data.draw(st.integers(3, 4)), data.draw(st.integers(2, 3))
+    table = random_joint_table("ABCD"[:n], seed=data.draw(st.integers(0, 999)), cardinality=card)
+    names = data.draw(st.permutations(table.names))
+    k = data.draw(st.integers(1, n - 1))  # the term's variables; at least one stays outside it
+    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+    pins = {v: data.draw(st.none() | st.integers(0, card - 1)) for v in names}
+    blocks = tuple(Block([(v, pins[v]) for v in names[a:b]]) for a, b in zip([0, *cuts], [*cuts, k]))
+    m = len(blocks)
+    rules = ["duplicate", "condition"] + (["bipartition", "merge"] if m > 1 else ["single_block"])
+    rule = data.draw(st.sampled_from(rules))
+    outside = data.draw(st.sets(st.sampled_from(names[k:])))
+    cond = Block([(v, pins[v]) for v in names if v in outside]) if outside and rule != "condition" else None
+    if rule == "bipartition":
+        left = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)))
+        params = {"left": left, "right": [i for i in range(m) if i not in left]}
+    elif rule == "merge":
+        params = dict(zip("ij", data.draw(st.permutations(range(m)))))
+    elif rule == "duplicate":
+        params = {"index": data.draw(st.integers(0, m - 1))}
+    elif rule == "condition":
+        params = {"over": data.draw(st.sampled_from(names[k:]))}
+    else:
+        params = {}
+    e0 = CRTerm(blocks, cond)
+    e1, step = getattr(rewrites, f"apply_{rule}")(e0, (), **params)
+    rows = grid(table)
+    np.testing.assert_allclose(eval_expr(e1, table, rows), eval_expr(e0, table, rows), rtol=1e-9)
+    assert step == TraceStep(rule, (), params)
+    assert _json_round_trip([step]) == (step,)
 
 
 def test_apply_signatures_follow_the_rule_table():
