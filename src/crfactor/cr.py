@@ -138,7 +138,8 @@ _pow_each = np.frompyfunc(_pow, 2, 1)
 
 
 def _note(causes: list, mask, message: str, *args) -> None:
-    if isinstance(mask, np.ndarray) or mask:
+    """Record a cause if it holds at some row."""
+    if np.any(mask):
         causes.append((mask, message.format(*args)))
 
 
@@ -175,19 +176,31 @@ def evaluate(
     value = _div(_prob(table, head + blocks, assignment), pc)
     if kind == "CR":
         what = "marginal" if cond is None else "conditional marginal"
-        denom = 1.0
+        denom, marginals = 1.0, []
         for b in blocks:
             p = _div(_prob(table, head + (b,), assignment), pc)
             _note(causes, p == 0.0, "zero {} for block ({})", what, b)
             denom = denom * p
-        value = _div(value, denom)
+            marginals.append(p)
+        quotient = _div(value, denom)
+        # Marginals are at most 1, so their product cannot overflow, but positive
+        # ones can underflow to 0: on those rows divide by one at a time.
+        lost = denom == 0.0
+        if np.any(lost):
+            stepwise = value
+            for p in marginals:
+                lost = lost & (p > 0.0)
+                stepwise = _div(stepwise, p)
+            quotient = np.where(lost, stepwise, quotient)
+        value = quotient
     if exponent != 1:
         _note(causes, exponent < 0 and value == 0.0, "zero raised to a negative exponent")
         base = value
         with np.errstate(all="ignore"):  # numpy reports the flag an overflowing pow sets
             value = np.asarray(_pow_each(base, exponent), dtype=float)
         overflow = (value == math.inf) & (base != math.inf)
-        _note(causes, overflow, "{} overflows", term_text(kind, blocks, cond, exponent))
+        if np.any(overflow):  # the term's text is built only when it is needed
+            _note(causes, overflow, "{} overflows", term_text(kind, blocks, cond, exponent))
     return value, causes
 
 

@@ -10,12 +10,15 @@ operation trace is returned so it can be replayed and audited.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .cr import Block, grid
-from .errors import ModelError, PreconditionError
-from .expr import CRTerm, FactorExpr, PTerm, Product, product_of
+from .errors import ModelError, PreconditionError, UndefinedCRError
+from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
 from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, build_clique_graph
 from .rewrites import (
     Context,
@@ -236,12 +239,24 @@ def mrf_factorize(
     maximal clique containing it. Requires a strictly positive table that
     passes the numeric Markov check for the graph.
     """
-    _check_markov(table, graph, tol)
+    cliques = _hc_cliques(table, graph, default)
+    # The potentials multiply to the Hammersley-Clifford product: build them once, for both uses.
+    phis = None if cliques is None else _mrf_potentials(table, graph, default, cliques)
+    _check_markov(table, graph, tol, None if phis is None else product_of(phis.values()))
     if not table.strictly_positive:
         raise PreconditionError("this factorization requires a strictly positive table")
+    return _mrf_potentials(table, graph, default, graph.all_cliques()) if phis is None else phis
+
+
+def _mrf_potentials(
+    table: JointTable,
+    graph: ModelGraph,
+    default: Mapping[str, int] | None,
+    cliques: Sequence[tuple[str, ...]],
+) -> dict[tuple[str, ...], FactorExpr]:
     maximal = graph.maximal_cliques()
     phis: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
-    for c in graph.all_cliques():
+    for c in cliques:
         owner = next(mc for mc in maximal if set(c) <= set(mc))
         phis[owner].append(hc_potential(table, c, default))
     return {mc: product_of(parts) for mc, parts in phis.items()}
@@ -262,7 +277,7 @@ def rmrf_factorize(
     would silently drop that constant and the product would miss the joint
     by exactly that factor).
     """
-    _check_markov(table, graph, tol)
+    _check_markov(table, graph, tol, _hc_product(table, graph, default))
     if not table.strictly_positive:
         raise PreconditionError("this factorization requires a strictly positive table")
     pins = _default_assignment(table, default)
@@ -276,7 +291,64 @@ def rmrf_factorize(
     return Product(tuple(factors))
 
 
-def _check_markov(table: JointTable, graph: ModelGraph, tol: float) -> None:
+# The Hammersley-Clifford product settles the Markov check only while its
+# Σ_c 2^|c| terms are at most this many per non-adjacent pair (one CI query
+# each). One CI query over the grid costs about as much as 6-10 terms on
+# er, path, cycle and triangles graphs, so the product is then the cheaper.
+_HC_TERMS_PER_PAIR = 5
+
+
+def _hc_cliques(
+    table: JointTable, graph: ModelGraph, default: Mapping[str, int] | None
+) -> tuple[tuple[str, ...], ...] | None:
+    """The graph's cliques, when the Hammersley-Clifford product over them
+    may settle the Markov check: the graph is undirected over exactly the
+    table's variables, the table is strictly positive, the default is valid
+    and the product is cheap. None for any other input, so that is_markov
+    raises for it as before."""
+    n, edges = len(graph.nodes), len(graph.edges)
+    budget = _HC_TERMS_PER_PAIR * (n * (n - 1) // 2 - edges)
+    # The empty clique, the nodes and the edges alone give 1 + 2n + 4|E| terms.
+    if 1 + 2 * n + 4 * edges > budget or graph.kind != "undirected" or not table.strictly_positive:
+        return None
+    if set(graph.nodes) != set(table.names):
+        return None
+    if default and not all(
+        v in table and isinstance(s, int) and 0 <= s < table.cardinality(v) for v, s in default.items()
+    ):
+        return None
+    cliques = graph.all_cliques()
+    return cliques if sum(2 ** len(c) for c in cliques) <= budget else None
+
+
+def _hc_product(table: JointTable, graph: ModelGraph, default: Mapping[str, int] | None) -> FactorExpr | None:
+    """The Hammersley-Clifford product over every clique of the graph, all
+    terms pinned at `default`, where it may settle the Markov check."""
+    cliques = _hc_cliques(table, graph, default)
+    if cliques is None:
+        return None
+    pins = _default_assignment(table, default)
+    return Product(tuple(t for c in cliques for t in _subset_terms(table.names, c, pins)))
+
+
+def _check_markov(table: JointTable, graph: ModelGraph, tol: float, product: FactorExpr | None) -> None:
+    """Raise PreconditionError unless the table passes is_markov for the graph.
+
+    A strictly positive table is pairwise Markov for G exactly when it
+    factorizes over G's cliques (Hammersley-Clifford), that is, when it
+    equals `product`, the Hammersley-Clifford product over all of them. So
+    one grid evaluation of that product accepts when it matches the table
+    within `tol` at every row. It never rejects: where it misses, leaves the
+    float range or is undefined, or where no product is given, is_markov's
+    pairwise CI queries decide.
+    """
+    if product is not None:
+        try:
+            value = eval_expr(product, table, grid(table))
+        except UndefinedCRError:  # a term leaves the float range at some row
+            value = math.nan
+        if np.all(np.abs(value - table.probs) <= tol * table.probs):
+            return
     if not is_markov(table, graph, tol):
         raise PreconditionError("table fails the numeric Markov check for this graph")
 
@@ -370,7 +442,7 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     check = is_tcg(graph)
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
-    _check_markov(table, graph, tol)
+    _check_markov(table, graph, tol, _hc_product(table, graph, None))
     assert check.root is not None
     ctx = Context(graph=graph, table=table, tol=tol)
     names = tuple(n for n in table.names)

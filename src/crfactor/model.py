@@ -157,10 +157,14 @@ class JointTable:
         kept, arr = self._marginal(event.keys())
         flat = 0  # row-major offset into the marginal, broadcast over the rows
         for n in kept:
-            s, card = np.asarray(event[n]), self._card[n]
-            bad = s[(s < 0) | (s >= card)]
-            if bad.size:
-                raise ModelError(f"state {bad.flat[0]} out of range for variable {n!r}")
+            s, card = event[n], self._card[n]
+            if type(s) is int:  # a plain int (a pinned state, or one row) needs no array to check
+                bad = () if 0 <= s < card else (s,)
+            else:
+                s = np.asarray(s)
+                bad = s[(s < 0) | (s >= card)].flat
+            if len(bad):
+                raise ModelError(f"state {bad[0]} out of range for variable {n!r}")
             flat = flat * card + s
         return arr.reshape(-1)[flat]
 

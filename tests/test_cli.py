@@ -411,17 +411,32 @@ def test_potential_product_out_of_float_range_exits_precondition(weight, second,
     assert "Warning" not in err
 
 
+TINY_MARGINALS_MODEL = (
+    "graph undirected\nvar a 2\nvar b 2\nedge a b\n"
+    "potential a\n0 1e-200\n1 1\npotential b\n0 1e-200\n1 1\n"
+)
+
+
 def test_verification_fails_on_a_nan_row(tmp_path, capsys):
-    # P(a=0) = P(b=0) = 1e-200, so CR(a,b) at a=0, b=0 is 0 / (1e-200 * 1e-200),
-    # which underflows to 0 / 0: no marginal is zero, the value is nan
+    # P(a=0) = P(b=0) = 1e-200 and P(a=0, b=0) = 0, so at a=0, b=0 the product
+    # P(a)^-1·P(b)^-1 overflows to inf with no cause, and inf·0 is nan
     model_file = tmp_path / "tiny.model"
-    model_file.write_text(
-        "graph undirected\nvar a 2\nvar b 2\nedge a b\n"
-        "potential a\n0 1e-200\n1 1\npotential b\n0 1e-200\n1 1\n"
-    )
-    code, out, err = run(capsys, "factorize", "--method", "tree", "--model", str(model_file))
+    model_file.write_text(TINY_MARGINALS_MODEL)
+    expr_file = tmp_path / "nan.expr"
+    expr_file.write_text("P(a)^-1·P(b)^-1·P(a b)\n")
+    code, out, err = run(capsys, "verify", "--model", str(model_file), "--expr", str(expr_file))
     assert code == EXIT_VERIFICATION
-    assert out == ""
-    assert err == (
+    assert err == ""
+    assert out == (
         "verification: FAIL  assignments=4  max_rel_err=nan  max_abs_err=nan  worst=a=0,b=0\n"
     )
+
+
+def test_tree_factorization_survives_an_underflowing_denominator(tmp_path, capsys):
+    # CR(a,b) at a=0, b=0 is 0 / (1e-200 · 1e-200): the marginals' product
+    # underflows, so the kernel divides by one at a time and gets 0, not nan
+    model_file = tmp_path / "tiny.model"
+    model_file.write_text(TINY_MARGINALS_MODEL)
+    code, out, err = run(capsys, "factorize", "--method", "tree", "--model", str(model_file))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1].startswith("verification: pass  assignments=4")

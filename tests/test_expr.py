@@ -242,6 +242,26 @@ def test_render_parse_round_trip_property(e):
     assert parse_expr(render(e)) == e
 
 
+# Pieces of the grammar, and of its near misses, for text the parser must refuse cleanly.
+_TOKENS = (
+    "CR", "P", "sum_A", "sum_1", "A", "B", "x1", "(", ")", "[", "]", ",", "|", "=", "^", "-",
+    "·", "*", "0", "1", "2", "1.5", "1e400", ".", " ", "!", "\n",
+    "P(A)", "CR(A,B)", "CR(A B,A=1|B)", "^2", "^-1", "sum_A[", "P(A|B=0)",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(max_size=40) | st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join))
+def test_parse_expr_raises_only_parse_and_model_errors(text):
+    """Any text parses or raises ExprParseError; ModelError comes only from a
+    tree the node rules refuse (a zero exponent, a sum over a non-identifier
+    or over a variable also free outside it). The CLI maps both to exit 4."""
+    try:
+        parse_expr(text)
+    except (ExprParseError, ModelError):
+        pass
+
+
 def test_product_of_drops_ones_and_flattens():
     e = product_of([Const(1), Product((p_term("A"), Const(1))), p_term("B")])
     assert e == Product((p_term("A"), p_term("B")))

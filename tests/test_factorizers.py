@@ -6,6 +6,7 @@ import pytest
 
 from crfactor import (
     CPT,
+    GibbsModel,
     JointTable,
     ModelGraph,
     PreconditionError,
@@ -17,6 +18,7 @@ from crfactor import (
     factorize_tcg,
     factorize_tree_mn,
     hc_potential,
+    is_markov,
     is_tcg,
     mrf_factorize,
     p_term,
@@ -26,6 +28,8 @@ from crfactor import (
     rmrf_factorize,
     singleton_cr,
 )
+from crfactor import factorizers
+from crfactor.model import REL_TOL
 from crfactor.randgen import (
     make_graph,
     random_chain_conditional_table,
@@ -304,6 +308,100 @@ def test_mrf_product_with_nonzero_defaults(d3_table):
         d = dict(zip("ABC", default))
         _assert_matches_joint(product_of(mrf_factorize(d3_table, path, d).values()), d3_table)
         _assert_matches_joint(rmrf_factorize(d3_table, path, d), d3_table)
+
+
+# ---------------------------------------------------------------------------
+# the Markov precondition: the Hammersley-Clifford product, is_markov behind it
+
+
+@pytest.fixture
+def markov_calls(monkeypatch):
+    """The graphs the factorizers hand to is_markov."""
+    calls = []
+
+    def counting(table, graph, *args, **kwargs):
+        calls.append(graph)
+        return is_markov(table, graph, *args, **kwargs)
+
+    monkeypatch.setattr(factorizers, "is_markov", counting)
+    return calls
+
+
+def _passes_markov_check(table, graph):
+    try:
+        factorizers._check_markov(table, graph, REL_TOL, factorizers._hc_product(table, graph, None))
+    except PreconditionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec, card",
+    [("er:8:0.4", 2), ("er:10:0.3", 2), ("path:8", 2), ("cycle:6", 2), ("triangles:4", 2),
+     ("er:6:0.4", 3), ("path:5", 3), ("cycle:6", 3), ("triangles:2", 3)],
+)
+def test_markov_check_agrees_with_is_markov(spec, card, markov_calls):
+    """Each Gibbs table against its own graph (Markov) and against every graph
+    with one edge removed (not Markov): the check accepts exactly when
+    is_markov does, and where the product is cheap it accepts alone."""
+    for seed in range(2):
+        g = make_graph(spec, seed)
+        table = random_gibbs_model(g, seed, card).to_joint()
+        cut_graphs = [ModelGraph("undirected", g.nodes, [e for e in g.edges if e != cut]) for cut in g.edges]
+        for graph in [g, *cut_graphs]:
+            markov_calls.clear()
+            verdict = _passes_markov_check(table, graph)
+            assert verdict == is_markov(table, graph) == (graph is g), (spec, seed, graph.edges)
+            if factorizers._hc_product(table, graph, None) is not None:
+                assert markov_calls == ([] if verdict else [graph])
+
+
+@pytest.mark.parametrize("spec", ["path:10", "er:10:0.3"])
+def test_markov_check_needs_no_ci_query_on_cheap_positive_shapes(spec, markov_calls):
+    g = make_graph(spec)
+    table = random_gibbs_model(g, seed=1).to_joint()
+    mrf_factorize(table, g)
+    rmrf_factorize(table, g)
+    if is_tcg(g):
+        factorize_tcg(table, g)
+    assert markov_calls == []
+
+
+def test_markov_check_falls_back_to_is_markov(markov_calls):
+    # a zero entry: pairwise Markov no longer implies the factorization, and tcg accepts it
+    path = make_graph("path:3")
+    pa, pb_a, pc_b = np.array([0.4, 0.6]), np.array([[1.0, 0.0], [0.3, 0.7]]), np.array([[0.2, 0.8], [0.5, 0.5]])
+    zero = JointTable([Variable(n, 2) for n in path.nodes], pa[:, None, None] * pb_a[:, :, None] * pc_b)
+    _assert_matches_joint(factorize_tcg(zero, path).expr, zero)
+    assert markov_calls == [path]
+    # a dense graph: 909 product terms against 13 CI queries
+    dense = make_graph("er:10:0.8")
+    mrf_factorize(random_gibbs_model(dense, seed=1).to_joint(), dense)
+    assert markov_calls[1:] == [dense]
+    # the product misses the table, and is_markov rejects
+    cycle, path6 = make_graph("cycle:6"), make_graph("path:6")
+    with pytest.raises(PreconditionError, match="fails the numeric Markov check"):
+        mrf_factorize(random_gibbs_model(cycle, seed=1, cardinality=3).to_joint(), path6)
+    assert markov_calls[2:] == [path6]
+
+
+def test_markov_check_on_subnormal_entries_matches_is_markov(markov_calls):
+    # potentials of 1e-155 at a=b=0 and b=c=0 put P(a..f = 0), the default
+    # configuration, below 1e-310: its Hammersley-Clifford term raised to -1
+    # overflows, so is_markov decides
+    g = make_graph("path:6")
+    tiny = np.array([[1e-155, 1.0], [1.0, 1.0]])
+    potentials = {**random_gibbs_model(g, seed=16).potentials, ("a", "b"): tiny, ("b", "c"): tiny}
+    markov = GibbsModel([Variable(n, 2) for n in g.nodes], g, potentials).to_joint()
+    raw = random_joint_table(g.nodes, seed=17).probs.copy()
+    raw[(0,) * 6] = 1e-310
+    generic = JointTable(markov.variables, raw / raw.sum())
+    for table, expected in ((markov, True), (generic, False)):
+        assert 0.0 < table.probs[(0,) * 6] < 1e-300
+        assert factorizers._hc_product(table, g, None) is not None
+        markov_calls.clear()
+        assert _passes_markov_check(table, g) == is_markov(table, g) == expected
+        assert markov_calls == [g]
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,28 @@ def test_overflowing_product_is_inf_without_warning():
         assert eval_expr(expr, table, grid(table)) == np.inf
 
 
+def test_underflowing_marginal_product_divides_one_marginal_at_a_time():
+    # P(0,0,0) = 1e-150, P(0,1,0) = 1e-200, P(0,1,1) = 1e-300, the rest at (1,1,1):
+    # at A=0, B=1 the marginals P(A B) and P(A C) are positive, but their product
+    # (1e-350 at C=0, 1e-500 at C=1) underflows to 0
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0], probs[0, 1, 0], probs[0, 1, 1] = 1e-150, 1e-200, 1e-300
+    probs[1, 1, 1] = 1.0 - probs.sum()
+    table = JointTable([Variable(n, 2) for n in NAMES], probs)
+    cr, inverse_square = parse_expr("CR(A B,A C)"), parse_expr("CR(A B,A C)^-2")
+    rows = {"A": 0, "B": 1, "C": np.array([0, 1])}  # every row of the grid is defined here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = {"A": 0, "B": 1, "C": 0}
+        assert eval_expr(cr, table, at) == pytest.approx(1e150, rel=1e-12)
+        assert eval_expr(inverse_square, table, at) == pytest.approx(1e-300, rel=1e-12)
+        for expr in (cr, inverse_square):
+            batch = eval_expr(expr, table, rows)
+            for c in (0, 1):
+                assert batch[c] == eval_expr(expr, table, {"A": 0, "B": 1, "C": c})
+        assert eval_expr(cr, table, {"A": 0, "B": 1, "C": 1}) == pytest.approx(1e200, rel=1e-12)
+
+
 def test_one_row_gives_a_float():
     """A 0-d batch must not leak out of a one-row entry point."""
     table = TABLES["ternary"]
