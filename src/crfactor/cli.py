@@ -316,6 +316,17 @@ def export_dot(graph: ModelGraph, clique_graph: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite, non-negative float (with nan, no check could fail)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return tol
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="crfactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -324,7 +335,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--method", required=True, choices=["bn", "tree", "chain-crf", "mrf", "rmrf", "tcg", "trace"])
     p.add_argument("--model", required=True)
     p.add_argument("--trace", help="trace file (JSON) for --method trace")
-    p.add_argument("--tol", type=float, default=REL_TOL)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--y", help="comma-separated chain variables for chain-crf")
     p.set_defaults(func=_cmd_factorize)
@@ -332,7 +343,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("verify", help="evaluate an expression file against a model's joint")
     p.add_argument("--model", required=True)
     p.add_argument("--expr", required=True)
-    p.add_argument("--tol", type=float, default=REL_TOL)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen-random", help="emit a seeded random model file")
@@ -350,7 +361,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--query", required=True, help="e.g. 'D _|_ I | G'")
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--tol", type=float, default=REL_TOL)
+    p.add_argument("--tol", type=_tolerance, default=REL_TOL)
     p.set_defaults(func=_cmd_indep)
 
     p = sub.add_parser("export-dot", help="export the model graph as DOT")

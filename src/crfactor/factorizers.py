@@ -10,9 +10,8 @@ operation trace is returned so it can be replayed and audited.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,6 +46,12 @@ class _Recorder:
         self.steps.append(step)
 
 
+def _split_part(path: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Path of part j of the factors that replace the term at `path` in its
+    parent product; a root term becomes that product, with part 0 at (0,)."""
+    return path[:-1] + ((path[-1] if path else 0) + j,)
+
+
 # ---------------------------------------------------------------------------
 # Bayesian networks
 
@@ -78,29 +83,23 @@ def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[F
     rem_path: tuple[int, ...] = ()
     rem = list(order)
     for x in reversed(order[1:]):
-        i0 = rem_path[-1] if rem_path else 0
-        base = rem_path[:-1]
         k = rem.index(x)
         rec.apply(apply_bipartition, rem_path, [k], [i for i in range(len(rem)) if i != k])
-        rec.apply(apply_single_block, base + (i0,))
-        cut_path = base + (i0,)
-        rem_path = base + (i0 + 1,)
+        cut_path = _split_part(rem_path, 0)
+        rec.apply(apply_single_block, cut_path)  # CR(x) = 1 goes, and the cut moves up
         rem.remove(x)
         parents = dag.parents(x)
         if parents:
+            rem_path = _split_part(rem_path, 1)
             rest = [v for v in rem if v not in parents]
             if rest:
                 rec.apply(apply_ci_reduce, cut_path, 0, rest, list(parents), "graph", ctx=ctx)
         else:
             rec.apply(apply_independence, cut_path, "graph", ctx=ctx)
-            rem_path = base + (i0,)
+            rem_path = cut_path
     rec.apply(apply_single_block, rem_path)
 
-    grouped = []
-    for x in order:
-        parents = dag.parents(x)
-        cond = Block(parents) if parents else None
-        grouped.append(PTerm(Block([x]), cond))
+    grouped = [PTerm(Block([x]), Block(dag.parents(x)) if dag.parents(x) else None) for x in order]
     return Product(tuple(grouped)), tuple(rec.steps)
 
 
@@ -239,27 +238,18 @@ def mrf_factorize(
     maximal clique containing it. Requires a strictly positive table that
     passes the numeric Markov check for the graph.
     """
-    cliques = _hc_cliques(table, graph, default)
-    # The potentials multiply to the Hammersley-Clifford product: build them once, for both uses.
-    phis = None if cliques is None else _mrf_potentials(table, graph, default, cliques)
-    _check_markov(table, graph, tol, None if phis is None else product_of(phis.values()))
-    if not table.strictly_positive:
-        raise PreconditionError("this factorization requires a strictly positive table")
-    return _mrf_potentials(table, graph, default, graph.all_cliques()) if phis is None else phis
 
+    def potentials() -> dict[tuple[str, ...], FactorExpr]:
+        if not table.strictly_positive:
+            raise PreconditionError("this factorization requires a strictly positive table")
+        maximal = graph.maximal_cliques()
+        phis: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
+        for c in graph.all_cliques():
+            owner = next(mc for mc in maximal if set(c) <= set(mc))
+            phis[owner].append(hc_potential(table, c, default))
+        return {mc: product_of(parts) for mc, parts in phis.items()}
 
-def _mrf_potentials(
-    table: JointTable,
-    graph: ModelGraph,
-    default: Mapping[str, int] | None,
-    cliques: Sequence[tuple[str, ...]],
-) -> dict[tuple[str, ...], FactorExpr]:
-    maximal = graph.maximal_cliques()
-    phis: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
-    for c in cliques:
-        owner = next(mc for mc in maximal if set(c) <= set(mc))
-        phis[owner].append(hc_potential(table, c, default))
-    return {mc: product_of(parts) for mc, parts in phis.items()}
+    return _markov_checked(table, graph, tol, default, potentials, lambda phis: product_of(phis.values()))
 
 
 def rmrf_factorize(
@@ -277,80 +267,79 @@ def rmrf_factorize(
     would silently drop that constant and the product would miss the joint
     by exactly that factor).
     """
-    _check_markov(table, graph, tol, _hc_product(table, graph, default))
-    if not table.strictly_positive:
-        raise PreconditionError("this factorization requires a strictly positive table")
-    pins = _default_assignment(table, default)
-    factors: list[FactorExpr] = []
-    for c in graph.all_cliques():
-        blanket = graph.markov_blanket(c)
-        cond = Block([(n, pins[n]) for n in blanket]) if blanket else None
-        # The empty clique spans the whole table: its one term is P(X = default).
-        span = [n for n in table.names if n in set(c)] or table.names
-        factors.extend(_subset_terms(span, c, pins, cond))
-    return Product(tuple(factors))
+
+    def expression() -> FactorExpr:
+        if not table.strictly_positive:
+            raise PreconditionError("this factorization requires a strictly positive table")
+        pins = _default_assignment(table, default)
+        factors: list[FactorExpr] = []
+        for c in graph.all_cliques():
+            blanket = graph.markov_blanket(c)
+            cond = Block([(n, pins[n]) for n in blanket]) if blanket else None
+            # The empty clique spans the whole table: its one term is P(X = default).
+            span = [n for n in table.names if n in set(c)] or table.names
+            factors.extend(_subset_terms(span, c, pins, cond))
+        return Product(tuple(factors))
+
+    return _markov_checked(table, graph, tol, default, expression, lambda expr: expr)
 
 
-# The Hammersley-Clifford product settles the Markov check only while its
-# Σ_c 2^|c| terms are at most this many per non-adjacent pair (one CI query
-# each). One CI query over the grid costs about as much as 6-10 terms on
-# er, path, cycle and triangles graphs, so the product is then the cheaper.
-_HC_TERMS_PER_PAIR = 5
+# A factorization's own product settles the Markov check only while its terms
+# are at most this many per non-adjacent pair (one CI query each). One CI
+# query over the grid costs about as much as 6-10 terms on er, path, cycle
+# and triangles graphs, so the product is then the cheaper.
+_TERMS_PER_PAIR = 5
+
+_Result = TypeVar("_Result")
 
 
-def _hc_cliques(
-    table: JointTable, graph: ModelGraph, default: Mapping[str, int] | None
-) -> tuple[tuple[str, ...], ...] | None:
-    """The graph's cliques, when the Hammersley-Clifford product over them
-    may settle the Markov check: the graph is undirected over exactly the
-    table's variables, the table is strictly positive, the default is valid
-    and the product is cheap. None for any other input, so that is_markov
-    raises for it as before."""
-    n, edges = len(graph.nodes), len(graph.edges)
-    budget = _HC_TERMS_PER_PAIR * (n * (n - 1) // 2 - edges)
-    # The empty clique, the nodes and the edges alone give 1 + 2n + 4|E| terms.
-    if 1 + 2 * n + 4 * edges > budget or graph.kind != "undirected" or not table.strictly_positive:
-        return None
-    if set(graph.nodes) != set(table.names):
-        return None
-    if default and not all(
-        v in table and isinstance(s, int) and 0 <= s < table.cardinality(v) for v, s in default.items()
-    ):
-        return None
-    cliques = graph.all_cliques()
-    return cliques if sum(2 ** len(c) for c in cliques) <= budget else None
+def _markov_checked(
+    table: JointTable,
+    graph: ModelGraph,
+    tol: float,
+    default: Mapping[str, int] | None,
+    build: Callable[[], _Result],
+    product: Callable[[_Result], FactorExpr],
+) -> _Result:
+    """build()'s factorization, once the table has passed the numeric Markov
+    check for the graph; PreconditionError otherwise.
 
-
-def _hc_product(table: JointTable, graph: ModelGraph, default: Mapping[str, int] | None) -> FactorExpr | None:
-    """The Hammersley-Clifford product over every clique of the graph, all
-    terms pinned at `default`, where it may settle the Markov check."""
-    cliques = _hc_cliques(table, graph, default)
-    if cliques is None:
-        return None
-    pins = _default_assignment(table, default)
-    return Product(tuple(t for c in cliques for t in _subset_terms(table.names, c, pins)))
-
-
-def _check_markov(table: JointTable, graph: ModelGraph, tol: float, product: FactorExpr | None) -> None:
-    """Raise PreconditionError unless the table passes is_markov for the graph.
-
-    A strictly positive table is pairwise Markov for G exactly when it
-    factorizes over G's cliques (Hammersley-Clifford), that is, when it
-    equals `product`, the Hammersley-Clifford product over all of them. So
-    one grid evaluation of that product accepts when it matches the table
-    within `tol` at every row. It never rejects: where it misses, leaves the
-    float range or is undefined, or where no product is given, is_markov's
-    pairwise CI queries decide.
+    A table equal to a product of factors, each over a clique of G, is
+    Markov for G (Lauritzen 1996, Prop. 3.8). So one grid evaluation of the
+    factorization's own product accepts when it matches the table within
+    `tol` at every row. That is tried when the graph is undirected over
+    exactly the table's variables, the table is strictly positive, the
+    default is valid and the product is cheap. It never rejects: where the
+    product misses, leaves the float range or is too long, is_markov's
+    pairwise CI queries decide, and for any other input they decide before
+    build() runs, so every error keeps its order.
     """
-    if product is not None:
-        try:
-            value = eval_expr(product, table, grid(table))
-        except UndefinedCRError:  # a term leaves the float range at some row
-            value = math.nan
-        if np.all(np.abs(value - table.probs) <= tol * table.probs):
-            return
+    defaults = (default or {}).items()
+    own = (
+        graph.kind == "undirected" and set(graph.nodes) == set(table.names) and table.strictly_positive
+        and all(v in table and isinstance(s, int) and 0 <= s < table.cardinality(v) for v, s in defaults)
+    )
+    if own:
+        result = build()
+        if _matches(table, graph, tol, product(result)):
+            return result
     if not is_markov(table, graph, tol):
         raise PreconditionError("table fails the numeric Markov check for this graph")
+    return result if own else build()
+
+
+def _matches(table: JointTable, graph: ModelGraph, tol: float, expr: FactorExpr) -> bool:
+    """Whether `expr` has at most _TERMS_PER_PAIR terms per non-adjacent pair
+    of the graph and is within `tol` of the table at every row."""
+    n = len(graph.nodes)
+    terms = len(expr.children) if isinstance(expr, Product) else 1
+    if terms > _TERMS_PER_PAIR * (n * (n - 1) // 2 - len(graph.edges)):
+        return False
+    try:
+        value = eval_expr(expr, table, grid(table))
+    except UndefinedCRError:  # a term leaves the float range at some row
+        return False
+    return bool(np.all(np.abs(value - table.probs) <= tol * table.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +379,6 @@ def is_tcg(graph: ModelGraph) -> TcgCheck:
     neighbors = {i: set(cg.adjacent(i)) for i in range(len(cg.cliques))}
     elim: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     while len(alive) > 1:
-        removed = None
         for i in alive:
             adj = [j for j in neighbors[i] if j in alive and j != i]
             inter = {j: set(cg.cliques[i]) & set(cg.cliques[j]) for j in adj}
@@ -398,11 +386,10 @@ def is_tcg(graph: ModelGraph) -> TcgCheck:
             if dominating:
                 maxadj = min(dominating, key=lambda j: tuple(sorted(cg.cliques[j])))
                 elim.append((cg.cliques[i], cg.cliques[maxadj]))
-                removed = i
+                alive.remove(i)
                 break
-        if removed is None:
+        else:
             return TcgCheck(False, tuple(elim), None, cg)
-        alive.remove(removed)
     root = cg.cliques[alive[0]] if alive else None
     return TcgCheck(True, tuple(elim), root, cg)
 
@@ -442,46 +429,37 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     check = is_tcg(graph)
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
-    _check_markov(table, graph, tol, _hc_product(table, graph, None))
     assert check.root is not None
-    ctx = Context(graph=graph, table=table, tol=tol)
-    names = tuple(n for n in table.names)
 
-    initial = singleton_cr(names)
-    rec = _Recorder(initial)
-    factors: dict[tuple[str, ...], FactorExpr] = {}
-    rem_path: tuple[int, ...] = ()
-    rem = list(names)
-    for clique, maxadj in check.elimination:
-        sep = [n for n in names if n in set(clique) & set(maxadj)]
-        factors[clique] = Product((PTerm(Block(clique)), PTerm(Block(sep), exponent=-1)))
-        for v in sep:
-            rec.apply(apply_duplicate, rem_path, rem.index(v))
-            rem.insert(rem.index(v) + 1, v)
-            if not rem_path:
-                # the bare root term became a product; the CR term is child 0
-                rem_path = (0,)
-        base = rem_path[:-1]
-        i0 = rem_path[-1] if rem_path else 0
-        in_clique = set(clique)
-        left: list[int] = []
-        taken: set[str] = set()
-        for pos, v in enumerate(rem):
-            if v in in_clique and v not in taken:
-                left.append(pos)
-                taken.add(v)
-        right = [p for p in range(len(rem)) if p not in set(left)]
-        rec.apply(apply_bipartition, rem_path, left, right)
-        rec.apply(apply_ci_collapse, base + (i0 + 1,), "graph", ctx=ctx)
-        rem_path = base + (i0 + 2,)
-        rem = [rem[p] for p in right]
-    factors[check.root] = PTerm(Block(check.root))
-    return TcgResult(
-        clique_graph=check.clique_graph,
-        elimination=check.elimination,
-        root=check.root,
-        factors=factors,
-        expr=product_of(factors.values()),
-        trace_initial=initial,
-        trace=tuple(rec.steps),
-    )
+    def build() -> TcgResult:
+        ctx = Context(graph=graph, table=table, tol=tol)
+        initial = singleton_cr(table.names)
+        rec = _Recorder(initial)
+        factors: dict[tuple[str, ...], FactorExpr] = {}
+        rem_path: tuple[int, ...] = ()
+        rem = list(table.names)
+        for clique, maxadj in check.elimination:
+            sep = [n for n in table.names if n in set(clique) & set(maxadj)]
+            factors[clique] = Product((PTerm(Block(clique)), PTerm(Block(sep), exponent=-1)))
+            for v in sep:
+                rec.apply(apply_duplicate, rem_path, rem.index(v))
+                rem.insert(rem.index(v) + 1, v)
+                rem_path = _split_part(rem_path, 0)
+            left = sorted(rem.index(v) for v in clique)  # each clique variable's first position
+            right = [p for p in range(len(rem)) if p not in left]
+            rec.apply(apply_bipartition, rem_path, left, right)
+            rec.apply(apply_ci_collapse, _split_part(rem_path, 1), "graph", ctx=ctx)
+            rem_path = _split_part(rem_path, 2)
+            rem = [rem[p] for p in right]
+        factors[check.root] = PTerm(Block(check.root))
+        return TcgResult(
+            clique_graph=check.clique_graph,
+            elimination=check.elimination,
+            root=check.root,
+            factors=factors,
+            expr=product_of(factors.values()),
+            trace_initial=initial,
+            trace=tuple(rec.steps),
+        )
+
+    return _markov_checked(table, graph, tol, None, build, lambda result: result.expr)

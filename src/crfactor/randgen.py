@@ -29,69 +29,64 @@ def _names(n: int) -> tuple[str, ...]:
     return tuple(string.ascii_lowercase[:n])
 
 
-def _spec_parts(spec: str) -> list[str]:
-    return spec.strip().split(":")
+# The shapes a spec may name, with the default edge probability of the
+# random ones (None: the shape takes no probability).
+_SHAPES = {"chain": None, "dag": 0.4, "path": None, "cycle": None, "complete": None,
+           "star": None, "tree": None, "er": 0.5, "triangles": None}
+
+
+def _spec_numbers(spec: str) -> tuple[str, int, float | None]:
+    """The shape, count and edge probability of a spec `shape:N[:P]`; the
+    count is at least 1 and P lies in [0, 1]."""
+    head, *args = spec.strip().split(":")
+    if head not in _SHAPES:
+        raise ModelError(f"unknown graph spec {spec!r}")
+    p = _SHAPES[head]
+    if not 1 <= len(args) <= (1 if p is None else 2):
+        raise ModelError(f"graph spec {spec!r} is not of the form {head}:N{'' if p is None else '[:P]'}")
+    try:
+        n, p = int(args[0]), float(args[1]) if len(args) > 1 else p
+    except ValueError:
+        raise ModelError(f"graph spec {spec!r} has a non-numeric count or edge probability") from None
+    if n < 1:
+        raise ModelError(f"graph spec {spec!r}: the count must be at least 1")
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise ModelError(f"graph spec {spec!r}: the edge probability must lie in [0, 1]")
+    return head, n, p
 
 
 def make_graph(spec: str, seed: int = 0) -> ModelGraph:
-    """Build a graph from a spec string; random shapes draw from the seed."""
-    parts = _spec_parts(spec)
-    head = parts[0]
-    rng = random.Random(seed)
-
-    if head == "student":
+    """Build a graph from a spec string; random shapes draw from the seed.
+    A malformed spec raises ModelError."""
+    if spec.strip() == "student":
         return ModelGraph(
             "directed",
             ("D", "I", "G", "S", "L"),
             (("D", "G"), ("I", "G"), ("I", "S"), ("G", "L")),
         )
-
-    if head in ("chain", "dag"):
-        n = int(parts[1])
-        names = _names(n)
-        if head == "chain":
-            edges = list(zip(names, names[1:]))
-        else:
-            p = float(parts[2]) if len(parts) > 2 else 0.4
-            edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
-        return ModelGraph("directed", names, edges)
-
-    if head == "path":
-        names = _names(int(parts[1]))
-        return ModelGraph("undirected", names, list(zip(names, names[1:])))
-    if head == "cycle":
-        names = _names(int(parts[1]))
+    head, n, p = _spec_numbers(spec)
+    rng = random.Random(seed)
+    names = _names(1 + 2 * n if head == "triangles" else n)
+    if head in ("chain", "path"):
+        edges = list(zip(names, names[1:]))
+    elif head == "dag":
+        edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p]
+    elif head == "cycle":
         edges = list(zip(names, names[1:])) + [(names[-1], names[0])]
-        return ModelGraph("undirected", names, edges)
-    if head == "complete":
-        names = _names(int(parts[1]))
-        return ModelGraph("undirected", names, list(itertools.combinations(names, 2)))
-    if head == "star":
-        names = _names(int(parts[1]))
-        return ModelGraph("undirected", names, [(names[0], n) for n in names[1:]])
-    if head == "tree":
-        n = int(parts[1])
-        names = _names(n)
+    elif head == "complete":
+        edges = list(itertools.combinations(names, 2))
+    elif head == "star":
+        edges = [(names[0], m) for m in names[1:]]
+    elif head == "tree":
         edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
-        return ModelGraph("undirected", names, edges)
-    if head == "er":
-        n = int(parts[1])
-        p = float(parts[2]) if len(parts) > 2 else 0.5
-        names = _names(n)
+    elif head == "er":
         edges = [e for e in itertools.combinations(names, 2) if rng.random() < p]
-        return ModelGraph("undirected", names, edges)
-    if head == "triangles":
-        # k triangles sharing one hub vertex: the clique graph is a complete
-        # graph on k nodes (a cycle for k >= 3) yet still tree-reducible.
-        k = int(parts[1])
-        names = _names(1 + 2 * k)
-        hub = names[0]
-        edges = []
-        for t in range(k):
-            u, v = names[1 + 2 * t], names[2 + 2 * t]
-            edges += [(hub, u), (hub, v), (u, v)]
-        return ModelGraph("undirected", names, edges)
-    raise ModelError(f"unknown graph spec {spec!r}")
+    else:
+        # n triangles sharing one hub vertex: the clique graph is a complete
+        # graph on n nodes (a cycle for n >= 3) yet still tree-reducible.
+        hub, rims = names[0], [names[1 + 2 * t : 3 + 2 * t] for t in range(n)]
+        edges = [e for u, v in rims for e in ((hub, u), (hub, v), (u, v))]
+    return ModelGraph("directed" if head in ("chain", "dag") else "undirected", names, edges)
 
 
 def random_gibbs_model(graph: ModelGraph, seed: int, cardinality: int = 2) -> GibbsModel:

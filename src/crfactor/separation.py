@@ -118,20 +118,29 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
     """Worst-case |P(z, g_1..g_k) P(z)^(k-1) / prod_i P(z, g_i) - 1|, i.e.
     |CR(g_1, ..., g_k | z) - 1|, over the rows where every P(z, g_i) > 0;
     0 exactly when the groups are mutually independent given z. Elsewhere
-    both sides of the factorization are 0, so those rows are skipped."""
+    both sides of the factorization are 0, so those rows are skipped.
+
+    The ratio is taken as P(z, g) / P(z, g_1), then times P(z) and over
+    P(z, g_i) for each further group, left to right. On a defined row every
+    partial value lies between P(z, g) and the result, so none underflows
+    unless P(z, g) does or overflows unless the result does, and no row
+    reads 0/0. Two products of small marginals, as in the textbook form,
+    can both underflow to 0 with every marginal positive."""
     rows = grid(table, [n for g in groups for n in g] + list(z))
 
     def p(*gs):  # P(gs) at every row, from the kernel
         return evaluate(table, "P", [Block(g) for g in gs if g], None, rows)[0]
 
-    num, den, defined = p(z, *groups) * p(z) ** (len(groups) - 1), 1.0, True
-    for g in groups:
-        pg = p(z, g)
-        den = den * pg
-        defined = defined & (pg > 0.0)  # sparse shapes differ: no logical_and.reduce
+    pz, first = p(z), p(z, groups[0])
+    defined = first > 0.0
     with np.errstate(all="ignore"):
-        dev = num / den
-    dev -= 1.0  # in place: these arrays span the whole grid
+        dev = p(z, *groups) / first
+        for g in groups[1:]:
+            pg = p(z, g)
+            defined = defined & (pg > 0.0)  # sparse shapes differ: no logical_and.reduce
+            dev *= pz  # in place: these arrays span the whole grid
+            dev /= pg
+    dev -= 1.0
     return float(np.max(np.abs(dev, out=dev), where=defined, initial=0.0))
 
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfactor import factorize_bn, render, singleton_cr, trace_to_dicts
 from crfactor.cli import (
@@ -12,7 +16,7 @@ from crfactor.cli import (
     main,
     verify_expression,
 )
-from crfactor.randgen import make_graph
+from crfactor.randgen import make_graph, random_gibbs_model
 from crfactor import parse_model
 
 from conftest import DATA
@@ -327,6 +331,53 @@ def test_gen_random_kind_graph_mismatch(capsys):
     code, _, err = run(capsys, "gen-random", "--kind", "gibbs", "--graph", "student", "--seed", "1")
     assert code == EXIT_PARSE
     assert "undirected" in err
+
+
+@pytest.mark.parametrize("spec", ["path:x", "er:5:abc", "dag:4:x", "triangles:", "path", "path:-3", "cycle:0",
+                                  "er:5:nan", "er:5:1.5", "path:3:9", "student:3", "bogus:3", ""])
+def test_gen_random_malformed_spec_exits_parse(spec, capsys):
+    code, out, err = run(capsys, "gen-random", "--kind", "gibbs", "--graph", spec, "--seed", "0")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: ") and "graph spec" in err
+
+
+SPEC_PART = st.one_of(
+    st.integers(-3, 14).map(str),
+    st.sampled_from(["27", "1000", "0.5", "1e-300", "nan", "inf", "-0.0", ""]),
+    st.floats().map(str),
+    st.text(alphabet="0123456789.-+eaxn _", max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["gibbs", "bn"]),
+    st.sampled_from(["path", "cycle", "complete", "star", "tree", "er", "triangles", "chain", "dag", "student", "x"]),
+    st.lists(SPEC_PART, max_size=3),
+)
+def test_gen_random_any_spec_ends_in_an_exit_code(kind, head, parts):
+    """Any spec ends in exit 0, 3 or 4 with no exception escaping main."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["gen-random", "--kind", kind, "--graph", ":".join([head, *parts]), "--seed", "0"])
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_PARSE)
+    assert (code == EXIT_OK) == (err.getvalue() == "")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
+def test_non_finite_or_negative_tol_exits_parse(tol, tmp_path, capsys):
+    # with tol = nan no deviation exceeds it, and rmrf would take a cycle:4 table for a path:4 graph
+    probs = random_gibbs_model(make_graph("cycle:4"), seed=1).to_joint().probs
+    rows = "".join(" ".join(map(str, s)) + f" {float(probs[s])!r}\n" for s in np.ndindex(probs.shape))
+    model_file = tmp_path / "cycle4_on_path4.model"
+    model_file.write_text("graph undirected\nvar a 2\nvar b 2\nvar c 2\nvar d 2\nedge a b\nedge b c\nedge c d\njoint\n" + rows)
+    code, out, err = run(capsys, "factorize", "--method", "rmrf", "--model", str(model_file), f"--tol={tol}")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: argument --tol: ")
+    code, _, err = run(capsys, "factorize", "--method", "rmrf", "--model", str(model_file))
+    assert code == EXIT_PRECONDITION and "Markov" in err
+    for command in (["verify", "--expr", "x"], ["indep", "--query", "a _|_ c | b"]):
+        assert main([command[0], "--model", str(model_file), *command[1:], f"--tol={tol}"]) == EXIT_PARSE
 
 
 def test_istcg_output(capsys):

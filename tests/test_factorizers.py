@@ -311,7 +311,7 @@ def test_mrf_product_with_nonzero_defaults(d3_table):
 
 
 # ---------------------------------------------------------------------------
-# the Markov precondition: the Hammersley-Clifford product, is_markov behind it
+# the Markov precondition: each factorizer's own product, is_markov behind it
 
 
 @pytest.fixture
@@ -327,12 +327,26 @@ def markov_calls(monkeypatch):
     return calls
 
 
-def _passes_markov_check(table, graph):
+# each factorizer, reduced to the product it returns
+PRODUCTS = {
+    "mrf": lambda table, graph: product_of(mrf_factorize(table, graph).values()),
+    "rmrf": rmrf_factorize,
+    "tcg": lambda table, graph: factorize_tcg(table, graph).expr,
+}
+
+
+def _markov_verdict(method, table, graph):
+    """Whether the factorizer accepts the table for the graph, and the product it returns."""
     try:
-        factorizers._check_markov(table, graph, REL_TOL, factorizers._hc_product(table, graph, None))
-    except PreconditionError:
-        return False
-    return True
+        return True, PRODUCTS[method](table, graph)
+    except PreconditionError as exc:
+        assert "fails the numeric Markov check" in str(exc)
+        return False, None
+
+
+def _cheap(graph, product):
+    n = len(graph.nodes)
+    return len(product.children) <= factorizers._TERMS_PER_PAIR * (n * (n - 1) // 2 - len(graph.edges))
 
 
 @pytest.mark.parametrize(
@@ -342,18 +356,18 @@ def _passes_markov_check(table, graph):
 )
 def test_markov_check_agrees_with_is_markov(spec, card, markov_calls):
     """Each Gibbs table against its own graph (Markov) and against every graph
-    with one edge removed (not Markov): the check accepts exactly when
-    is_markov does, and where the product is cheap it accepts alone."""
+    with one edge removed (not Markov): mrf, rmrf and tcg accept exactly when
+    is_markov does, and where their product is cheap it accepts alone."""
     for seed in range(2):
         g = make_graph(spec, seed)
         table = random_gibbs_model(g, seed, card).to_joint()
         cut_graphs = [ModelGraph("undirected", g.nodes, [e for e in g.edges if e != cut]) for cut in g.edges]
         for graph in [g, *cut_graphs]:
-            markov_calls.clear()
-            verdict = _passes_markov_check(table, graph)
-            assert verdict == is_markov(table, graph) == (graph is g), (spec, seed, graph.edges)
-            if factorizers._hc_product(table, graph, None) is not None:
-                assert markov_calls == ([] if verdict else [graph])
+            for method in PRODUCTS if is_tcg(graph) else ("mrf", "rmrf"):
+                markov_calls.clear()
+                verdict, product = _markov_verdict(method, table, graph)
+                assert verdict == is_markov(table, graph) == (graph is g), (spec, seed, method, graph.edges)
+                assert markov_calls == ([] if verdict and _cheap(graph, product) else [graph])
 
 
 @pytest.mark.parametrize("spec", ["path:10", "er:10:0.3"])
@@ -387,8 +401,8 @@ def test_markov_check_falls_back_to_is_markov(markov_calls):
 
 def test_markov_check_on_subnormal_entries_matches_is_markov(markov_calls):
     # potentials of 1e-155 at a=b=0 and b=c=0 put P(a..f = 0), the default
-    # configuration, below 1e-310: its Hammersley-Clifford term raised to -1
-    # overflows, so is_markov decides
+    # configuration, below 1e-310: the mrf and rmrf products raise a term at
+    # the default to -1, which overflows, so is_markov decides
     g = make_graph("path:6")
     tiny = np.array([[1e-155, 1.0], [1.0, 1.0]])
     potentials = {**random_gibbs_model(g, seed=16).potentials, ("a", "b"): tiny, ("b", "c"): tiny}
@@ -398,10 +412,11 @@ def test_markov_check_on_subnormal_entries_matches_is_markov(markov_calls):
     generic = JointTable(markov.variables, raw / raw.sum())
     for table, expected in ((markov, True), (generic, False)):
         assert 0.0 < table.probs[(0,) * 6] < 1e-300
-        assert factorizers._hc_product(table, g, None) is not None
-        markov_calls.clear()
-        assert _passes_markov_check(table, g) == is_markov(table, g) == expected
-        assert markov_calls == [g]
+        for method in PRODUCTS:
+            markov_calls.clear()
+            assert _markov_verdict(method, table, g)[0] == is_markov(table, g) == expected
+            # tcg's product P(a b)·P(b)^-1·… stays in range and accepts the Markov table alone
+            assert markov_calls == ([] if expected and method == "tcg" else [g])
 
 
 # ---------------------------------------------------------------------------

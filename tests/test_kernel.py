@@ -248,7 +248,7 @@ def test_batched_checks_match_row_loops():
             pxyz = table.prob(a)
             if pz > 0.0:
                 if pxz > 0.0 and pyz > 0.0:
-                    worst = max(worst, abs(pxyz * pz / (pxz * pyz) - 1.0))
+                    worst = max(worst, abs(pxyz / pxz * pz / pyz - 1.0))
                 else:
                     worst = max(worst, abs(pxyz * pz - pxz * pyz))
         assert ci_deviation(table, query) == worst
@@ -260,7 +260,7 @@ def test_batched_checks_match_row_loops():
         pxz = table.event_prob({"A": a["A"], "C": a["C"]})
         pyz = table.event_prob({"B": a["B"], "C": a["C"]})
         if pxz > 0.0 and pyz > 0.0:
-            worst = max(worst, abs(table.prob(a) * pz / (pxz * pyz) - 1.0))
+            worst = max(worst, abs(table.prob(a) / pxz * pz / pyz - 1.0))
     assert mutual_independence_deviation(table, [("A",), ("B",)], ("C",)) == worst
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crfactor import (
+    CertificateError,
     CIQuery,
     JointTable,
     ModelError,
@@ -20,7 +21,9 @@ from crfactor import (
     u_separated,
     unconnected_nodes_check,
 )
+from crfactor.cli import main
 from crfactor.model import REL_TOL
+from crfactor.rewrites import Certificate, Context, validate_certificate
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 
 from conftest import oracle_event_prob, student_table
@@ -171,6 +174,32 @@ def test_is_markov(d3_table):
     # a generic positive table is not Markov for the path
     bad = random_joint_table(("A", "B", "C"), seed=3)
     assert not is_markov(bad, path)
+
+
+@pytest.mark.parametrize("q, independent", [(1e-150, False), (1e-200, True)])
+def test_ci_deviation_survives_underflowing_products(q, independent, tmp_path, capsys):
+    """P(z=0) = P(x=0|z=0) = P(y=0|z=0) = 1e-100 and P(x=0, y=0|z=0) = q:
+    P(z,x,y)·P(z) and P(z,x)·P(z,y) both underflow to 0 at z=x=y=0, where
+    CR(x,y|z) is q / 1e-200. is_markov, a numeric certificate and
+    `indep --numeric` agree on the verdict."""
+    given_z0 = np.array([[q, 1e-100 - q], [1e-100 - q, 1.0 - 2e-100 + q]])
+    probs = np.stack([1e-100 * given_z0, np.full((2, 2), 0.25 * (1.0 - 1e-100))])
+    table = JointTable([Variable(n, 2) for n in "zxy"], probs)
+    deviation = ci_deviation(table, CIQuery(("x",), ("y",), ("z",)))
+    assert deviation == (0.0 if independent else pytest.approx(q / 1e-200 - 1.0))
+    path = ModelGraph("undirected", ["z", "x", "y"], [("x", "z"), ("z", "y")])
+    assert is_markov(table, path) == independent
+    cert = Certificate("numeric", ("x",), ("y",), ("z",))
+    if independent:
+        validate_certificate(cert, Context(table=table))
+    else:
+        with pytest.raises(CertificateError, match="deviation 1.000e\\+50"):
+            validate_certificate(cert, Context(table=table))
+    rows = "".join(f"{z} {x} {y} {float(probs[z, x, y])!r}\n" for z, x, y in itertools.product(range(2), repeat=3))
+    model = tmp_path / "underflow.model"
+    model.write_text("graph undirected\nvar z 2\nvar x 2\nvar y 2\nedge x z\nedge z y\njoint\n" + rows)
+    assert main(["indep", "--model", str(model), "--query", "x _|_ y | z", "--numeric"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"numeric-ci: {'true' if independent else 'false'}"
 
 
 # ---------------------------------------------------------------------------
