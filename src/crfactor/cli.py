@@ -9,9 +9,11 @@ Commands:
     indep       --model F --query "X _|_ Y | Z" [--numeric]
     export-dot  --model F [--clique-graph]
 
-Exit codes: 0 success, 2 verification failure, 3 precondition failure
-(including failed certificates and undefined values), 4 parse/usage error.
-Every command is deterministic given its inputs.
+Exit codes: 0 success, 1 internal error (a defect in crfactor; the
+traceback goes to the "crfactor" logger at DEBUG), 2 verification failure,
+3 precondition failure (including failed certificates and undefined
+values), 4 parse/usage error. Every command is deterministic given its
+inputs.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from .factorizers import (
     mrf_factorize,
     rmrf_factorize,
 )
-from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, build_clique_graph
+from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, build_clique_graph
 from .modelfile import ParsedModel, parse_model, render_model
 from .randgen import random_model
 from .rewrites import replay_trace, trace_from_dicts
 from .separation import CIQuery, ci_deviation, separated
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VERIFICATION = 2
 EXIT_PRECONDITION = 3
 EXIT_PARSE = 4
@@ -317,14 +320,13 @@ def export_dot(graph: ModelGraph, clique_graph: bool = False) -> str:
 
 
 def _tolerance(text: str) -> float:
-    """A --tol value: a finite, non-negative float (with nan, no check could fail)."""
+    """A --tol value: a finite, non-negative float (see ``_check_tol``)."""
     try:
-        tol = float(text)
+        return _check_tol(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= tol < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return tol
+    except ModelError:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}") from None
 
 
 def _build_parser() -> _ArgumentParser:
@@ -383,6 +385,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CRFactorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:  # a defect in crfactor, not in the input
+        import logging  # here, not at the top: every start of the CLI would pay for it
+
+        logging.getLogger("crfactor").debug("internal error", exc_info=True)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -93,8 +93,13 @@ BlockList = Sequence[Block]
 
 def grid(table: JointTable, names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
     """Every assignment of `names` (default: the table's variables) as sparse
-    state arrays that broadcast together, row-major in the given order."""
-    names = table.names if names is None else tuple(dict.fromkeys(names))
+    state arrays that broadcast together, row-major in the given order.
+
+    Without `names` the arrays are the table's own read-only axes, the same
+    on every call, and ``evaluate`` memoizes the terms evaluated over them."""
+    if names is None:
+        return dict(table._own_grid())
+    names = tuple(dict.fromkeys(names))
     return dict(zip(names, np.indices([table.cardinality(n) for n in names], sparse=True)))
 
 
@@ -156,7 +161,7 @@ def evaluate(
     cond: Block | None,
     assignment: Assignment,
     exponent: int = 1,
-) -> tuple[object, list]:
+) -> tuple[object, Sequence]:
     """The one evaluation kernel: CR(blocks | cond)^exponent for kind "CR",
     P(blocks | cond)^exponent (blocks read as one event) for kind "P".
 
@@ -164,10 +169,22 @@ def evaluate(
     see ``grid``); a plain int is a 0-d batch, one row. Also returns the
     causes that leave rows undefined, as (bool or bool array, message) pairs
     in the order one row meets them.
+
+    Over the table's own grid (``grid(table)``) a term is evaluated once: its
+    read-only value and its causes, as a tuple, are memoized with the table.
     """
     blocks = tuple(blocks)
     if kind == "CR" and not blocks:
         raise UndefinedCRError("CR of an empty block list is undefined")
+    own, key = table._grid, None
+    if own is not None and all(
+        state is not None or (n in own and assignment.get(n) is own[n])
+        for b in (cond, *blocks) if b for n, state in b.members
+    ):
+        key = (kind, blocks, cond, exponent)
+        memoized = table._term_memo.get(key)
+        if memoized is not None:
+            return memoized
     causes: list = []
     head, pc = (), None
     if cond is not None:
@@ -201,7 +218,12 @@ def evaluate(
         overflow = (value == math.inf) & (base != math.inf)
         if np.any(overflow):  # the term's text is built only when it is needed
             _note(causes, overflow, "{} overflows", term_text(kind, blocks, cond, exponent))
-    return value, causes
+    if key is None:
+        return value, causes
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    table._term_memo[key] = memoized = value, tuple(causes)
+    return memoized
 
 
 def settle(value, causes: Sequence, assignment: Assignment):

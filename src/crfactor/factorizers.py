@@ -18,7 +18,7 @@ import numpy as np
 from .cr import Block, grid
 from .errors import ModelError, PreconditionError, UndefinedCRError
 from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
-from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, build_clique_graph
+from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, _check_tol, build_clique_graph
 from .rewrites import (
     Context,
     OperationTrace,
@@ -184,6 +184,8 @@ def _default_assignment(table: JointTable, default: Mapping[str, int] | None) ->
     out = {n: 0 for n in table.names}
     if default:
         for n, s in default.items():
+            if not isinstance(s, int):
+                raise ModelError(f"default state for {n!r} must be an integer, got {s!r}")
             if not 0 <= s < table.cardinality(n):
                 raise ModelError(f"default state {s} out of range for {n!r}")
             out[n] = s
@@ -312,8 +314,10 @@ def _markov_checked(
     default is valid and the product is cheap. It never rejects: where the
     product misses, leaves the float range or is too long, is_markov's
     pairwise CI queries decide, and for any other input they decide before
-    build() runs, so every error keeps its order.
+    build() runs, so every error keeps its order. A tolerance that is not
+    finite and non-negative is a ModelError before either is tried.
     """
+    _check_tol(tol)
     defaults = (default or {}).items()
     own = (
         graph.kind == "undirected" and set(graph.nodes) == set(table.names) and table.strictly_positive

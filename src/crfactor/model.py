@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +30,14 @@ SUM_TOL = 1e-12
 MAX_TABLE_CELLS = 2**20
 
 Assignment = Mapping[str, int]
+
+
+def _check_tol(tol: float) -> float:
+    """`tol` if it is a finite, non-negative number; ModelError otherwise
+    (with nan, no `dev > tol` test could fail)."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ModelError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
 
 
 def close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = ABS_TOL) -> bool:
@@ -70,7 +79,7 @@ class JointTable:
 
     Entries are indexed by one state per variable, in declaration order
     (row-major enumeration). Entries are non-negative and sum to one within
-    1e-12 absolute. Instances are immutable; marginals are cached.
+    1e-12 absolute. Instances are immutable; their caches hand out read-only arrays.
     """
 
     def __init__(self, variables: Iterable[Variable], probs):
@@ -97,6 +106,8 @@ class JointTable:
         self._axis = {v.name: i for i, v in enumerate(self.variables)}
         self._card = {v.name: v.cardinality for v in self.variables}
         self._marginal_cache: dict[frozenset[str], tuple[tuple[str, ...], np.ndarray]] = {}
+        self._grid: dict[str, np.ndarray] | None = None  # see _own_grid
+        self._term_memo: dict = {}  # (kind, blocks, cond, exponent) -> (value, causes), see cr.evaluate
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -124,6 +135,16 @@ class JointTable:
                 raise ModelError(f"assignment does not bind variable {n!r}")
         return self.event_prob({n: assignment[n] for n in self.names})
 
+    def _own_grid(self) -> dict[str, np.ndarray]:
+        """The table's own grid (see ``crfactor.cr.grid``), built once; its
+        axes are read-only, and terms evaluated over them are memoized."""
+        if self._grid is None:
+            axes = np.indices(self.probs.shape, sparse=True)
+            for axis in axes:
+                axis.setflags(write=False)
+            self._grid = dict(zip(self.names, axes))
+        return self._grid
+
     def _marginal(self, names: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
         key = frozenset(names)
         cached = self._marginal_cache.get(key)
@@ -134,8 +155,9 @@ class JointTable:
                 raise ModelError(f"unknown variable {n!r}")
         kept = tuple(v.name for v in self.variables if v.name in key)
         drop_axes = tuple(i for i, v in enumerate(self.variables) if v.name not in key)
-        arr = self.probs.sum(axis=drop_axes) if drop_axes else self.probs
-        result = (kept, np.asarray(arr))
+        arr = np.asarray(self.probs.sum(axis=drop_axes) if drop_axes else self.probs)
+        arr.setflags(write=False)  # event_prob may return a view of it
+        result = (kept, arr)
         self._marginal_cache[key] = result
         return result
 
@@ -155,18 +177,28 @@ class JointTable:
         if not event:
             return 1.0
         kept, arr = self._marginal(event.keys())
-        flat = 0  # row-major offset into the marginal, broadcast over the rows
+        own = self._grid  # over the table's own axes, read the marginal by basic indexing
+        basic = own is not None and all(type(s) is int or (n in own and s is own[n]) for n, s in event.items())
+        flat, index, shape = 0, [], [1] * len(self.variables)  # a gather's offset, or a basic index
         for n in kept:
             s, card = event[n], self._card[n]
             if type(s) is int:  # a plain int (a pinned state, or one row) needs no array to check
                 bad = () if 0 <= s < card else (s,)
+            elif basic:
+                bad, s, shape[self._axis[n]] = (), slice(None), card
             else:
                 s = np.asarray(s)
                 bad = s[(s < 0) | (s >= card)].flat
             if len(bad):
                 raise ModelError(f"state {bad[0]} out of range for variable {n!r}")
-            flat = flat * card + s
-        return arr.reshape(-1)[flat]
+            if basic:
+                index.append(s)
+            else:
+                flat = flat * card + s
+        if not basic:
+            return arr.reshape(-1)[flat]
+        value = arr[tuple(index)]
+        return value.reshape(shape) if np.ndim(value) else value
 
     def allclose(self, other: "JointTable", rel: float = REL_TOL) -> bool:
         return self.names == other.names and bool(

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from .cr import Block
 from .errors import CertificateError, CRFactorError, ModelError, RewriteError
 from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum
-from .model import JointTable, ModelGraph, REL_TOL
+from .model import JointTable, ModelGraph, REL_TOL, _check_tol
 from .separation import CIQuery, mutual_independence_deviation, separated
 
 
@@ -114,7 +114,7 @@ class Context:
     def __init__(self, graph: ModelGraph | None = None, table: JointTable | None = None, tol: float = REL_TOL):
         self.graph = graph
         self.table = table
-        self.tol = tol
+        self.tol = _check_tol(tol)
 
 
 def validate_certificate(cert: Certificate, ctx: Context) -> None:

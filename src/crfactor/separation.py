@@ -17,7 +17,7 @@ import numpy as np
 
 from .cr import Block, cr_value, evaluate, grid
 from .errors import ModelError, PreconditionError
-from .model import Assignment, JointTable, ModelGraph, REL_TOL
+from .model import Assignment, JointTable, ModelGraph, REL_TOL, _check_tol
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,7 @@ def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> boo
     """Numeric pairwise Markov check: every pair of non-adjacent nodes is
     conditionally independent given all remaining nodes. For strictly
     positive tables this is equivalent to the global Markov property."""
+    _check_tol(tol)
     if graph.kind != "undirected":
         raise ModelError("the Markov check requires an undirected graph")
     if set(graph.nodes) != set(table.names):

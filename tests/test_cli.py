@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crfactor import factorize_bn, render, singleton_cr, trace_to_dicts
+from crfactor import cli
 from crfactor.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -378,6 +381,21 @@ def test_non_finite_or_negative_tol_exits_parse(tol, tmp_path, capsys):
     assert code == EXIT_PRECONDITION and "Markov" in err
     for command in (["verify", "--expr", "x"], ["indep", "--query", "a _|_ c | b"]):
         assert main([command[0], "--model", str(model_file), *command[1:], f"--tol={tol}"]) == EXIT_PARSE
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, caplog):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_istcg", boom)
+    argv = ("istcg", "--model", str(DATA / "path3_gibbs.model"))
+    assert run(capsys, *argv) == (EXIT_INTERNAL, "", "error: internal error: RuntimeError: boom\n")
+    assert caplog.records == []  # the traceback is logged at DEBUG, which is off by default
+    with caplog.at_level(logging.DEBUG, logger="crfactor"):
+        assert run(capsys, *argv)[0] == EXIT_INTERNAL
+    (record,) = caplog.records
+    assert record.name == "crfactor" and record.levelno == logging.DEBUG
+    assert record.exc_info[0] is RuntimeError and "boom" in caplog.text
 
 
 def test_istcg_output(capsys):

@@ -8,6 +8,7 @@ from crfactor import (
     CPT,
     GibbsModel,
     JointTable,
+    ModelError,
     ModelGraph,
     PreconditionError,
     Variable,
@@ -30,6 +31,7 @@ from crfactor import (
 )
 from crfactor import factorizers
 from crfactor.model import REL_TOL
+from crfactor.rewrites import Context
 from crfactor.randgen import (
     make_graph,
     random_chain_conditional_table,
@@ -417,6 +419,40 @@ def test_markov_check_on_subnormal_entries_matches_is_markov(markov_calls):
             assert _markov_verdict(method, table, g)[0] == is_markov(table, g) == expected
             # tcg's product P(a b)·P(b)^-1·… stays in range and accepts the Markov table alone
             assert markov_calls == ([] if expected and method == "tcg" else [g])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    # with tol = nan no `dev > tol` test fails: is_markov took a cycle:4 table for a path:4 graph
+    cycle, path = make_graph("cycle:4"), make_graph("path:4")
+    table = random_gibbs_model(cycle, seed=1).to_joint()
+    assert not is_markov(table, path)
+    message = f"tolerance must be finite and non-negative, got {tol!r}"
+    calls = [
+        lambda: is_markov(table, path, tol=tol),
+        lambda: mrf_factorize(table, path, tol=tol),
+        lambda: rmrf_factorize(table, path, tol=tol),
+        lambda: factorize_tcg(table, path, tol=tol),
+        lambda: Context(table=table, tol=tol),
+        lambda: replay_trace(singleton_cr(table.names), (), table=table, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert is_markov(table, cycle, tol=1) and not is_markov(table, path, tol=0)  # ints are tolerances too
+
+
+@pytest.mark.parametrize("state", ["1", 1.0, None, np.int64(1)])
+def test_non_int_default_state_is_a_model_error(state):
+    g = make_graph("path:3")
+    table = random_gibbs_model(g, seed=1).to_joint()
+    message = f"default state for 'a' must be an integer, got {state!r}"
+    for call in (mrf_factorize, rmrf_factorize, lambda t, g, d: hc_potential(t, ("a",), d)):
+        with pytest.raises(ModelError) as exc:
+            call(table, g, {"a": state})
+        assert str(exc.value) == message
+    mrf_factorize(table, g, {"a": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ single assignment of plain int states is a 0-d batch of one row. These tests
 check that a row and the grid agree exactly, that both agree with the oracle
 in conftest, that one row gives a Python float, and that an undefined row is
 reported with the same cause and assignment a row-by-row scan finds first.
+A term evaluated over a table's own grid is memoized with the table; the
+last tests check that a memo hit changes no value, no error and no array.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import numpy as np
 import pytest
 
 from crfactor import (
+    Block,
     Const,
     CRTerm,
+    GibbsModel,
     JointTable,
     Product,
     PTerm,
@@ -30,11 +34,17 @@ from crfactor import (
     conditional_prob,
     cr_value,
     eval_expr,
+    factorize_tcg,
+    is_tcg,
+    mrf_factorize,
     parse_expr,
+    product_of,
+    rmrf_factorize,
 )
+from crfactor import expr as expr_module
 from crfactor.cli import verify_expression
-from crfactor.cr import grid
-from crfactor.randgen import random_joint_table
+from crfactor.cr import evaluate, grid
+from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 from crfactor.separation import CIQuery, ci_deviation, mutual_independence_deviation
 
 from conftest import oracle_cr, oracle_event_prob
@@ -313,3 +323,137 @@ def test_one_row_gives_a_float():
     for v in values:
         assert isinstance(v, float), type(v)
     assert values[5] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The term memo over a table's own grid
+
+
+def subnormal_path6() -> JointTable:
+    """A path:6 Gibbs table whose default row P(a..f = 0) is below 1e-310:
+    the mrf and rmrf products overflow there, tcg's stays in range."""
+    g = make_graph("path:6")
+    tiny = np.array([[1e-155, 1.0], [1.0, 1.0]])
+    potentials = {**random_gibbs_model(g, seed=16).potentials, ("a", "b"): tiny, ("b", "c"): tiny}
+    return GibbsModel([Variable(n, 2) for n in g.nodes], g, potentials).to_joint()
+
+
+MEMO_CASES = [f"{spec}/{card}" for spec in ("er:7:0.4", "path:7", "cycle:6") for card in (2, 3)]
+
+
+def memo_case(case: str) -> tuple[JointTable, object]:
+    """A Gibbs table and its graph: `spec/card`, or the subnormal path:6 table."""
+    if case == "path:6/subnormal":
+        return subnormal_path6(), make_graph("path:6")
+    spec, card = case.split("/")
+    g = make_graph(spec, seed=0)
+    return random_gibbs_model(g, seed=int(card), cardinality=int(card)).to_joint(), g
+
+
+def memo_expressions(table, g):
+    exprs = [product_of(mrf_factorize(table, g).values()), rmrf_factorize(table, g)]
+    if is_tcg(g).ok:
+        exprs.append(factorize_tcg(table, g).expr)
+    for u, v in g.edges[:4]:
+        rest = [n for n in table.names if n not in (u, v)]
+        exprs.append(CRTerm((Block([u]), Block([v])), Block(rest)))
+        exprs.append(CRTerm((Block([u, (rest[0], 1)]), Block([v])), Block([(n, 0) for n in rest[1:]]), -2))
+    return exprs
+
+
+def outcome(expr, table, rows):
+    """The value's bytes over the whole grid, or the error's class and message."""
+    try:
+        value = eval_expr(expr, table, rows)
+    except UndefinedCRError as exc:
+        return type(exc).__name__, str(exc)
+    return np.broadcast_to(value, table.probs.shape).tobytes()
+
+
+@pytest.mark.parametrize("case", [*MEMO_CASES, "path:6/subnormal"])
+def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
+    """The mrf, rmrf and (on a TCG) tcg products and conditional CR terms,
+    over grid(table) (filled, then hit) and over grid(twin, twin.names) of a
+    twin table that never hands out its own grid, so nothing is memoized."""
+    built, g = memo_case(case)
+    exprs = memo_expressions(built, g)
+    table = JointTable(built.variables, built.probs)  # nothing memoized yet
+    twin = JointTable(built.variables, built.probs)
+    for expr in exprs:
+        for term in (expr.children if isinstance(expr, Product) else (expr,)):
+            first = outcome(term, table, grid(table))
+            assert outcome(term, table, grid(table)) == first
+            assert outcome(term, twin, grid(twin, twin.names)) == first, (case, term)
+    memoized = len(table._term_memo)
+    assert memoized > 0
+    for expr in exprs:
+        first = outcome(expr, table, grid(table))
+        assert outcome(expr, table, grid(table)) == first
+        assert outcome(expr, twin, grid(twin, twin.names)) == first, (case, expr)
+    assert len(table._term_memo) == memoized  # the products reuse their terms' values
+    assert twin._term_memo == {}
+
+
+def test_memo_hit_raises_the_same_error():
+    table, twin = (JointTable(ZT.variables, ZT.probs) for _ in range(2))  # nothing memoized yet
+    expr = parse_expr("P(A B)^-1·CR(A,C)")
+    messages = []
+    for t, rows in ((table, grid(table)), (table, grid(table)), (twin, grid(twin, twin.names))):
+        with pytest.raises(UndefinedCRError) as exc:
+            eval_expr(expr, t, rows)
+        messages.append(str(exc.value))
+    assert messages == ["zero marginal for block (C) (at assignment {'A': 0, 'B': 0, 'C': 1})"] * 3
+    assert len(table._term_memo) == 2 and twin._term_memo == {}
+
+
+def test_memo_values_and_grid_axes_are_read_only():
+    table = random_joint_table(NAMES, seed=11)
+    rows = grid(table)
+    assert rows is not grid(table) and all(rows[n] is grid(table)[n] for n in NAMES)
+    terms = [
+        ("P", (block("A", "B"),), None, 1),  # a view of the cached marginal
+        ("P", (block("A", "B"),), None, -1),
+        ("CR", (block("A"), block("B")), block("C"), 1),
+    ]
+    for kind, blocks, cond, exponent in terms:
+        value, causes = evaluate(table, kind, blocks, cond, rows, exponent)
+        assert isinstance(causes, tuple)
+        assert evaluate(table, kind, blocks, cond, rows, exponent)[0] is value
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+    for axis in rows.values():
+        with pytest.raises(ValueError, match="read-only"):
+            axis[...] = 0
+    # a user batch is evaluated afresh, into an array of its own
+    fresh = eval_expr(parse_expr("P(A B)^-1"), table, grid(table, NAMES))
+    fresh[...] = 0.0
+
+
+def test_mrf_then_verify_reads_each_distinct_term_once(monkeypatch):
+    """mrf_factorize settles the Markov check on its own product over the
+    grid, and verify_expression evaluates that product again: the second
+    pass calls the kernel for every term, and every call is a memo hit."""
+    g = make_graph("path:10")
+    table = random_gibbs_model(g, seed=1).to_joint()
+    kernel_calls, reads = [], []
+    kernel, event_prob = expr_module.evaluate, JointTable.event_prob
+
+    def counting_kernel(*args, **kwargs):
+        kernel_calls.append(args[1:4])
+        return kernel(*args, **kwargs)
+
+    def counting_event_prob(self, event):
+        reads.append(tuple(event))
+        return event_prob(self, event)
+
+    monkeypatch.setattr(expr_module, "evaluate", counting_kernel)
+    monkeypatch.setattr(JointTable, "event_prob", counting_event_prob)
+    expr = product_of(mrf_factorize(table, g).values())
+    assert len(kernel_calls) == len(expr.children)
+    assert verify_expression(expr, table).passed
+    assert len(kernel_calls) == 2 * len(expr.children)
+    # each term is an unconditioned P term, which reads the table once
+    distinct = {(t.block, t.condition, t.exponent) for t in expr.children}
+    assert all(isinstance(t, PTerm) and t.condition is None for t in expr.children)
+    assert len(reads) == len(distinct) < len(expr.children)
+    assert len(table._term_memo) == len(distinct)
