@@ -9,10 +9,11 @@ The grouping matters: CR(A,B,C) and CR(A,BC) differ, although the numerator
 event is the same. A block member is either free (its state is read from the
 evaluation assignment) or pinned to a fixed state.
 
-One kernel, ``evaluate``, computes every CR and P value in the package, at
-one assignment or at a batch of them given as state arrays. It is the
-semantic ground truth that the symbolic layer in ``expr``/``rewrites`` is
-tested against.
+One kernel, ``evaluate``, computes the value of every CR and P term, at one
+assignment or at a batch of them given as state arrays. It is the semantic
+ground truth that the symbolic layer in ``expr``/``rewrites`` is tested
+against. (The numeric independence deviation in ``separation`` reads the
+table's cached marginals directly.)
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class Block:
                 name, state = m
                 if state is not None and (not isinstance(state, int) or state < 0):
                     raise ModelError(f"pinned state for {name!r} must be a non-negative integer")
-            if not isinstance(name, str) or not name.isidentifier():
-                raise ModelError(f"block member name must be an identifier, got {name!r}")
+            _check_name(name)
             if name in seen:
                 raise ModelError(f"variable {name!r} appears twice in one block")
             seen.add(name)
@@ -57,6 +57,16 @@ class Block:
         if not norm:
             raise ModelError("a block needs at least one member")
         self.members = tuple(norm)
+
+    @classmethod
+    def _of(cls, members: tuple[tuple[str, int | None], ...]) -> "Block":
+        """A block of members taken from valid blocks, no variable twice:
+        their names and states are not checked again."""
+        if not members:
+            raise ModelError("a block needs at least one member")
+        block = object.__new__(cls)
+        block.members = members
+        return block
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -68,7 +78,7 @@ class Block:
 
     def restrict(self, names: Iterable[str]) -> "Block":
         keep = set(names)
-        return Block([m for m in self.members if m[0] in keep])
+        return Block._of(tuple(m for m in self.members if m[0] in keep))
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.members == other.members
@@ -81,6 +91,23 @@ class Block:
 
     def __repr__(self):
         return f"Block({list(self.members)!r})"
+
+
+def _check_name(name) -> str:
+    """`name` if it is an identifier, the only valid block member name."""
+    if not isinstance(name, str) or not name.isidentifier():
+        raise ModelError(f"block member name must be an identifier, got {name!r}")
+    return name
+
+
+def _repeated(names: Iterable[str]) -> str | None:
+    """The first name that occurs earlier in `names`, or None."""
+    seen: set[str] = set()
+    for n in names:
+        if n in seen:
+            return n
+        seen.add(n)
+    return None
 
 
 def block(*members: BlockMemberSpec) -> Block:

@@ -79,7 +79,8 @@ def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[F
         if not dag.is_topological(order):
             raise PreconditionError(f"{order!r} is not a topological order of the graph")
     ctx = Context(graph=dag)
-    rec = _Recorder(singleton_cr(order))
+    initial = singleton_cr(order)
+    rec = _Recorder(initial)
     rem_path: tuple[int, ...] = ()
     rem = list(order)
     for x in reversed(order[1:]):
@@ -99,7 +100,12 @@ def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[F
             rem_path = cut_path
     rec.apply(apply_single_block, rem_path)
 
-    grouped = [PTerm(Block([x]), Block(dag.parents(x)) if dag.parents(x) else None) for x in order]
+    single = dict(zip(order, initial.blocks))  # P(x | Pa(x)) reuses the members of these checked blocks
+    grouped = []
+    for x in order:
+        parents = dag.parents(x)
+        cond = Block._of(tuple(single[p].members[0] for p in parents)) if parents else None
+        grouped.append(PTerm(single[x], cond))
     return Product(tuple(grouped)), tuple(rec.steps)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -119,8 +120,8 @@ class _Builder:
         self.index: dict[str, int] = {}
         self.edges: list[tuple[str, str]] = []
         self.defaults: dict[str, int] = {}
-        # (kind, scope, header line, rows); the model's kind is its first block's
-        self.blocks: list[tuple[str, tuple[str, ...], int, dict[tuple[int, ...], float]]] = []
+        # (kind, scope, cardinalities, header line, rows); the model's kind is its first block's
+        self.blocks: list[tuple[str, tuple[str, ...], tuple[int, ...], int, dict[tuple[int, ...], float]]] = []
 
     def card(self, name: str) -> int:
         return self.variables[self.index[name]].cardinality
@@ -199,7 +200,7 @@ class _Builder:
                 raise ModelParseError("expected 'cpt <node>'", lineno)
             node = args[0]
             self.require_var(node, lineno)
-            if any(scope[-1] == node for _, scope, _, _ in self.blocks):
+            if any(scope[-1] == node for _, scope, *_ in self.blocks):
                 raise ModelParseError(f"duplicate cpt block for {node!r}", lineno)
             parents = sorted((a for a, b in self.edges if b == node), key=self.index.__getitem__)
             scope = (*parents, node)
@@ -211,14 +212,33 @@ class _Builder:
                 self.require_var(n, lineno)
             if len(set(scope)) != len(scope):
                 raise ModelParseError("duplicate variable in potential scope", lineno)
-        self.blocks.append((kind, scope, lineno, {}))
+        self.blocks.append((kind, scope, tuple(map(self.card, scope)), lineno, {}))
 
     def row(self, lineno: int, tokens: list[str]) -> None:
         if not self.blocks:
             if not tokens[0].lstrip("-").isdigit():
                 raise ModelParseError(f"unknown directive {tokens[0]!r}", lineno)
             raise ModelParseError("data row outside a distribution block", lineno)
-        kind, scope, _, rows = self.blocks[-1]
+        kind, scope, cards, _, rows = self.blocks[-1]
+        try:
+            states, value = tuple(map(int, tokens[:-1])), float(tokens[-1])
+        except ValueError:
+            pass
+        else:
+            if (
+                len(states) == len(cards)
+                and min(states) >= 0
+                and all(map(operator.lt, states, cards))
+                and ((0.0 < value < math.inf) if kind == "potential" else (0.0 <= value <= 1.0 + 1e-9))
+                and states not in rows
+            ):
+                rows[states] = value
+                return
+        self.checked_row(lineno, tokens, kind, scope, rows)
+
+    def checked_row(self, lineno: int, tokens: list[str], kind: str, scope: tuple[str, ...], rows: dict) -> None:
+        """A row checked token by token, raising at its first fault; `row`
+        takes this path only for rows that fail its one-pass test."""
         what = f"cpt row for {scope[-1]!r}" if kind == "cpt" else f"{kind} row"
         noun = "weight" if kind == "potential" else "probability"
         if len(tokens) != len(scope) + 1:
@@ -256,15 +276,14 @@ class _Builder:
         if kind == "cpt":
             if graph.kind != "directed":
                 raise ModelParseError("cpt models require a directed graph", None)
-            missing = [n for n in graph.nodes if not any(s[-1] == n for _, s, _, _ in self.blocks)]
+            missing = [n for n in graph.nodes if not any(s[-1] == n for _, s, *_ in self.blocks)]
             if missing:
                 raise ModelParseError(f"missing cpt blocks for {missing!r}", None)
         if kind == "potential" and graph.kind != "undirected":
             raise ModelParseError("potential models require an undirected graph", None)
 
         tables = []
-        for _, scope, lineno, rows in self.blocks:
-            shape = tuple(self.card(n) for n in scope)
+        for _, scope, shape, lineno, rows in self.blocks:
             _check_cells(shape)
             arr = np.zeros(shape)
             for states, value in rows.items():

@@ -31,8 +31,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cr import Block
-from .errors import CertificateError, CRFactorError, ModelError, RewriteError
+from .cr import Block, _check_name, _repeated
+from .errors import CertificateError, CRFactorError, RewriteError
 from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum
 from .model import JointTable, ModelGraph, REL_TOL, _check_tol
 from .separation import CIQuery, mutual_independence_deviation, separated
@@ -182,11 +182,11 @@ def _target_cr(root: FactorExpr, path: Sequence[int]) -> CRTerm:
 
 
 def _merge_blocks(blocks: Iterable[Block]) -> Block:
-    members = [m for b in blocks for m in b.members]
-    try:
-        return Block(members)
-    except ModelError as exc:
-        raise RewriteError(f"cannot merge blocks: {exc}") from None
+    members = tuple(m for b in blocks for m in b.members)
+    twice = _repeated(name for name, _ in members)
+    if twice is not None:
+        raise RewriteError(f"cannot merge blocks: variable {twice!r} appears twice in one block")
+    return Block._of(members)
 
 
 def _rewrite(
@@ -482,7 +482,7 @@ def replay_trace(
 def singleton_cr(names: Iterable[str]) -> CRTerm:
     """CR over one free singleton block per name: the usual starting point
     of a whole-model factorization."""
-    return CRTerm(tuple(Block([n]) for n in names))
+    return CRTerm(tuple(Block._of(((_check_name(n), None),)) for n in names))
 
 
 # ---------------------------------------------------------------------------

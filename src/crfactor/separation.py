@@ -10,12 +10,13 @@ joint blanket is covered by the conditioning blocks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cr import Block, cr_value, evaluate, grid
+from .cr import Block, _repeated, cr_value
 from .errors import ModelError, PreconditionError
 from .model import Assignment, JointTable, ModelGraph, REL_TOL, _check_tol
 
@@ -125,20 +126,50 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
     partial value lies between P(z, g) and the result, so none underflows
     unless P(z, g) does or overflows unless the result does, and no row
     reads 0/0. Two products of small marginals, as in the textbook form,
-    can both underflow to 0 with every marginal positive."""
-    rows = grid(table, [n for g in groups for n in g] + list(z))
+    can both underflow to 0 with every marginal positive.
 
-    def p(*gs):  # P(gs) at every row, from the kernel
-        return evaluate(table, "P", [Block(g) for g in gs if g], None, rows)[0]
+    Each P is the table's cached marginal, transposed and reshaped onto one
+    axis per part (z, g_1, ..., g_k), never gathered: a row is one state of
+    every part. Within a part, names keep table order; the largest part is
+    the last axis. Names shared by several parts get an axis of their own."""
+    for n in itertools.chain(*groups, z):
+        table.cardinality(n)  # an unknown name raises ModelError
+    parts, parts_of = (z, *groups), {}
+    for i, part in enumerate(parts):
+        if (twice := _repeated(part)) is not None:
+            raise ModelError(f"variable {twice!r} appears twice in one block")
+        for n in part:
+            parts_of[n] = parts_of.get(n, frozenset()) | {i}
+    axes: dict[frozenset[int], list[str]] = {}  # the parts a name is in -> the names of its axis
+    for n in table.names:
+        if n in parts_of:
+            axes.setdefault(parts_of[n], []).append(n)
+    size = {owners: math.prod(map(table.cardinality, names)) for owners, names in axes.items()}
+    order = sorted(axes, key=size.__getitem__)
 
-    pz, first = p(z), p(z, groups[0])
+    def p(*which):  # P(the parts `which`) over the axes, 1.0 for the empty event
+        names = {n for i in which for n in parts[i]}
+        if not names:
+            return 1.0
+        kept, arr = table._marginal(names)
+        perm, shape = [], []
+        for owners in order:
+            if owners.isdisjoint(which):
+                shape.append(1)
+            else:
+                perm += [kept.index(n) for n in axes[owners]]
+                shape.append(size[owners])
+        return arr.transpose(perm).reshape(shape)
+
+    pz, first = p(0), p(0, 1)
     defined = first > 0.0
     with np.errstate(all="ignore"):
-        dev = p(z, *groups) / first
-        for g in groups[1:]:
-            pg = p(z, g)
-            defined = defined & (pg > 0.0)  # sparse shapes differ: no logical_and.reduce
-            dev *= pz  # in place: these arrays span the whole grid
+        dev = p(*range(len(parts)))
+        dev = np.divide(dev, first, out=dev if dev.flags.writeable else None)  # reuse a copy the reshape made
+        for i in range(2, len(parts)):
+            pg = p(0, i)
+            defined = defined & (pg > 0.0)  # broadcasts up to the shape of dev
+            dev *= pz  # in place: dev has every axis
             dev /= pg
     dev -= 1.0
     return float(np.max(np.abs(dev, out=dev), where=defined, initial=0.0))

@@ -274,6 +274,72 @@ def test_batched_checks_match_row_loops():
     assert mutual_independence_deviation(table, [("A",), ("B",)], ("C",)) == worst
 
 
+def _deviation_case(seed: int):
+    """5-7 variables of cardinality 2-3 with cells of 0 and of 1e-120 (each
+    both scattered and over a whole two-variable slice, so that some group
+    marginals vanish or are tiny), and 2-4 disjoint groups plus a z drawn as
+    random subsets (so groups interleave in table order), each listed in a
+    shuffled order."""
+    rng = np.random.default_rng(seed)
+    n = 5 + seed % 3
+    names = [f"v{i}" for i in range(n)]
+    cards = rng.integers(2, 4, size=n).tolist()
+    arr = rng.uniform(0.05, 1.0, size=cards)
+    cell = rng.uniform(size=cards)
+    arr[cell < 0.15] = 0.0
+    arr[cell > 0.85] = 1e-120
+    for fill in (0.0, 1e-120):
+        a, b = rng.choice(n, size=2, replace=False)
+        index = [slice(None)] * n
+        index[a], index[b] = rng.integers(cards[a]), rng.integers(cards[b])
+        arr[tuple(index)] = fill
+    table = JointTable([Variable(v, c) for v, c in zip(names, cards)], arr / arr.sum())
+    k = 2 + seed % 3
+    role = rng.permutation(list(range(k)) + rng.integers(-2, k, size=n - k).tolist())  # -2: z, -1: unused
+    members = {r: [v for v, rv in zip(names, role) if rv == r] for r in range(-2, k)}
+    groups = [tuple(rng.permutation(members[r]).tolist()) for r in range(k)]
+    return table, groups, tuple(rng.permutation(members[-2]).tolist())
+
+
+def _row_loop_deviation(table, groups, z):
+    """max |P(z, g_1..g_k) / P(z, g_1) · P(z) / P(z, g_2) ... - 1|, left to
+    right, over the rows of the named variables where every P(z, g_i) > 0."""
+    names = list(dict.fromkeys([*z, *itertools.chain(*groups)]))
+    worst = 0.0
+    for states in itertools.product(*(range(table.cardinality(v)) for v in names)):
+        row = dict(zip(names, states))
+
+        def p(*parts):
+            return table.event_prob({v: row[v] for part in parts for v in part})
+
+        pz, marginals = p(z), [p(z, g) for g in groups]
+        if all(m > 0.0 for m in marginals):
+            dev = p(z, *groups) / marginals[0]
+            for m in marginals[1:]:
+                dev = dev * pz / m
+            worst = max(worst, abs(dev - 1.0))
+    return worst
+
+
+def test_deviations_match_row_loops_on_interleaved_groups():
+    """Both deviations equal, with ==, a row loop doing the same operations
+    in the same order, on tables with vanishing and 1e-120 cells, groups
+    that interleave in table order and a z out of table order."""
+    cases = [_deviation_case(seed) for seed in range(30)]
+    for table, groups, z in cases:
+        worst = _row_loop_deviation(table, groups, z)
+        assert mutual_independence_deviation(table, groups, z) == worst
+        if len(groups) == 2:
+            assert ci_deviation(table, CIQuery(*groups, z)) == worst
+    # the cases cover what they claim
+    order = {f"v{i}": i for i in range(7)}
+    spans = [[(order[min(g, key=order.get)], order[max(g, key=order.get)]) for g in groups] for _, groups, _ in cases]
+    assert any(lo1 < hi2 and lo2 < hi1 for s in spans for (lo1, hi1), (lo2, hi2) in itertools.combinations(s, 2))
+    assert any(list(z) != sorted(z, key=order.get) for _, _, z in cases)
+    assert {len(groups) for _, groups, _ in cases} == {2, 3, 4}
+    assert any((t.probs == 0.0).any() and (t.probs < 1e-100).any() for t, _, _ in cases)
+
+
 def test_overflowing_product_is_inf_without_warning():
     # each factor is (1e-150)^-2 = 1e300; only their product leaves the float range
     table = JointTable([Variable("A", 2), Variable("B", 2)], [1e-150, 0.25, 0.25, 0.5 - 1e-150])

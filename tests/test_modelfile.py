@@ -62,6 +62,65 @@ def test_parse_errors(text, line, fragment):
     assert fragment in str(err.value)
 
 
+ROW_HEADS = {
+    "joint": "graph directed\nvar a 2\nvar b 3\nedge a b\njoint\n",
+    "cpt": "graph directed\nvar a 2\nvar b 3\nedge a b\ncpt b\n",
+    "potential": "graph undirected\nvar a 2\nvar b 3\nedge a b\npotential a b\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, rows, message",
+    [
+        # token count, checked before any token
+        ("joint", "0 0.5", "line 6: joint row needs 2 states and a probability"),
+        ("joint", "0 0 0 0.5", "line 6: joint row needs 2 states and a probability"),
+        ("cpt", "0 1 0.5 0.5", "line 6: cpt row for 'b' needs 2 states and a probability"),
+        ("potential", "0 1", "line 6: potential row needs 2 states and a weight"),
+        ("potential", "x", "line 6: potential row needs 2 states and a weight"),
+        # states, one token at a time
+        ("joint", "x 0 0.5", "line 6: state of 'a' must be an integer, got 'x'"),
+        ("joint", "0 1.0 0.5", "line 6: state of 'b' must be an integer, got '1.0'"),
+        ("cpt", "0 b 0.5", "line 6: state of 'b' must be an integer, got 'b'"),
+        ("joint", "2 0 0.5", "line 6: state 2 out of range for 'a'"),
+        ("joint", "0 -1 0.5", "line 6: state -1 out of range for 'b'"),
+        ("potential", "0 3 1.0", "line 6: state 3 out of range for 'b'"),
+        # the value
+        ("joint", "0 0 half", "line 6: probability must be a number, got 'half'"),
+        ("potential", "0 0 w", "line 6: weight must be a number, got 'w'"),
+        ("joint", "0 0 1.5", "line 6: probability 1.5 out of range"),
+        ("joint", "0 0 -0.5", "line 6: probability -0.5 out of range"),
+        ("cpt", "0 0 nan", "line 6: probability nan out of range"),
+        ("cpt", "0 0 inf", "line 6: probability inf out of range"),
+        ("potential", "0 0 0", "line 6: potential weight must be positive, got 0.0"),
+        ("potential", "0 0 -inf", "line 6: potential weight must be positive, got -inf"),
+        ("potential", "0 0 inf", "line 6: potential weight must be positive and finite, got inf"),
+        ("potential", "0 0 nan", "line 6: potential weight must be positive and finite, got nan"),
+        # a repeated row, after rows that are fine
+        ("joint", "0 0 0.5\n1 2 0.25\n0 0 0.25", "line 8: duplicate joint row (0, 0)"),
+        ("cpt", "0 1 0.5\n0 1 0.5", "line 7: duplicate cpt row (0, 1)"),
+        ("potential", "1 2 3.0\n1 2 3.0", "line 7: duplicate potential row (1, 2)"),
+        # two faults: the first faulty token decides
+        ("joint", "x 0 0.5 0.5", "line 6: joint row needs 2 states and a probability"),
+        ("joint", "x 5 half", "line 6: state of 'a' must be an integer, got 'x'"),
+        ("joint", "5 x half", "line 6: state 5 out of range for 'a'"),
+        ("joint", "0 x 1.5", "line 6: state of 'b' must be an integer, got 'x'"),
+        ("potential", "0 3 0", "line 6: state 3 out of range for 'b'"),
+        ("potential", "0 0 -1\n0 0 nan", "line 6: potential weight must be positive, got -1.0"),
+        ("joint", "0 0 0.5\n0 0 1.5", "line 7: probability 1.5 out of range"),
+        # data rows outside a block
+        ("", "0 1.0", "line 4: data row outside a distribution block"),
+        ("", "-1 1.0", "line 4: data row outside a distribution block"),
+        ("", "x 1.0", "line 4: unknown directive 'x'"),
+    ],
+)
+def test_row_errors_are_pinned(kind, rows, message):
+    head = ROW_HEADS[kind] if kind else "graph directed\nvar a 2\nvar b 3\n"
+    with pytest.raises(ModelParseError) as err:
+        parse_model(head + rows + "\n")
+    assert str(err.value) == message
+
+
 def test_whole_file_errors():
     with pytest.raises(ModelParseError, match="no distribution"):
         parse_model("graph undirected\nvar A 2\n")
