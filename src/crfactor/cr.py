@@ -123,7 +123,8 @@ def grid(table: JointTable, names: Iterable[str] | None = None) -> dict[str, np.
     state arrays that broadcast together, row-major in the given order.
 
     Without `names` the arrays are the table's own read-only axes, the same
-    on every call, and ``evaluate`` memoizes the terms evaluated over them."""
+    on every call, and the terms and products evaluated over them are
+    memoized (see ``evaluate``)."""
     if names is None:
         return dict(table._own_grid())
     names = tuple(dict.fromkeys(names))
@@ -150,10 +151,7 @@ def _prob(table: JointTable, blocks: BlockList, assignment: Assignment):
 
 def _div(num, den):
     """num / den, or num when den is None; rows where den is zero carry a cause."""
-    if den is None:
-        return num
-    with np.errstate(all="ignore"):
-        return np.divide(num, den)
+    return num if den is None else np.divide(num, den)
 
 
 def _pow(base: float, exponent: int) -> float:
@@ -169,9 +167,15 @@ def _pow(base: float, exponent: int) -> float:
 _pow_each = np.frompyfunc(_pow, 2, 1)
 
 
+def _holds(mask) -> bool:
+    """Whether a bool mask holds at some row: an array's any(), a scalar's
+    own truth value."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _note(causes: list, mask, message: str, *args) -> None:
     """Record a cause if it holds at some row."""
-    if np.any(mask):
+    if _holds(mask):
         causes.append((mask, message.format(*args)))
 
 
@@ -213,38 +217,41 @@ def evaluate(
         if memoized is not None:
             return memoized
     causes: list = []
-    head, pc = (), None
-    if cond is not None:
-        head, pc = (cond,), _prob(table, (cond,), assignment)
-        _note(causes, pc == 0.0, "conditioning event{} has probability zero", f" ({cond})" if kind == "CR" else "")
-    value = _div(_prob(table, head + blocks, assignment), pc)
-    if kind == "CR":
-        what = "marginal" if cond is None else "conditional marginal"
-        denom, marginals = 1.0, []
-        for b in blocks:
-            p = _div(_prob(table, head + (b,), assignment), pc)
-            _note(causes, p == 0.0, "zero {} for block ({})", what, b)
-            denom = denom * p
-            marginals.append(p)
-        quotient = _div(value, denom)
-        # Marginals are at most 1, so their product cannot overflow, but positive
-        # ones can underflow to 0: on those rows divide by one at a time.
-        lost = denom == 0.0
-        if np.any(lost):
-            stepwise = value
-            for p in marginals:
-                lost = lost & (p > 0.0)
-                stepwise = _div(stepwise, p)
-            quotient = np.where(lost, stepwise, quotient)
-        value = quotient
-    if exponent != 1:
-        _note(causes, exponent < 0 and value == 0.0, "zero raised to a negative exponent")
-        base = value
-        with np.errstate(all="ignore"):  # numpy reports the flag an overflowing pow sets
-            value = np.asarray(_pow_each(base, exponent), dtype=float)
-        overflow = (value == math.inf) & (base != math.inf)
-        if np.any(overflow):  # the term's text is built only when it is needed
-            _note(causes, overflow, "{} overflows", term_text(kind, blocks, cond, exponent))
+    with np.errstate(all="ignore"):  # a row that divides by zero or leaves the float range is a cause
+        head, pc = (), None
+        if cond is not None:
+            head, pc = (cond,), _prob(table, (cond,), assignment)
+            _note(causes, pc == 0.0, "conditioning event{} has probability zero", f" ({cond})" if kind == "CR" else "")
+        value = _div(_prob(table, head + blocks, assignment), pc)
+        if kind == "CR":
+            what = "marginal" if cond is None else "conditional marginal"
+            denom, marginals = 1.0, []
+            for b in blocks:
+                p = _div(_prob(table, head + (b,), assignment), pc)
+                _note(causes, p == 0.0, "zero {} for block ({})", what, b)
+                denom = denom * p
+                marginals.append(p)
+            quotient = _div(value, denom)
+            # Marginals are at most 1, so their product cannot overflow, but positive
+            # ones can underflow to 0: on those rows divide by one at a time.
+            lost = denom == 0.0
+            if _holds(lost):
+                stepwise = value
+                for p in marginals:
+                    lost = lost & (p > 0.0)
+                    stepwise = _div(stepwise, p)
+                quotient = np.where(lost, stepwise, quotient)
+            value = quotient
+        if exponent != 1:
+            _note(causes, exponent < 0 and value == 0.0, "zero raised to a negative exponent")
+            base = value
+            if np.ndim(base):
+                value = np.asarray(_pow_each(base, exponent), dtype=float)
+            else:  # one row: the same Python float power, without the object array
+                value = np.float64(_pow(float(base), exponent))
+            overflow = (value == math.inf) & (base != math.inf)
+            if _holds(overflow):  # the term's text is built only when it is needed
+                causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
     if key is None:
         return value, causes
     if isinstance(value, np.ndarray):

@@ -152,12 +152,28 @@ def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
     if isinstance(expr, Const):
         return expr.value, []
     if isinstance(expr, Product):
+        # Over the table's own grid a product is memoized like its terms (see
+        # crfactor.cr.evaluate): a read-only value and its causes as a tuple.
+        own, memo = table._grid, None
+        if own is not None and all(assignment.get(n) is axis for n, axis in own.items()):
+            memo = table._term_memo
+            try:
+                memoized = memo.get(expr)
+            except TypeError:  # an unhashable part, such as a list of blocks, is not memoized
+                memoized = memo = None
+            if memoized is not None:
+                return memoized
         out, causes = 1.0, []
         for child in expr.children:
             value, more = _evaluate(child, table, assignment)
             out = out * value
             causes += more
-        return out, causes
+        if memo is None:
+            return out, causes
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        memo[expr] = memoized = out, tuple(causes)
+        return memoized
     if isinstance(expr, Sum):
         total, causes = 0.0, []
         inner = dict(assignment)

@@ -202,12 +202,14 @@ def _subset_terms(
     span: Sequence[str], clique: Sequence[str], pins: Mapping[str, int], cond: Block | None = None
 ) -> Iterator[PTerm]:
     """For each s ⊆ c, smallest first, P(X_s = x_s, X_{span∖s} = default | cond)^((-1)^(|c| - |s|)):
-    the Hammersley-Clifford terms of clique c, over `span` ⊇ c in table order."""
+    the Hammersley-Clifford terms of clique c, over `span` ⊇ c in table order.
+    The span's names are the table's and `pins` is ``_default_assignment``'s,
+    so the blocks need no checks."""
     scope = set(clique)
     members = [n for n in span if n in scope]
     for r in range(len(members) + 1):
         for s in itertools.combinations(members, r):
-            blk = Block([n if n in s else (n, pins[n]) for n in span])
+            blk = Block._of(tuple((n, None) if n in s else (n, pins[n]) for n in span))
             yield PTerm(blk, cond, exponent=(-1) ** (len(members) - r))
 
 
@@ -283,7 +285,7 @@ def rmrf_factorize(
         factors: list[FactorExpr] = []
         for c in graph.all_cliques():
             blanket = graph.markov_blanket(c)
-            cond = Block([(n, pins[n]) for n in blanket]) if blanket else None
+            cond = Block._of(tuple((n, pins[n]) for n in blanket)) if blanket else None  # the table's names
             # The empty clique spans the whole table: its one term is P(X = default).
             span = [n for n in table.names if n in set(c)] or table.names
             factors.extend(_subset_terms(span, c, pins, cond))

@@ -107,7 +107,7 @@ class JointTable:
         self._card = {v.name: v.cardinality for v in self.variables}
         self._marginal_cache: dict[frozenset[str], tuple[tuple[str, ...], np.ndarray]] = {}
         self._grid: dict[str, np.ndarray] | None = None  # see _own_grid
-        self._term_memo: dict = {}  # (kind, blocks, cond, exponent) -> (value, causes), see cr.evaluate
+        self._term_memo: dict = {}  # a term's (kind, blocks, cond, exponent), or a Product -> (value, causes)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -178,27 +178,36 @@ class JointTable:
             return 1.0
         kept, arr = self._marginal(event.keys())
         own = self._grid  # over the table's own axes, read the marginal by basic indexing
-        basic = own is not None and all(type(s) is int or (n in own and s is own[n]) for n, s in event.items())
-        flat, index, shape = 0, [], [1] * len(self.variables)  # a gather's offset, or a basic index
+        index, shape = [], [1] * len(self.variables)
+        for n in kept:
+            s = event[n]
+            if type(s) is int:  # a plain int (a pinned state, or one row) needs no array to check
+                if not 0 <= s < self._card[n]:
+                    raise ModelError(f"state {s} out of range for variable {n!r}")
+                index.append(s)
+            elif own is not None and s is own[n]:
+                index.append(slice(None))
+                shape[self._axis[n]] = self._card[n]
+            else:
+                return self._gather(kept, arr, event)
+        value = arr[tuple(index)]
+        return value.reshape(shape) if isinstance(value, np.ndarray) else value
+
+    def _gather(self, kept: tuple[str, ...], arr: np.ndarray, event: Assignment):
+        """event_prob's rows through a row-major flat index into the marginal
+        `arr` over `kept`, for states other than plain ints and own axes."""
+        flat = 0
         for n in kept:
             s, card = event[n], self._card[n]
-            if type(s) is int:  # a plain int (a pinned state, or one row) needs no array to check
+            if type(s) is int:
                 bad = () if 0 <= s < card else (s,)
-            elif basic:
-                bad, s, shape[self._axis[n]] = (), slice(None), card
             else:
                 s = np.asarray(s)
                 bad = s[(s < 0) | (s >= card)].flat
             if len(bad):
                 raise ModelError(f"state {bad[0]} out of range for variable {n!r}")
-            if basic:
-                index.append(s)
-            else:
-                flat = flat * card + s
-        if not basic:
-            return arr.reshape(-1)[flat]
-        value = arr[tuple(index)]
-        return value.reshape(shape) if np.ndim(value) else value
+            flat = flat * card + s
+        return arr.reshape(-1)[flat]
 
     def allclose(self, other: "JointTable", rel: float = REL_TOL) -> bool:
         return self.names == other.names and bool(

@@ -140,6 +140,10 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
             raise ModelError(f"variable {twice!r} appears twice in one block")
         for n in part:
             parts_of[n] = parts_of.get(n, frozenset()) | {i}
+    if not groups:
+        raise ModelError("mutual independence needs at least one group")
+    if not parts_of:
+        raise ModelError("mutual independence needs at least one variable")
     axes: dict[frozenset[int], list[str]] = {}  # the parts a name is in -> the names of its axis
     for n in table.names:
         if n in parts_of:
@@ -184,7 +188,7 @@ def ci_deviation(table: JointTable, query: CIQuery) -> float:
 def mutual_independence_deviation(table: JointTable, groups: Iterable[tuple[str, ...]], z: Iterable[str] = ()) -> float:
     """Worst-case |CR(g_1, ..., g_k | z) - 1| over the assignments where
     every P(z, g_i) is positive; 0 exactly when the groups are mutually
-    independent given z."""
+    independent given z. ModelError without a group or a variable."""
     return _deviation(table, tuple(map(tuple, groups)), tuple(z))
 
 

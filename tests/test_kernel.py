@@ -12,6 +12,7 @@ last tests check that a memo hit changes no value, no error and no array.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import warnings
 
@@ -43,7 +44,7 @@ from crfactor import (
 )
 from crfactor import expr as expr_module
 from crfactor.cli import verify_expression
-from crfactor.cr import evaluate, grid
+from crfactor.cr import evaluate, grid, settle
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 from crfactor.separation import CIQuery, ci_deviation, mutual_independence_deviation
 
@@ -440,7 +441,8 @@ def outcome(expr, table, rows):
 def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
     """The mrf, rmrf and (on a TCG) tcg products and conditional CR terms,
     over grid(table) (filled, then hit) and over grid(twin, twin.names) of a
-    twin table that never hands out its own grid, so nothing is memoized."""
+    twin table that never hands out its own grid, so nothing is memoized.
+    The memo then holds each distinct term and each distinct product."""
     built, g = memo_case(case)
     exprs = memo_expressions(built, g)
     table = JointTable(built.variables, built.probs)  # nothing memoized yet
@@ -456,8 +458,55 @@ def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
         first = outcome(expr, table, grid(table))
         assert outcome(expr, table, grid(table)) == first
         assert outcome(expr, twin, grid(twin, twin.names)) == first, (case, expr)
-    assert len(table._term_memo) == memoized  # the products reuse their terms' values
+    products = {expr for expr in exprs if isinstance(expr, Product)}
+    assert products and all(expr in table._term_memo for expr in products)
+    assert len(table._term_memo) == memoized + len(products)  # the products reuse their terms' values
     assert twin._term_memo == {}
+
+
+def term_outcome(term, table, rows):
+    """`outcome` of one CR or P term straight from the kernel, with no
+    eval_expr around it."""
+    kind, blocks = ("CR", term.blocks) if isinstance(term, CRTerm) else ("P", (term.block,))
+    try:
+        value = settle(*evaluate(table, kind, blocks, term.condition, rows, term.exponent), rows)
+    except UndefinedCRError as exc:
+        return type(exc).__name__, str(exc)
+    return np.broadcast_to(value, np.broadcast_shapes(*map(np.shape, rows.values()))).tobytes()
+
+
+ZT_TEXTS = (  # EXPRESSIONS and the texts of test_undefined_rows_keep_their_cause
+    *EXPRESSIONS,
+    "CR(A,B|C=1)", "P(A|C=1)", "CR(A,C)", "CR(A,B|C)", "CR(A B,A|C=0)", "P(A B)^-1", "CR(A=1,A)^-1",
+    "CR(A,B)^2000", "sum_C[CR(A,C)·P(C)]", "P(A B)^-1·CR(A,C)", "CR(A,B|C)·CR(A,C)",
+)
+
+
+@pytest.mark.parametrize("case", [*MEMO_CASES, "path:6/subnormal", "ZT"])
+def test_no_floating_point_error_escapes_the_kernel(case):
+    """Under an outer np.errstate(all="raise"), every expression and each of
+    its terms, over the grid and at the first row, gives the same bytes or
+    the same UndefinedCRError as under the default error state."""
+    if case == "ZT":
+        built, exprs = ZT, [parse_expr(text) for text in ZT_TEXTS]
+    else:
+        built, g = memo_case(case)
+        exprs = memo_expressions(built, g)
+    first_row = {n: 0 for n in built.names}
+    outcomes = []
+    for strict in (False, True):
+        table = JointTable(built.variables, built.probs)  # nothing memoized yet
+        got = []
+        with np.errstate(all="raise") if strict else contextlib.nullcontext():
+            for expr in exprs:
+                for rows in (grid(table), first_row):
+                    got.append(outcome(expr, table, rows))
+                    for term in (expr.children if isinstance(expr, Product) else (expr,)):
+                        if isinstance(term, (CRTerm, PTerm)):
+                            got.append(term_outcome(term, table, rows))
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1]
+    assert any(isinstance(o, tuple) for o in outcomes[0]) == (case in ("ZT", "path:6/subnormal"))
 
 
 def test_memo_hit_raises_the_same_error():
@@ -469,7 +518,19 @@ def test_memo_hit_raises_the_same_error():
             eval_expr(expr, t, rows)
         messages.append(str(exc.value))
     assert messages == ["zero marginal for block (C) (at assignment {'A': 0, 'B': 0, 'C': 1})"] * 3
-    assert len(table._term_memo) == 2 and twin._term_memo == {}
+    assert len(table._term_memo) == 3 and twin._term_memo == {}  # two terms and their product
+
+
+def test_product_with_an_unhashable_term_is_evaluated_afresh():
+    """A CR term built with a list of blocks cannot key the memo: its
+    product is evaluated as any other, and only its terms are memoized."""
+    table = random_joint_table(NAMES, seed=11)
+    twin = JointTable(table.variables, table.probs)
+    listed = Product((CRTerm([block("A"), block("B")]), PTerm(block("C"), exponent=-1)))
+    want = outcome(product_of([CRTerm((block("A"), block("B"))), PTerm(block("C"), exponent=-1)]), twin, grid(twin, NAMES))
+    assert outcome(listed, table, grid(table)) == want
+    assert outcome(listed, table, grid(table)) == want
+    assert len(table._term_memo) == 2
 
 
 def test_memo_values_and_grid_axes_are_read_only():
@@ -497,8 +558,8 @@ def test_memo_values_and_grid_axes_are_read_only():
 
 def test_mrf_then_verify_reads_each_distinct_term_once(monkeypatch):
     """mrf_factorize settles the Markov check on its own product over the
-    grid, and verify_expression evaluates that product again: the second
-    pass calls the kernel for every term, and every call is a memo hit."""
+    grid, and verify_expression reads that product's value from the memo
+    without calling the kernel again."""
     g = make_graph("path:10")
     table = random_gibbs_model(g, seed=1).to_joint()
     kernel_calls, reads = [], []
@@ -517,9 +578,9 @@ def test_mrf_then_verify_reads_each_distinct_term_once(monkeypatch):
     expr = product_of(mrf_factorize(table, g).values())
     assert len(kernel_calls) == len(expr.children)
     assert verify_expression(expr, table).passed
-    assert len(kernel_calls) == 2 * len(expr.children)
+    assert len(kernel_calls) == len(expr.children)
     # each term is an unconditioned P term, which reads the table once
     distinct = {(t.block, t.condition, t.exponent) for t in expr.children}
     assert all(isinstance(t, PTerm) and t.condition is None for t in expr.children)
     assert len(reads) == len(distinct) < len(expr.children)
-    assert len(table._term_memo) == len(distinct)
+    assert len(table._term_memo) == len(distinct) + 1 and expr in table._term_memo

@@ -17,6 +17,7 @@ from crfactor import (
     build_joint_from_cpts,
     conditional_prob,
 )
+from crfactor.cr import grid
 from crfactor.randgen import make_graph, random_gibbs_model
 
 from conftest import D2_NAMES, D2_PROBS, oracle_event_prob
@@ -63,6 +64,58 @@ def test_marginal_identity_and_errors(d2_table):
         d2_table.marginal(["A", "Z"])
     with pytest.raises(ModelError):
         d2_table.marginal([])
+
+
+def test_event_prob_errors_keep_their_order():
+    """Out-of-range states and unknown names raise the same ModelError
+    whether the other states are the table's own grid axes or not: the
+    first bad state in table order wins, and an unknown name wins over
+    any state."""
+    table = JointTable([Variable("A", 2), Variable("B", 3), Variable("C", 2)], np.full(12, 1 / 12))
+    own = grid(table)
+    foreign = grid(table, table.names)
+    cases = [
+        # a pinned int out of range next to own-grid axes
+        ({"A": own["A"], "B": 3, "C": own["C"]}, "state 3 out of range for variable 'B'"),
+        ({"C": own["C"], "B": -1, "A": own["A"]}, "state -1 out of range for variable 'B'"),
+        ({"A": 2, "B": own["B"], "C": 5}, "state 2 out of range for variable 'A'"),
+        ({"A": own["A"], "B": own["B"], "C": 2}, "state 2 out of range for variable 'C'"),
+        # a foreign array out of range, before and after an own axis or a pinned int
+        ({"A": np.array([0, 2]), "B": own["B"]}, "state 2 out of range for variable 'A'"),
+        ({"A": own["A"], "B": np.array([[0], [3], [4]])}, "state 3 out of range for variable 'B'"),
+        ({"A": 1, "B": foreign["B"], "C": np.array([1, -2])}, "state -2 out of range for variable 'C'"),
+        ({"A": np.array([5]), "B": 7, "C": own["C"]}, "state 5 out of range for variable 'A'"),
+        ({"A": own["B"], "B": 1}, "state 2 out of range for variable 'A'"),  # another name's axis
+        # an unknown name, before any state is checked
+        ({"Z": 0, "A": own["A"]}, "unknown variable 'Z'"),
+        ({"A": 9, "Z": own["A"]}, "unknown variable 'Z'"),
+        ({"A": own["A"], "B": np.array([9]), "Z": 0}, "unknown variable 'Z'"),
+    ]
+    for event, message in cases:
+        with pytest.raises(ModelError) as exc:
+            table.event_prob(event)
+        assert str(exc.value) == message, event
+
+
+def test_event_prob_on_own_axes_equals_the_gather():
+    """Events mixing own-grid axes, pinned ints and foreign arrays read the
+    same values as a twin table that never hands out its own grid."""
+    variables = [Variable("A", 2), Variable("B", 3), Variable("C", 2)]
+    probs = np.random.default_rng(3).uniform(size=12)
+    table, twin = JointTable(variables, probs / probs.sum()), JointTable(variables, probs / probs.sum())
+    own, foreign = grid(table), grid(twin, twin.names)
+    events = [
+        ({"A": own["A"], "B": 2, "C": own["C"]}, {"A": foreign["A"], "B": 2, "C": foreign["C"]}),
+        ({"C": own["C"], "A": 1}, {"C": foreign["C"], "A": 1}),
+        ({"A": 0, "B": 1}, {"A": 0, "B": 1}),
+        ({"A": own["A"], "B": np.array([[0], [2]])}, {"A": foreign["A"], "B": np.array([[0], [2]])}),
+        ({"B": own["A"], "C": own["C"]}, {"B": foreign["A"], "C": foreign["C"]}),
+    ]
+    for mine, theirs in events:
+        got = table.event_prob(mine)
+        want = np.broadcast_to(twin.event_prob(theirs), np.broadcast_shapes(*map(np.shape, theirs.values())))
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes(), mine
+    assert type(table.event_prob({"A": 0, "B": 1})) is type(twin.event_prob({"A": 0, "B": 1}))
 
 
 def test_marginal_sums_to_one(d3_table):

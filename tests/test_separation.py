@@ -139,6 +139,27 @@ def test_one_deviation_for_ci_and_mutual_independence(case):
     assert abs(got - want) <= max(1e-9 * max(got, want), 1e-12)
 
 
+def test_mutual_independence_of_nothing_is_a_model_error(coins_table):
+    """No groups, or groups and z that name no variable, raise ModelError;
+    an unknown or repeated name keeps its own message, checked first."""
+    cases = [
+        ([], (), "mutual independence needs at least one group"),
+        ([], ("A",), "mutual independence needs at least one group"),
+        ([()], (), "mutual independence needs at least one variable"),
+        ([(), ()], (), "mutual independence needs at least one variable"),
+        ([], ("Z",), "unknown variable 'Z'"),
+        ([()], ("A", "A"), "variable 'A' appears twice in one block"),
+        ([(), ("Z",)], (), "unknown variable 'Z'"),
+    ]
+    for groups, z, message in cases:
+        with pytest.raises(ModelError) as exc:
+            mutual_independence_deviation(coins_table, groups, z)
+        assert str(exc.value) == message, (groups, z)
+    # an empty group next to named variables is still a check
+    assert mutual_independence_deviation(coins_table, [()], ("A",)) == 0.0
+    assert mutual_independence_deviation(coins_table, [("A",), ()], ()) == 0.0
+
+
 def test_d_separation_implies_numeric_ci(student_graph):
     rng = random.Random(0)
     for seed in range(10):
