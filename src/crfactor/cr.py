@@ -254,6 +254,12 @@ def evaluate(
                 causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
     if key is None:
         return value, causes
+    return _remember(table, key, value, causes)
+
+
+def _remember(table: JointTable, key, value, causes: Sequence):
+    """Memoize a value over the table's own grid, read-only, with its causes
+    as a tuple; returns the stored pair. Terms and products are stored so."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     table._term_memo[key] = memoized = value, tuple(causes)

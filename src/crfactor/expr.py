@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ExprParseError, ModelError
-from .cr import Block, evaluate, settle, term_text
+from .cr import Block, _remember, evaluate, settle, term_text
 from .model import Assignment, JointTable
 
 FactorExpr = Union["Const", "CRTerm", "PTerm", "Product", "Sum"]
@@ -53,6 +53,7 @@ class CRTerm:
     exponent: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ModelError("a CR term needs at least one block")
         _check_exponent(self.exponent)
@@ -142,6 +143,9 @@ def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     table and are raised to their exponents. States may be arrays, such as
     ``crfactor.cr.grid(table)``, giving one value per row. An undefined row
     raises UndefinedCRError (see ``crfactor.cr.settle``).
+
+    Over ``grid(table)`` a term's or a product's value is memoized with the
+    table and returned read-only; copy it before writing into it.
     """
     with np.errstate(all="ignore"):  # an undefined or overflowing row is a cause, not a warning
         value, causes = _evaluate(expr, table, assignment)
@@ -153,14 +157,11 @@ def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
         return expr.value, []
     if isinstance(expr, Product):
         # Over the table's own grid a product is memoized like its terms (see
-        # crfactor.cr.evaluate): a read-only value and its causes as a tuple.
-        own, memo = table._grid, None
-        if own is not None and all(assignment.get(n) is axis for n, axis in own.items()):
-            memo = table._term_memo
-            try:
-                memoized = memo.get(expr)
-            except TypeError:  # an unhashable part, such as a list of blocks, is not memoized
-                memoized = memo = None
+        # crfactor.cr.evaluate).
+        own = table._grid
+        memoize = own is not None and all(assignment.get(n) is axis for n, axis in own.items())
+        if memoize:
+            memoized = table._term_memo.get(expr)
             if memoized is not None:
                 return memoized
         out, causes = 1.0, []
@@ -168,12 +169,7 @@ def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
             value, more = _evaluate(child, table, assignment)
             out = out * value
             causes += more
-        if memo is None:
-            return out, causes
-        if isinstance(out, np.ndarray):
-            out.setflags(write=False)
-        memo[expr] = memoized = out, tuple(causes)
-        return memoized
+        return _remember(table, expr, out, causes) if memoize else (out, causes)
     if isinstance(expr, Sum):
         total, causes = 0.0, []
         inner = dict(assignment)

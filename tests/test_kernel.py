@@ -521,16 +521,19 @@ def test_memo_hit_raises_the_same_error():
     assert len(table._term_memo) == 3 and twin._term_memo == {}  # two terms and their product
 
 
-def test_product_with_an_unhashable_term_is_evaluated_afresh():
-    """A CR term built with a list of blocks cannot key the memo: its
-    product is evaluated as any other, and only its terms are memoized."""
+def test_cr_term_built_with_a_list_of_blocks_hits_the_memo():
+    """A CR term keeps its blocks as a tuple, so one built with a list
+    equals its tuple form and its product keys the memo as any other."""
     table = random_joint_table(NAMES, seed=11)
     twin = JointTable(table.variables, table.probs)
     listed = Product((CRTerm([block("A"), block("B")]), PTerm(block("C"), exponent=-1)))
-    want = outcome(product_of([CRTerm((block("A"), block("B"))), PTerm(block("C"), exponent=-1)]), twin, grid(twin, NAMES))
+    tupled = product_of([CRTerm((block("A"), block("B"))), PTerm(block("C"), exponent=-1)])
+    assert listed == tupled and hash(listed) == hash(tupled)
+    want = outcome(tupled, twin, grid(twin, NAMES))
     assert outcome(listed, table, grid(table)) == want
-    assert outcome(listed, table, grid(table)) == want
-    assert len(table._term_memo) == 2
+    assert listed in table._term_memo and len(table._term_memo) == 3
+    assert outcome(tupled, table, grid(table)) == want
+    assert len(table._term_memo) == 3
 
 
 def test_memo_values_and_grid_axes_are_read_only():
