@@ -70,7 +70,7 @@ class Block:
 
     @property
     def vars(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.members)
+        return tuple([name for name, _ in self.members])
 
     @property
     def free_vars(self) -> tuple[str, ...]:
@@ -78,7 +78,7 @@ class Block:
 
     def restrict(self, names: Iterable[str]) -> "Block":
         keep = set(names)
-        return Block._of(tuple(m for m in self.members if m[0] in keep))
+        return Block._of(tuple([m for m in self.members if m[0] in keep]))
 
     def __eq__(self, other):
         return isinstance(other, Block) and self.members == other.members

@@ -83,11 +83,11 @@ class JointTable:
     """
 
     def __init__(self, variables: Iterable[Variable], probs):
-        self.variables = tuple(variables)
-        if not self.variables:
+        variables = tuple(variables)
+        if not variables:
             raise ModelError("a joint table needs at least one variable")
-        _check_unique_names([v.name for v in self.variables], "variable")
-        shape = tuple(v.cardinality for v in self.variables)
+        _check_unique_names([v.name for v in variables], "variable")
+        shape = tuple(v.cardinality for v in variables)
         arr = np.asarray(probs, dtype=float)
         if arr.shape != shape:
             try:
@@ -99,8 +99,20 @@ class JointTable:
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ModelError(f"probabilities sum to {total!r}, not 1")
-        arr = arr.copy()
+        self._fill(variables, arr.copy())
+
+    @classmethod
+    def _of(cls, variables: tuple[Variable, ...], arr: np.ndarray) -> "JointTable":
+        """A table over distinct variables from an array of their shape that
+        the caller owns and has already checked: finite, non-negative and
+        summing to one within SUM_TOL. Nothing is checked again."""
+        table = object.__new__(cls)
+        table._fill(variables, arr)
+        return table
+
+    def _fill(self, variables: tuple[Variable, ...], arr: np.ndarray) -> None:
         arr.setflags(write=False)
+        self.variables = variables
         self.probs = arr
         self.strictly_positive = bool(np.all(arr > 0))
         self._axis = {v.name: i for i, v in enumerate(self.variables)}
@@ -439,7 +451,21 @@ class CPT:
         bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-9
         if bad.any():
             raise ModelError(f"CPT for {self.node!r}: row {int(np.flatnonzero(bad)[0])} does not sum to 1")
-        object.__setattr__(self, "probs", arr / arr.sum(axis=-1, keepdims=True))
+        object.__setattr__(self, "probs", _normalized(arr))
+
+    @classmethod
+    def _of(cls, node: str, parents: tuple[str, ...], probs: np.ndarray) -> "CPT":
+        """A CPT from a float array whose entries and row sums the caller
+        has already checked; only the exact row normalization is done."""
+        cpt = object.__new__(cls)
+        object.__setattr__(cpt, "node", node)
+        object.__setattr__(cpt, "parents", parents)
+        object.__setattr__(cpt, "probs", _normalized(probs))
+        return cpt
+
+
+def _normalized(arr: np.ndarray) -> np.ndarray:
+    return arr / arr.sum(axis=-1, keepdims=True)
 
 
 def build_joint_from_cpts(
@@ -451,10 +477,7 @@ def build_joint_from_cpts(
     var_by_name = {v.name: v for v in variables}
     if set(var_by_name) != set(dag.nodes):
         raise ModelError("variables do not match graph nodes")
-    names = tuple(v.name for v in variables)
-    shape = tuple(v.cardinality for v in variables)
-    _check_cells(shape)
-    arr = np.ones(shape)
+    _check_cells(tuple(v.cardinality for v in variables))
     for node in dag.nodes:
         cpt = cpts.get(node)
         if cpt is None:
@@ -463,12 +486,24 @@ def build_joint_from_cpts(
             raise ModelError(
                 f"CPT scope mismatch for {node!r}: parents {cpt.parents!r} vs graph {dag.parents(node)!r}"
             )
-        scope = tuple(cpt.parents) + (node,)
-        expected = tuple(var_by_name[n].cardinality for n in scope)
+        expected = tuple(var_by_name[n].cardinality for n in (*cpt.parents, node))
         if cpt.probs.shape != expected:
             raise ModelError(f"CPT for {node!r} has shape {cpt.probs.shape}, expected {expected}")
-        arr = arr * _broadcast(cpt.probs, scope, names)
-    return JointTable(variables, arr)
+    return JointTable(variables, _cpt_product(dag, cpts, variables))
+
+
+def _cpt_product(dag: ModelGraph, cpts: Mapping[str, CPT], variables: Sequence[Variable]) -> np.ndarray:
+    """The product of the CPTs in graph node order, over the variables'
+    axes: a new array, its size checked before it is allocated. The CPTs
+    must match the graph and the variables (build_joint_from_cpts checks)."""
+    names = tuple(v.name for v in variables)
+    shape = tuple(v.cardinality for v in variables)
+    _check_cells(shape)
+    arr = np.ones(shape)
+    for node in dag.nodes:
+        cpt = cpts[node]
+        arr *= _broadcast(cpt.probs, (*cpt.parents, node), names)
+    return arr
 
 
 class GibbsModel:

@@ -24,10 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Iterator
-
 import numpy as np
 
 from .errors import ModelError, ModelParseError, PreconditionError
@@ -38,6 +35,7 @@ from .model import (
     ModelGraph,
     Variable,
     _check_cells,
+    _cpt_product,
     build_joint_from_cpts,
 )
 
@@ -57,6 +55,7 @@ class ParsedModel:
 
     def __post_init__(self):
         self._joint: JointTable | None = None
+        self._parsed = False  # set by parse_model, whose rows are checked once
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -81,22 +80,24 @@ class ParsedModel:
         return GibbsModel(self.variables, self.graph, merged)
 
     def joint(self) -> JointTable:
-        """Materialize the joint table (cached)."""
+        """Materialize the joint table (cached). The table of a model from
+        parse_model is built from its checked rows without checking them
+        again; any other model goes through the public constructors."""
         if self._joint is None:
             if self.kind == "joint":
-                self._joint = JointTable(self.variables, self.joint_probs)
+                if self._parsed:
+                    self._joint = JointTable._of(self.variables, self.joint_probs.copy())
+                else:
+                    self._joint = JointTable(self.variables, self.joint_probs)
             elif self.kind == "cpt":
-                self._joint = build_joint_from_cpts(self.graph, self.cpts, self.variables)
+                if self._parsed:
+                    probs = _cpt_product(self.graph, self.cpts, self.variables)
+                    self._joint = JointTable._of(self.variables, probs)
+                else:
+                    self._joint = build_joint_from_cpts(self.graph, self.cpts, self.variables)
             else:
                 self._joint = self.gibbs().to_joint()
         return self._joint
-
-
-def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -215,33 +216,16 @@ class _Builder:
         self.blocks.append((kind, scope, tuple(map(self.card, scope)), lineno, {}))
 
     def row(self, lineno: int, tokens: list[str]) -> None:
+        """A row that parse_model's one-pass test did not take, checked
+        token by token: stored, or refused at its first fault."""
         if not self.blocks:
             if not tokens[0].lstrip("-").isdigit():
                 raise ModelParseError(f"unknown directive {tokens[0]!r}", lineno)
             raise ModelParseError("data row outside a distribution block", lineno)
-        kind, scope, cards, _, rows = self.blocks[-1]
-        try:
-            states, value = tuple(map(int, tokens[:-1])), float(tokens[-1])
-        except ValueError:
-            pass
-        else:
-            if (
-                len(states) == len(cards)
-                and min(states) >= 0
-                and all(map(operator.lt, states, cards))
-                and ((0.0 < value < math.inf) if kind == "potential" else (0.0 <= value <= 1.0 + 1e-9))
-                and states not in rows
-            ):
-                rows[states] = value
-                return
-        self.checked_row(lineno, tokens, kind, scope, rows)
-
-    def checked_row(self, lineno: int, tokens: list[str], kind: str, scope: tuple[str, ...], rows: dict) -> None:
-        """A row checked token by token, raising at its first fault; `row`
-        takes this path only for rows that fail its one-pass test."""
-        what = f"cpt row for {scope[-1]!r}" if kind == "cpt" else f"{kind} row"
+        kind, scope, _, _, rows = self.blocks[-1]
         noun = "weight" if kind == "potential" else "probability"
         if len(tokens) != len(scope) + 1:
+            what = f"cpt row for {scope[-1]!r}" if kind == "cpt" else f"{kind} row"
             raise ModelParseError(f"{what} needs {len(scope)} states and a {noun}", lineno)
         states = []
         for token, name in zip(tokens, scope):
@@ -302,7 +286,7 @@ class _Builder:
                         f"sum to {float(sums[bad[0]])!r}, not 1",
                         lineno,
                     )
-                arr = CPT(scope[-1], scope[:-1], arr)  # CPT normalizes the rows exactly
+                arr = CPT._of(scope[-1], scope[:-1], arr)  # normalizes the rows exactly
             else:
                 if len(rows) != arr.size:
                     raise ModelParseError(
@@ -315,21 +299,49 @@ class _Builder:
 
         head = (kind, tuple(self.variables), graph, self.defaults)
         if kind == "joint":
-            return ParsedModel(*head, joint_probs=tables[0][1])
-        if kind == "cpt":
-            return ParsedModel(*head, cpts={scope[-1]: cpt for scope, cpt in tables})
-        return ParsedModel(*head, potentials=tables)
+            model = ParsedModel(*head, joint_probs=tables[0][1])
+        elif kind == "cpt":
+            model = ParsedModel(*head, cpts={scope[-1]: cpt for scope, cpt in tables})
+        else:
+            model = ParsedModel(*head, potentials=tables)
+        model._parsed = True
+        return model
+
+
+_KEYWORDS = frozenset({"graph", "var", "edge", "default", "joint", "cpt", "potential"})
+# The single-digit states of a variable by its cardinality (all of them up
+# to 10), spelt the usual way; _Builder.row reads any other spelling with int().
+_STATE_TOKENS = [{str(s): s for s in range(min(card, 10))} for card in range(11)]
 
 
 def parse_model(text: str) -> ParsedModel:
-    """Parse and validate a model file."""
+    """Parse and validate a model file, one line at a time. A row of
+    single-digit states in range, a value in range and no repeat is taken
+    here; `_Builder.row` takes any other row."""
     builder = _Builder()
-    keywords = {"graph", "var", "edge", "default", "joint", "cpt", "potential"}
-    for lineno, tokens in _content_lines(text):
-        if tokens[0] in keywords:
+    rows = None  # the open block's rows; with its width, state tokens per column and kind
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] in _KEYWORDS:
             builder.directive(lineno, tokens)
-        else:
-            builder.row(lineno, tokens)
+            if builder.blocks:
+                kind, _, cards, _, rows = builder.blocks[-1]
+                width, potential = len(cards) + 1, kind == "potential"
+                columns = [_STATE_TOKENS[min(card, 10)] for card in cards]
+            continue
+        if rows is not None and len(tokens) == width:
+            try:  # map stops at the last column, before the value
+                states, value = tuple(map(dict.__getitem__, columns, tokens)), float(tokens[-1])
+            except (KeyError, ValueError):
+                pass
+            else:
+                in_range = (0.0 < value < math.inf) if potential else (0.0 <= value <= 1.0 + 1e-9)
+                if in_range and states not in rows:
+                    rows[states] = value
+                    continue
+        builder.row(lineno, tokens)
     return builder.finish()
 
 

@@ -38,13 +38,28 @@ from .model import JointTable, ModelGraph, REL_TOL, _check_tol
 from .separation import CIQuery, mutual_independence_deviation, separated
 
 
-# The JSON value of each param kind (`type(v) is int` keeps bools out).
-_KINDS = {
-    "int": lambda v: type(v) is int,
-    "int list": lambda v: isinstance(v, (list, tuple)) and all([type(i) is int for i in v]),
-    "name": lambda v: type(v) is str and v.isidentifier(),
-    "name list": lambda v: isinstance(v, (list, tuple)) and all([type(n) is str and n.isidentifier() for n in v]),
-}
+_INT, _STR = frozenset({int}), frozenset({str})
+
+
+def _ints(value) -> bool:
+    """Whether a JSON value is a list of ints (of type int exactly, so no bool)."""
+    return isinstance(value, (list, tuple)) and _INT.issuperset(map(type, value))
+
+
+def _names(value) -> bool:
+    """Whether a JSON value is a list of identifiers (of type str exactly)."""
+    return (
+        isinstance(value, (list, tuple)) and _STR.issuperset(map(type, value)) and all(map(str.isidentifier, value))
+    )
+
+
+def _of_kind(value, kind: str) -> bool:
+    """Whether a JSON value has a param kind of `RULES`."""
+    if kind == "int":
+        return type(value) is int
+    if kind == "name":
+        return type(value) is str and value.isidentifier()
+    return _ints(value) if kind == "int list" else _names(value)
 
 
 # rule -> ({recorded param: kind}, consumes a certificate). The params are
@@ -155,12 +170,12 @@ def get_node(root: FactorExpr, path: Sequence[int]) -> FactorExpr:
 
 def _splice(node: FactorExpr, path: Sequence[int], replacement: Sequence[FactorExpr]) -> FactorExpr:
     """Replace the node at `path`, already resolved by _target_cr, with the
-    given factors, dropping literal ones. Inside a product the factors are
-    spliced in place (later siblings shift, order is preserved); elsewhere
-    they are wrapped as needed."""
+    given CR, P and Sum factors (no literal: a rule that leaves 1 gives no
+    factor). Inside a product the factors are spliced in place (later
+    siblings shift, order is preserved); elsewhere they are wrapped as
+    needed."""
     if not path:
-        factors = [r for r in replacement if r != ONE]
-        return Product(tuple(factors)) if len(factors) > 1 else factors[0] if factors else ONE
+        return Product(tuple(replacement)) if len(replacement) > 1 else replacement[0] if replacement else ONE
     head, rest = path[0], path[1:]
     if isinstance(node, Sum):
         return Sum(node.over, _splice(node.child, rest, replacement))
@@ -168,7 +183,7 @@ def _splice(node: FactorExpr, path: Sequence[int], replacement: Sequence[FactorE
     if rest:
         kids[head] = _splice(kids[head], rest, replacement)
     else:
-        kids[head : head + 1] = [r for r in replacement if r != ONE]
+        kids[head : head + 1] = replacement
     return Product(tuple(kids))
 
 
@@ -182,9 +197,9 @@ def _target_cr(root: FactorExpr, path: Sequence[int]) -> CRTerm:
 
 
 def _merge_blocks(blocks: Iterable[Block]) -> Block:
-    members = tuple(m for b in blocks for m in b.members)
-    twice = _repeated(name for name, _ in members)
-    if twice is not None:
+    members = tuple([m for b in blocks for m in b.members])
+    if len({name for name, _ in members}) < len(members):
+        twice = _repeated(name for name, _ in members)
         raise RewriteError(f"cannot merge blocks: variable {twice!r} appears twice in one block")
     return Block._of(members)
 
@@ -224,8 +239,8 @@ def apply_bipartition(
     n = len(term.blocks)
     if sorted(left + right) != list(range(n)) or not left or not right:
         raise RewriteError("left/right must split the term's block indices into two non-empty parts")
-    lblocks = tuple(term.blocks[i] for i in left)
-    rblocks = tuple(term.blocks[i] for i in right)
+    lblocks = tuple(map(term.blocks.__getitem__, left))
+    rblocks = tuple(map(term.blocks.__getitem__, right))
     cut = CRTerm((_merge_blocks(lblocks), _merge_blocks(rblocks)), term.condition)
     replacement = [
         CRTerm(lblocks, term.condition),
@@ -331,7 +346,8 @@ def apply_ci_reduce(
     w = tuple(w)
     if not w or not y:
         raise RewriteError("ci_reduce needs non-empty y and w variable sets")
-    if set(y) | set(w) != set(other.vars) or set(y) & set(w):
+    sy, sw = set(y), set(w)
+    if sy | sw != set(other.vars) or sy & sw:
         raise RewriteError("y and w must partition the reduced block's variables")
     cert = Certificate(cert_kind, x=kept.vars, y=y, z=w + _cond_vars(term))
     result = CRTerm((kept, other.restrict(w)), term.condition)
@@ -367,7 +383,8 @@ def apply_ci_split(
     y = tuple(y)
     if not x or not y:
         raise RewriteError("ci_split needs non-empty x and y variable sets")
-    if set(x) | set(y) != set(xy.vars) or set(x) & set(y):
+    sx, sy = set(x), set(y)
+    if sx | sy != set(xy.vars) or sx & sy:
         raise RewriteError("x and y must partition the grouped block's variables")
     cert = Certificate(cert_kind, x=x, y=y, z=w_block.vars + _cond_vars(term))
     xb = xy.restrict(x)
@@ -439,9 +456,10 @@ def replay_step(
 ) -> FactorExpr:
     """Apply one recorded step: apply_<rule> with the recorded params, which
     must derive the recorded certificate."""
-    kwargs, cert = dict(step.params), step.certificate
+    kwargs, cert = step.params, step.certificate
     if _rule(step.rule)[1]:  # with no recorded certificate, the mismatch below reports it
-        kwargs.update(cert_kind=getattr(cert, "kind", "graph"), ctx=ctx, validate=validate and cert is not None)
+        kind = getattr(cert, "kind", "graph")
+        kwargs = {**kwargs, "cert_kind": kind, "ctx": ctx, "validate": validate and cert is not None}
     # Looked up at call time, so that wrappers of the module attribute see replays.
     new_root, derived = globals()[f"apply_{step.rule}"](root, step.path, **kwargs)
     if derived.certificate != cert:
@@ -513,21 +531,21 @@ def step_from_dict(data: dict) -> TraceStep:
     if cert is not None:
         if not isinstance(cert, dict):
             raise RewriteError(f"certificate must be an object, got {cert!r}")
-        *fields, groups = (cert.get(f, ()) for f in ("x", "y", "z", "groups"))
-        if not isinstance(groups, (list, tuple)) or not all(map(_KINDS["name list"], [*fields, *groups])):
+        x, y, z, groups = cert.get("x", ()), cert.get("y", ()), cert.get("z", ()), cert.get("groups", ())
+        if not isinstance(groups, (list, tuple)) or not all(map(_names, (x, y, z, *groups))):
             raise RewriteError(f"certificate x, y, z and each group must be name lists, got {cert!r}")
-        cert = Certificate(cert.get("kind", "graph"), *fields, groups)
+        cert = Certificate(cert.get("kind", "graph"), x, y, z, groups)
     try:
         rule, path, params = data["rule"], data["path"], data.get("params", {})
     except KeyError as exc:
         raise RewriteError(f"trace step is missing field {exc}") from None
     kinds = _rule(rule)[0]
-    if not _KINDS["int list"](path):
+    if not _ints(path):
         raise RewriteError(f"path must be a list of child positions, got {path!r}")
     if not isinstance(params, dict) or params.keys() != kinds.keys():
         raise RewriteError(f"{rule} takes params {list(kinds)}, got {params!r}")
     for name, kind in kinds.items():
-        if not _KINDS[kind](value := params[name]):
+        if not _of_kind(value := params[name], kind):
             raise RewriteError(f"{rule} param {name!r} must have kind {kind!r}, got {value!r}")
     return TraceStep(rule, tuple(path), dict(params), cert)
 

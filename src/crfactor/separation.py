@@ -43,66 +43,72 @@ class CIQuery:
 def d_separated(dag: ModelGraph, query: CIQuery) -> bool:
     """Whether every path between x and y is blocked given z, by the
     linear-time reachability method (chain/fork nodes block when observed,
-    colliders block unless they have an observed descendant)."""
+    colliders block unless they have an observed descendant). The query's
+    names are checked once; the walk reads the graph's own parent and child
+    lists."""
     if dag.kind != "directed":
         raise ModelError("d-separation requires a directed graph")
     for n in query.x + query.y + query.z:
         dag.declaration_index(n)
+    parents, children = dag._parents, dag._children
     z = set(query.z)
 
     # z and all ancestors of z: colliders in this set can pass the ball.
     anc_z = set(z)
     frontier = list(z)
     while frontier:
-        n = frontier.pop()
-        for p in dag.parents(n):
+        for p in parents[frontier.pop()]:
             if p not in anc_z:
                 anc_z.add(p)
                 frontier.append(p)
 
     y = set(query.y)
-    # Walk (node, direction) states; "up" means the edge into the node was
-    # traversed child->parent, "down" means parent->child.
-    visited: set[tuple[str, str]] = set()
-    frontier2 = [(n, "up") for n in query.x]
+    # Walk the ball: a node entered from a child (each node of x to start
+    # with) passes to its parents and children, one entered from a parent
+    # passes to its children; an observed node passes neither, and one in
+    # anc_z entered from a parent bounces back to its parents.
+    up: set[str] = set()
+    down: set[str] = set()
+    frontier2 = [(n, True) for n in query.x]
     while frontier2:
-        node, direction = frontier2.pop()
-        if (node, direction) in visited:
+        node, from_child = frontier2.pop()
+        seen = up if from_child else down
+        if node in seen:
             continue
-        visited.add((node, direction))
-        if node not in z and node in y:
-            return False
-        if direction == "up" and node not in z:
-            for p in dag.parents(node):
-                frontier2.append((p, "up"))
-            for c in dag.children(node):
-                frontier2.append((c, "down"))
-        elif direction == "down":
-            if node not in z:
-                for c in dag.children(node):
-                    frontier2.append((c, "down"))
-            if node in anc_z:
-                for p in dag.parents(node):
-                    frontier2.append((p, "up"))
+        seen.add(node)
+        if node not in z:
+            if node in y:
+                return False
+            if from_child:
+                for p in parents[node]:
+                    frontier2.append((p, True))
+            for c in children[node]:
+                frontier2.append((c, False))
+        if not from_child and node in anc_z:
+            for p in parents[node]:
+                frontier2.append((p, True))
     return True
 
 
 def u_separated(graph: ModelGraph, query: CIQuery) -> bool:
-    """Whether removing z disconnects x from y in an undirected graph."""
+    """Whether removing z disconnects x from y in an undirected graph. The
+    query's names are checked once; the walk reads the graph's own
+    neighbour lists."""
     if graph.kind != "undirected":
         raise ModelError("vertex separation requires an undirected graph")
     for n in query.x + query.y + query.z:
         graph.declaration_index(n)
-    z = set(query.z)
+    adj = graph._adj
     y = set(query.y)
     seen = set(query.x)
-    frontier = list(seen)
+    seen.update(query.z)  # z is never entered
+    frontier = list(query.x)
     while frontier:
         n = frontier.pop()
         if n in y:
             return False
-        for m in graph.neighbors(n):
-            if m not in z and m not in seen:
+        for m in adj[n]:
+            if m not in seen:
                 seen.add(m)
                 frontier.append(m)
     return True

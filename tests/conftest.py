@@ -47,6 +47,39 @@ def oracle_cr(probs, names, block_events: list[dict[str, int]]) -> float:
     return oracle_event_prob(probs, names, union) / denom
 
 
+def oracle_d_separated(nodes, edges, x, y, z) -> bool:
+    """d-separation by the moralized ancestral graph (Lauritzen et al. 1990):
+    keep x, y, z and their ancestors, marry the parents of each kept node,
+    drop directions and z; x and y are separated iff no path joins them.
+    `edges` are (parent, child) pairs over `nodes`."""
+    parents = {n: {a for a, b in edges if b == n} for n in nodes}
+    keep, stack = set(x) | set(y) | set(z), list(set(x) | set(y) | set(z))
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in keep:
+                keep.add(p)
+                stack.append(p)
+    moral = {(a, b) for a, b in edges if b in keep}
+    for n in keep:
+        moral |= set(itertools.combinations(sorted(parents[n]), 2))
+    return oracle_u_separated(keep, moral, x, y, z)
+
+
+def oracle_u_separated(nodes, edges, x, y, z) -> bool:
+    """Vertex separation: no path from x to y avoids z. `edges` are
+    unordered pairs over `nodes`."""
+    adj = {n: set() for n in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = set(x), list(x)
+    while stack:
+        for m in adj[stack.pop()] - set(z) - seen:
+            seen.add(m)
+            stack.append(m)
+    return not seen & set(y)
+
+
 # ---------------------------------------------------------------------------
 # Two-variable table with attraction on the diagonal.
 

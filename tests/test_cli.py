@@ -245,6 +245,20 @@ def test_verify_reports_overflow_with_term_and_assignment(tmp_path, capsys):
     assert err == "error: CR(A,B)^99999 overflows (at assignment {'A': 0, 'B': 0})\n"
 
 
+def test_verify_fails_a_relative_error_past_the_float_range(tmp_path, capsys):
+    """P(a=0 b=0)^-773 is finite (about 4e307) at a=0, b=0, but its error
+    over P there leaves the float range: max_rel_err is inf, a FAIL with no
+    numpy warning (Tier-1 turns RuntimeWarning into an error)."""
+    expr_file = tmp_path / "huge.txt"
+    expr_file.write_text("P(a=0 b=0)^-773\n")
+    code, out, err = run(capsys, "verify", "--model", str(DATA / "path3_gibbs.model"), "--expr", str(expr_file))
+    assert code == EXIT_VERIFICATION
+    assert out == (
+        "verification: FAIL  assignments=8  max_rel_err=inf  max_abs_err=4.052e+307  worst=a=0,b=0,c=0\n"
+    )
+    assert err == ""
+
+
 def test_verify_pass_and_fail(capsys):
     code, out, _ = run(
         capsys,

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfactor import ModelParseError, PreconditionError, parse_model, render_model
+from crfactor import (
+    CPT,
+    JointTable,
+    ModelParseError,
+    PreconditionError,
+    build_joint_from_cpts,
+    parse_model,
+    render_model,
+)
+from crfactor.randgen import random_joint_table, random_model
 
 from conftest import DATA
 
@@ -189,6 +198,55 @@ def test_render_round_trip(name):
     assert np.allclose(again.joint().probs, model.joint().probs, rtol=1e-12, atol=1e-15)
     # canonical text is a fixed point
     assert render_model(again) == text
+
+
+def _block_rows(text: str) -> dict[str, list[tuple[tuple[int, ...], float]]]:
+    """The rows of each block of a rendered model file, by block header."""
+    blocks: dict[str, list] = {}
+    for line in text.splitlines():
+        head, *rest = line.split()
+        if head in ("joint", "cpt"):
+            rows = blocks.setdefault(line, [])
+        elif head[0].isdigit() and blocks:
+            *states, value = line.split()
+            rows.append((tuple(map(int, states)), float(value)))
+    return blocks
+
+
+@pytest.mark.parametrize("spec, card", [("dag:8:0.4", 2), ("dag:10:0.3", 2), ("student", 3), ("dag:7:0.5", 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parsed_cpt_model_matches_the_public_constructors(spec, card, seed):
+    """The parser builds CPTs and the joint without checking its rows again;
+    the bits equal what the public constructors build from the same rows."""
+    text = render_model(random_model("bn", spec, seed, card))
+    model = parse_model(text)
+    cpts = {}
+    for header, rows in _block_rows(text).items():
+        node = header.split()[1]
+        parents = model.graph.parents(node)
+        arr = np.zeros([card] * (len(parents) + 1))
+        for states, value in rows:
+            arr[states] = value
+        cpts[node] = CPT(node, parents, arr)
+        assert model.cpts[node].parents == parents
+        assert model.cpts[node].probs.tobytes() == cpts[node].probs.tobytes()
+    public = build_joint_from_cpts(model.graph, cpts, model.variables)
+    joint = model.joint()
+    assert joint.probs.tobytes() == public.probs.tobytes()
+    assert joint.strictly_positive == public.strictly_positive
+    assert not joint.probs.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parsed_joint_model_matches_the_public_constructor(seed):
+    table = random_joint_table(["a", "b", "c"], seed, 3)
+    text = "graph undirected\nvar a 3\nvar b 3\nvar c 3\njoint\n" + "".join(
+        " ".join(map(str, states)) + f" {float(p)!r}\n" for states, p in np.ndenumerate(table.probs)
+    )
+    model = parse_model(text)
+    public = JointTable(model.variables, model.joint_probs)
+    assert model.joint().probs.tobytes() == public.probs.tobytes()
+    assert model.joint_probs.flags.writeable  # the table holds its own copy
 
 
 def test_repeated_potential_scopes_multiply():

@@ -26,7 +26,7 @@ from crfactor.model import REL_TOL
 from crfactor.rewrites import Certificate, Context, validate_certificate
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 
-from conftest import oracle_event_prob, student_table
+from conftest import oracle_d_separated, oracle_event_prob, oracle_u_separated, student_table
 
 
 def test_ci_query_validation():
@@ -77,6 +77,38 @@ def test_u_separation_examples(fig4_graph):
     assert u_separated(cyc, CIQuery(("a",), ("c",), ("b", "d")))
     assert u_separated(fig4_graph, CIQuery(("A",), ("D",), ("B", "C")))
     assert not u_separated(fig4_graph, CIQuery(("A",), ("D",), ("B",)))
+
+
+@st.composite
+def _graph_and_queries(draw, kind):
+    """A graph of 2-8 nodes (a DAG: edges run forward in a drawn order) and
+    1-8 queries, each with disjoint non-empty x and y and a possibly empty z."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
+    pairs = list(itertools.combinations(draw(st.permutations(nodes)), 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        shuffled = draw(st.permutations(nodes))
+        roles = "xy" + draw(st.text("xyz-", min_size=len(nodes) - 2, max_size=len(nodes) - 2))
+        queries.append(tuple(tuple(n for n, role in zip(shuffled, roles) if role == r) for r in "xyz"))
+    return ModelGraph(kind, nodes, edges), edges, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_queries("directed"))
+def test_d_separation_matches_moralized_ancestral_graph(case):
+    dag, edges, queries = case
+    for x, y, z in queries:
+        assert d_separated(dag, CIQuery(x, y, z)) == oracle_d_separated(dag.nodes, edges, x, y, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_queries("undirected"))
+def test_u_separation_matches_reachability(case):
+    graph, edges, queries = case
+    for x, y, z in queries:
+        assert u_separated(graph, CIQuery(x, y, z)) == oracle_u_separated(graph.nodes, edges, x, y, z)
 
 
 def test_numeric_ci_examples(coins_table, d2_table, d3_table):
