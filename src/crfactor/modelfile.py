@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import ModelError, ModelParseError, PreconditionError

@@ -41,37 +41,27 @@ class CIQuery:
 
 
 def d_separated(dag: ModelGraph, query: CIQuery) -> bool:
-    """Whether every path between x and y is blocked given z, by the
-    linear-time reachability method (chain/fork nodes block when observed,
-    colliders block unless they have an observed descendant). The query's
-    names are checked once; the walk reads the graph's own parent and child
-    lists."""
+    """Whether every path between x and y is blocked given z, by Bayes-Ball
+    (Shachter 1998): chain and fork nodes block when observed, and a
+    collider passes the ball only when it or a descendant is observed. The
+    query's names are checked once; the walk reads the graph's own parent
+    and child lists."""
     if dag.kind != "directed":
         raise ModelError("d-separation requires a directed graph")
     for n in query.x + query.y + query.z:
         dag.declaration_index(n)
     parents, children = dag._parents, dag._children
-    z = set(query.z)
-
-    # z and all ancestors of z: colliders in this set can pass the ball.
-    anc_z = set(z)
-    frontier = list(z)
-    while frontier:
-        for p in parents[frontier.pop()]:
-            if p not in anc_z:
-                anc_z.add(p)
-                frontier.append(p)
-
-    y = set(query.y)
-    # Walk the ball: a node entered from a child (each node of x to start
-    # with) passes to its parents and children, one entered from a parent
-    # passes to its children; an observed node passes neither, and one in
-    # anc_z entered from a parent bounces back to its parents.
+    z, y = set(query.z), set(query.y)
+    # An unobserved node entered from a child (each node of x to start with)
+    # passes the ball to its parents and children, one entered from a parent
+    # to its children. An observed node entered from a parent bounces it
+    # back to its parents, which opens every collider above it; entered
+    # from a child, it blocks.
     up: set[str] = set()
     down: set[str] = set()
-    frontier2 = [(n, True) for n in query.x]
-    while frontier2:
-        node, from_child = frontier2.pop()
+    balls = [(n, True) for n in query.x]
+    while balls:
+        node, from_child = balls.pop()
         seen = up if from_child else down
         if node in seen:
             continue
@@ -81,12 +71,12 @@ def d_separated(dag: ModelGraph, query: CIQuery) -> bool:
                 return False
             if from_child:
                 for p in parents[node]:
-                    frontier2.append((p, True))
+                    balls.append((p, True))
             for c in children[node]:
-                frontier2.append((c, False))
-        if not from_child and node in anc_z:
+                balls.append((c, False))
+        elif not from_child:
             for p in parents[node]:
-                frontier2.append((p, True))
+                balls.append((p, True))
     return True
 
 

@@ -204,12 +204,11 @@ def _block_rows(text: str) -> dict[str, list[tuple[tuple[int, ...], float]]]:
     """The rows of each block of a rendered model file, by block header."""
     blocks: dict[str, list] = {}
     for line in text.splitlines():
-        head, *rest = line.split()
-        if head in ("joint", "cpt"):
+        tokens = line.split()
+        if tokens[0] in ("joint", "cpt"):
             rows = blocks.setdefault(line, [])
-        elif head[0].isdigit() and blocks:
-            *states, value = line.split()
-            rows.append((tuple(map(int, states)), float(value)))
+        elif tokens[0].isdigit() and blocks:
+            rows.append((tuple(map(int, tokens[:-1])), float(tokens[-1])))
     return blocks
 
 
