@@ -12,10 +12,7 @@ from .cr import (
     Block,
     block,
     conditional_cr_value,
-    conditional_prob,
     cr_value,
-    marginal_cr_check,
-    reconstruct_joint,
 )
 from .errors import (
     CertificateError,
@@ -34,11 +31,8 @@ from .expr import (
     PTerm,
     Product,
     Sum,
-    cr_term,
     eval_expr,
     expr_variables,
-    free_variables,
-    p_term,
     parse_expr,
     product_of,
     render,
@@ -64,7 +58,6 @@ from .model import (
     Variable,
     build_clique_graph,
     build_joint_from_cpts,
-    close,
 )
 from .modelfile import ParsedModel, parse_model, render_model
 from .rewrites import (
@@ -94,7 +87,6 @@ from .separation import (
     mutual_independence_deviation,
     separated,
     u_separated,
-    unconnected_nodes_check,
 )
 
 __version__ = "0.1.0"
@@ -104,10 +96,7 @@ __all__ = [
     "Block",
     "block",
     "conditional_cr_value",
-    "conditional_prob",
     "cr_value",
-    "marginal_cr_check",
-    "reconstruct_joint",
     # errors
     "CertificateError",
     "CRFactorError",
@@ -124,11 +113,8 @@ __all__ = [
     "PTerm",
     "Product",
     "Sum",
-    "cr_term",
     "eval_expr",
     "expr_variables",
-    "free_variables",
-    "p_term",
     "parse_expr",
     "product_of",
     "render",
@@ -152,7 +138,6 @@ __all__ = [
     "Variable",
     "build_clique_graph",
     "build_joint_from_cpts",
-    "close",
     # modelfile
     "ParsedModel",
     "parse_model",
@@ -183,5 +168,4 @@ __all__ = [
     "mutual_independence_deviation",
     "separated",
     "u_separated",
-    "unconnected_nodes_check",
 ]

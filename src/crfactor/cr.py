@@ -72,10 +72,6 @@ class Block:
     def vars(self) -> tuple[str, ...]:
         return tuple([name for name, _ in self.members])
 
-    @property
-    def free_vars(self) -> tuple[str, ...]:
-        return tuple(name for name, state in self.members if state is None)
-
     def restrict(self, names: Iterable[str]) -> "Block":
         keep = set(names)
         return Block._of(tuple([m for m in self.members if m[0] in keep]))
@@ -307,44 +303,3 @@ def conditional_cr_value(
     is zero.
     """
     return settle(*evaluate(table, "CR", blocks, cond, assignment), assignment)
-
-
-def conditional_prob(table: JointTable, target: Block, given: Block | None, assignment: Assignment) -> float:
-    """P(target | given) for block events at an assignment. Raises
-    UndefinedCRError when P(given) = 0; a target contradicting the
-    conditioning event has conditional probability 0."""
-    return settle(*evaluate(table, "P", (target,), given, assignment), assignment)
-
-
-def reconstruct_joint(table: JointTable, blocks: BlockList, assignment: Assignment) -> float:
-    """CR(blocks) * prod_i P(b_i): equals P(assignment) whenever the blocks
-    partition the table's variables."""
-    value = cr_value(table, blocks, assignment)
-    for b in blocks:
-        value *= evaluate(table, "P", (b,), None, assignment)[0]
-    return value
-
-
-def marginal_cr_check(
-    table: JointTable, blocks: BlockList, drop_var: str, assignment: Assignment
-) -> tuple[float, float]:
-    """Both sides of the marginal-elimination identity
-
-        sum_x CR(..., x) P(x) = CR(...)
-
-    where x ranges over the states of `drop_var`, which must occur in
-    `blocks` as a singleton free block. Returns (lhs, rhs); with a single
-    remaining empty list the right side is 1 by convention CR(x) = 1.
-    """
-    blocks = tuple(blocks)
-    if Block([drop_var]) not in blocks:
-        raise ModelError(f"{drop_var!r} does not occur as a singleton free block")
-    target = blocks.index(Block([drop_var]))
-    lhs = 0.0
-    for s in range(table.cardinality(drop_var)):
-        a = dict(assignment)
-        a[drop_var] = s
-        lhs += cr_value(table, blocks, a) * table.event_prob({drop_var: s})
-    rest = blocks[:target] + blocks[target + 1 :]
-    rhs = cr_value(table, rest, assignment) if rest else 1.0
-    return lhs, rhs

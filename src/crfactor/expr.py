@@ -106,31 +106,6 @@ def _check_exponent(exp) -> None:
         raise ModelError(f"exponent must be a nonzero integer, got {exp!r}")
 
 
-def cr_term(*blocks, condition=None, exponent: int = 1) -> CRTerm:
-    """Convenience constructor accepting loose block specs.
-
-    Each block may be a Block, a member spec, or a list of member specs:
-    ``cr_term("A", ["B", ("C", 0)])`` is CR(A, B C=0).
-    """
-    return CRTerm(tuple(_as_block(b) for b in blocks), _as_block_opt(condition), exponent)
-
-
-def p_term(blk, condition=None, exponent: int = 1) -> PTerm:
-    return PTerm(_as_block(blk), _as_block_opt(condition), exponent)
-
-
-def _as_block(spec) -> Block:
-    if isinstance(spec, Block):
-        return spec
-    if isinstance(spec, str) or (isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[1], (int, type(None)))):
-        return Block([spec])
-    return Block(spec)
-
-
-def _as_block_opt(spec) -> Block | None:
-    return None if spec is None else _as_block(spec)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -202,52 +177,35 @@ def expr_variables(expr: FactorExpr) -> set[str]:
     raise ModelError(f"not a factor expression: {expr!r}")
 
 
-def free_variables(expr: FactorExpr) -> set[str]:
-    """Variables whose value must come from the evaluation assignment."""
+def validate_scoping(expr: FactorExpr) -> tuple[dict[str, None], dict[str, None]]:
+    """The free and the bound variable names of `expr`, each in order of
+    appearance (as dict keys). Rejects a summed variable that also occurs
+    free outside its sum (the bound name would be ambiguous), naming the
+    first such clash in text order."""
     if isinstance(expr, Sum):
-        return free_variables(expr.child) - {expr.over}
+        free, bound = validate_scoping(expr.child)
+        free.pop(expr.over, None)
+        return free, {expr.over: None, **bound}
     if isinstance(expr, Product):
-        out: set[str] = set()
-        for child in expr.children:
-            out |= free_variables(child)
-        return out
-    return expr_variables(expr)
-
-
-def validate_scoping(expr: FactorExpr) -> None:
-    """Reject expressions where a summed variable also occurs free outside
-    its sum (the bound name would be ambiguous)."""
-
-    def walk(e: FactorExpr) -> set[str]:
-        # returns the free variables of e, checking sums on the way
-        if isinstance(e, Sum):
-            inner = walk(e.child)
-            return inner - {e.over}
-        if isinstance(e, Product):
-            frees = [walk(c) for c in e.children]
-            for i, c in enumerate(e.children):
-                for v in _bound_vars(c):
-                    for j, other in enumerate(frees):
-                        if j != i and v in other:
-                            raise ModelError(f"sum variable {v!r} also occurs free outside its sum")
-            out: set[str] = set()
-            for f in frees:
-                out |= f
-            return out
-        return free_variables(e)
-
-    walk(expr)
-
-
-def _bound_vars(expr: FactorExpr) -> set[str]:
-    if isinstance(expr, Sum):
-        return {expr.over} | _bound_vars(expr.child)
-    if isinstance(expr, Product):
-        out: set[str] = set()
-        for c in expr.children:
-            out |= _bound_vars(c)
-        return out
-    return set()
+        parts = [validate_scoping(c) for c in expr.children]
+        free, bound = {}, {}
+        for i, (_, inner) in enumerate(parts):
+            for v in inner:
+                if any(v in other for j, (other, _) in enumerate(parts) if j != i):
+                    raise ModelError(f"sum variable {v!r} also occurs free outside its sum")
+        for f, b in parts:
+            free.update(f)
+            bound.update(b)
+        return free, bound
+    if isinstance(expr, CRTerm):
+        blocks = expr.blocks if expr.condition is None else (*expr.blocks, expr.condition)
+    elif isinstance(expr, PTerm):
+        blocks = (expr.block,) if expr.condition is None else (expr.block, expr.condition)
+    elif isinstance(expr, Const):
+        blocks = ()
+    else:
+        raise ModelError(f"not a factor expression: {expr!r}")
+    return {n: None for b in blocks for n in b.vars}, {}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,11 +38,6 @@ def _check_tol(tol: float) -> float:
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ModelError(f"tolerance must be finite and non-negative, got {tol!r}")
     return tol
-
-
-def close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = ABS_TOL) -> bool:
-    """True when |a - b| <= max(rel * max(|a|, |b|), abs_floor)."""
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_floor)
 
 
 @dataclass(frozen=True)
@@ -134,12 +129,6 @@ class JointTable:
     def __contains__(self, name: str) -> bool:
         return name in self._axis
 
-    def assignments(self) -> Iterator[dict[str, int]]:
-        """All full assignments, row-major over declaration order."""
-        names = self.names
-        for states in itertools.product(*(range(v.cardinality) for v in self.variables)):
-            yield dict(zip(names, states))
-
     def prob(self, assignment: Assignment):
         """P at a full assignment, or at a batch of them (see event_prob)."""
         for n in self.names:
@@ -172,14 +161,6 @@ class JointTable:
         result = (kept, arr)
         self._marginal_cache[key] = result
         return result
-
-    def marginal(self, names: Iterable[str]) -> "JointTable":
-        """Exact marginal over a subset of variables, original order preserved."""
-        kept, arr = self._marginal(names)
-        if not kept:
-            raise ModelError("cannot marginalize to an empty variable set")
-        variables = tuple(v for v in self.variables if v.name in kept)
-        return JointTable(variables, arr)
 
     def event_prob(self, event: Assignment):
         """P of a partial assignment (the event that each listed variable
@@ -220,11 +201,6 @@ class JointTable:
                 raise ModelError(f"state {bad[0]} out of range for variable {n!r}")
             flat = flat * card + s
         return arr.reshape(-1)[flat]
-
-    def allclose(self, other: "JointTable", rel: float = REL_TOL) -> bool:
-        return self.names == other.names and bool(
-            np.allclose(self.probs, other.probs, rtol=rel, atol=ABS_TOL)
-        )
 
 
 class ModelGraph:
@@ -528,6 +504,8 @@ class GibbsModel:
             scope = tuple(scope)
             if not scope:
                 raise ModelError("potential with empty scope")
+            for n in scope:
+                graph.declaration_index(n)
             for a, b in itertools.combinations(scope, 2):
                 if not graph.has_edge(a, b):
                     raise ModelError(f"potential scope {scope!r} is not a clique")

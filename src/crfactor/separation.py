@@ -1,10 +1,8 @@
 """Independence certificates.
 
 Graph-based tests (d-separation for DAGs, vertex separation for undirected
-graphs), one numeric deviation from mutual independence given z against a
-joint table (a CI query is its two-group case), and the exchange identity
-satisfied by any two non-adjacent nodes of a Markov network once their
-joint blanket is covered by the conditioning blocks.
+graphs), and one numeric deviation from mutual independence given z against
+a joint table (a CI query is its two-group case).
 """
 
 from __future__ import annotations
@@ -12,13 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .cr import Block, _repeated, cr_value
-from .errors import ModelError, PreconditionError
-from .model import Assignment, JointTable, ModelGraph, REL_TOL, _check_tol
+from .cr import _repeated
+from .errors import ModelError
+from .model import JointTable, ModelGraph, REL_TOL, _check_tol
 
 
 @dataclass(frozen=True)
@@ -204,58 +202,3 @@ def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> boo
         if ci_deviation(table, CIQuery((u,), (v,), rest)) > tol:
             return False
     return True
-
-
-def unconnected_nodes_check(
-    table: JointTable,
-    graph: ModelGraph,
-    a: str,
-    b: str,
-    w_vars: Iterable[str],
-    x_vars: Iterable[str],
-    assignment: Assignment,
-    default: Mapping[str, int] | None = None,
-) -> tuple[float, float]:
-    """Both sides of the exchange identity for two non-adjacent nodes a, b:
-
-        CR(W, a=0, b=0, X=0) CR(W, a, b, X=0)
-          = CR(W, a=0, b, X=0) CR(W, a, b=0, X=0)
-
-    W is a free block, X is pinned to the default configuration, and W ∪ X
-    must cover the Markov blanket of {a, b} (which gives (a ⊥ b | W, X)).
-    The caller asserts equality of the returned pair.
-    """
-    if graph.kind != "undirected":
-        raise ModelError("the identity is about undirected graphs")
-    w = graph.sort_nodes(w_vars)
-    x = graph.sort_nodes(x_vars)
-    if a == b:
-        raise ModelError("the two nodes must be distinct")
-    for n in (a, b):
-        graph.declaration_index(n)
-    if graph.has_edge(a, b):
-        raise PreconditionError(f"nodes {a!r} and {b!r} are adjacent")
-    if set(w) & set(x):
-        raise PreconditionError("W and X must be disjoint")
-    if {a, b} & (set(w) | set(x)):
-        raise PreconditionError("W and X must not contain a or b")
-    blanket = set(graph.markov_blanket((a, b)))
-    if not blanket <= set(w) | set(x):
-        raise PreconditionError("W and X do not cover the Markov blanket of {a, b}")
-
-    default = default or {}
-    pin = {n: default.get(n, 0) for n in x}
-
-    def blocks(a_pinned: bool, b_pinned: bool) -> tuple[Block, ...]:
-        parts: list[Block] = []
-        if w:
-            parts.append(Block(w))
-        parts.append(Block([(a, default.get(a, 0))]) if a_pinned else Block([a]))
-        parts.append(Block([(b, default.get(b, 0))]) if b_pinned else Block([b]))
-        if x:
-            parts.append(Block([(n, pin[n]) for n in x]))
-        return tuple(parts)
-
-    lhs = cr_value(table, blocks(True, True), assignment) * cr_value(table, blocks(False, False), assignment)
-    rhs = cr_value(table, blocks(True, False), assignment) * cr_value(table, blocks(False, True), assignment)
-    return lhs, rhs

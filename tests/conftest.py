@@ -1,6 +1,7 @@
 """Shared fixtures: small hand-checkable tables, the five-node study-network
-DAG, and an oracle that computes event probabilities by explicit summation,
-independent of the library's marginalization code."""
+DAG, an oracle that computes event probabilities by explicit summation,
+independent of the library's marginalization code, and the two sides of the
+exchange identity as CR expressions."""
 
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 
 from crfactor import (
+    Block,
     Certificate,
+    CRTerm,
     JointTable,
     ModelGraph,
+    Product,
     TraceStep,
     Variable,
     build_joint_from_cpts,
@@ -24,6 +28,12 @@ DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # Independent oracle: explicit sums over a {states: prob} dict.
+
+
+def assignments(table: JointTable):
+    """Every full assignment of a table, row-major over its variables."""
+    states = itertools.product(*(range(v.cardinality) for v in table.variables))
+    return (dict(zip(table.names, s)) for s in states)
 
 
 def oracle_event_prob(probs: dict[tuple[int, ...], float], names: tuple[str, ...], event: dict[str, int]) -> float:
@@ -78,6 +88,28 @@ def oracle_u_separated(nodes, edges, x, y, z) -> bool:
             seen.add(m)
             stack.append(m)
     return not seen & set(y)
+
+
+# ---------------------------------------------------------------------------
+# The exchange identity of two non-adjacent nodes a, b of a Markov network.
+
+
+def exchange_sides(a: str, b: str, w, x, default=None) -> tuple[Product, Product]:
+    """CR(W, a=0, b=0, X=0)·CR(W, a, b, X=0) and CR(W, a=0, b, X=0)·CR(W, a, b=0, X=0)
+    as expressions: W is a free block, X is pinned to the default states (0
+    unless `default` names another). They are equal when W ∪ X covers the
+    Markov blanket of {a, b}, which gives (a ⊥ b | W, X)."""
+    default = default or {}
+
+    def cr(a_pinned: bool, b_pinned: bool) -> CRTerm:
+        blocks = [Block(w)] if w else []
+        blocks.append(Block([(a, default.get(a, 0)) if a_pinned else a]))
+        blocks.append(Block([(b, default.get(b, 0)) if b_pinned else b]))
+        if x:
+            blocks.append(Block([(n, default.get(n, 0)) for n in x]))
+        return CRTerm(tuple(blocks))
+
+    return Product((cr(True, True), cr(False, False))), Product((cr(True, False), cr(False, True)))
 
 
 # ---------------------------------------------------------------------------

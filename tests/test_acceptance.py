@@ -25,6 +25,7 @@ from crfactor import (
     CertificateError,
     CIQuery,
     CRTerm,
+    PTerm,
     apply_bipartition,
     apply_ci_collapse,
     apply_ci_reduce,
@@ -40,14 +41,12 @@ from crfactor import (
     factorize_tree_mn,
     is_tcg,
     mrf_factorize,
-    p_term,
     product_of,
     render,
     replay_trace,
     rmrf_factorize,
     singleton_cr,
     u_separated,
-    unconnected_nodes_check,
 )
 from crfactor.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERIFICATION, main
 from crfactor.cr import grid
@@ -58,7 +57,7 @@ from crfactor.randgen import (
     random_joint_table,
 )
 
-from conftest import DATA, f1_merge_trace, f1_partition_trace, student_table
+from conftest import DATA, exchange_sides, f1_merge_trace, f1_partition_trace, student_table
 
 MODULE_START = time.perf_counter()
 
@@ -247,7 +246,7 @@ def test_criterion_3_unconnected_nodes_identity(gibbs_pool):
                     continue
                 splits_checked += 1
                 rows = grid(table, w + [a, b])
-                lhs, rhs = unconnected_nodes_check(table, graph, a, b, w, x, rows)
+                lhs, rhs = (eval_expr(e, table, rows) for e in exchange_sides(a, b, w, x))
                 worst = max(worst, rel_gap(lhs, rhs))
     ok = worst <= 1e-9 and splits_checked > 0
     report("criterion 3 (unconnected-nodes identity)", ok,
@@ -268,7 +267,7 @@ def test_criterion_4a_study_network_chain_rule(student_graph, student_tables):
     for table in student_tables:
         worst = max(worst, joint_gap(expr, table))
         cr_product = replay_trace(singleton_cr(order), trace, graph=student_graph, table=table)
-        full = product_of([cr_product] + [p_term(n) for n in order])
+        full = product_of([cr_product] + [PTerm(Block([n])) for n in order])
         worst = max(worst, joint_gap(full, table))
     ok = rendered == target and worst <= 1e-9
     report("criterion 4a (study-network chain rule)", ok,
@@ -449,7 +448,7 @@ def test_criterion_8_route_cross_check(gibbs_pool, tcg_pool, student_graph, stud
     bn_expr, bn_trace = factorize_bn(student_graph)
     for table in student_tables:
         cr_prod = replay_trace(singleton_cr(order), bn_trace, graph=student_graph, table=table)
-        trace_route = product_of([cr_prod] + [p_term(n) for n in order])
+        trace_route = product_of([cr_prod] + [PTerm(Block([n])) for n in order])
         cross_check([bn_expr, trace_route], table)
 
     for graph, table in gibbs_pool + tcg_pool:
@@ -459,7 +458,7 @@ def test_criterion_8_route_cross_check(gibbs_pool, tcg_pool, student_graph, stud
             result = factorize_tcg(table, graph)
             routes.append(result.expr)
             final = replay_trace(result.trace_initial, result.trace, graph=graph, table=table)
-            routes.append(product_of([final] + [p_term(n) for n in graph.nodes]))
+            routes.append(product_of([final] + [PTerm(Block([n])) for n in graph.nodes]))
         if graph.is_tree():
             routes.append(factorize_tree_mn(graph))
         cross_check(routes, table)

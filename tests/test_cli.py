@@ -2,11 +2,17 @@ import contextlib
 import io
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crfactor
 from crfactor import factorize_bn, render, singleton_cr, trace_to_dicts
 from crfactor import cli
 from crfactor.cli import (
@@ -303,6 +309,22 @@ def test_verify_deeply_nested_expression_exits_parse(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_scoping_error_does_not_depend_on_the_hash_seed(tmp_path):
+    """Of two clashing sum variables, the first in text order is named,
+    whatever order the interpreter's string hashing gives a set of them."""
+    expr_file = tmp_path / "clash.txt"
+    expr_file.write_text("sum_A[sum_B[P(A B)]]·P(A)·P(B)\n")
+    argv = [sys.executable, "-m", "crfactor.cli", "verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file)]
+    src = str(Path(crfactor.__file__).parents[1])
+    procs = [
+        subprocess.Popen(argv, env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for seed in range(4)
+    ]
+    results = {(*p.communicate(timeout=60), p.returncode) for p in procs}
+    assert results == {("", "error: sum variable 'A' also occurs free outside its sum\n", EXIT_PARSE)}
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(
         capsys, "factorize", "--method", "bn", "--model", str(DATA / "bad_edge.model")
@@ -523,3 +545,97 @@ def test_tree_factorization_survives_an_underflowing_denominator(tmp_path, capsy
     code, out, err = run(capsys, "factorize", "--method", "tree", "--model", str(model_file))
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines()[-1].startswith("verification: pass  assignments=4")
+
+
+# ---------------------------------------------------------------------------
+# Every command over generated argv ends in exit 0, 2, 3 or 4; exit 1, an
+# internal error, is a defect. Names come mostly from the chosen model, so
+# that inputs get past the parsers to the checks behind them.
+
+MODELS = {str(p): re.findall(r"^var (\w+)", p.read_text(), re.MULTILINE) for p in sorted(DATA.glob("*.model"))}
+MODELS[str(DATA / "missing.model")] = []
+STUDENT_STEPS = trace_to_dicts(factorize_bn(make_graph("student"))[1])
+TRACES = {  # with graph, then numeric certificates
+    "student.model": [
+        {"initial": "CR(D,I,G,S,L)", "steps": STUDENT_STEPS},
+        {"initial": "CR(D,I,G,S,L)", "steps": json.loads(json.dumps(STUDENT_STEPS).replace('"graph"', '"numeric"'))},
+    ],
+    "path3_gibbs.model": [_merge_trace()],
+}
+
+
+def _mutated(text: str, at: int, ch: str) -> str:
+    """`text` with the character at `at` dropped (ch ""), or replaced by or prefixed with ch."""
+    return text[:at] + ch + text[at + (ch == "" or at % 2):]
+
+
+def _inputs(names: list[str]):
+    """Strategies for an expression text and a JSON value over these names."""
+    name = st.sampled_from(names * 4 + ["zz"])
+    block = st.lists(name | st.builds("{}={}".format, name, st.integers(0, 2)), min_size=1, max_size=3,
+                     unique_by=lambda m: m.split("=")[0]).map(" ".join)
+    cond, exp = st.just("") | block.map("|{}".format), st.sampled_from(["", "", "^-1", "^2"])
+    term = st.one_of(
+        st.builds("CR({}{}){}".format, st.lists(block, min_size=1, max_size=3).map(",".join), cond, exp),
+        st.builds("P({}{}){}".format, block, cond, exp),
+        st.just(f"CR({','.join(names)})·" + "·".join(f"P({n})" for n in names)),  # the joint
+    )
+    text = st.recursive(term, lambda e: st.lists(e, min_size=2, max_size=3).map("·".join)
+                        | st.builds("sum_{}[{}]".format, name, e), max_leaves=6)
+    mutated = st.builds(_mutated, text, st.integers(0, 30), st.sampled_from(list("()[]|,^·*= -") + [""]))
+    value = st.recursive(st.none() | st.integers(-1, 5) | name | st.sampled_from(["graph", "numeric", "merge"]),
+                         lambda v: st.lists(v, max_size=3) | st.dictionaries(st.sampled_from("ijxyz"), v, max_size=2),
+                         max_leaves=4)
+    return text | mutated | st.text(max_size=12), value
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_ends_in_a_documented_exit_code(argv_files, data):
+    model = data.draw(st.sampled_from([m for m in MODELS if len(MODELS[m]) > 1] * 3 + list(MODELS)))
+    names = MODELS[model]
+    expr_text, json_value = _inputs(names)
+    command = data.draw(st.sampled_from(["factorize", "verify", "indep", "istcg", "export-dot"]))
+    argv = [command, "--model", model]
+    flag = {"factorize": "--no-verify", "indep": "--numeric", "export-dot": "--clique-graph"}.get(command)
+    if flag and data.draw(st.booleans()):
+        argv.append(flag)
+    if command == "factorize":
+        method = data.draw(st.sampled_from(["bn", "tree", "chain-crf", "mrf", "rmrf", "tcg"] + ["trace"] * 4))
+        argv += ["--method", method]
+        if method == "trace" and data.draw(st.integers(0, 9)):
+            trace = json.loads(json.dumps(data.draw(st.sampled_from(TRACES.get(Path(model).name, TRACES["student.model"])))))
+            parts = [trace, *trace["steps"], *(step["params"] for step in trace["steps"])]
+            for part in data.draw(st.lists(st.sampled_from(parts), max_size=3)):  # replace or delete one field of each
+                if part:
+                    key = data.draw(st.sampled_from(sorted(part)))
+                    if data.draw(st.booleans()):
+                        del part[key]
+                    else:
+                        part[key] = data.draw(json_value)
+            text = json.dumps(trace)
+            cut = data.draw(st.integers(0, len(text))) if data.draw(st.integers(0, 9)) == 0 else None
+            (argv_files / "trace.json").write_text(text[:cut])
+            argv += ["--trace", str(argv_files / "trace.json")]
+        if data.draw(st.booleans()):
+            argv.append("--y=" + ",".join(data.draw(st.lists(st.sampled_from(names + ["zz", ""]), max_size=3))))
+    elif command == "verify":
+        (argv_files / "expr.txt").write_text(data.draw(expr_text))
+        argv += ["--expr", str(argv_files / data.draw(st.sampled_from(["expr.txt"] * 9 + ["missing.txt"])))]
+    elif command == "indep":
+        perm = data.draw(st.permutations(names + ["zz"] * (data.draw(st.integers(0, 3)) == 0)))
+        i, j, k = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
+        argv.append(f"--query={' '.join(perm[:i])} _|_ {' '.join(perm[i:i + j])} | {' '.join(perm[i + j:i + j + k])}")
+    if command in ("factorize", "verify", "indep") and data.draw(st.integers(0, 2)) == 0:
+        argv.append("--tol=" + data.draw(st.sampled_from(["0", "1e-9", "1", "1e400", "nan", "-1", "x"]) | st.floats().map(str)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFICATION, EXIT_PRECONDITION, EXIT_PARSE), (argv, err.getvalue())
+    if code in (EXIT_PRECONDITION, EXIT_PARSE):
+        assert err.getvalue().startswith("error: ") and "\n" not in err.getvalue()[:-1], (argv, err.getvalue())

@@ -4,20 +4,23 @@ import pytest
 
 from crfactor import (
     Block,
+    Const,
+    CRTerm,
     ModelError,
+    Product,
+    PTerm,
+    Sum,
     UndefinedCRError,
     Variable,
     JointTable,
     block,
     conditional_cr_value,
-    conditional_prob,
     cr_value,
-    marginal_cr_check,
-    reconstruct_joint,
+    eval_expr,
 )
 from crfactor.randgen import random_joint_table
 
-from conftest import D3_NAMES, D3_PROBS, oracle_cr, oracle_event_prob
+from conftest import D3_NAMES, D3_PROBS, assignments, oracle_cr, oracle_event_prob
 
 A000 = {"A": 0, "B": 0, "C": 0}
 
@@ -30,11 +33,10 @@ def test_block_validation():
     with pytest.raises(ModelError):
         Block([("A", -1)])
     assert str(block("A", ("B", 0))) == "A B=0"
-    assert block("A", "B").free_vars == ("A", "B")
 
 
 def test_cr_independent_coins_is_one(coins_table):
-    for a in coins_table.assignments():
+    for a in assignments(coins_table):
         assert cr_value(coins_table, [block("A"), block("B")], a) == pytest.approx(1.0)
 
 
@@ -60,7 +62,7 @@ def test_cr_d3_grouping_changes_value(d3_table):
 
 
 def test_cr_single_block_is_one(d3_table):
-    for a in d3_table.assignments():
+    for a in assignments(d3_table):
         assert cr_value(d3_table, [block("A", "B", "C")], a) == pytest.approx(1.0)
 
 
@@ -97,7 +99,7 @@ def test_unbound_free_variable_raises(d2_table):
 
 
 def test_conditional_cr_chain_independence(d3_table):
-    for a in d3_table.assignments():
+    for a in assignments(d3_table):
         got = conditional_cr_value(d3_table, [block("A"), block("C")], block("B"), a)
         assert got == pytest.approx(1.0)
 
@@ -129,49 +131,62 @@ def test_conditional_cr_zero_condition_raises():
 
 
 def test_conditional_prob_wrapper(d2_table):
-    got = conditional_prob(d2_table, block("B"), block("A"), {"A": 0, "B": 0})
+    got = eval_expr(PTerm(block("B"), block("A")), d2_table, {"A": 0, "B": 0})
     assert got == pytest.approx(0.8)
 
 
+# ---------------------------------------------------------------------------
+# The partition identity P = CR(b_1, ..., b_n)·P(b_1)···P(b_n) for any
+# partition of the variables into blocks, and marginal elimination
+# sum_x CR(..., x)·P(x) = CR(...), each side an expression.
+
+
+def reconstruction(blocks) -> Product:
+    """CR(blocks)·P(b_1)···P(b_n): the joint whenever the blocks partition
+    the table's variables."""
+    return Product((CRTerm(tuple(blocks)), *(PTerm(b) for b in blocks)))
+
+
+def marginal_sides(blocks, drop: str) -> tuple[Sum, CRTerm | Const]:
+    """sum_x CR(blocks)·P(x) and CR(blocks without x), where x, the
+    variable `drop`, is one of the blocks; CR of no blocks is 1."""
+    rest = tuple(b for b in blocks if b != Block([drop]))
+    return Sum(drop, Product((CRTerm(tuple(blocks)), PTerm(Block([drop]))))), CRTerm(rest) if rest else Const(1)
+
+
 def test_reconstruct_d2(d2_table):
-    got = reconstruct_joint(d2_table, [block("A"), block("B")], {"A": 0, "B": 0})
+    got = eval_expr(reconstruction([block("A"), block("B")]), d2_table, {"A": 0, "B": 0})
     assert got == pytest.approx(0.4)
 
 
 def test_reconstruct_single_block_returns_entry(d3_table):
-    for a in d3_table.assignments():
-        got = reconstruct_joint(d3_table, [block("A", "B", "C")], a)
+    for a in assignments(d3_table):
+        got = eval_expr(reconstruction([block("A", "B", "C")]), d3_table, a)
         assert got == pytest.approx(d3_table.prob(a))
 
 
 def test_reconstruct_d3(d3_table):
-    got = reconstruct_joint(d3_table, [block("A"), block("B"), block("C")], A000)
+    got = eval_expr(reconstruction([block("A"), block("B"), block("C")]), d3_table, A000)
     assert got == pytest.approx(0.36)
 
 
 def test_marginal_cr_two_vars_collapses_to_one(d2_table):
-    lhs, rhs = marginal_cr_check(d2_table, [block("A"), block("B")], "B", {"A": 0})
+    lhs, rhs = (eval_expr(e, d2_table, {"A": 0}) for e in marginal_sides([block("A"), block("B")], "B"))
     assert rhs == pytest.approx(1.0)
     assert lhs == pytest.approx(rhs)
 
 
 def test_marginal_cr_d3_drop_c(d3_table):
-    lhs, rhs = marginal_cr_check(
-        d3_table, [block("A"), block("B"), block("C")], "C", {"A": 0, "B": 0}
-    )
+    sides = marginal_sides([block("A"), block("B"), block("C")], "C")
+    lhs, rhs = (eval_expr(e, d3_table, {"A": 0, "B": 0}) for e in sides)
     assert rhs == pytest.approx(cr_value(d3_table, [block("A"), block("B")], {"A": 0, "B": 0}))
     assert lhs == pytest.approx(rhs)
 
 
 def test_marginal_cr_independent_coins(coins_table):
-    lhs, rhs = marginal_cr_check(coins_table, [block("A"), block("B")], "B", {"A": 1})
+    lhs, rhs = (eval_expr(e, coins_table, {"A": 1}) for e in marginal_sides([block("A"), block("B")], "B"))
     assert lhs == pytest.approx(1.0)
     assert rhs == pytest.approx(1.0)
-
-
-def test_marginal_cr_requires_singleton_free_block(d3_table):
-    with pytest.raises(ModelError):
-        marginal_cr_check(d3_table, [block("A", "B"), block("C")], "B", A000)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +211,7 @@ def test_commutativity_under_permutations():
         names = tuple(f"v{i}" for i in range(n))
         table = random_joint_table(names, seed=trial)
         blocks = _random_partition(rng, names)
-        for a in table.assignments():
+        for a in assignments(table):
             base = cr_value(table, blocks, a)
             perm = list(blocks)
             rng.shuffle(perm)
@@ -210,8 +225,8 @@ def test_reconstruction_property():
         names = tuple(f"v{i}" for i in range(n))
         table = random_joint_table(names, seed=1000 + trial)
         blocks = _random_partition(rng, names)
-        for a in table.assignments():
-            assert reconstruct_joint(table, blocks, a) == pytest.approx(table.prob(a), rel=1e-9)
+        for a in assignments(table):
+            assert eval_expr(reconstruction(blocks), table, a) == pytest.approx(table.prob(a), rel=1e-9)
 
 
 def test_duplicate_divides_by_marginal():
@@ -221,7 +236,7 @@ def test_duplicate_divides_by_marginal():
         table = random_joint_table(names, seed=2000 + trial)
         blocks = [block("x"), block("y"), block("z")]
         var = rng.choice(names)
-        for a in table.assignments():
+        for a in assignments(table):
             base = cr_value(table, blocks, a)
             doubled = cr_value(table, blocks + [block(var)], a)
             assert doubled == pytest.approx(base / table.event_prob({var: a[var]}), rel=1e-9)
@@ -234,7 +249,7 @@ def test_conditional_cr_identity():
         table = random_joint_table(names, seed=3000 + trial)
         blocks = [block("y"), block("z")]
         cond = block("x")
-        for a in table.assignments():
+        for a in assignments(table):
             lhs = conditional_cr_value(table, blocks, cond, a)
             for b in blocks:
                 lhs *= cr_value(table, [b, cond], a)
@@ -250,5 +265,5 @@ def test_marginal_cr_property_random_tables():
         blocks = [Block([n]) for n in names]
         drop = rng.choice(names)
         outer = {n: rng.randrange(2) for n in names if n != drop}
-        lhs, rhs = marginal_cr_check(table, blocks, drop, outer)
+        lhs, rhs = (eval_expr(e, table, outer) for e in marginal_sides(blocks, drop))
         assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -14,18 +14,17 @@ from crfactor import (
     Sum,
     UndefinedCRError,
     block,
-    cr_term,
     cr_value,
     eval_expr,
     expr_variables,
-    free_variables,
-    p_term,
     parse_expr,
     product_of,
     render,
 )
 from crfactor.expr import validate_scoping
 from crfactor.randgen import random_joint_table
+
+from conftest import assignments
 
 
 def test_const_eval(d2_table):
@@ -34,24 +33,24 @@ def test_const_eval(d2_table):
 
 
 def test_product_eval_matches_reconstruction(d2_table):
-    e = product_of([cr_term("A", "B"), p_term("A"), p_term("B")])
+    e = product_of([CRTerm((block("A"), block("B"))), PTerm(block("A")), PTerm(block("B"))])
     assert eval_expr(e, d2_table, {"A": 0, "B": 0}) == pytest.approx(0.4)
 
 
 def test_sum_eval_marginalizes(d3_table):
     # sum_C CR(A,C) P(C) = CR(A) = 1
-    e = Sum("C", Product((cr_term("A", "C"), p_term("C"))))
+    e = Sum("C", Product((CRTerm((block("A"), block("C"))), PTerm(block("C")))))
     assert eval_expr(e, d3_table, {"A": 0}) == pytest.approx(1.0)
 
 
 def test_sum_shadows_outer_binding(d3_table):
-    e = Sum("C", p_term("C"))
+    e = Sum("C", PTerm(block("C")))
     # the outer C binding must not leak into the sum
     assert eval_expr(e, d3_table, {"C": 1}) == pytest.approx(1.0)
 
 
 def test_exponent_eval(d2_table):
-    e = cr_term("A", "B", exponent=-1)
+    e = CRTerm((block("A"), block("B")), exponent=-1)
     got = eval_expr(e, d2_table, {"A": 0, "B": 0})
     assert got == pytest.approx(1 / 1.6)
 
@@ -64,7 +63,7 @@ def test_zero_to_negative_exponent_is_undefined():
 
 
 def test_pterm_conditional_eval(d3_table):
-    e = p_term("B", condition="A")
+    e = PTerm(block("B"), condition=block("A"))
     assert eval_expr(e, d3_table, {"A": 0, "B": 0}) == pytest.approx(0.9)
 
 
@@ -84,18 +83,18 @@ def test_node_validation():
 @pytest.mark.parametrize(
     "expr, text",
     [
-        (cr_term("D", "G"), "CR(D,G)"),
-        (cr_term(["D", "I"], "G"), "CR(D I,G)"),
-        (cr_term("y1", "y2", condition="X"), "CR(y1,y2|X)"),
-        (p_term("G", condition=["D", "I"]), "P(G|D I)"),
-        (p_term(("B", 0)), "P(B=0)"),
-        (cr_term("A", "B", exponent=-1), "CR(A,B)^-1"),
-        (p_term("A", exponent=2), "P(A)^2"),
-        (Sum("C", Product((cr_term("A", "B", condition="C"), p_term("C")))), "sum_C[CR(A,B|C)·P(C)]"),
-        (Product((p_term("D"), p_term("I"))), "P(D)·P(I)"),
+        (CRTerm((block("D"), block("G"))), "CR(D,G)"),
+        (CRTerm((block("D", "I"), block("G"))), "CR(D I,G)"),
+        (CRTerm((block("y1"), block("y2")), condition=block("X")), "CR(y1,y2|X)"),
+        (PTerm(block("G"), condition=block("D", "I")), "P(G|D I)"),
+        (PTerm(block(("B", 0))), "P(B=0)"),
+        (CRTerm((block("A"), block("B")), exponent=-1), "CR(A,B)^-1"),
+        (PTerm(block("A"), exponent=2), "P(A)^2"),
+        (Sum("C", Product((CRTerm((block("A"), block("B")), condition=block("C")), PTerm(block("C"))))), "sum_C[CR(A,B|C)·P(C)]"),
+        (Product((PTerm(block("D")), PTerm(block("I")))), "P(D)·P(I)"),
         (Const(1), "1"),
         (Const(0.5), "0.5"),
-        (cr_term([("W", 1), "a"], "b"), "CR(W=1 a,b)"),
+        (CRTerm((block(("W", 1), "a"), block("b"))), "CR(W=1 a,b)"),
         (Const(1e-5), "1e-05"),
         (Const(0.1234567), "0.1234567"),
         (Const(123456789), "123456789.0"),
@@ -108,15 +107,15 @@ def test_render_exact(expr, text):
 
 def test_render_parse_round_trip_battery():
     exprs = [
-        cr_term("D", "G"),
-        cr_term(["D", "I"], "G", exponent=-2),
-        p_term("G", condition=["D", "I"]),
-        p_term(("B", 0), condition=[("X", 1), "Y"]),
-        Product((cr_term("A", "B"), p_term("A"), p_term("B"))),
-        Sum("C", Product((cr_term("A", "B", condition="C"), cr_term("A", "C"), p_term("C")))),
+        CRTerm((block("D"), block("G"))),
+        CRTerm((block("D", "I"), block("G")), exponent=-2),
+        PTerm(block("G"), condition=block("D", "I")),
+        PTerm(block(("B", 0)), condition=block(("X", 1), "Y")),
+        Product((CRTerm((block("A"), block("B"))), PTerm(block("A")), PTerm(block("B")))),
+        Sum("C", Product((CRTerm((block("A"), block("B")), condition=block("C")), CRTerm((block("A"), block("C"))), PTerm(block("C"))))),
         Const(2.5),
         Const(-0.0),
-        Product((Const(1), cr_term("A", "B"))),
+        Product((Const(1), CRTerm((block("A"), block("B"))))),
     ]
     for e in exprs:
         assert parse_expr(render(e)) == e
@@ -124,15 +123,15 @@ def test_render_parse_round_trip_battery():
 
 def test_parse_accepts_whitespace_and_star():
     e = parse_expr("CR( D , G ) * P( G | D I )")
-    assert e == Product((cr_term("D", "G"), p_term("G", condition=["D", "I"])))
+    assert e == Product((CRTerm((block("D"), block("G"))), PTerm(block("G"), condition=block("D", "I"))))
 
 
 def test_parse_flattens_nested_products():
     e = parse_expr("(P(A)·P(B))·P(C)")
-    assert e == Product((p_term("A"), p_term("B"), p_term("C")))
+    assert e == Product((PTerm(block("A")), PTerm(block("B")), PTerm(block("C"))))
     # nesting up to the cap parses; one level more is in test_parse_errors
-    assert parse_expr("(" * 100 + "P(A)" + ")" * 100) == p_term("A")
-    deep = p_term("A")
+    assert parse_expr("(" * 100 + "P(A)" + ")" * 100) == PTerm(block("A"))
+    deep = PTerm(block("A"))
     for _ in range(100):
         deep = Sum("A", deep)
     assert parse_expr("sum_A[" * 100 + "P(A)" + "]" * 100) == deep
@@ -177,12 +176,13 @@ def test_validate_scoping_accepts_disjoint_sums():
 def test_expr_variables_and_free_variables():
     e = parse_expr("sum_C[CR(A,B|C)·P(C)]·P(B=0)")
     assert expr_variables(e) == {"A", "B", "C"}
-    assert free_variables(e) == {"A", "B"}
+    free, bound = validate_scoping(e)
+    assert (list(free), list(bound)) == (["A", "B"], ["C"])
 
 
 def test_unknown_variable_raises(d2_table):
     with pytest.raises(ModelError):
-        eval_expr(p_term("Z"), d2_table, {"Z": 0})
+        eval_expr(PTerm(block("Z")), d2_table, {"Z": 0})
 
 
 def test_random_round_trips():
@@ -263,9 +263,9 @@ def test_parse_expr_raises_only_parse_and_model_errors(text):
 
 
 def test_product_of_drops_ones_and_flattens():
-    e = product_of([Const(1), Product((p_term("A"), Const(1))), p_term("B")])
-    assert e == Product((p_term("A"), p_term("B")))
-    assert product_of([p_term("A")]) == p_term("A")
+    e = product_of([Const(1), Product((PTerm(block("A")), Const(1))), PTerm(block("B"))])
+    assert e == Product((PTerm(block("A")), PTerm(block("B"))))
+    assert product_of([PTerm(block("A"))]) == PTerm(block("A"))
 
 
 def test_eval_matches_cr_core_on_random_tables(d3_table):
@@ -276,7 +276,7 @@ def test_eval_matches_cr_core_on_random_tables(d3_table):
         k = rng.randint(1, 3)
         groups = [names[i::k] for i in range(k) if names[i::k]]
         term = CRTerm(tuple(Block(g) for g in groups))
-        for a in d3_table.assignments():
+        for a in assignments(d3_table):
             assert eval_expr(term, d3_table, a) == pytest.approx(
                 cr_value(d3_table, term.blocks, a), rel=1e-12
             )

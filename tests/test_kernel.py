@@ -32,7 +32,6 @@ from crfactor import (
     Variable,
     block,
     conditional_cr_value,
-    conditional_prob,
     cr_value,
     eval_expr,
     factorize_tcg,
@@ -48,7 +47,7 @@ from crfactor.cr import evaluate, grid, settle
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 from crfactor.separation import CIQuery, ci_deviation, mutual_independence_deviation
 
-from conftest import oracle_cr, oracle_event_prob
+from conftest import assignments, oracle_cr, oracle_event_prob
 
 NAMES = ("A", "B", "C")
 
@@ -134,7 +133,7 @@ def oracle_value(expr, probs, names, a: dict[str, int]) -> float:
 def first_undefined(expr, table):
     """(assignment, message) at the first row-major row where evaluating
     one row raises, or None."""
-    for a in table.assignments():
+    for a in assignments(table):
         try:
             eval_expr(expr, table, a)
         except UndefinedCRError as exc:
@@ -159,7 +158,7 @@ def test_grid_matches_rows_and_oracle(table_id):
             continue
         defined += 1
         batch = np.broadcast_to(eval_expr(expr, table, rows), table.probs.shape)
-        for a in table.assignments():
+        for a in assignments(table):
             got = batch[tuple(a[n] for n in NAMES)]
             assert got == eval_expr(expr, table, a), (text, a)
             want = oracle_value(expr, probs, NAMES, a)
@@ -209,15 +208,15 @@ def test_cr_value_wrappers_accept_grids():
     blocks = [block("A", ("B", 2)), block("C")]
     batch_cr = cr_value(table, blocks, rows)
     batch_ccr = conditional_cr_value(table, blocks[:1], block("C"), rows)
-    batch_p = conditional_prob(table, block("A"), block("B", "C"), rows)
-    for a in table.assignments():
+    batch_p = eval_expr(PTerm(block("A"), block("B", "C")), table, rows)
+    for a in assignments(table):
         at = tuple(a[n] for n in NAMES)
         assert np.broadcast_to(batch_cr, table.probs.shape)[at] == cr_value(table, blocks, a)
         assert np.broadcast_to(batch_ccr, table.probs.shape)[at] == conditional_cr_value(
             table, blocks[:1], block("C"), a
         )
-        assert np.broadcast_to(batch_p, table.probs.shape)[at] == conditional_prob(
-            table, block("A"), block("B", "C"), a
+        assert np.broadcast_to(batch_p, table.probs.shape)[at] == eval_expr(
+            PTerm(block("A"), block("B", "C")), table, a
         )
 
 
@@ -238,7 +237,7 @@ def test_batched_checks_match_row_loops():
         for text in ("CR(A,B)·P(A)·P(B)", "P(A)·P(B)·P(C)", "CR(A B,C)^2·P(A B)·P(C)"):
             expr = parse_expr(text)
             max_abs, max_rel, worst = 0.0, 0.0, None
-            for a in table.assignments():
+            for a in assignments(table):
                 err = abs(eval_expr(expr, table, a) - table.prob(a))
                 max_rel = max(max_rel, err / max(abs(table.prob(a)), 1e-12))
                 if worst is None or err > max_abs:
@@ -252,7 +251,7 @@ def test_batched_checks_match_row_loops():
     query = CIQuery(("A",), ("C",), ("B",))
     for table in (*TABLES.values(), ZT):  # ZT has vanishing P(A, B)
         worst = 0.0
-        for a in table.assignments():
+        for a in assignments(table):
             pz = table.event_prob({"B": a["B"]})
             pxz = table.event_prob({"A": a["A"], "B": a["B"]})
             pyz = table.event_prob({"B": a["B"], "C": a["C"]})
@@ -266,7 +265,7 @@ def test_batched_checks_match_row_loops():
 
     table = TABLES["ternary"]
     worst = 0.0
-    for a in table.assignments():
+    for a in assignments(table):
         pz = table.event_prob({"C": a["C"]})
         pxz = table.event_prob({"A": a["A"], "C": a["C"]})
         pyz = table.event_prob({"B": a["B"], "C": a["C"]})
@@ -380,7 +379,7 @@ def test_one_row_gives_a_float():
     values = [
         cr_value(table, [block("A"), block("B", "C")], a),
         conditional_cr_value(table, [block("A"), block("B")], block("C"), a),
-        conditional_prob(table, block("A"), block("B"), a),
+        eval_expr(PTerm(block("A"), block("B")), table, a),
         table.prob(a),
         table.event_prob({"A": 1, "C": 0}),
         eval_expr(parse_expr("CR(A=0,A)"), table, a),

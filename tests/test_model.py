@@ -10,17 +10,18 @@ from crfactor import (
     JointTable,
     ModelError,
     ModelGraph,
+    PTerm,
     UndefinedCRError,
     Variable,
     block,
     build_clique_graph,
     build_joint_from_cpts,
-    conditional_prob,
+    eval_expr,
 )
 from crfactor.cr import grid
 from crfactor.randgen import make_graph, random_gibbs_model
 
-from conftest import D2_NAMES, D2_PROBS, oracle_event_prob
+from conftest import D2_NAMES, D2_PROBS, assignments, oracle_event_prob
 
 
 def test_variable_validation():
@@ -42,28 +43,24 @@ def test_joint_table_invariants(d2_table):
 
 
 def test_marginal_uniform_coins(coins_table):
-    m = coins_table.marginal(["A"])
-    assert m.names == ("A",)
-    assert m.prob({"A": 0}) == pytest.approx(0.5)
-    assert m.prob({"A": 1}) == pytest.approx(0.5)
+    assert coins_table.event_prob({"A": 0}) == pytest.approx(0.5)
+    assert coins_table.event_prob({"A": 1}) == pytest.approx(0.5)
 
 
 def test_marginal_d2_matches_hand_sums(d2_table):
     # row sums done by hand: 0.4 + 0.1 on each row
-    m = d2_table.marginal(["A"])
-    assert m.prob({"A": 0}) == pytest.approx(0.5)
-    assert m.prob({"A": 1}) == pytest.approx(0.5)
+    assert d2_table.event_prob({"A": 0}) == pytest.approx(0.5)
+    assert d2_table.event_prob({"A": 1}) == pytest.approx(0.5)
     # and against the independent oracle
-    assert m.prob({"A": 0}) == pytest.approx(oracle_event_prob(D2_PROBS, D2_NAMES, {"A": 0}))
+    assert d2_table.event_prob({"A": 0}) == pytest.approx(oracle_event_prob(D2_PROBS, D2_NAMES, {"A": 0}))
 
 
 def test_marginal_identity_and_errors(d2_table):
-    same = d2_table.marginal(["A", "B"])
-    assert same.allclose(d2_table)
+    same = d2_table.event_prob(grid(d2_table, ["A", "B"]))
+    assert np.allclose(same, d2_table.probs, rtol=1e-9, atol=1e-12)
     with pytest.raises(ModelError):
-        d2_table.marginal(["A", "Z"])
-    with pytest.raises(ModelError):
-        d2_table.marginal([])
+        d2_table.event_prob({"A": 0, "Z": 0})
+    assert d2_table.event_prob({}) == 1.0
 
 
 def test_event_prob_errors_keep_their_order():
@@ -120,20 +117,20 @@ def test_event_prob_on_own_axes_equals_the_gather():
 
 def test_marginal_sums_to_one(d3_table):
     for subset in (["A"], ["B"], ["C"], ["A", "C"], ["B", "C"]):
-        assert float(d3_table.marginal(subset).probs.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(d3_table.event_prob(grid(d3_table, subset)))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_prob_examples(d2_table, coins_table):
-    assert conditional_prob(d2_table, block(("B", 0)), block(("A", 0)), {}) == pytest.approx(0.8)
-    assert conditional_prob(d2_table, block(("A", 1)), block(("A", 1)), {}) == pytest.approx(1.0)
-    assert conditional_prob(d2_table, block(("A", 0)), block(("A", 1)), {}) == 0.0
-    assert conditional_prob(coins_table, block(("B", 0)), block(("A", 1)), {}) == pytest.approx(0.5)
+    assert eval_expr(PTerm(block(("B", 0)), block(("A", 0))), d2_table, {}) == pytest.approx(0.8)
+    assert eval_expr(PTerm(block(("A", 1)), block(("A", 1))), d2_table, {}) == pytest.approx(1.0)
+    assert eval_expr(PTerm(block(("A", 0)), block(("A", 1))), d2_table, {}) == 0.0
+    assert eval_expr(PTerm(block(("B", 0)), block(("A", 1))), coins_table, {}) == pytest.approx(0.5)
 
 
 def test_conditional_prob_zero_event():
     table = JointTable([Variable("A", 2), Variable("B", 2)], [[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(UndefinedCRError, match="conditioning event has probability zero"):
-        conditional_prob(table, block(("B", 0)), block(("A", 1)), {})
+        eval_expr(PTerm(block(("B", 0)), block(("A", 1))), table, {})
 
 
 def test_build_joint_single_node():
@@ -188,7 +185,7 @@ def test_chain_rule_reproduces_cpts(student_graph):
         parents = student_graph.parents(node)
         for states in itertools.product(range(2), repeat=len(parents) + 1):
             given = block(*zip(parents, states[:-1])) if parents else None
-            got = conditional_prob(table, block((node, states[-1])), given, {})
+            got = eval_expr(PTerm(block((node, states[-1])), given), table, {})
             assert got == pytest.approx(float(cpts[node].probs[states]), abs=1e-12)
 
 
@@ -215,10 +212,8 @@ def test_disjoint_cliques_factorize():
     g = ModelGraph("undirected", ["A", "B", "C", "D"], [("A", "B"), ("C", "D")])
     gm = random_gibbs_model(g, seed=17)
     table = gm.to_joint()
-    left = table.marginal(["A", "B"])
-    right = table.marginal(["C", "D"])
-    for a in table.assignments():
-        expected = left.prob({"A": a["A"], "B": a["B"]}) * right.prob({"C": a["C"], "D": a["D"]})
+    for a in assignments(table):
+        expected = table.event_prob({"A": a["A"], "B": a["B"]}) * table.event_prob({"C": a["C"], "D": a["D"]})
         assert table.prob(a) == pytest.approx(expected, rel=1e-12)
 
 
@@ -238,15 +233,6 @@ def test_materialization_cap():
         build_joint_from_cpts(dag, random_cpts(dag, seed=0), [Variable(n, 2) for n in dag.nodes])
 
 
-def test_close_helper():
-    from crfactor import close
-
-    assert close(1.0, 1.0 + 5e-10)
-    assert not close(1.0, 1.0 + 5e-9)
-    assert close(0.0, 5e-13)  # absolute floor near zero
-    assert not close(0.0, 5e-12)
-
-
 def test_potential_validation():
     g = ModelGraph("undirected", ["A", "B", "C"], [("A", "B")])
     vs = [Variable(n, 2) for n in "ABC"]
@@ -256,6 +242,14 @@ def test_potential_validation():
         GibbsModel(vs, g, {("A", "B"): np.array([[1.0, np.nan], [1.0, 1.0]])})
     with pytest.raises(ModelError):  # scope not a clique
         GibbsModel(vs, g, {("A", "C"): np.ones((2, 2))})
+
+
+def test_potential_over_unknown_name():
+    g = ModelGraph("undirected", ["a", "b"], [("a", "b")])
+    vs = [Variable("a", 2), Variable("b", 2)]
+    for scope in (("zz",), ("a", "zz")):
+        with pytest.raises(ModelError, match="^unknown node 'zz'$"):
+            GibbsModel(vs, g, {scope: np.ones((2,) * len(scope))})
 
 
 def test_maximal_cliques_examples():

@@ -15,6 +15,7 @@ from crfactor import (
     Context,
     CRTerm,
     Product,
+    PTerm,
     RewriteError,
     Sum,
     TraceStep,
@@ -31,7 +32,6 @@ from crfactor import (
     eval_expr,
     factorize_bn,
     factorize_tcg,
-    p_term,
     render,
     replay_trace,
     singleton_cr,
@@ -42,13 +42,13 @@ from crfactor.cr import grid
 from crfactor.randgen import random_gibbs_model, random_joint_table, make_graph
 from crfactor.rewrites import RULES
 
-from conftest import oracle_cr, D3_NAMES, D3_PROBS
+from conftest import assignments, oracle_cr, D3_NAMES, D3_PROBS
 
 A000 = {"A": 0, "B": 0, "C": 0}
 
 
 def _everywhere_equal(before, after, table, rel=1e-9):
-    for a in table.assignments():
+    for a in assignments(table):
         assert eval_expr(after, table, a) == pytest.approx(eval_expr(before, table, a), rel=rel)
 
 
@@ -138,7 +138,7 @@ def test_duplicate_single_block_gives_one(d3_table):
     e0 = CRTerm((block("A"),))
     e1, _ = apply_duplicate(e0, (), 0)
     assert render(e1) == "CR(A,A)·P(A)"
-    for a in d3_table.assignments():
+    for a in assignments(d3_table):
         assert eval_expr(e1, d3_table, a) == pytest.approx(1.0)
 
 
@@ -160,7 +160,7 @@ def test_condition_structure(fig4_graph):
 def test_condition_single_variable_collapses(d3_table):
     e0 = CRTerm((block("A"),))
     e1, _ = apply_condition(e0, (), "B")
-    for a in d3_table.assignments():
+    for a in assignments(d3_table):
         assert eval_expr(e1, d3_table, a) == pytest.approx(1.0)
 
 
@@ -175,7 +175,7 @@ def test_condition_value_on_random_positive_tables():
 def test_condition_errors(d3_table):
     with pytest.raises(RewriteError):
         apply_condition(singleton_cr("AB"), (), "A")  # already in the term
-    e = Sum("C", Product((singleton_cr("AB"), p_term("C"))))
+    e = Sum("C", Product((singleton_cr("AB"), PTerm(block("C")))))
     with pytest.raises(RewriteError):
         apply_condition(e, (0, 0), "C")  # bound by the enclosing sum
     with pytest.raises(RewriteError):
@@ -265,7 +265,7 @@ def test_ci_split_independent_blocks(coins_table):
     t = JointTable([Variable("x", 2), Variable("y", 2), Variable("w", 2)], arr)
     e0 = CRTerm((block("w"), block("x", "y")))
     e1, _ = apply_ci_split(e0, (), 0, ["x"], ["y"], "numeric", ctx=Context(table=t))
-    for a in t.assignments():
+    for a in assignments(t):
         assert eval_expr(e1, t, a) == pytest.approx(1.0)
 
 
@@ -305,7 +305,7 @@ def test_ci_collapse_binding_mismatch():
 
 
 def test_independence_drops_term(coins_table):
-    e0 = Product((singleton_cr("AB"), p_term("A"), p_term("B")))
+    e0 = Product((singleton_cr("AB"), PTerm(block("A")), PTerm(block("B"))))
     ctx = Context(table=coins_table)
     e1, _ = apply_independence(e0, (0,), "numeric", ctx=ctx)
     assert render(e1) == "P(A)·P(B)"
@@ -345,7 +345,7 @@ def test_certificate_validation_requires_known_kind():
 
 
 def test_single_block(d3_table):
-    e0 = Product((CRTerm((block("A", "B", "C"),)), p_term("A")))
+    e0 = Product((CRTerm((block("A", "B", "C"),)), PTerm(block("A"))))
     e1, _ = apply_single_block(e0, (0,))
     assert render(e1) == "P(A)"
     with pytest.raises(RewriteError):
@@ -364,11 +364,11 @@ def test_single_block_at_root_leaves_constant_one(d3_table):
 
 def test_rewrites_require_cr_targets():
     with pytest.raises(RewriteError):
-        apply_single_block(p_term("A"), ())
+        apply_single_block(PTerm(block("A")), ())
     with pytest.raises(RewriteError):
         apply_merge(CRTerm((block("A"), block("B")), exponent=-1), (), 0, 1)
     with pytest.raises(RewriteError):
-        apply_single_block(Product((p_term("A"),)), (3,))
+        apply_single_block(Product((PTerm(block("A")),)), (3,))
 
 
 def test_replay_reproduces_recorded_run(d3_table):
@@ -401,7 +401,7 @@ def test_replay_stale_target_raises(d3_table):
     e0 = singleton_cr("ABC")
     _, s = apply_bipartition(e0, (), [0], [1, 2])
     with pytest.raises(RewriteError):
-        replay_trace(Product((p_term("A"),)), [s])
+        replay_trace(Product((PTerm(block("A")),)), [s])
 
 
 def test_replay_revalidates_certificates(d3_table):

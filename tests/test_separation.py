@@ -12,21 +12,27 @@ from crfactor import (
     JointTable,
     ModelError,
     ModelGraph,
-    PreconditionError,
     Variable,
     ci_deviation,
     d_separated,
+    eval_expr,
     is_markov,
     mutual_independence_deviation,
     u_separated,
-    unconnected_nodes_check,
 )
 from crfactor.cli import main
 from crfactor.model import REL_TOL
 from crfactor.rewrites import Certificate, Context, validate_certificate
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 
-from conftest import oracle_d_separated, oracle_event_prob, oracle_u_separated, student_table
+from conftest import (
+    assignments,
+    exchange_sides,
+    oracle_d_separated,
+    oracle_event_prob,
+    oracle_u_separated,
+    student_table,
+)
 
 
 def test_ci_query_validation():
@@ -150,7 +156,7 @@ def _oracle_deviation(table, groups, z):
     where every P(z, g_i) > 0, by explicit sums."""
     probs = {tuple(s): float(p) for s, p in np.ndenumerate(table.probs)}
     worst = 0.0
-    for a in table.assignments():
+    for a in assignments(table):
         def p(*gs):
             return oracle_event_prob(probs, table.names, {n: a[n] for g in gs for n in g})
 
@@ -262,8 +268,8 @@ def test_ci_deviation_survives_underflowing_products(q, independent, tmp_path, c
 def test_unconnected_nodes_path():
     g = make_graph("path:3")  # a - b - c with the non-adjacent pair (a, c)
     table = random_gibbs_model(g, seed=5).to_joint()
-    for assignment in table.assignments():
-        lhs, rhs = unconnected_nodes_check(table, g, "a", "c", ["b"], [], assignment)
+    for assignment in assignments(table):
+        lhs, rhs = (eval_expr(e, table, assignment) for e in exchange_sides("a", "c", ["b"], []))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -272,7 +278,7 @@ def test_unconnected_nodes_default_states_trivial():
     table = random_gibbs_model(g, seed=6).to_joint()
     # at the default configuration both sides are literally the same product
     assignment = {n: 0 for n in g.nodes}
-    lhs, rhs = unconnected_nodes_check(table, g, "a", "c", ["b"], [], assignment)
+    lhs, rhs = (eval_expr(e, table, assignment) for e in exchange_sides("a", "c", ["b"], []))
     assert lhs == rhs
 
 
@@ -299,7 +305,7 @@ def test_unconnected_nodes_random_models():
                     bucket = rng.randrange(2)  # blanket nodes must land in W or X
                 (w if bucket == 0 else x if bucket == 1 else []).append(n)
             assignment = {n: rng.randrange(2) for n in g.nodes}
-            lhs, rhs = unconnected_nodes_check(table, g, a, b, w, x, assignment)
+            lhs, rhs = (eval_expr(e, table, assignment) for e in exchange_sides(a, b, w, x))
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -307,20 +313,19 @@ def test_unconnected_nodes_nonzero_default():
     g = make_graph("path:4")  # a-b-c-d; pair (a, d), blanket {b, c}
     table = random_gibbs_model(g, seed=12).to_joint()
     default = {"b": 1, "c": 1, "a": 1, "d": 0}
-    for assignment in table.assignments():
-        lhs, rhs = unconnected_nodes_check(
-            table, g, "a", "d", ["b"], ["c"], assignment, default=default
-        )
+    for assignment in assignments(table):
+        sides = exchange_sides("a", "d", ["b"], ["c"], default=default)
+        lhs, rhs = (eval_expr(e, table, assignment) for e in sides)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_unconnected_nodes_preconditions():
+    """Without its preconditions the identity fails on a generic Gibbs table."""
     g = make_graph("path:3")
     table = random_gibbs_model(g, seed=7).to_joint()
-    a0 = {n: 0 for n in g.nodes}
-    with pytest.raises(PreconditionError):  # adjacent pair
-        unconnected_nodes_check(table, g, "a", "b", ["c"], [], a0)
-    with pytest.raises(PreconditionError):  # blanket not covered
-        unconnected_nodes_check(table, g, "a", "c", [], [], a0)
-    with pytest.raises(PreconditionError):  # W and X overlap
-        unconnected_nodes_check(table, g, "a", "c", ["b"], ["b"], a0)
+    for a, b, w in (("a", "b", ["c"]), ("a", "c", [])):  # an adjacent pair; a blanket not covered
+        gaps = []
+        for assignment in assignments(table):
+            lhs, rhs = (eval_expr(e, table, assignment) for e in exchange_sides(a, b, w, []))
+            gaps.append(abs(lhs - rhs) / rhs)
+        assert max(gaps) > 1e-3, (a, b, w)
