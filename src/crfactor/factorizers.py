@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .rewrites import (
     apply_single_block,
     singleton_cr,
 )
-from .separation import is_markov
 
 
 class _Recorder:
@@ -248,18 +247,15 @@ def mrf_factorize(
     maximal clique containing it. Requires a strictly positive table that
     passes the numeric Markov check for the graph.
     """
-
-    def potentials() -> dict[tuple[str, ...], FactorExpr]:
-        if not table.strictly_positive:
-            raise PreconditionError("this factorization requires a strictly positive table")
-        maximal = graph.maximal_cliques()
-        phis: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
-        for c in graph.all_cliques():
-            owner = next(mc for mc in maximal if set(c) <= set(mc))
-            phis[owner].append(hc_potential(table, c, default))
-        return {mc: product_of(parts) for mc, parts in phis.items()}
-
-    return _markov_checked(table, graph, tol, default, potentials, lambda phis: product_of(phis.values()))
+    _check_markov_args(table, graph, tol)
+    maximal = graph.maximal_cliques()
+    parts: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
+    for c in graph.all_cliques():
+        owner = next(mc for mc in maximal if set(c) <= set(mc))
+        parts[owner].append(hc_potential(table, c, default))
+    phis = {mc: product_of(p) for mc, p in parts.items()}
+    _check_markov(table, tol, product_of(phis.values()))
+    return phis
 
 
 def rmrf_factorize(
@@ -275,83 +271,63 @@ def rmrf_factorize(
     over all non-empty cliques c, times the pinned constant P(X = default)
     contributed by the empty clique (conditioning the empty clique away
     would silently drop that constant and the product would miss the joint
-    by exactly that factor).
+    by exactly that factor). Requires a strictly positive table that passes
+    the numeric Markov check for the graph.
     """
-
-    def expression() -> FactorExpr:
-        if not table.strictly_positive:
-            raise PreconditionError("this factorization requires a strictly positive table")
-        pins = _default_assignment(table, default)
-        factors: list[FactorExpr] = []
-        for c in graph.all_cliques():
-            blanket = graph.markov_blanket(c)
-            cond = Block._of(tuple((n, pins[n]) for n in blanket)) if blanket else None  # the table's names
-            # The empty clique spans the whole table: its one term is P(X = default).
-            span = [n for n in table.names if n in set(c)] or table.names
-            factors.extend(_subset_terms(span, c, pins, cond))
-        return Product(tuple(factors))
-
-    return _markov_checked(table, graph, tol, default, expression, lambda expr: expr)
+    _check_markov_args(table, graph, tol)
+    pins = _default_assignment(table, default)
+    factors: list[FactorExpr] = []
+    for c in graph.all_cliques():
+        blanket = graph.markov_blanket(c)
+        cond = Block._of(tuple((n, pins[n]) for n in blanket)) if blanket else None  # the table's names
+        # The empty clique spans the whole table: its one term is P(X = default).
+        span = [n for n in table.names if n in set(c)] or table.names
+        factors.extend(_subset_terms(span, c, pins, cond))
+    expr = Product(tuple(factors))
+    _check_markov(table, tol, expr)
+    return expr
 
 
-# A factorization's own product settles the Markov check only while its terms
-# are at most this many per non-adjacent pair (one CI query each). One CI
-# query over the grid costs about as much as 6-10 terms on er, path, cycle
-# and triangles graphs, so the product is then the cheaper.
-_TERMS_PER_PAIR = 5
-
-_Result = TypeVar("_Result")
-
-
-def _markov_checked(
-    table: JointTable,
-    graph: ModelGraph,
-    tol: float,
-    default: Mapping[str, int] | None,
-    build: Callable[[], _Result],
-    product: Callable[[_Result], FactorExpr],
-) -> _Result:
-    """build()'s factorization, once the table has passed the numeric Markov
-    check for the graph; PreconditionError otherwise.
-
-    A table equal to a product of factors, each over a clique of G, is
-    Markov for G (Lauritzen 1996, Prop. 3.8). So one grid evaluation of the
-    factorization's own product accepts when it matches the table within
-    `tol` at every row. That is tried when the graph is undirected over
-    exactly the table's variables, the table is strictly positive, the
-    default is valid and the product is cheap. It never rejects: where the
-    product misses, leaves the float range or is too long, is_markov's
-    pairwise CI queries decide, and for any other input they decide before
-    build() runs, so every error keeps its order. A tolerance that is not
-    finite and non-negative is a ModelError before either is tried.
-    """
+def _check_markov_args(table: JointTable, graph: ModelGraph, tol: float) -> None:
+    """mrf's and rmrf's argument checks, in the order they are reported."""
     _check_tol(tol)
-    defaults = (default or {}).items()
-    own = (
-        graph.kind == "undirected" and set(graph.nodes) == set(table.names) and table.strictly_positive
-        and all(v in table and isinstance(s, int) and 0 <= s < table.cardinality(v) for v, s in defaults)
-    )
-    if own:
-        result = build()
-        if _matches(table, graph, tol, product(result)):
-            return result
-    if not is_markov(table, graph, tol):
-        raise PreconditionError("table fails the numeric Markov check for this graph")
-    return result if own else build()
+    if graph.kind != "undirected":
+        raise ModelError("the Markov check requires an undirected graph")
+    if set(graph.nodes) != set(table.names):
+        raise ModelError("graph nodes do not match table variables")
+    if not table.strictly_positive:
+        raise PreconditionError("this factorization requires a strictly positive table")
 
 
-def _matches(table: JointTable, graph: ModelGraph, tol: float, expr: FactorExpr) -> bool:
-    """Whether `expr` has at most _TERMS_PER_PAIR terms per non-adjacent pair
-    of the graph and is within `tol` of the table at every row."""
-    n = len(graph.nodes)
-    terms = len(expr.children) if isinstance(expr, Product) else 1
-    if terms > _TERMS_PER_PAIR * (n * (n - 1) // 2 - len(graph.edges)):
-        return False
-    try:
-        value = eval_expr(expr, table, grid(table))
-    except UndefinedCRError:  # a term leaves the float range at some row
-        return False
-    return bool(np.all(np.abs(value - table.probs) <= tol * table.probs))
+def _check_markov(table: JointTable, tol: float, product: FactorExpr) -> None:
+    """PreconditionError unless the table is within tol·P(x) of the
+    factorization's product at every row: a product of factors over cliques
+    of G is globally Markov for G, zero cells or not (Lauritzen 1996, Prop.
+    3.8). The value stays memoized for verification, and an undefined row
+    raises verification's UndefinedCRError. A row with P(x) > 0 that reads
+    0, inf or nan lost the float range, not the Markov property: an
+    UndefinedCRError, tested first because a running product that passed
+    through subnormals can leave other rows finite but wrong."""
+    value = eval_expr(product, table, grid(table))
+    lost = ~np.isfinite(value) | ((value == 0.0) & (table.probs > 0.0))
+    if lost.any():
+        at = _row(table, int(np.argmax(lost)))
+        raise UndefinedCRError(f"the factorization's product leaves the float range (at assignment {at!r})")
+    err = np.abs(value - table.probs)
+    off = err > tol * table.probs
+    if off.any():
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf where P(x) = 0
+            rel = np.where(off, err / table.probs, 0.0)
+        worst = int(np.argmax(rel))
+        raise PreconditionError(
+            "table fails the numeric Markov check for this graph: relative error "
+            f"{rel.flat[worst]:.3e} at assignment {_row(table, worst)!r}"
+        )
+
+
+def _row(table: JointTable, flat: int) -> dict[str, int]:
+    """The assignment at a row-major row of the table."""
+    return {n: int(s) for n, s in zip(table.names, np.unravel_index(flat, table.probs.shape))}
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +410,7 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     collapses to 1/P(separator) because the separator disconnects the clique
     from everything still in play. Grouping each CR(V(c)) with its node
     marginals gives the factor P(V(c)) / P(separator); the final clique
-    keeps P(V(root)).
+    keeps P(V(root)). The table must pass the numeric Markov check.
     """
     if set(table.names) != set(graph.nodes):
         raise ModelError("graph nodes do not match table variables")
@@ -442,36 +418,34 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
     assert check.root is not None
-
-    def build() -> TcgResult:
-        ctx = Context(graph=graph, table=table, tol=tol)
-        initial = singleton_cr(table.names)
-        rec = _Recorder(initial)
-        factors: dict[tuple[str, ...], FactorExpr] = {}
-        rem_path: tuple[int, ...] = ()
-        rem = list(table.names)
-        for clique, maxadj in check.elimination:
-            sep = [n for n in table.names if n in set(clique) & set(maxadj)]
-            factors[clique] = Product((PTerm(Block(clique)), PTerm(Block(sep), exponent=-1)))
-            for v in sep:
-                rec.apply(apply_duplicate, rem_path, rem.index(v))
-                rem.insert(rem.index(v) + 1, v)
-                rem_path = _split_part(rem_path, 0)
-            left = sorted(rem.index(v) for v in clique)  # each clique variable's first position
-            right = [p for p in range(len(rem)) if p not in left]
-            rec.apply(apply_bipartition, rem_path, left, right)
-            rec.apply(apply_ci_collapse, _split_part(rem_path, 1), "graph", ctx=ctx)
-            rem_path = _split_part(rem_path, 2)
-            rem = [rem[p] for p in right]
-        factors[check.root] = PTerm(Block(check.root))
-        return TcgResult(
-            clique_graph=check.clique_graph,
-            elimination=check.elimination,
-            root=check.root,
-            factors=factors,
-            expr=product_of(factors.values()),
-            trace_initial=initial,
-            trace=tuple(rec.steps),
-        )
-
-    return _markov_checked(table, graph, tol, None, build, lambda result: result.expr)
+    ctx = Context(graph=graph, table=table, tol=tol)  # a bad tol is a ModelError here
+    initial = singleton_cr(table.names)
+    rec = _Recorder(initial)
+    factors: dict[tuple[str, ...], FactorExpr] = {}
+    rem_path: tuple[int, ...] = ()
+    rem = list(table.names)
+    for clique, maxadj in check.elimination:
+        sep = [n for n in table.names if n in set(clique) & set(maxadj)]
+        factors[clique] = Product((PTerm(Block(clique)), PTerm(Block(sep), exponent=-1)))
+        for v in sep:
+            rec.apply(apply_duplicate, rem_path, rem.index(v))
+            rem.insert(rem.index(v) + 1, v)
+            rem_path = _split_part(rem_path, 0)
+        left = sorted(rem.index(v) for v in clique)  # each clique variable's first position
+        right = [p for p in range(len(rem)) if p not in left]
+        rec.apply(apply_bipartition, rem_path, left, right)
+        rec.apply(apply_ci_collapse, _split_part(rem_path, 1), "graph", ctx=ctx)
+        rem_path = _split_part(rem_path, 2)
+        rem = [rem[p] for p in right]
+    factors[check.root] = PTerm(Block(check.root))
+    expr = product_of(factors.values())
+    _check_markov(table, tol, expr)
+    return TcgResult(
+        clique_graph=check.clique_graph,
+        elimination=check.elimination,
+        root=check.root,
+        factors=factors,
+        expr=expr,
+        trace_initial=initial,
+        trace=tuple(rec.steps),
+    )

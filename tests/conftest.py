@@ -192,6 +192,24 @@ def fig4_graph() -> ModelGraph:
 
 
 # ---------------------------------------------------------------------------
+# A table a little off the Markov property, for the checks' tolerance
+# boundaries: each check measures its own deviation on it, then runs at half
+# and at twice that tolerance.
+
+
+@pytest.fixture(scope="session")
+def nearly_markov() -> tuple[JointTable, ModelGraph]:
+    """A path:4 Gibbs table mixed at weight 1e-6 with a generic table, and
+    the path graph a - b - c - d."""
+    from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
+
+    path = make_graph("path:4")
+    markov = random_gibbs_model(path, seed=3).to_joint()
+    generic = random_joint_table(path.nodes, seed=4)
+    return JointTable(markov.variables, (1 - 1e-6) * markov.probs + 1e-6 * generic.probs), path
+
+
+# ---------------------------------------------------------------------------
 # Hand-written rewrite traces reproducing the two four-factor reductions of
 # CR(D,I,G,S,L) to CR(D,G)·CR(S,I)·CR(I,G)·CR(G,L) (one by repeated splits,
 # one by merges). The certificates are recorded exactly as claimed by the

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -10,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import crfactor
-from crfactor import factorize_bn, render, singleton_cr, trace_to_dicts
+from crfactor import (
+    ModelGraph, ParsedModel, Variable, factorize_bn, factorize_tcg, is_tcg, render, render_model, singleton_cr,
+    trace_to_dicts,
+)
 from crfactor import cli
 from crfactor.cli import (
     EXIT_INTERNAL,
@@ -69,6 +73,63 @@ def test_factorize_tcg_cycle_fails_precondition(capsys):
     )
     assert code == EXIT_PRECONDITION
     assert "not a TCG" in err
+
+
+# a = b = c is one fair coin and d another: each non-adjacent pair of the
+# star a-d, b-d, c-d is independent given the other two nodes, but the
+# table is not Markov for the star
+STAR_MODEL = (
+    "graph undirected\nvar a 2\nvar b 2\nvar c 2\nvar d 2\nedge a d\nedge b d\nedge c d\n"
+    "joint\n0 0 0 0 0.25\n0 0 0 1 0.25\n1 1 1 0 0.25\n1 1 1 1 0.25\n"
+)
+
+
+def test_factorize_tcg_star_table_fails_precondition(tmp_path, capsys):
+    model_file = tmp_path / "star.model"
+    model_file.write_text(STAR_MODEL)
+    code, out, err = run(capsys, "factorize", "--method", "tcg", "--model", str(model_file))
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == (
+        "error: table fails the numeric Markov check for this graph: "
+        "relative error inf at assignment {'a': 0, 'b': 0, 'c': 1, 'd': 0}\n"
+    )
+
+
+STAR_WEIGHTS = [1.0, 1.0] + [0.0] * 12 + [1.0, 1.0] + [0.0] * 8  # the star table's cells, row-major
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edges=st.sets(st.sampled_from(list(itertools.combinations("abcd", 2)))),
+    weights=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0]), min_size=24, max_size=24),
+    markov=st.booleans(),
+)
+@example(edges={("a", "d"), ("b", "d"), ("c", "d")}, weights=STAR_WEIGHTS, markov=False)
+def test_markov_methods_exit_ok_or_precondition_never_verification(argv_files, edges, weights, markov):
+    """mrf, rmrf and (on a TCG) tcg over four binary variables: a generic
+    table, or a product of one generated factor per edge, which is Markov
+    for the graph with zero cells or not. A factorization whose Markov check
+    passed verifies, so no run exits 2; and on a strictly positive Markov
+    table every method succeeds."""
+    graph = ModelGraph("undirected", tuple("abcd"), sorted(edges))
+    if markov:
+        probs = np.ones((2,) * 4)
+        for k, (u, v) in enumerate(graph.edges):
+            shape = [2 if n in (u, v) else 1 for n in "abcd"]
+            probs = probs * np.reshape(weights[4 * k:4 * k + 4], shape)
+    else:
+        probs = np.reshape(weights[:16], (2,) * 4)
+    assume(probs.sum() > 0.0)
+    variables = tuple(Variable(n, 2) for n in "abcd")
+    model_file = argv_files / "markov.model"
+    model_file.write_text(render_model(ParsedModel("joint", variables, graph, {}, joint_probs=probs / probs.sum())))
+    for method in ("mrf", "rmrf", "tcg") if is_tcg(graph) else ("mrf", "rmrf"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["factorize", "--method", method, "--model", str(model_file)])
+        assert code in (EXIT_OK, EXIT_PRECONDITION), (method, err.getvalue())
+        if markov and probs.all():
+            assert code == EXIT_OK, (method, err.getvalue())
 
 
 def test_factorize_mrf_and_rmrf(capsys):
@@ -209,9 +270,6 @@ def test_factorize_trace_tampered_certificate_exits_precondition(tmp_path, capsy
 
 
 def test_factorize_chain_crf_cli(tmp_path, capsys):
-    from crfactor import ModelGraph, ParsedModel, Variable, render_model
-    from crfactor.randgen import random_gibbs_model
-
     nodes = ["y1", "y2", "y3", "x1", "x2", "x3"]
     edges = [("y1", "y2"), ("y2", "y3"), ("x1", "y1"), ("x2", "y2"), ("x3", "y3")]
     g = ModelGraph("undirected", nodes, edges)
@@ -280,6 +338,17 @@ def test_verify_pass_and_fail(capsys):
     assert code == EXIT_VERIFICATION
     assert "verification: FAIL" in out
     assert "worst=A=0,B=0" in out
+
+
+def test_verification_tolerance_boundary(nearly_markov):
+    """The tcg product misses the nearly Markov table by a relative error d
+    at its worst row: verification passes at tol = 2d and fails at d/2."""
+    table, path = nearly_markov
+    expr = factorize_tcg(table, path, tol=1e-3).expr
+    d = verify_expression(expr, table).max_rel_error
+    assert 0.0 < d < 1e-3
+    assert verify_expression(expr, table, tol=2 * d).passed
+    assert not verify_expression(expr, table, tol=d / 2).passed
 
 
 def test_verify_whole_block_expression(tmp_path, capsys):

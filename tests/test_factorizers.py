@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from crfactor import (
     ModelGraph,
     PreconditionError,
     PTerm,
+    UndefinedCRError,
     Variable,
     block,
     build_joint_from_cpts,
@@ -30,7 +32,9 @@ from crfactor import (
     rmrf_factorize,
     singleton_cr,
 )
-from crfactor import factorizers
+from crfactor import separation
+from crfactor.cli import verify_expression
+from crfactor.cr import grid
 from crfactor.model import REL_TOL
 from crfactor.rewrites import Context
 from crfactor.randgen import (
@@ -38,6 +42,7 @@ from crfactor.randgen import (
     random_chain_conditional_table,
     random_gibbs_model,
     random_joint_table,
+    random_model,
 )
 
 from conftest import assignments, student_table
@@ -315,42 +320,32 @@ def test_mrf_product_with_nonzero_defaults(d3_table):
 
 
 # ---------------------------------------------------------------------------
-# the Markov precondition: each factorizer's own product, is_markov behind it
-
-
-@pytest.fixture
-def markov_calls(monkeypatch):
-    """The graphs the factorizers hand to is_markov."""
-    calls = []
-
-    def counting(table, graph, *args, **kwargs):
-        calls.append(graph)
-        return is_markov(table, graph, *args, **kwargs)
-
-    monkeypatch.setattr(factorizers, "is_markov", counting)
-    return calls
+# the Markov precondition: each factorizer's own product
 
 
 # each factorizer, reduced to the product it returns
 PRODUCTS = {
-    "mrf": lambda table, graph: product_of(mrf_factorize(table, graph).values()),
+    "mrf": lambda table, graph, **kw: product_of(mrf_factorize(table, graph, **kw).values()),
     "rmrf": rmrf_factorize,
-    "tcg": lambda table, graph: factorize_tcg(table, graph).expr,
+    "tcg": lambda table, graph, **kw: factorize_tcg(table, graph, **kw).expr,
 }
 
 
-def _markov_verdict(method, table, graph):
+def _markov_verdict(method, table, graph, **kw):
     """Whether the factorizer accepts the table for the graph, and the product it returns."""
     try:
-        return True, PRODUCTS[method](table, graph)
+        return True, PRODUCTS[method](table, graph, **kw)
     except PreconditionError as exc:
         assert "fails the numeric Markov check" in str(exc)
         return False, None
 
 
-def _cheap(graph, product):
-    n = len(graph.nodes)
-    return len(product.children) <= factorizers._TERMS_PER_PAIR * (n * (n - 1) // 2 - len(graph.edges))
+def _uniform(table):
+    """The uniform table over the same variables: Markov for every graph, so
+    each factorizer returns there the product it builds for any strictly
+    positive table over them (the products depend only on the graph and the
+    default)."""
+    return JointTable(table.variables, np.full(table.probs.shape, 1.0 / table.probs.size))
 
 
 @pytest.mark.parametrize(
@@ -358,55 +353,82 @@ def _cheap(graph, product):
     [("er:8:0.4", 2), ("er:10:0.3", 2), ("path:8", 2), ("cycle:6", 2), ("triangles:4", 2),
      ("er:6:0.4", 3), ("path:5", 3), ("cycle:6", 3), ("triangles:2", 3)],
 )
-def test_markov_check_agrees_with_is_markov(spec, card, markov_calls):
+def test_markov_check_agrees_with_is_markov(spec, card):
     """Each Gibbs table against its own graph (Markov) and against every graph
     with one edge removed (not Markov): mrf, rmrf and tcg accept exactly when
-    is_markov does, and where their product is cheap it accepts alone."""
+    is_markov does."""
     for seed in range(2):
         g = make_graph(spec, seed)
         table = random_gibbs_model(g, seed, card).to_joint()
         cut_graphs = [ModelGraph("undirected", g.nodes, [e for e in g.edges if e != cut]) for cut in g.edges]
         for graph in [g, *cut_graphs]:
             for method in PRODUCTS if is_tcg(graph) else ("mrf", "rmrf"):
-                markov_calls.clear()
-                verdict, product = _markov_verdict(method, table, graph)
+                verdict, _ = _markov_verdict(method, table, graph)
                 assert verdict == is_markov(table, graph) == (graph is g), (spec, seed, method, graph.edges)
-                assert markov_calls == ([] if verdict and _cheap(graph, product) else [graph])
 
 
 @pytest.mark.parametrize("spec", ["path:10", "er:10:0.3"])
-def test_markov_check_needs_no_ci_query_on_cheap_positive_shapes(spec, markov_calls):
+def test_markov_check_needs_no_ci_query_on_cheap_positive_shapes(spec, monkeypatch):
+    def no_ci_query(*args):
+        raise AssertionError("the Markov check ran a CI query")
+
+    monkeypatch.setattr(separation, "_deviation", no_ci_query)
     g = make_graph(spec)
     table = random_gibbs_model(g, seed=1).to_joint()
     mrf_factorize(table, g)
     rmrf_factorize(table, g)
     if is_tcg(g):
         factorize_tcg(table, g)
-    assert markov_calls == []
 
 
-def test_markov_check_falls_back_to_is_markov(markov_calls):
-    # a zero entry: pairwise Markov no longer implies the factorization, and tcg accepts it
+def test_markov_check_decides_by_the_product_alone():
+    # a zero entry: the path's product of CPTs is Markov for it, and tcg's product shows it
     path = make_graph("path:3")
     pa, pb_a, pc_b = np.array([0.4, 0.6]), np.array([[1.0, 0.0], [0.3, 0.7]]), np.array([[0.2, 0.8], [0.5, 0.5]])
     zero = JointTable([Variable(n, 2) for n in path.nodes], pa[:, None, None] * pb_a[:, :, None] * pc_b)
     _assert_matches_joint(factorize_tcg(zero, path).expr, zero)
-    assert markov_calls == [path]
-    # a dense graph: 909 product terms against 13 CI queries
+    # a dense graph: 909 product terms, where the pairwise check needed 13 CI queries
     dense = make_graph("er:10:0.8")
-    mrf_factorize(random_gibbs_model(dense, seed=1).to_joint(), dense)
-    assert markov_calls[1:] == [dense]
-    # the product misses the table, and is_markov rejects
+    table = random_gibbs_model(dense, seed=1).to_joint()
+    assert verify_expression(product_of(mrf_factorize(table, dense).values()), table).passed
+    # the product misses the table: the error names the worst row and its relative error
     cycle, path6 = make_graph("cycle:6"), make_graph("path:6")
-    with pytest.raises(PreconditionError, match="fails the numeric Markov check"):
-        mrf_factorize(random_gibbs_model(cycle, seed=1, cardinality=3).to_joint(), path6)
-    assert markov_calls[2:] == [path6]
+    table = random_gibbs_model(cycle, seed=1, cardinality=3).to_joint()
+    product = product_of(mrf_factorize(_uniform(table), path6).values())
+    rel = np.abs(eval_expr(product, table, grid(table)) - table.probs) / table.probs
+    worst = dict(zip(table.names, map(int, np.unravel_index(int(np.argmax(rel)), rel.shape))))
+    with pytest.raises(PreconditionError) as exc:
+        mrf_factorize(table, path6)
+    assert str(exc.value) == (
+        "table fails the numeric Markov check for this graph: "
+        f"relative error {rel.max():.3e} at assignment {worst!r}"
+    )
 
 
-def test_markov_check_on_subnormal_entries_matches_is_markov(markov_calls):
+def test_tcg_rejects_a_table_that_is_only_pairwise_markov():
+    # a = b = c is one fair coin and d another: each non-adjacent pair is
+    # independent given the other two nodes, but a and b are not independent
+    # given d, so the star a-d, b-d, c-d is no factorization of the table
+    star = ModelGraph("undirected", "abcd", [("a", "d"), ("b", "d"), ("c", "d")])
+    probs = np.zeros((2,) * 4)
+    probs[0, 0, 0, :] = probs[1, 1, 1, :] = 0.25
+    table = JointTable([Variable(n, 2) for n in "abcd"], probs)
+    assert is_markov(table, star) and is_tcg(star)
+    with pytest.raises(PreconditionError) as exc:
+        factorize_tcg(table, star)
+    assert str(exc.value) == (
+        "table fails the numeric Markov check for this graph: "
+        "relative error inf at assignment {'a': 0, 'b': 0, 'c': 1, 'd': 0}"
+    )
+
+
+def test_markov_check_on_subnormal_entries_matches_is_markov():
     # potentials of 1e-155 at a=b=0 and b=c=0 put P(a..f = 0), the default
-    # configuration, below 1e-310: the mrf and rmrf products raise a term at
-    # the default to -1, which overflows, so is_markov decides
+    # configuration, below 1e-310. The mrf product raises P(a..f = 0) to -1,
+    # and on the Markov table rmrf raises P(b=0|a=0 c=0) to -1: both
+    # overflow, so that row is undefined, the error verification raises.
+    # Where the product stays in range, as tcg's P(a b)·P(b)^-1·… does, the
+    # verdict is is_markov's.
     g = make_graph("path:6")
     tiny = np.array([[1e-155, 1.0], [1.0, 1.0]])
     potentials = {**random_gibbs_model(g, seed=16).potentials, ("a", "b"): tiny, ("b", "c"): tiny}
@@ -414,13 +436,58 @@ def test_markov_check_on_subnormal_entries_matches_is_markov(markov_calls):
     raw = random_joint_table(g.nodes, seed=17).probs.copy()
     raw[(0,) * 6] = 1e-310
     generic = JointTable(markov.variables, raw / raw.sum())
-    for table, expected in ((markov, True), (generic, False)):
+    overflow = None
+    expected = {"tcg": True, "mrf": overflow, "rmrf": overflow}, {"tcg": False, "mrf": overflow, "rmrf": False}
+    for table, outcomes in zip((markov, generic), expected):
         assert 0.0 < table.probs[(0,) * 6] < 1e-300
-        for method in PRODUCTS:
-            markov_calls.clear()
-            assert _markov_verdict(method, table, g)[0] == is_markov(table, g) == expected
-            # tcg's product P(a b)·P(b)^-1·… stays in range and accepts the Markov table alone
-            assert markov_calls == ([] if expected and method == "tcg" else [g])
+        for method, verdict in outcomes.items():
+            if verdict is not overflow:
+                assert _markov_verdict(method, table, g)[0] == is_markov(table, g) == verdict
+                continue
+            with pytest.raises(UndefinedCRError) as verified:
+                verify_expression(PRODUCTS[method](_uniform(table), g), table)
+            with pytest.raises(UndefinedCRError) as gated:
+                PRODUCTS[method](table, g)
+            assert str(gated.value) == str(verified.value)
+            default_row = {n: 0 for n in "abcdef"}
+            assert str(gated.value).endswith(f")^-1 overflows (at assignment {default_row!r})")
+
+
+def test_markov_check_reports_a_float_range_loss_not_a_verdict():
+    # a strictly positive Gibbs table, Markov for its graph: the mrf product's
+    # running value leaves the float range at some rows and reads 0 or inf
+    # there, and at others passes through subnormals and comes back finite
+    # but wrong; no row proves the table is not Markov
+    model = random_model("gibbs", "er:14:0.8", seed=1)
+    table = model.joint()
+    with pytest.raises(UndefinedCRError) as exc:
+        mrf_factorize(table, model.graph, model.default_assignment())
+    assert str(exc.value).startswith("the factorization's product leaves the float range (at assignment {'a': ")
+
+
+def test_tcg_on_a_zero_entry_path20_table_takes_one_product_evaluation():
+    # path:20 times a pairwise factor on (a, b) that is 0 at (0, 0): still
+    # Markov for the path, with 2^18 zero cells
+    g = make_graph("path:20")
+    probs = random_gibbs_model(g, seed=0).to_joint().probs.copy()
+    probs[0, 0] = 0.0
+    table = JointTable([Variable(n, 2) for n in g.nodes], probs / probs.sum())
+    start = time.perf_counter()
+    result = factorize_tcg(table, g)
+    assert time.perf_counter() - start < 1.0
+    assert verify_expression(result.expr, table).passed
+
+
+def test_markov_check_tolerance_boundary(nearly_markov):
+    """Each factorizer's product misses the nearly Markov table by a relative
+    error d at its worst row: the gate accepts at tol = 2d and rejects at d/2."""
+    table, g = nearly_markov
+    for method in PRODUCTS:
+        product = PRODUCTS[method](_uniform(table), g)
+        d = float(np.max(np.abs(eval_expr(product, table, grid(table)) - table.probs) / table.probs))
+        assert 0.0 < d < 1e-3
+        assert _markov_verdict(method, table, g, tol=2 * d)[0]
+        assert not _markov_verdict(method, table, g, tol=d / 2)[0]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None])

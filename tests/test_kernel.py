@@ -417,9 +417,13 @@ def memo_case(case: str) -> tuple[JointTable, object]:
 
 
 def memo_expressions(table, g):
-    exprs = [product_of(mrf_factorize(table, g).values()), rmrf_factorize(table, g)]
+    # The products depend only on the graph and the default, so they are
+    # built on the uniform table over the same variables: on the subnormal
+    # table the mrf and rmrf products overflow, and their factorizers raise.
+    uniform = JointTable(table.variables, np.full(table.probs.shape, 1.0 / table.probs.size))
+    exprs = [product_of(mrf_factorize(uniform, g).values()), rmrf_factorize(uniform, g)]
     if is_tcg(g).ok:
-        exprs.append(factorize_tcg(table, g).expr)
+        exprs.append(factorize_tcg(uniform, g).expr)
     for u, v in g.edges[:4]:
         rest = [n for n in table.names if n not in (u, v)]
         exprs.append(CRTerm((Block([u]), Block([v])), Block(rest)))

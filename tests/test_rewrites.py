@@ -14,6 +14,7 @@ from crfactor import (
     Certificate,
     Context,
     CRTerm,
+    ModelGraph,
     Product,
     PTerm,
     RewriteError,
@@ -32,6 +33,7 @@ from crfactor import (
     eval_expr,
     factorize_bn,
     factorize_tcg,
+    mutual_independence_deviation,
     render,
     replay_trace,
     singleton_cr,
@@ -40,7 +42,7 @@ from crfactor import (
 )
 from crfactor.cr import grid
 from crfactor.randgen import random_gibbs_model, random_joint_table, make_graph
-from crfactor.rewrites import RULES
+from crfactor.rewrites import RULES, validate_certificate
 
 from conftest import assignments, oracle_cr, D3_NAMES, D3_PROBS
 
@@ -547,3 +549,25 @@ def test_rewrite_soundness_random_tables():
         _everywhere_equal(e0, e2, table)
         e3, _ = apply_duplicate(e0, (), rng.randrange(n))
         _everywhere_equal(e0, e3, table)
+
+
+def test_numeric_certificate_tolerance_boundary(nearly_markov):
+    """A numeric certificate holds when its deviation d on the nearly Markov
+    table is within tol: it validates at tol = 2d and fails at d/2."""
+    table, _ = nearly_markov
+    cert = Certificate("numeric", x=("a",), y=("c", "d"), z=("b",))
+    d = mutual_independence_deviation(table, (cert.x, cert.y), cert.z)
+    assert 0.0 < d < 1e-3
+    validate_certificate(cert, Context(table=table, tol=2 * d))
+    with pytest.raises(CertificateError, match="numeric CI test fails"):
+        validate_certificate(cert, Context(table=table, tol=d / 2))
+
+
+def test_independence_of_three_groups_needs_every_pair_separated():
+    # a -> b, c apart: (a, c) and (b, c) are d-separated, (a, b) is not
+    dag = ModelGraph("directed", ("a", "b", "c"), [("a", "b")])
+    expr = singleton_cr(("a", "b", "c"))
+    with pytest.raises(CertificateError, match="graph separation does not hold"):
+        apply_independence(expr, (), "graph", ctx=Context(graph=dag))
+    apart = ModelGraph("directed", ("a", "b", "c"), [])
+    assert render(apply_independence(expr, (), "graph", ctx=Context(graph=apart))[0]) == "1"

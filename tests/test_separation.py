@@ -235,6 +235,19 @@ def test_is_markov(d3_table):
     assert not is_markov(bad, path)
 
 
+def test_is_markov_tolerance_boundary(nearly_markov):
+    """The worst pairwise CI deviation d on the nearly Markov table decides:
+    is_markov accepts at tol = 2d and rejects at d/2."""
+    table, path = nearly_markov
+    d = max(
+        ci_deviation(table, CIQuery((u,), (v,), tuple(n for n in path.nodes if n not in (u, v))))
+        for u, v in itertools.combinations(path.nodes, 2) if not path.has_edge(u, v)
+    )
+    assert 0.0 < d < 1e-3
+    assert is_markov(table, path, tol=2 * d)
+    assert not is_markov(table, path, tol=d / 2)
+
+
 @pytest.mark.parametrize("q, independent", [(1e-150, False), (1e-200, True)])
 def test_ci_deviation_survives_underflowing_products(q, independent, tmp_path, capsys):
     """P(z=0) = P(x=0|z=0) = P(y=0|z=0) = 1e-100 and P(x=0, y=0|z=0) = q:
