@@ -45,7 +45,7 @@ from .factorizers import (
     mrf_factorize,
     rmrf_factorize,
 )
-from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, build_clique_graph
+from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, _row, build_clique_graph
 from .modelfile import ParsedModel, parse_model, render_model
 from .randgen import random_model
 from .rewrites import replay_trace, trace_from_dicts
@@ -102,8 +102,7 @@ def verify_expression(
     with np.errstate(over="ignore"):  # an error past the float range is inf, a correct FAIL
         max_rel = float(np.max(abs_err / np.maximum(np.abs(want), ABS_TOL)))
     worst = int(np.argmax(abs_err))
-    at = {n: int(s) for n, s in zip(table.names, np.unravel_index(worst, shape))}
-    return VerificationReport(actual.size, float(abs_err[worst]), max_rel, at, tol)
+    return VerificationReport(actual.size, float(abs_err[worst]), max_rel, _row(table, worst), tol)
 
 
 class _UsageError(Exception):

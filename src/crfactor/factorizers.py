@@ -18,7 +18,7 @@ import numpy as np
 from .cr import Block, grid
 from .errors import ModelError, PreconditionError, UndefinedCRError
 from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
-from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, _check_tol, build_clique_graph
+from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, _row, build_clique_graph
 from .rewrites import (
     Context,
     OperationTrace,
@@ -31,6 +31,7 @@ from .rewrites import (
     apply_single_block,
     singleton_cr,
 )
+from .separation import _check_markov_inputs
 
 
 class _Recorder:
@@ -289,12 +290,9 @@ def rmrf_factorize(
 
 
 def _check_markov_args(table: JointTable, graph: ModelGraph, tol: float) -> None:
-    """mrf's and rmrf's argument checks, in the order they are reported."""
-    _check_tol(tol)
-    if graph.kind != "undirected":
-        raise ModelError("the Markov check requires an undirected graph")
-    if set(graph.nodes) != set(table.names):
-        raise ModelError("graph nodes do not match table variables")
+    """mrf's and rmrf's argument checks, in the order they are reported:
+    is_markov's, then strict positivity."""
+    _check_markov_inputs(table, graph, tol)
     if not table.strictly_positive:
         raise PreconditionError("this factorization requires a strictly positive table")
 
@@ -323,11 +321,6 @@ def _check_markov(table: JointTable, tol: float, product: FactorExpr) -> None:
             "table fails the numeric Markov check for this graph: relative error "
             f"{rel.flat[worst]:.3e} at assignment {_row(table, worst)!r}"
         )
-
-
-def _row(table: JointTable, flat: int) -> dict[str, int]:
-    """The assignment at a row-major row of the table."""
-    return {n: int(s) for n, s in zip(table.names, np.unravel_index(flat, table.probs.shape))}
 
 
 # ---------------------------------------------------------------------------

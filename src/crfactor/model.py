@@ -203,6 +203,11 @@ class JointTable:
         return arr.reshape(-1)[flat]
 
 
+def _row(table: JointTable, flat: int) -> dict[str, int]:
+    """The assignment at a row-major row of the table."""
+    return {n: int(s) for n, s in zip(table.names, np.unravel_index(flat, table.probs.shape))}
+
+
 class ModelGraph:
     """Directed or undirected graph over named nodes.
 
@@ -389,22 +394,6 @@ class CliqueGraph:
         return tuple(sorted(out))
 
 
-def _broadcast(sub: np.ndarray, scope: Sequence[str], names: Sequence[str]) -> np.ndarray:
-    """View of `sub` (axes in `scope` order) broadcastable over the full
-    variable axes given by `names`."""
-    kept = [n for n in names if n in scope]
-    arr = np.transpose(sub, axes=[list(scope).index(n) for n in kept])
-    shape = []
-    k = 0
-    for n in names:
-        if n in scope:
-            shape.append(arr.shape[k])
-            k += 1
-        else:
-            shape.append(1)
-    return arr.reshape(shape)
-
-
 @dataclass(frozen=True)
 class CPT:
     """Conditional probability table P(node | parents).
@@ -465,20 +454,24 @@ def build_joint_from_cpts(
         expected = tuple(var_by_name[n].cardinality for n in (*cpt.parents, node))
         if cpt.probs.shape != expected:
             raise ModelError(f"CPT for {node!r} has shape {cpt.probs.shape}, expected {expected}")
-    return JointTable(variables, _cpt_product(dag, cpts, variables))
+    factors = (((*cpts[n].parents, n), cpts[n].probs) for n in dag.nodes)
+    return JointTable(variables, _scoped_product(variables, factors))
 
 
-def _cpt_product(dag: ModelGraph, cpts: Mapping[str, CPT], variables: Sequence[Variable]) -> np.ndarray:
-    """The product of the CPTs in graph node order, over the variables'
-    axes: a new array, its size checked before it is allocated. The CPTs
-    must match the graph and the variables (build_joint_from_cpts checks)."""
+def _scoped_product(variables: Sequence[Variable], factors: Iterable[tuple[Sequence[str], np.ndarray]]) -> np.ndarray:
+    """The product of the factors, in order, over the variables' axes: a new
+    array, its size checked before it is allocated. Each factor is a scope
+    of variable names and an array with one axis per name, in scope order.
+    A product past the float range reads inf or 0 without a warning."""
     names = tuple(v.name for v in variables)
     shape = tuple(v.cardinality for v in variables)
     _check_cells(shape)
     arr = np.ones(shape)
-    for node in dag.nodes:
-        cpt = cpts[node]
-        arr *= _broadcast(cpt.probs, (*cpt.parents, node), names)
+    with np.errstate(over="ignore", under="ignore"):
+        for scope, factor in factors:
+            scope = list(scope)
+            factor = np.transpose(factor, [scope.index(n) for n in names if n in scope])
+            arr *= np.expand_dims(factor, [i for i, n in enumerate(names) if n not in scope])
     return arr
 
 
@@ -527,13 +520,8 @@ class GibbsModel:
         """Materialize the full joint table (records the normalizer)."""
         if self._joint is not None:
             return self._joint
-        names = tuple(v.name for v in self.variables)
-        shape = tuple(v.cardinality for v in self.variables)
-        _check_cells(shape)
-        arr = np.ones(shape)
-        with np.errstate(over="ignore", under="ignore"):
-            for scope, table in self.potentials.items():
-                arr = arr * _broadcast(table, scope, names)
+        arr = _scoped_product(self.variables, self.potentials.items())
+        with np.errstate(over="ignore"):
             z = float(arr.sum())
         if not 0.0 < z < math.inf:
             raise PreconditionError(f"the potentials' normalizer is {z!r}: their product leaves the float range")

@@ -36,7 +36,7 @@ from .model import (
     ModelGraph,
     Variable,
     _check_cells,
-    _cpt_product,
+    _scoped_product,
     build_joint_from_cpts,
 )
 
@@ -92,8 +92,8 @@ class ParsedModel:
                     self._joint = JointTable(self.variables, self.joint_probs)
             elif self.kind == "cpt":
                 if self._parsed:
-                    probs = _cpt_product(self.graph, self.cpts, self.variables)
-                    self._joint = JointTable._of(self.variables, probs)
+                    factors = (((*self.cpts[n].parents, n), self.cpts[n].probs) for n in self.graph.nodes)
+                    self._joint = JointTable._of(self.variables, _scoped_product(self.variables, factors))
                 else:
                     self._joint = build_joint_from_cpts(self.graph, self.cpts, self.variables)
             else:

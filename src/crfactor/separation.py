@@ -8,7 +8,6 @@ a joint table (a CI query is its two-group case).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,48 +121,32 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
     reads 0/0. Two products of small marginals, as in the textbook form,
     can both underflow to 0 with every marginal positive.
 
-    Each P is the table's cached marginal, transposed and reshaped onto one
-    axis per part (z, g_1, ..., g_k), never gathered: a row is one state of
-    every part. Within a part, names keep table order; the largest part is
-    the last axis. Names shared by several parts get an axis of their own."""
+    Each P is the table's cached marginal viewed on the table's own axes,
+    with length 1 where a name is summed out, never gathered or copied: a
+    row is one state of every name, which a name in several parts takes in
+    all of them."""
     for n in itertools.chain(*groups, z):
         table.cardinality(n)  # an unknown name raises ModelError
-    parts, parts_of = (z, *groups), {}
-    for i, part in enumerate(parts):
+    parts = (z, *groups)
+    for part in parts:
         if (twice := _repeated(part)) is not None:
             raise ModelError(f"variable {twice!r} appears twice in one block")
-        for n in part:
-            parts_of[n] = parts_of.get(n, frozenset()) | {i}
     if not groups:
         raise ModelError("mutual independence needs at least one group")
-    if not parts_of:
+    if not any(parts):
         raise ModelError("mutual independence needs at least one variable")
-    axes: dict[frozenset[int], list[str]] = {}  # the parts a name is in -> the names of its axis
-    for n in table.names:
-        if n in parts_of:
-            axes.setdefault(parts_of[n], []).append(n)
-    size = {owners: math.prod(map(table.cardinality, names)) for owners, names in axes.items()}
-    order = sorted(axes, key=size.__getitem__)
 
-    def p(*which):  # P(the parts `which`) over the axes, 1.0 for the empty event
+    def p(*which):  # P(the parts `which`) on the table's axes, 1.0 for the empty event
         names = {n for i in which for n in parts[i]}
         if not names:
             return 1.0
-        kept, arr = table._marginal(names)
-        perm, shape = [], []
-        for owners in order:
-            if owners.isdisjoint(which):
-                shape.append(1)
-            else:
-                perm += [kept.index(n) for n in axes[owners]]
-                shape.append(size[owners])
-        return arr.transpose(perm).reshape(shape)
+        arr = table._marginal(names)[1]  # over its names in table order
+        return arr.reshape([table.cardinality(n) if n in names else 1 for n in table.names])
 
     pz, first = p(0), p(0, 1)
     defined = first > 0.0
     with np.errstate(all="ignore"):
-        dev = p(*range(len(parts)))
-        dev = np.divide(dev, first, out=dev if dev.flags.writeable else None)  # reuse a copy the reshape made
+        dev = p(*range(len(parts))) / first
         for i in range(2, len(parts)):
             pg = p(0, i)
             defined = defined & (pg > 0.0)  # broadcasts up to the shape of dev
@@ -190,11 +173,7 @@ def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> boo
     """Numeric pairwise Markov check: every pair of non-adjacent nodes is
     conditionally independent given all remaining nodes. For strictly
     positive tables this is equivalent to the global Markov property."""
-    _check_tol(tol)
-    if graph.kind != "undirected":
-        raise ModelError("the Markov check requires an undirected graph")
-    if set(graph.nodes) != set(table.names):
-        raise ModelError("graph nodes do not match table variables")
+    _check_markov_inputs(table, graph, tol)
     for u, v in itertools.combinations(graph.nodes, 2):
         if graph.has_edge(u, v):
             continue
@@ -202,3 +181,12 @@ def is_markov(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> boo
         if ci_deviation(table, CIQuery((u,), (v,), rest)) > tol:
             return False
     return True
+
+
+def _check_markov_inputs(table: JointTable, graph: ModelGraph, tol: float) -> None:
+    """A Markov check's argument checks, in the order they are reported."""
+    _check_tol(tol)
+    if graph.kind != "undirected":
+        raise ModelError("the Markov check requires an undirected graph")
+    if set(graph.nodes) != set(table.names):
+        raise ModelError("graph nodes do not match table variables")

@@ -324,12 +324,22 @@ def _row_loop_deviation(table, groups, z):
 def test_deviations_match_row_loops_on_interleaved_groups():
     """Both deviations equal, with ==, a row loop doing the same operations
     in the same order, on tables with vanishing and 1e-120 cells, groups
-    that interleave in table order and a z out of table order."""
+    that interleave in table order, a z out of table order, and names that
+    two groups, or a group and z, share: such a name takes one state in all
+    of them (ci_reduce on CR(A B,A C) cites x = (A, B), y = (C,), z = (A,);
+    independence on CR(A,A) cites the groups (A,) and (A,))."""
     cases = [_deviation_case(seed) for seed in range(30)]
+    shared = [
+        ([("v0", "v1"), ("v2",)], ("v0",)),
+        ([("v3",), ("v3",)], ()),
+        ([("v4", "v1"), ("v1", "v0"), ("v2",)], ("v2", "v0")),
+    ]
+    cases += [(table, groups, z) for table, _, _ in cases[:10] for groups, z in shared]
     for table, groups, z in cases:
         worst = _row_loop_deviation(table, groups, z)
         assert mutual_independence_deviation(table, groups, z) == worst
-        if len(groups) == 2:
+        names = [*itertools.chain(*groups), *z]
+        if len(groups) == 2 and len(set(names)) == len(names):
             assert ci_deviation(table, CIQuery(*groups, z)) == worst
     # the cases cover what they claim
     order = {f"v{i}": i for i in range(7)}
