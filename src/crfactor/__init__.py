@@ -32,7 +32,6 @@ from .expr import (
     Product,
     Sum,
     eval_expr,
-    expr_variables,
     parse_expr,
     product_of,
     render,
@@ -51,12 +50,10 @@ from .factorizers import (
 )
 from .model import (
     CPT,
-    CliqueGraph,
     GibbsModel,
     JointTable,
     ModelGraph,
     Variable,
-    build_clique_graph,
     build_joint_from_cpts,
 )
 from .modelfile import ParsedModel, parse_model, render_model
@@ -114,7 +111,6 @@ __all__ = [
     "Product",
     "Sum",
     "eval_expr",
-    "expr_variables",
     "parse_expr",
     "product_of",
     "render",
@@ -131,12 +127,10 @@ __all__ = [
     "rmrf_factorize",
     # model
     "CPT",
-    "CliqueGraph",
     "GibbsModel",
     "JointTable",
     "ModelGraph",
     "Variable",
-    "build_clique_graph",
     "build_joint_from_cpts",
     # modelfile
     "ParsedModel",

@@ -19,6 +19,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .errors import (
     PreconditionError,
     RewriteError,
 )
-from .expr import FactorExpr, eval_expr, expr_variables, parse_expr, product_of, render
+from .expr import FactorExpr, eval_expr, parse_expr, product_of, render, validate_scoping
 from .factorizers import (
     factorize_bn,
     factorize_chain_crf,
@@ -45,7 +46,7 @@ from .factorizers import (
     mrf_factorize,
     rmrf_factorize,
 )
-from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, _row, build_clique_graph
+from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, _row
 from .modelfile import ParsedModel, parse_model, render_model
 from .randgen import random_model
 from .rewrites import replay_trace, trace_from_dicts
@@ -114,13 +115,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_model(path: str) -> ParsedModel:
+def _read_text(path: str, what: str, error_class: type[CRFactorError]) -> str:
+    """The UTF-8 text of an input file; an unreadable or undecodable file is
+    an `error_class` (exit 4)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelParseError(f"cannot read model file {path!r}: {exc}") from None
-    return parse_model(text)
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error_class(f"cannot read {what} file {path!r}: {exc}") from None
+
+
+def _load_model(path: str) -> ParsedModel:
+    return parse_model(_read_text(path, "model", ModelParseError))
 
 
 def _require_kind(model: ParsedModel, kind: str, method: str) -> None:
@@ -203,10 +209,7 @@ def _chain_vars(args, model: ParsedModel) -> tuple[str, ...]:
 
 def _run_trace_file(path: str, model: ParsedModel, table, tol):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ModelParseError(f"cannot read trace file {path!r}: {exc}") from None
+        data = json.loads(_read_text(path, "trace", ModelParseError))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelParseError(f"trace file {path!r}: {exc}") from None
     if not isinstance(data, dict) or "initial" not in data or "steps" not in data:
@@ -228,13 +231,9 @@ def _run_trace_file(path: str, model: ParsedModel, table, tol):
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     table = model.joint()
-    try:
-        with open(args.expr, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ExprParseError(f"cannot read expression file {args.expr!r}: {exc}") from None
-    expr = parse_expr(text.strip())
-    unknown = expr_variables(expr) - set(table.names)
+    expr = parse_expr(_read_text(args.expr, "expression", ExprParseError).strip())
+    free, bound = validate_scoping(expr)
+    unknown = {*free, *bound} - set(table.names)
     if unknown:
         raise PreconditionError(f"expression references unknown variables {sorted(unknown)!r}")
     report = verify_expression(expr, table, args.tol)
@@ -302,12 +301,13 @@ def export_dot(graph: ModelGraph, clique_graph: bool = False) -> str:
     if clique_graph:
         if graph.kind != "undirected":
             raise PreconditionError("clique graphs are defined for undirected graphs")
-        cg = build_clique_graph(graph)
+        cliques = graph.maximal_cliques()
         lines.append("graph cliques {")
-        for c in cg.cliques:
+        for c in cliques:
             lines.append(f'  "{" ".join(c)}";')
-        for i, j in cg.edges:
-            lines.append(f'  "{" ".join(cg.cliques[i])}" -- "{" ".join(cg.cliques[j])}";')
+        for c, d in itertools.combinations(cliques, 2):
+            if set(c) & set(d):
+                lines.append(f'  "{" ".join(c)}" -- "{" ".join(d)}";')
     else:
         arrow = "->" if graph.kind == "directed" else "--"
         lines.append(("digraph" if graph.kind == "directed" else "graph") + " model {")

@@ -58,13 +58,6 @@ class CRTerm:
             raise ModelError("a CR term needs at least one block")
         _check_exponent(self.exponent)
 
-    @property
-    def variables(self) -> set[str]:
-        out = {n for b in self.blocks for n in b.vars}
-        if self.condition is not None:
-            out |= set(self.condition.vars)
-        return out
-
 
 @dataclass(frozen=True)
 class PTerm:
@@ -74,13 +67,6 @@ class PTerm:
 
     def __post_init__(self):
         _check_exponent(self.exponent)
-
-    @property
-    def variables(self) -> set[str]:
-        out = set(self.block.vars)
-        if self.condition is not None:
-            out |= set(self.condition.vars)
-        return out
 
 
 @dataclass(frozen=True)
@@ -158,22 +144,6 @@ def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
         return evaluate(table, "CR", expr.blocks, expr.condition, assignment, expr.exponent)
     if isinstance(expr, PTerm):
         return evaluate(table, "P", (expr.block,), expr.condition, assignment, expr.exponent)
-    raise ModelError(f"not a factor expression: {expr!r}")
-
-
-def expr_variables(expr: FactorExpr) -> set[str]:
-    """All variable names mentioned anywhere in the expression."""
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, (CRTerm, PTerm)):
-        return set(expr.variables)
-    if isinstance(expr, Product):
-        out: set[str] = set()
-        for child in expr.children:
-            out |= expr_variables(child)
-        return out
-    if isinstance(expr, Sum):
-        return expr_variables(expr.child) | {expr.over}
     raise ModelError(f"not a factor expression: {expr!r}")
 
 

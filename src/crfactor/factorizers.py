@@ -18,7 +18,7 @@ import numpy as np
 from .cr import Block, grid
 from .errors import ModelError, PreconditionError, UndefinedCRError
 from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
-from .model import CliqueGraph, JointTable, ModelGraph, REL_TOL, _row, build_clique_graph
+from .model import JointTable, ModelGraph, REL_TOL, _row
 from .rewrites import (
     Context,
     OperationTrace,
@@ -340,7 +340,6 @@ class TcgCheck:
     ok: bool
     elimination: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     root: tuple[str, ...] | None
-    clique_graph: CliqueGraph
 
     def __bool__(self):
         return self.ok
@@ -353,26 +352,25 @@ def is_tcg(graph: ModelGraph) -> TcgCheck:
     lexicographically (by sorted clique member names), which makes the
     removal order deterministic. A clique with no remaining neighbor is
     never removable, so disconnected clique graphs with more than one node
-    are not tree-reducible.
+    are not tree-reducible. The clique graph is read off the maximal cliques:
+    a clique's neighbors are the remaining cliques it intersects.
     """
-    cg = build_clique_graph(graph)
-    alive = list(range(len(cg.cliques)))
-    neighbors = {i: set(cg.adjacent(i)) for i in range(len(cg.cliques))}
+    cliques = graph.maximal_cliques()
+    members = {c: set(c) for c in cliques}
+    alive = list(cliques)
     elim: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     while len(alive) > 1:
-        for i in alive:
-            adj = [j for j in neighbors[i] if j in alive and j != i]
-            inter = {j: set(cg.cliques[i]) & set(cg.cliques[j]) for j in adj}
-            dominating = [j for j in adj if all(inter[h] <= inter[j] for h in adj)]
+        for c in alive:
+            inter = {d: shared for d in alive if d != c and (shared := members[c] & members[d])}
+            dominating = [d for d in inter if all(s <= inter[d] for s in inter.values())]
             if dominating:
-                maxadj = min(dominating, key=lambda j: tuple(sorted(cg.cliques[j])))
-                elim.append((cg.cliques[i], cg.cliques[maxadj]))
-                alive.remove(i)
+                maxadj = min(dominating, key=lambda d: tuple(sorted(d)))
+                elim.append((c, maxadj))
+                alive.remove(c)
                 break
         else:
-            return TcgCheck(False, tuple(elim), None, cg)
-    root = cg.cliques[alive[0]] if alive else None
-    return TcgCheck(True, tuple(elim), root, cg)
+            return TcgCheck(False, tuple(elim), None)
+    return TcgCheck(True, tuple(elim), alive[0] if alive else None)
 
 
 @dataclass(frozen=True)
@@ -386,7 +384,6 @@ class TcgResult:
     singletons) into the equivalent CR-level product.
     """
 
-    clique_graph: CliqueGraph
     elimination: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     root: tuple[str, ...]
     factors: dict[tuple[str, ...], FactorExpr]
@@ -434,7 +431,6 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     expr = product_of(factors.values())
     _check_markov(table, tol, expr)
     return TcgResult(
-        clique_graph=check.clique_graph,
         elimination=check.elimination,
         root=check.root,
         factors=factors,

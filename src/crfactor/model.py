@@ -126,9 +126,6 @@ class JointTable:
         except KeyError:
             raise ModelError(f"unknown variable {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._axis
-
     def prob(self, assignment: Assignment):
         """P at a full assignment, or at a batch of them (see event_prob)."""
         for n in self.names:
@@ -271,12 +268,6 @@ class ModelGraph:
         self.declaration_index(node)
         return tuple(self._parents[node])
 
-    def children(self, node: str) -> tuple[str, ...]:
-        if self.kind != "directed":
-            raise ModelError("children() requires a directed graph")
-        self.declaration_index(node)
-        return tuple(self._children[node])
-
     def has_edge(self, a: str, b: str) -> bool:
         self.declaration_index(a)
         self.declaration_index(b)
@@ -379,19 +370,6 @@ class ModelGraph:
 
     def __repr__(self):
         return f"ModelGraph({self.kind!r}, nodes={self.nodes!r}, edges={self.edges!r})"
-
-
-@dataclass(frozen=True)
-class CliqueGraph:
-    """Graph whose nodes are the maximal cliques of an undirected graph, with
-    edges between cliques whose vertex sets intersect."""
-
-    cliques: tuple[tuple[str, ...], ...]
-    edges: tuple[tuple[int, int], ...]  # index pairs, i < j
-
-    def adjacent(self, i: int) -> tuple[int, ...]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -528,15 +506,3 @@ class GibbsModel:
         self.normalizer = z
         self._joint = JointTable(self.variables, arr / z)
         return self._joint
-
-
-def build_clique_graph(graph: ModelGraph) -> CliqueGraph:
-    """Clique graph: one node per maximal clique, edges between cliques with
-    non-empty vertex intersection."""
-    cliques = graph.maximal_cliques()
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(cliques)), 2)
-        if set(cliques[i]) & set(cliques[j])
-    ]
-    return CliqueGraph(cliques=cliques, edges=tuple(edges))

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 from .cr import Block, _check_name, _repeated
 from .errors import CertificateError, CRFactorError, RewriteError
-from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum
+from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum, validate_scoping
 from .model import JointTable, ModelGraph, REL_TOL, _check_tol
 from .separation import CIQuery, mutual_independence_deviation, separated
 
@@ -294,14 +294,16 @@ def apply_condition(root: FactorExpr, path: Sequence[int], over: str) -> tuple[F
     term = _target_cr(root, path)
     if term.condition is not None:
         raise RewriteError("the condition rewrite applies to unconditional CR terms")
-    if over in term.variables:
+    if over in validate_scoping(term)[0]:
         raise RewriteError(f"variable {over!r} already appears in the target term")
-    # A clash with an enclosing sum would make the bound name ambiguous.
+    # A clash with an enclosing sum or a free name elsewhere would make the bound name ambiguous.
     node: FactorExpr = root
     for idx in path:
         if isinstance(node, Sum) and node.over == over:
             raise RewriteError(f"variable {over!r} is already bound by an enclosing sum")
         node = get_node(node, (idx,))
+    if over in validate_scoping(root)[0]:
+        raise RewriteError(f"variable {over!r} already occurs free in the expression")
     over_block = Block([over])
     factors: list[FactorExpr] = [CRTerm(term.blocks, over_block)]
     factors.extend(CRTerm((b, over_block)) for b in term.blocks)

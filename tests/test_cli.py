@@ -230,6 +230,36 @@ def test_factorize_trace_replay_error_names_the_step(tmp_path, capsys):
     assert err.startswith("error: step 0: path (3,) descends into a leaf")
 
 
+def test_factorize_trace_condition_over_a_free_name_exits_precondition(tmp_path, capsys):
+    # sum_c[...] beside the free c of P(c) would be refused by the scoping rule
+    trace_file = tmp_path / "capture.trace.json"
+    trace_file.write_text(json.dumps(
+        {"initial": "CR(a,b)·P(c)", "steps": [{"rule": "condition", "path": [0], "params": {"over": "c"}}]}
+    ))
+    code, out, err = run(
+        capsys,
+        "factorize", "--method", "trace",
+        "--model", str(DATA / "path3_gibbs.model"),
+        "--trace", str(trace_file),
+    )
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == "error: step 0: variable 'c' already occurs free in the expression\n"
+
+
+@pytest.mark.parametrize("which", ["model", "expression", "trace"])
+def test_input_file_that_is_not_utf8_exits_parse(which, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"P(A\xff)\n")
+    model = str(bad if which == "model" else DATA / "d2.model")
+    if which == "trace":
+        argv = ["factorize", "--method", "trace", "--model", model, "--trace", str(bad)]
+    else:
+        argv = ["verify", "--model", model, "--expr", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: cannot read {which} file {str(bad)!r}: 'utf-8' codec can't decode byte 0xff")
+
+
 OVERSIZED_MODELS = {
     "joint": "graph undirected\nvar a 100000\nvar b 100000\nvar c 100000\njoint\n0 0 0 1.0\n",
     "cpt": (
@@ -362,12 +392,13 @@ def test_verify_whole_block_expression(tmp_path, capsys):
 
 def test_verify_unknown_variable(tmp_path, capsys):
     expr_file = tmp_path / "unknown.txt"
-    expr_file.write_text("P(Z)\n")
-    code, _, err = run(
-        capsys, "verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file)
-    )
-    assert code == EXIT_PRECONDITION
-    assert "unknown variables" in err
+    for text in ("P(Z)\n", "sum_Z[P(A)]\n"):  # a name that is only summed over is unknown too
+        expr_file.write_text(text)
+        code, _, err = run(
+            capsys, "verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file)
+        )
+        assert code == EXIT_PRECONDITION
+        assert "unknown variables ['Z']" in err
 
 
 def test_verify_deeply_nested_expression_exits_parse(tmp_path, capsys):
@@ -663,6 +694,15 @@ def argv_files(tmp_path_factory):
     return tmp_path_factory.mktemp("argv")
 
 
+def _write(path: Path, text: str, data) -> None:
+    """Write `text` as UTF-8, sometimes with a byte that is never UTF-8 put in."""
+    raw = text.encode()
+    if data.draw(st.integers(0, 4)) == 0:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path.write_bytes(raw)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_every_command_ends_in_a_documented_exit_code(argv_files, data):
@@ -689,12 +729,12 @@ def test_every_command_ends_in_a_documented_exit_code(argv_files, data):
                         part[key] = data.draw(json_value)
             text = json.dumps(trace)
             cut = data.draw(st.integers(0, len(text))) if data.draw(st.integers(0, 9)) == 0 else None
-            (argv_files / "trace.json").write_text(text[:cut])
+            _write(argv_files / "trace.json", text[:cut], data)
             argv += ["--trace", str(argv_files / "trace.json")]
         if data.draw(st.booleans()):
             argv.append("--y=" + ",".join(data.draw(st.lists(st.sampled_from(names + ["zz", ""]), max_size=3))))
     elif command == "verify":
-        (argv_files / "expr.txt").write_text(data.draw(expr_text))
+        _write(argv_files / "expr.txt", data.draw(expr_text), data)
         argv += ["--expr", str(argv_files / data.draw(st.sampled_from(["expr.txt"] * 9 + ["missing.txt"])))]
     elif command == "indep":
         perm = data.draw(st.permutations(names + ["zz"] * (data.draw(st.integers(0, 3)) == 0)))

@@ -544,11 +544,11 @@ def test_is_tcg_trees():
 
 def test_is_tcg_triangle_hub_with_cyclic_clique_graph():
     g = make_graph("triangles:3")
-    from crfactor import build_clique_graph
+    from crfactor.cli import export_dot
 
-    cg = build_clique_graph(g)
-    assert len(cg.cliques) == 3
-    assert len(cg.edges) == 3  # the clique graph is a 3-cycle
+    lines = export_dot(g, clique_graph=True).splitlines()[1:-1]
+    assert len(g.maximal_cliques()) == 3
+    assert sum(" -- " in line for line in lines) == 3  # the clique graph is a 3-cycle
     assert is_tcg(g).ok
 
 

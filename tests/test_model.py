@@ -14,10 +14,10 @@ from crfactor import (
     UndefinedCRError,
     Variable,
     block,
-    build_clique_graph,
     build_joint_from_cpts,
     eval_expr,
 )
+from crfactor.cli import export_dot
 from crfactor.cr import grid
 from crfactor.randgen import make_graph, random_gibbs_model
 
@@ -333,10 +333,9 @@ def test_topological_order():
 
 
 def test_clique_graph_structure():
-    path = make_graph("path:3")
-    cg = build_clique_graph(path)
-    assert cg.cliques == (("a", "b"), ("b", "c"))
-    assert cg.edges == ((0, 1),)
-    cyc = build_clique_graph(make_graph("cycle:4"))
-    assert len(cyc.cliques) == 4
-    assert len(cyc.edges) == 4  # the clique graph of a 4-cycle is a 4-cycle
+    assert export_dot(make_graph("path:3"), clique_graph=True) == (
+        'graph cliques {\n  "a b";\n  "b c";\n  "a b" -- "b c";\n}\n'
+    )
+    cyc = export_dot(make_graph("cycle:4"), clique_graph=True).splitlines()[1:-1]
+    assert sum(" -- " not in line for line in cyc) == 4
+    assert sum(" -- " in line for line in cyc) == 4  # the clique graph of a 4-cycle is a 4-cycle

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from crfactor import (
     CPT,
     JointTable,
+    ModelError,
     ModelParseError,
+    ParsedModel,
     PreconditionError,
     build_joint_from_cpts,
     parse_model,
@@ -246,6 +248,33 @@ def test_parsed_joint_model_matches_the_public_constructor(seed):
     public = JointTable(model.variables, model.joint_probs)
     assert model.joint().probs.tobytes() == public.probs.tobytes()
     assert model.joint_probs.flags.writeable  # the table holds its own copy
+
+
+def test_rows_the_one_pass_test_leaves_to_the_builder():
+    # "10" is no single-digit state and "01", "03" are not spelt as the
+    # one-pass test knows them, so _Builder.row stores those rows
+    head = "graph undirected\nvar a 11\nvar b 2\nedge a b\njoint\n"
+    spelt = parse_model(head + "10 01 0.5\n03 0 0.25\n0 0 0.25\n")
+    canonical = parse_model(head + "10 1 0.5\n3 0 0.25\n0 0 0.25\n")
+    assert spelt.joint_probs[10, 1] == 0.5 and spelt.joint_probs[3, 0] == 0.25
+    assert spelt.joint_probs.tobytes() == canonical.joint_probs.tobytes()
+    assert spelt.joint().probs.tobytes() == canonical.joint().probs.tobytes()
+
+
+@pytest.mark.parametrize("name", ["d2.model", "student.model"])
+def test_hand_built_model_joint_equals_the_parsed_one(name):
+    parsed = parse_model((DATA / name).read_text())
+    built = ParsedModel(parsed.kind, parsed.variables, parsed.graph, joint_probs=parsed.joint_probs, cpts=parsed.cpts)
+    assert built.joint().probs.tobytes() == parsed.joint().probs.tobytes()
+
+
+def test_hand_built_cpt_model_checks_the_parents():
+    parsed = parse_model((DATA / "student.model").read_text())
+    g = parsed.cpts["G"]
+    assert g.parents == ("D", "I")
+    cpts = {**parsed.cpts, "G": CPT("G", ("D",), g.probs[:, 0, :])}
+    with pytest.raises(ModelError, match="CPT scope mismatch for 'G'"):
+        ParsedModel("cpt", parsed.variables, parsed.graph, cpts=cpts).joint()
 
 
 def test_repeated_potential_scopes_multiply():

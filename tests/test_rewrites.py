@@ -182,6 +182,28 @@ def test_condition_errors(d3_table):
         apply_condition(e, (0, 0), "C")  # bound by the enclosing sum
     with pytest.raises(RewriteError):
         apply_condition(CRTerm((block("A"),), condition=block("B")), (), "C")
+    with pytest.raises(RewriteError, match="already occurs free"):
+        apply_condition(Product((singleton_cr("AB"), PTerm(block("C")))), (0,), "C")  # free beside the target
+    # a sum of the same name beside the target binds its own C, so there is no clash
+    e1, _ = apply_condition(Product((singleton_cr("AB"), Sum("C", PTerm(block("C"))))), (0,), "C")
+    assert render(e1) == "sum_C[CR(A,B|C)·CR(A,C)·CR(B,C)·P(C)]·sum_C[P(C)]"
+
+
+def test_rewrites_at_nested_paths():
+    # condition puts a sum below the root product; the next steps reach
+    # through the sum into its product
+    table = random_joint_table("ABCD", seed=3)
+    e0 = Product((singleton_cr("AB"), PTerm(block("D"))))
+    e1, s1 = apply_condition(e0, (0,), "C")
+    e2, s2 = apply_duplicate(e1, (0, 0, 1), 0)
+    e3, s3 = apply_bipartition(e2, (0, 0, 0), [0], [1])
+    assert render(e3) == "sum_C[CR(A|C)·CR(A,B|C)·CR(B|C)·CR(A,A,C)·P(A)·CR(B,C)·P(C)]·P(D)"
+    rows = grid(table)
+    np.testing.assert_allclose(eval_expr(e3, table, rows), eval_expr(e0, table, rows), rtol=1e-12)
+    steps = trace_from_dicts(json.loads(json.dumps(trace_to_dicts([s1, s2, s3]))))
+    assert render(replay_trace(e0, steps)) == render(e3)
+    with pytest.raises(RewriteError, match="a sum has a single child"):
+        apply_duplicate(e1, (0, 1), 0)
 
 
 # ---------------------------------------------------------------------------
