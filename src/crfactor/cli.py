@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .cr import grid
 from .errors import (
     CRFactorError,
     ExprParseError,
@@ -36,21 +34,12 @@ from .errors import (
     PreconditionError,
     RewriteError,
 )
-from .expr import FactorExpr, eval_expr, parse_expr, product_of, render, validate_scoping
-from .factorizers import (
-    factorize_bn,
-    factorize_chain_crf,
-    factorize_tcg,
-    factorize_tree_mn,
-    is_tcg,
-    mrf_factorize,
-    rmrf_factorize,
-)
-from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, _row
+from .model import ABS_TOL, REL_TOL, JointTable, ModelGraph, _check_tol, _row, is_tcg
 from .modelfile import ParsedModel, parse_model, render_model
-from .randgen import random_model
-from .rewrites import replay_trace, trace_from_dicts
-from .separation import CIQuery, ci_deviation, separated
+
+if TYPE_CHECKING:
+    from .expr import FactorExpr
+    from .separation import CIQuery
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -95,6 +84,9 @@ def verify_expression(
     every full assignment at once: `expected` gets the table's grid (see
     ``crfactor.cr.grid``). A nan row fails and is the worst row; otherwise
     the worst row is the first largest absolute error."""
+    from .cr import grid
+    from .expr import eval_expr
+
     rows = grid(table)
     shape = table.probs.shape
     actual = np.broadcast_to(eval_expr(expr, table, rows), shape).ravel()
@@ -129,24 +121,36 @@ def _load_model(path: str) -> ParsedModel:
     return parse_model(_read_text(path, "model", ModelParseError))
 
 
-def _require_kind(model: ParsedModel, kind: str, method: str) -> None:
+def _require_kind(model: ParsedModel, kind: str, what: str) -> None:
+    """`what` names the caller, e.g. "method 'bn'" or "command 'istcg'"."""
     if model.graph.kind != kind:
-        raise PreconditionError(f"method {method!r} requires a {kind} graph")
+        article = "an" if kind == "undirected" else "a"
+        raise PreconditionError(f"{what} requires {article} {kind} graph")
 
 
 def _cmd_factorize(args) -> int:
     model = _load_model(args.model)
+    from .expr import eval_expr, product_of, render
+    from .factorizers import (
+        factorize_bn,
+        factorize_chain_crf,
+        factorize_tcg,
+        factorize_tree_mn,
+        mrf_factorize,
+        rmrf_factorize,
+    )
+
     table = model.joint()
     tol = args.tol
     expected = None
     lines: list[str]
 
     if args.method == "bn":
-        _require_kind(model, "directed", "bn")
+        _require_kind(model, "directed", "method 'bn'")
         expr, _trace = factorize_bn(model.graph)
         lines = [render(expr)]
     elif args.method == "tree":
-        _require_kind(model, "undirected", "tree")
+        _require_kind(model, "undirected", "method 'tree'")
         expr = factorize_tree_mn(model.graph)
         lines = [render(expr)]
     elif args.method == "chain-crf":
@@ -159,16 +163,16 @@ def _cmd_factorize(args) -> int:
 
         lines = [render(expr)]
     elif args.method == "mrf":
-        _require_kind(model, "undirected", "mrf")
+        _require_kind(model, "undirected", "method 'mrf'")
         phis = mrf_factorize(table, model.graph, model.default_assignment(), tol=tol)
         expr = product_of(phis.values())
         lines = [f"phi({' '.join(mc)}) = {render(phi)}" for mc, phi in phis.items()]
     elif args.method == "rmrf":
-        _require_kind(model, "undirected", "rmrf")
+        _require_kind(model, "undirected", "method 'rmrf'")
         expr = rmrf_factorize(table, model.graph, model.default_assignment(), tol=tol)
         lines = [render(expr)]
     elif args.method == "tcg":
-        _require_kind(model, "undirected", "tcg")
+        _require_kind(model, "undirected", "method 'tcg'")
         result = factorize_tcg(table, model.graph, tol=tol)
         expr = result.expr
         lines = [
@@ -208,6 +212,11 @@ def _chain_vars(args, model: ParsedModel) -> tuple[str, ...]:
 
 
 def _run_trace_file(path: str, model: ParsedModel, table, tol):
+    import json
+
+    from .expr import parse_expr
+    from .rewrites import replay_trace, trace_from_dicts
+
     try:
         data = json.loads(_read_text(path, "trace", ModelParseError))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -230,6 +239,8 @@ def _run_trace_file(path: str, model: ParsedModel, table, tol):
 
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
+    from .expr import parse_expr, validate_scoping
+
     table = model.joint()
     expr = parse_expr(_read_text(args.expr, "expression", ExprParseError).strip())
     free, bound = validate_scoping(expr)
@@ -242,6 +253,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_random(args) -> int:
+    from .randgen import random_model
+
     model = random_model(args.kind, args.graph, args.seed, args.card)
     sys.stdout.write(render_model(model))
     return EXIT_OK
@@ -249,7 +262,7 @@ def _cmd_gen_random(args) -> int:
 
 def _cmd_istcg(args) -> int:
     model = _load_model(args.model)
-    _require_kind(model, "undirected", "istcg")
+    _require_kind(model, "undirected", "command 'istcg'")
     check = is_tcg(model.graph)
     print(f"TCG: {'true' if check.ok else 'false'}")
     if check.ok:
@@ -261,6 +274,8 @@ def _cmd_istcg(args) -> int:
 
 
 def _parse_ci_query(text: str) -> CIQuery:
+    from .separation import CIQuery
+
     if "_|_" not in text:
         raise ExprParseError("query must look like 'X _|_ Y | Z'")
     lhs, rest = text.split("_|_", 1)
@@ -280,6 +295,8 @@ def _parse_ci_query(text: str) -> CIQuery:
 
 def _cmd_indep(args) -> int:
     model = _load_model(args.model)
+    from .separation import ci_deviation, separated
+
     query = _parse_ci_query(args.query)
     label = "d-separated" if model.graph.kind == "directed" else "u-separated"
     print(f"{label}: {'true' if separated(model.graph, query) else 'false'}")

@@ -269,7 +269,8 @@ class _Parser:
     def expect(self, value: str):
         kind, val, off = self.next()
         if val != value:
-            raise ExprParseError(f"expected {value!r} at offset {off}, got {val!r}")
+            got = "end of input" if val is None else repr(val)
+            raise ExprParseError(f"expected {value!r} at offset {off}, got {got}")
 
     def parse(self) -> FactorExpr:
         expr = self.product()
@@ -312,7 +313,8 @@ class _Parser:
             if val.startswith("sum_") and len(val) > 4:
                 self.expect("[")
                 return Sum(val[4:], self.nested(off, "]"))
-        raise ExprParseError(f"unexpected token {val!r} at offset {off}")
+        what = "end of input" if val is None else f"token {val!r}"
+        raise ExprParseError(f"unexpected {what} at offset {off}")
 
     def nested(self, off: int, close: str) -> FactorExpr:
         self.depth += 1

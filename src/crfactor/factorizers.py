@@ -18,7 +18,7 @@ import numpy as np
 from .cr import Block, grid
 from .errors import ModelError, PreconditionError, UndefinedCRError
 from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
-from .model import JointTable, ModelGraph, REL_TOL, _row
+from .model import JointTable, ModelGraph, REL_TOL, _row, is_tcg
 from .rewrites import (
     Context,
     OperationTrace,
@@ -325,52 +325,6 @@ def _check_markov(table: JointTable, tol: float, product: FactorExpr) -> None:
 
 # ---------------------------------------------------------------------------
 # Tree-reducible clique graphs
-
-
-@dataclass(frozen=True)
-class TcgCheck:
-    """Outcome of the clique-graph reduction test.
-
-    ok is True when repeatedly removing cliques that have a dominating
-    neighbor (one whose intersection contains every other neighbor's
-    intersection) reduces the clique graph to at most one node. The removal
-    order performed is kept for the factorization step.
-    """
-
-    ok: bool
-    elimination: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    root: tuple[str, ...] | None
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_tcg(graph: ModelGraph) -> TcgCheck:
-    """Test whether the clique graph is tree-reducible.
-
-    Scan order and dominating-neighbor ties are both broken
-    lexicographically (by sorted clique member names), which makes the
-    removal order deterministic. A clique with no remaining neighbor is
-    never removable, so disconnected clique graphs with more than one node
-    are not tree-reducible. The clique graph is read off the maximal cliques:
-    a clique's neighbors are the remaining cliques it intersects.
-    """
-    cliques = graph.maximal_cliques()
-    members = {c: set(c) for c in cliques}
-    alive = list(cliques)
-    elim: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    while len(alive) > 1:
-        for c in alive:
-            inter = {d: shared for d in alive if d != c and (shared := members[c] & members[d])}
-            dominating = [d for d in inter if all(s <= inter[d] for s in inter.values())]
-            if dominating:
-                maxadj = min(dominating, key=lambda d: tuple(sorted(d)))
-                elim.append((c, maxadj))
-                alive.remove(c)
-                break
-        else:
-            return TcgCheck(False, tuple(elim), None)
-    return TcgCheck(True, tuple(elim), alive[0] if alive else None)
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,21 @@ def test_parse_error_exit_code(capsys):
     assert "line 3" in err
 
 
+def test_parse_error_names_the_end_of_input(tmp_path, capsys):
+    (tmp_path / "empty.expr").write_text("")
+    (tmp_path / "open.expr").write_text("P(a")
+    (tmp_path / "open_sum.expr").write_text("sum_a[P(a)")
+    results = [
+        run(capsys, "verify", "--model", str(DATA / "path3_gibbs.model"), "--expr", str(tmp_path / name))
+        for name in ("empty.expr", "open.expr", "open_sum.expr")
+    ]
+    assert results == [
+        (EXIT_PARSE, "", "error: unexpected end of input at offset 0\n"),
+        (EXIT_PARSE, "", "error: expected ')' at offset 3, got end of input\n"),
+        (EXIT_PARSE, "", "error: expected ']' at offset 10, got end of input\n"),
+    ]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "istcg", "--model", "/nonexistent.model")
     assert code == EXIT_PARSE
@@ -541,6 +556,19 @@ def test_istcg_output(capsys):
     code, out, _ = run(capsys, "istcg", "--model", str(DATA / "cycle4_gibbs.model"))
     assert code == EXIT_OK
     assert out.strip() == "TCG: false"
+
+
+def test_graph_kind_error_names_the_command_or_method(capsys):
+    student, path3 = str(DATA / "student.model"), str(DATA / "path3_gibbs.model")
+    assert run(capsys, "istcg", "--model", student) == (
+        EXIT_PRECONDITION, "", "error: command 'istcg' requires an undirected graph\n"
+    )
+    assert run(capsys, "factorize", "--method", "mrf", "--model", student) == (
+        EXIT_PRECONDITION, "", "error: method 'mrf' requires an undirected graph\n"
+    )
+    assert run(capsys, "factorize", "--method", "bn", "--model", path3) == (
+        EXIT_PRECONDITION, "", "error: method 'bn' requires a directed graph\n"
+    )
 
 
 def test_indep_student(capsys):

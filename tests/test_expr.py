@@ -156,11 +156,14 @@ def test_parse_flattens_nested_products():
         pytest.param("(" * 101 + "P(A)" + ")" * 101, id="101 parentheses"),
         pytest.param("sum_A[" * 101 + "P(A)" + "]" * 101, id="101 sums"),
         pytest.param("(sum_A[" * 50 + "(P(A))" + "])" * 50, id="101 parentheses and sums"),
+        pytest.param("P(a", id="end of input: P(a"),
+        pytest.param("sum_a[P(a)", id="end of input: sum_a[P(a)"),
     ],
 )
 def test_parse_errors(text):
-    with pytest.raises(ExprParseError):
+    with pytest.raises(ExprParseError) as info:
         parse_expr(text)
+    assert "None" not in str(info.value)  # the end of the text is named "end of input"
 
 
 def test_parse_rejects_ambiguous_sum_scope():
