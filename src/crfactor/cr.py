@@ -96,16 +96,6 @@ def _check_name(name) -> str:
     return name
 
 
-def _repeated(names: Iterable[str]) -> str | None:
-    """The first name that occurs earlier in `names`, or None."""
-    seen: set[str] = set()
-    for n in names:
-        if n in seen:
-            return n
-        seen.add(n)
-    return None
-
-
 def block(*members: BlockMemberSpec) -> Block:
     """Convenience constructor: ``block("A", ("B", 0))``."""
     return Block(members)

@@ -56,7 +56,7 @@ def _split_part(path: tuple[int, ...], j: int) -> tuple[int, ...]:
 # Bayesian networks
 
 
-def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[FactorExpr, OperationTrace]:
+def factorize_bn(dag: ModelGraph) -> tuple[FactorExpr, OperationTrace]:
     """Chain-rule factorization of a DAG, derived by rewrites.
 
     Nodes are split off one at a time in reverse topological order; each cut
@@ -66,18 +66,14 @@ def factorize_bn(dag: ModelGraph, order: Sequence[str] | None = None) -> tuple[F
 
         prod_i P(x_i | Pa(x_i)),
 
-    presented in topological order. The trace starts from CR over all nodes
-    as singleton blocks and replays to the intermediate CR product; its
-    certificates all validate against the DAG.
+    presented in ``dag.topological_order()``, which is the declaration
+    order when the nodes are declared topologically. The trace starts from
+    CR over all nodes as singleton blocks and replays to the intermediate CR
+    product; its certificates all validate against the DAG.
     """
     if dag.kind != "directed":
         raise ModelError("BN factorization requires a directed graph")
-    if order is None:
-        order = dag.topological_order()
-    else:
-        order = tuple(order)
-        if not dag.is_topological(order):
-            raise PreconditionError(f"{order!r} is not a topological order of the graph")
+    order = dag.topological_order()
     ctx = Context(graph=dag)
     initial = singleton_cr(order)
     rec = _Recorder(initial)
@@ -123,18 +119,13 @@ def factorize_tree_mn(graph: ModelGraph) -> FactorExpr:
         raise ModelError("tree factorization requires an undirected graph")
     if not graph.is_tree():
         raise PreconditionError("graph is not a tree (connected and acyclic)")
-    degree = {n: len(graph.neighbors(n)) for n in graph.nodes}
-    alive = set(graph.nodes)
-    adj = {n: set(graph.neighbors(n)) for n in graph.nodes}
+    adj = {n: set(graph.neighbors(n)) for n in graph.nodes}  # the neighbours still in play
     factors: list[FactorExpr] = []
-    while len(alive) > 1:
-        leaf = next(n for n in graph.nodes if n in alive and degree[n] == 1)
-        nbr = next(iter(adj[leaf] & alive))
+    while len(adj) > 1:
+        leaf = next(n for n in graph.nodes if n in adj and len(adj[n]) == 1)
+        (nbr,) = adj.pop(leaf)
         factors.append(CRTerm((Block([leaf]), Block([nbr]))))
-        alive.remove(leaf)
-        degree[nbr] -= 1
-        for m in adj[leaf]:
-            adj[m].discard(leaf)
+        adj[nbr].discard(leaf)
     factors.extend(PTerm(Block([n])) for n in graph.nodes)
     return Product(tuple(factors))
 
@@ -143,11 +134,9 @@ def factorize_tree_mn(graph: ModelGraph) -> FactorExpr:
 # Chain-structured conditionals
 
 
-def factorize_chain_crf(
-    table: JointTable, y_order: Sequence[str], x_vars: Sequence[str] | None = None
-) -> FactorExpr:
+def factorize_chain_crf(table: JointTable, y_order: Sequence[str]) -> FactorExpr:
     """Factorize P(y_1, ..., y_n | X) for a chain of labels y conditioned on
-    the block X of all remaining variables:
+    the block X of all remaining variables, in table order:
 
         prod_{i<n} CR(y_i, y_{i+1} | X) prod_i P(y_i | X).
 
@@ -163,15 +152,10 @@ def factorize_chain_crf(
         table.cardinality(y)
     if len(set(y_order)) != len(y_order):
         raise ModelError("duplicate chain variable")
-    if x_vars is None:
-        x_vars = tuple(n for n in table.names if n not in set(y_order))
-    else:
-        x_vars = tuple(x_vars)
-        if set(x_vars) & set(y_order):
-            raise ModelError("conditioning variables overlap the chain")
+    x_vars = tuple(n for n in table.names if n not in set(y_order))
     cond = Block(x_vars) if x_vars else None
     if x_vars:
-        zero = (table.event_prob(grid(table, x_vars)) == 0.0).nonzero()  # row-major
+        zero = (table._marginal(x_vars)[1] == 0.0).nonzero()  # row-major over x_vars
         if zero[0].size:
             states = tuple(int(ix[0]) for ix in zero)
             raise PreconditionError(f"conditioning configuration {states!r} has probability zero")
@@ -249,11 +233,12 @@ def mrf_factorize(
     passes the numeric Markov check for the graph.
     """
     _check_markov_args(table, graph, tol)
+    pins = _default_assignment(table, default)
     maximal = graph.maximal_cliques()
     parts: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
     for c in graph.all_cliques():
         owner = next(mc for mc in maximal if set(c) <= set(mc))
-        parts[owner].append(hc_potential(table, c, default))
+        parts[owner].extend(_subset_terms(table.names, c, pins))  # c's hc_potential
     phis = {mc: product_of(p) for mc, p in parts.items()}
     _check_markov(table, tol, product_of(phis.values()))
     return phis
@@ -332,17 +317,14 @@ class TcgResult:
     """A clique-graph factorization: per-clique probability factors plus the
     rewrite trace that derives them.
 
-    Every eliminated clique c contributes P(V(c)) / P(V(c) ∩ V(maxadj(c)));
-    the last remaining clique contributes P(V(root)). No factor carries a
-    pinned binding. `trace` rewrites `trace_initial` (CR over all nodes as
-    singletons) into the equivalent CR-level product.
+    Every clique c that ``is_tcg(graph)`` eliminates contributes
+    P(V(c)) / P(V(c) ∩ V(maxadj(c))); its root clique contributes
+    P(V(root)). No factor carries a pinned binding. `trace` rewrites
+    ``singleton_cr(table.names)`` into the equivalent CR-level product.
     """
 
-    elimination: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    root: tuple[str, ...]
     factors: dict[tuple[str, ...], FactorExpr]
     expr: FactorExpr
-    trace_initial: FactorExpr
     trace: OperationTrace
 
 
@@ -363,8 +345,7 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
     assert check.root is not None
     ctx = Context(graph=graph, table=table, tol=tol)  # a bad tol is a ModelError here
-    initial = singleton_cr(table.names)
-    rec = _Recorder(initial)
+    rec = _Recorder(singleton_cr(table.names))
     factors: dict[tuple[str, ...], FactorExpr] = {}
     rem_path: tuple[int, ...] = ()
     rem = list(table.names)
@@ -384,11 +365,4 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     factors[check.root] = PTerm(Block(check.root))
     expr = product_of(factors.values())
     _check_markov(table, tol, expr)
-    return TcgResult(
-        elimination=check.elimination,
-        root=check.root,
-        factors=factors,
-        expr=expr,
-        trace_initial=initial,
-        trace=tuple(rec.steps),
-    )
+    return TcgResult(factors=factors, expr=expr, trace=tuple(rec.steps))

@@ -61,12 +61,19 @@ def _check_cells(shape: Sequence[int]) -> None:
         raise PreconditionError(f"a table of {cells} cells exceeds the cap of {MAX_TABLE_CELLS} cells")
 
 
-def _check_unique_names(names: Sequence[str], what: str) -> None:
-    seen = set()
+def _repeated(names: Iterable[str]) -> str | None:
+    """The first name that occurs earlier in `names`, or None."""
+    seen: set[str] = set()
     for n in names:
         if n in seen:
-            raise ModelError(f"duplicate {what} {n!r}")
+            return n
         seen.add(n)
+    return None
+
+
+def _check_unique_names(names: Sequence[str], what: str) -> None:
+    if (twice := _repeated(names)) is not None:
+        raise ModelError(f"duplicate {what} {twice!r}")
 
 
 class JointTable:
@@ -272,7 +279,7 @@ class ModelGraph:
         self.declaration_index(a)
         self.declaration_index(b)
         if self.kind == "directed":
-            return (a, b) in set(self.edges)
+            return b in self._children[a]
         return b in self._adj[a]
 
     def topological_order(self) -> tuple[str, ...]:
@@ -294,12 +301,6 @@ class ModelGraph:
         if len(out) != len(self.nodes):
             raise ModelError("directed graph contains a cycle")
         return tuple(out)
-
-    def is_topological(self, order: Sequence[str]) -> bool:
-        if tuple(sorted(order)) != tuple(sorted(self.nodes)):
-            return False
-        pos = {n: i for i, n in enumerate(order)}
-        return all(pos[a] < pos[b] for a, b in self.edges)
 
     def markov_blanket(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """Neighbors of a node set, excluding the set itself (undirected)."""

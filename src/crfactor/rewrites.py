@@ -31,10 +31,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cr import Block, _check_name, _repeated
+from .cr import Block, _check_name
 from .errors import CertificateError, CRFactorError, RewriteError
 from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum, validate_scoping
-from .model import JointTable, ModelGraph, REL_TOL, _check_tol
+from .model import JointTable, ModelGraph, REL_TOL, _check_tol, _repeated
 from .separation import CIQuery, mutual_independence_deviation, separated
 
 

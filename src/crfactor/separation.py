@@ -13,9 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .cr import _repeated
 from .errors import ModelError
-from .model import JointTable, ModelGraph, REL_TOL, _check_tol
+from .model import JointTable, ModelGraph, REL_TOL, _check_tol, _repeated
 
 
 @dataclass(frozen=True)

@@ -457,7 +457,7 @@ def test_criterion_8_route_cross_check(gibbs_pool, tcg_pool, student_graph, stud
         if is_tcg(graph).ok:
             result = factorize_tcg(table, graph)
             routes.append(result.expr)
-            final = replay_trace(result.trace_initial, result.trace, graph=graph, table=table)
+            final = replay_trace(singleton_cr(table.names), result.trace, graph=graph, table=table)
             routes.append(product_of([final] + [PTerm(Block([n])) for n in graph.nodes]))
         if graph.is_tree():
             routes.append(factorize_tree_mn(graph))

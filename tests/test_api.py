@@ -56,7 +56,7 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         (("istcg", "--model", path3), 0, COMMAND_LINE, True),
         (("factorize", "--method", "bn", "--model", str(DATA / "bad_edge.model")), 4, COMMAND_LINE, True),
         (("gen-random", "--kind", "bn", "--graph", "dag:4:0.5", "--seed", "1"), 0, COMMAND_LINE | {"randgen"}, True),
-        (("indep", "--numeric", "--model", student, "--query", "D _|_ I"), 0, COMMAND_LINE | {"cr", "separation"}, True),
+        (("indep", "--numeric", "--model", student, "--query", "D _|_ I"), 0, COMMAND_LINE | {"separation"}, True),
         (
             ("verify", "--model", str(DATA / "d2.model"), "--expr", str(DATA / "expr_d2_good.txt")),
             0, COMMAND_LINE | {"cr", "expr"}, True,

@@ -518,6 +518,40 @@ def test_gen_random_any_spec_ends_in_an_exit_code(kind, head, parts):
     assert (code == EXIT_OK) == (err.getvalue() == "")
 
 
+GENERATED_SPECS = st.one_of(  # every spec of at most 8 nodes that gen-random accepts
+    st.builds("{}:{}".format, st.sampled_from(["path", "star", "tree", "complete", "chain"]), st.integers(1, 8)),
+    st.builds("cycle:{}".format, st.integers(3, 8)),
+    st.builds("triangles:{}".format, st.integers(1, 3)),
+    st.builds("{}:{}:{}".format, st.sampled_from(["er", "dag"]), st.integers(1, 8), st.sampled_from([0.3, 0.6, 1.0])),
+    st.just("student"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=GENERATED_SPECS, seed=st.integers(0, 2**16), card=st.integers(2, 3))
+def test_gen_random_output_factorizes_and_verifies(argv_files, spec, seed, card):
+    """gen-random's models are correct by construction: fed back into
+    factorize, every method whose precondition the graph meets verifies."""
+    graph = make_graph(spec, seed)
+    kind = "bn" if graph.kind == "directed" else "gibbs"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gen-random", "--kind", kind, "--graph", spec, "--seed", str(seed), "--card", str(card)])
+    assert (code, err.getvalue()) == (EXIT_OK, "")
+    model_file = argv_files / "generated.model"
+    model_file.write_text(out.getvalue())
+    if kind == "bn":
+        methods = ["bn"]
+    else:
+        methods = ["mrf", "rmrf"] + ["tcg"] * bool(is_tcg(graph)) + ["tree"] * graph.is_tree()
+    for method in methods:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["factorize", "--method", method, "--model", str(model_file)])
+        assert (code, err.getvalue()) == (EXIT_OK, ""), (spec, seed, card, method)
+        assert "\nverification: pass" in out.getvalue(), (spec, seed, card, method)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
 def test_non_finite_or_negative_tol_exits_parse(tol, tmp_path, capsys):
     # with tol = nan no deviation exceeds it, and rmrf would take a cycle:4 table for a path:4 graph

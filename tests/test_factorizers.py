@@ -87,19 +87,17 @@ def test_bn_chain_matches_d3(d3_table):
 
 
 def test_bn_value_invariant_across_topological_orders(student_graph):
+    # the student DAG declared in each of its topological orders is factorized in that order
     table = student_table(student_graph, seed=31)
     orders = [
-        p for p in itertools.permutations(student_graph.nodes) if student_graph.is_topological(p)
+        p for p in itertools.permutations(student_graph.nodes)
+        if all(p.index(a) < p.index(b) for a, b in student_graph.edges)
     ]
     assert len(orders) > 1
     for order in orders:
-        expr, _ = factorize_bn(student_graph, order)
+        expr, _ = factorize_bn(ModelGraph("directed", order, student_graph.edges))
+        assert tuple(t.block.vars[0] for t in expr.children) == order
         _assert_matches_joint(expr, table)
-
-
-def test_bn_rejects_non_topological_order(student_graph):
-    with pytest.raises(PreconditionError):
-        factorize_bn(student_graph, ("G", "D", "I", "S", "L"))
 
 
 def test_bn_trace_replays_with_valid_certificates(student_graph):
@@ -198,6 +196,25 @@ def test_chain_crf_no_conditions_degenerates(d3_table):
     expr = factorize_chain_crf(d3_table, ["A", "B", "C"])
     assert render(expr) == "CR(A,B)·CR(B,C)·P(A)·P(B)·P(C)"
     _assert_matches_joint(expr, d3_table)
+
+
+def test_chain_crf_names_the_first_zero_condition_row_major():
+    # names interleaved, x1 y1 x2 y2: X is every other name in table order
+    names = ("x1", "y1", "x2", "y2")
+    table = random_joint_table(names, seed=3, cardinality=3)
+    arr = np.array(table.probs)
+    for x1, x2 in ((2, 0), (1, 2), (2, 1)):
+        arr[x1, :, x2, :] = 0.0
+    table = JointTable([Variable(n, 3) for n in names], arr / arr.sum())
+    first = next(
+        (x1, x2)
+        for x1, x2 in itertools.product(range(3), repeat=2)
+        if table.event_prob({"x1": x1, "x2": x2}) == 0.0
+    )
+    assert first == (1, 2)
+    with pytest.raises(PreconditionError) as exc:
+        factorize_chain_crf(table, ["y2", "y1"])
+    assert str(exc.value) == f"conditioning configuration {first!r} has probability zero"
 
 
 def test_chain_crf_zero_condition_rejected():
@@ -580,8 +597,9 @@ def test_tcg_single_clique():
     g = make_graph("complete:2")
     result = factorize_tcg(table, g)
     assert render(result.expr) == "P(a b)"
-    assert result.root == ("a", "b")
-    assert result.elimination == ()
+    check = is_tcg(g)
+    assert (check.elimination, check.root) == ((), ("a", "b"))
+    assert list(result.factors) == [check.root]
 
 
 def test_tcg_triangle_hub():
@@ -592,15 +610,16 @@ def test_tcg_triangle_hub():
     for mc, phi in result.factors.items():
         assert "=" not in render(phi)
     # eliminated triangles divide by the shared hub vertex
-    for clique, maxadj in result.elimination:
+    for clique, maxadj in is_tcg(g).elimination:
         shared = set(clique) & set(maxadj)
         assert shared == {"a"}
+        assert render(result.factors[clique]).endswith("·P(a)^-1")
 
 
 def test_tcg_trace_replays(d3_table):
     path = ModelGraph("undirected", ["A", "B", "C"], [("A", "B"), ("B", "C")])
     result = factorize_tcg(d3_table, path)
-    final = replay_trace(result.trace_initial, result.trace, graph=path, table=d3_table)
+    final = replay_trace(singleton_cr(d3_table.names), result.trace, graph=path, table=d3_table)
     full = product_of([final] + [PTerm(block(n)) for n in path.nodes])
     _assert_matches_joint(full, d3_table)
 

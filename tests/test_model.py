@@ -326,10 +326,16 @@ def test_graph_validation():
 
 def test_topological_order():
     g = make_graph("student")
-    order = g.topological_order()
-    assert g.is_topological(order)
-    assert order == ("D", "I", "G", "S", "L")
-    assert not g.is_topological(("G", "D", "I", "S", "L"))
+    assert g.topological_order() == ("D", "I", "G", "S", "L")
+
+
+def test_directed_has_edge_follows_the_arrow():
+    g = ModelGraph("directed", ["a", "b", "c"], [("a", "b")])
+    assert g.has_edge("a", "b")
+    assert not g.has_edge("b", "a")
+    assert not g.has_edge("a", "c")
+    with pytest.raises(ModelError, match="unknown node 'z'"):
+        g.has_edge("a", "z")
 
 
 def test_clique_graph_structure():
