@@ -47,7 +47,7 @@ class Block:
                 name, state = m, None
             else:
                 name, state = m
-                if state is not None and (not isinstance(state, int) or state < 0):
+                if state is not None and (type(state) is not int or state < 0):  # a bool would render as A=True
                     raise ModelError(f"pinned state for {name!r} must be a non-negative integer")
             _check_name(name)
             if name in seen:
@@ -109,8 +109,8 @@ def grid(table: JointTable, names: Iterable[str] | None = None) -> dict[str, np.
     state arrays that broadcast together, row-major in the given order.
 
     Without `names` the arrays are the table's own read-only axes, the same
-    on every call, and the terms and products evaluated over them are
-    memoized (see ``evaluate``)."""
+    on every call, and an expression evaluated over them is memoized (see
+    ``crfactor.expr.eval_expr``)."""
     if names is None:
         return dict(table._own_grid())
     names = tuple(dict.fromkeys(names))
@@ -186,22 +186,10 @@ def evaluate(
     see ``grid``); a plain int is a 0-d batch, one row. Also returns the
     causes that leave rows undefined, as (bool or bool array, message) pairs
     in the order one row meets them.
-
-    Over the table's own grid (``grid(table)``) a term is evaluated once: its
-    read-only value and its causes, as a tuple, are memoized with the table.
     """
     blocks = tuple(blocks)
     if kind == "CR" and not blocks:
         raise UndefinedCRError("CR of an empty block list is undefined")
-    own, key = table._grid, None
-    if own is not None and all(
-        state is not None or (n in own and assignment.get(n) is own[n])
-        for b in (cond, *blocks) if b for n, state in b.members
-    ):
-        key = (kind, blocks, cond, exponent)
-        memoized = table._term_memo.get(key)
-        if memoized is not None:
-            return memoized
     causes: list = []
     with np.errstate(all="ignore"):  # a row that divides by zero or leaves the float range is a cause
         head, pc = (), None
@@ -238,18 +226,7 @@ def evaluate(
             overflow = (value == math.inf) & (base != math.inf)
             if _holds(overflow):  # the term's text is built only when it is needed
                 causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
-    if key is None:
-        return value, causes
-    return _remember(table, key, value, causes)
-
-
-def _remember(table: JointTable, key, value, causes: Sequence):
-    """Memoize a value over the table's own grid, read-only, with its causes
-    as a tuple; returns the stored pair. Terms and products are stored so."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    table._term_memo[key] = memoized = value, tuple(causes)
-    return memoized
+    return value, causes
 
 
 def settle(value, causes: Sequence, assignment: Assignment):

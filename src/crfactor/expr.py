@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ExprParseError, ModelError
-from .cr import Block, _remember, evaluate, settle, term_text
+from .cr import Block, evaluate, settle, term_text
 from .model import Assignment, JointTable
 
 FactorExpr = Union["Const", "CRTerm", "PTerm", "Product", "Sum"]
@@ -95,6 +95,8 @@ def _check_exponent(exp) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_NODES = (Const, CRTerm, PTerm, Product, Sum)
+
 
 def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     """Evaluate an expression at a full (or sufficient) assignment.
@@ -105,32 +107,33 @@ def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     ``crfactor.cr.grid(table)``, giving one value per row. An undefined row
     raises UndefinedCRError (see ``crfactor.cr.settle``).
 
-    Over ``grid(table)`` a term's or a product's value is memoized with the
-    table and returned read-only; copy it before writing into it.
+    Over ``grid(table)`` the expression is evaluated once: its value is
+    memoized with the table and returned read-only (copy it before writing
+    into it), and every call raises the same UndefinedCRError.
     """
-    with np.errstate(all="ignore"):  # an undefined or overflowing row is a cause, not a warning
-        value, causes = _evaluate(expr, table, assignment)
-    return settle(value, causes, assignment)
+    own = table._grid  # a memo key must hash: anything but a node is left to _evaluate's ModelError
+    memoize = own is not None and isinstance(expr, _NODES) and all(assignment.get(n) is own[n] for n in own)
+    memoized = table._memo.get(expr) if memoize else None
+    if memoized is None:
+        with np.errstate(all="ignore"):  # an undefined or overflowing row is a cause, not a warning
+            value, causes = memoized = _evaluate(expr, table, assignment)
+        if memoize:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            table._memo[expr] = memoized = value, tuple(causes)
+    return settle(*memoized, assignment)
 
 
 def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
     if isinstance(expr, Const):
         return expr.value, []
     if isinstance(expr, Product):
-        # Over the table's own grid a product is memoized like its terms (see
-        # crfactor.cr.evaluate).
-        own = table._grid
-        memoize = own is not None and all(assignment.get(n) is axis for n, axis in own.items())
-        if memoize:
-            memoized = table._term_memo.get(expr)
-            if memoized is not None:
-                return memoized
         out, causes = 1.0, []
         for child in expr.children:
             value, more = _evaluate(child, table, assignment)
             out = out * value
             causes += more
-        return _remember(table, expr, out, causes) if memoize else (out, causes)
+        return out, causes
     if isinstance(expr, Sum):
         total, causes = 0.0, []
         inner = dict(assignment)

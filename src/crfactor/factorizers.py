@@ -174,7 +174,7 @@ def _default_assignment(table: JointTable, default: Mapping[str, int] | None) ->
     out = {n: 0 for n in table.names}
     if default:
         for n, s in default.items():
-            if not isinstance(s, int):
+            if type(s) is not int:  # a bool pin would render as a=True
                 raise ModelError(f"default state for {n!r} must be an integer, got {s!r}")
             if not 0 <= s < table.cardinality(n):
                 raise ModelError(f"default state {s} out of range for {n!r}")

@@ -121,7 +121,7 @@ class JointTable:
         self._card = {v.name: v.cardinality for v in self.variables}
         self._marginal_cache: dict[frozenset[str], tuple[tuple[str, ...], np.ndarray]] = {}
         self._grid: dict[str, np.ndarray] | None = None  # see _own_grid
-        self._term_memo: dict = {}  # a term's (kind, blocks, cond, exponent), or a Product -> (value, causes)
+        self._memo: dict = {}  # expression evaluated over `_grid` -> (value, causes)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -142,7 +142,8 @@ class JointTable:
 
     def _own_grid(self) -> dict[str, np.ndarray]:
         """The table's own grid (see ``crfactor.cr.grid``), built once; its
-        axes are read-only, and terms evaluated over them are memoized."""
+        axes are read-only, and ``eval_expr`` memoizes in `_memo` each
+        expression evaluated over them."""
         if self._grid is None:
             axes = np.indices(self.probs.shape, sparse=True)
             for axis in axes:
@@ -200,6 +201,8 @@ class JointTable:
                 bad = () if 0 <= s < card else (s,)
             else:
                 s = np.asarray(s)
+                if s.dtype.kind not in "iu":  # bool, float, string and object states are refused
+                    raise ModelError(f"states of variable {n!r} must be integers, not {s.dtype.name}")
                 bad = s[(s < 0) | (s >= card)].flat
             if len(bad):
                 raise ModelError(f"state {bad[0]} out of range for variable {n!r}")

@@ -17,7 +17,8 @@ followed by exactly one distribution block:
 `cpt` and `potential` blocks may repeat (one cpt per node; several
 potentials, and potentials over one scope multiply). Unlisted joint rows
 default to zero; cpt and potential tables must be complete. Parse errors
-carry 1-based line numbers.
+carry the 1-based number of the offending line; a fault of the whole file
+(a missing line or block, a directed cycle) carries none.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class _Builder:
         self.graph_kind: str | None = None
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
-        self.edges: list[tuple[str, str]] = []
+        self.edges: dict[object, tuple[str, str]] = {}  # (a, b), or {a, b} when undirected -> (a, b)
         self.defaults: dict[str, int] = {}
         # (kind, scope, cardinalities, header line, rows); the model's kind is its first block's
         self.blocks: list[tuple[str, tuple[str, ...], tuple[int, ...], int, dict[tuple[int, ...], float]]] = []
@@ -168,7 +169,10 @@ class _Builder:
             self.require_var(b, lineno)
             if a == b:
                 raise ModelParseError(f"self-loop on {a!r}", lineno)
-            self.edges.append((a, b))
+            key = (a, b) if self.graph_kind == "directed" else frozenset((a, b))
+            if key in self.edges:
+                raise ModelParseError(f"duplicate edge ({a!r}, {b!r})", lineno)
+            self.edges[key] = (a, b)
         elif head == "default":
             if len(tokens) != 3:
                 raise ModelParseError("expected 'default <name> <state>'", lineno)
@@ -204,7 +208,7 @@ class _Builder:
             self.require_var(node, lineno)
             if any(scope[-1] == node for _, scope, *_ in self.blocks):
                 raise ModelParseError(f"duplicate cpt block for {node!r}", lineno)
-            parents = sorted((a for a, b in self.edges if b == node), key=self.index.__getitem__)
+            parents = sorted((a for a, b in self.edges.values() if b == node), key=self.index.__getitem__)
             scope = (*parents, node)
         else:
             scope = args
@@ -252,7 +256,7 @@ class _Builder:
         if not self.variables:
             raise ModelParseError("model declares no variables", None)
         try:
-            graph = ModelGraph(self.graph_kind, [v.name for v in self.variables], self.edges)
+            graph = ModelGraph(self.graph_kind, [v.name for v in self.variables], self.edges.values())
         except ModelError as exc:
             raise ModelParseError(str(exc), None) from None
         if not self.blocks:

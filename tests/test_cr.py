@@ -32,6 +32,9 @@ def test_block_validation():
         Block([])
     with pytest.raises(ModelError):
         Block([("A", -1)])
+    for state in (True, False):  # would render as A=True, which parse_expr refuses
+        with pytest.raises(ModelError, match="pinned state for 'A' must be a non-negative integer"):
+            Block([("A", state)])
     assert str(block("A", ("B", 0))) == "A B=0"
 
 

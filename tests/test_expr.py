@@ -20,6 +20,7 @@ from crfactor import (
     product_of,
     render,
 )
+from crfactor.cr import grid
 from crfactor.expr import validate_scoping
 from crfactor.randgen import random_joint_table
 
@@ -185,6 +186,15 @@ def test_expr_variables_and_free_variables():
 def test_unknown_variable_raises(d2_table):
     with pytest.raises(ModelError):
         eval_expr(PTerm(block("Z")), d2_table, {"Z": 0})
+
+
+def test_non_expression_raises_model_error(d2_table):
+    """Over the table's own grid too, where eval_expr memoizes what it is
+    given: an unhashable non-expression is refused, not hashed."""
+    for rows in (grid(d2_table), {"A": 0, "B": 0}):
+        for bad in ({"A": 0}, [PTerm(block("A"))], "P(A)"):
+            with pytest.raises(ModelError, match="^not a factor expression: "):
+                eval_expr(bad, d2_table, rows)
 
 
 def test_random_round_trips():

@@ -529,7 +529,7 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
     assert is_markov(table, cycle, tol=1) and not is_markov(table, path, tol=0)  # ints are tolerances too
 
 
-@pytest.mark.parametrize("state", ["1", 1.0, None, np.int64(1)])
+@pytest.mark.parametrize("state", ["1", 1.0, None, np.int64(1), True])
 def test_non_int_default_state_is_a_model_error(state):
     g = make_graph("path:3")
     table = random_gibbs_model(g, seed=1).to_joint()

@@ -6,8 +6,9 @@ single assignment of plain int states is a 0-d batch of one row. These tests
 check that a row and the grid agree exactly, that both agree with the oracle
 in conftest, that one row gives a Python float, and that an undefined row is
 reported with the same cause and assignment a row-by-row scan finds first.
-A term evaluated over a table's own grid is memoized with the table; the
-last tests check that a memo hit changes no value, no error and no array.
+An expression that ``eval_expr`` evaluates over a table's own grid is
+memoized with the table; the last tests check that a memo hit changes no
+value, no error and no array.
 """
 
 from __future__ import annotations
@@ -402,7 +403,7 @@ def test_one_row_gives_a_float():
 
 
 # ---------------------------------------------------------------------------
-# The term memo over a table's own grid
+# The expression memo over a table's own grid
 
 
 def subnormal_path6() -> JointTable:
@@ -455,7 +456,8 @@ def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
     """The mrf, rmrf and (on a TCG) tcg products and conditional CR terms,
     over grid(table) (filled, then hit) and over grid(twin, twin.names) of a
     twin table that never hands out its own grid, so nothing is memoized.
-    The memo then holds each distinct term and each distinct product."""
+    The memo then holds each distinct expression eval_expr was given: each
+    term and each product."""
     built, g = memo_case(case)
     exprs = memo_expressions(built, g)
     table = JointTable(built.variables, built.probs)  # nothing memoized yet
@@ -465,16 +467,16 @@ def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
             first = outcome(term, table, grid(table))
             assert outcome(term, table, grid(table)) == first
             assert outcome(term, twin, grid(twin, twin.names)) == first, (case, term)
-    memoized = len(table._term_memo)
+    memoized = len(table._memo)
     assert memoized > 0
     for expr in exprs:
         first = outcome(expr, table, grid(table))
         assert outcome(expr, table, grid(table)) == first
         assert outcome(expr, twin, grid(twin, twin.names)) == first, (case, expr)
     products = {expr for expr in exprs if isinstance(expr, Product)}
-    assert products and all(expr in table._term_memo for expr in products)
-    assert len(table._term_memo) == memoized + len(products)  # the products reuse their terms' values
-    assert twin._term_memo == {}
+    assert products and all(expr in table._memo for expr in products)
+    assert len(table._memo) == memoized + len(products)  # each product adds its own entry, none for its terms
+    assert twin._memo == {}
 
 
 def term_outcome(term, table, rows):
@@ -531,7 +533,7 @@ def test_memo_hit_raises_the_same_error():
             eval_expr(expr, t, rows)
         messages.append(str(exc.value))
     assert messages == ["zero marginal for block (C) (at assignment {'A': 0, 'B': 0, 'C': 1})"] * 3
-    assert len(table._term_memo) == 3 and twin._term_memo == {}  # two terms and their product
+    assert list(table._memo) == [expr] and twin._memo == {}  # the product alone, not its terms
 
 
 def test_cr_term_built_with_a_list_of_blocks_hits_the_memo():
@@ -544,9 +546,9 @@ def test_cr_term_built_with_a_list_of_blocks_hits_the_memo():
     assert listed == tupled and hash(listed) == hash(tupled)
     want = outcome(tupled, twin, grid(twin, NAMES))
     assert outcome(listed, table, grid(table)) == want
-    assert listed in table._term_memo and len(table._term_memo) == 3
+    assert list(table._memo) == [listed]
     assert outcome(tupled, table, grid(table)) == want
-    assert len(table._term_memo) == 3
+    assert list(table._memo) == [listed]
 
 
 def test_memo_values_and_grid_axes_are_read_only():
@@ -554,16 +556,20 @@ def test_memo_values_and_grid_axes_are_read_only():
     rows = grid(table)
     assert rows is not grid(table) and all(rows[n] is grid(table)[n] for n in NAMES)
     terms = [
-        ("P", (block("A", "B"),), None, 1),  # a view of the cached marginal
-        ("P", (block("A", "B"),), None, -1),
-        ("CR", (block("A"), block("B")), block("C"), 1),
+        PTerm(block("A", "B")),  # a view of the cached marginal
+        PTerm(block("A", "B"), exponent=-1),
+        CRTerm((block("A"), block("B")), block("C")),
     ]
-    for kind, blocks, cond, exponent in terms:
-        value, causes = evaluate(table, kind, blocks, cond, rows, exponent)
-        assert isinstance(causes, tuple)
-        assert evaluate(table, kind, blocks, cond, rows, exponent)[0] is value
+    for term in terms:
+        value = eval_expr(term, table, rows)
+        assert isinstance(table._memo[term][1], tuple)
+        assert eval_expr(term, table, rows) is value
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0.0
+    # the kernel itself memoizes nothing: each call builds its value afresh
+    kernel_args = (table, "CR", (block("A"), block("B")), block("C"), rows)
+    assert evaluate(*kernel_args)[0] is not evaluate(*kernel_args)[0]
+    assert len(table._memo) == len(terms)
     for axis in rows.values():
         with pytest.raises(ValueError, match="read-only"):
             axis[...] = 0
@@ -572,10 +578,11 @@ def test_memo_values_and_grid_axes_are_read_only():
     fresh[...] = 0.0
 
 
-def test_mrf_then_verify_reads_each_distinct_term_once(monkeypatch):
+def test_mrf_then_verify_calls_the_kernel_once_per_term(monkeypatch):
     """mrf_factorize settles the Markov check on its own product over the
-    grid, and verify_expression reads that product's value from the memo
-    without calling the kernel again."""
+    grid, calling the kernel once per term, equal terms included, and
+    verify_expression reads that product's value from the memo without
+    calling the kernel again. The memo holds the product only."""
     g = make_graph("path:10")
     table = random_gibbs_model(g, seed=1).to_joint()
     kernel_calls, reads = [], []
@@ -595,8 +602,8 @@ def test_mrf_then_verify_reads_each_distinct_term_once(monkeypatch):
     assert len(kernel_calls) == len(expr.children)
     assert verify_expression(expr, table).passed
     assert len(kernel_calls) == len(expr.children)
-    # each term is an unconditioned P term, which reads the table once
+    # each term is an unconditioned P term, which reads the table once, and some are equal
     distinct = {(t.block, t.condition, t.exponent) for t in expr.children}
     assert all(isinstance(t, PTerm) and t.condition is None for t in expr.children)
-    assert len(reads) == len(distinct) < len(expr.children)
-    assert len(table._term_memo) == len(distinct) + 1 and expr in table._term_memo
+    assert len(reads) == len(expr.children) > len(distinct)
+    assert list(table._memo) == [expr]

@@ -64,10 +64,10 @@ def test_marginal_identity_and_errors(d2_table):
 
 
 def test_event_prob_errors_keep_their_order():
-    """Out-of-range states and unknown names raise the same ModelError
-    whether the other states are the table's own grid axes or not: the
-    first bad state in table order wins, and an unknown name wins over
-    any state."""
+    """Out-of-range and non-integer states and unknown names raise the same
+    ModelError whether the other states are the table's own grid axes or
+    not: the first bad state in table order wins, and an unknown name wins
+    over any state."""
     table = JointTable([Variable("A", 2), Variable("B", 3), Variable("C", 2)], np.full(12, 1 / 12))
     own = grid(table)
     foreign = grid(table, table.names)
@@ -83,6 +83,17 @@ def test_event_prob_errors_keep_their_order():
         ({"A": 1, "B": foreign["B"], "C": np.array([1, -2])}, "state -2 out of range for variable 'C'"),
         ({"A": np.array([5]), "B": 7, "C": own["C"]}, "state 5 out of range for variable 'A'"),
         ({"A": own["B"], "B": 1}, "state 2 out of range for variable 'A'"),  # another name's axis
+        # a state that is not an integer, checked in table order with the ranges
+        ({"A": 1.0}, "states of variable 'A' must be integers, not float64"),
+        ({"A": np.array([0.0, 1.0])}, "states of variable 'A' must be integers, not float64"),
+        ({"A": "0"}, "states of variable 'A' must be integers, not str32"),
+        ({"A": None}, "states of variable 'A' must be integers, not object"),
+        ({"A": True}, "states of variable 'A' must be integers, not bool"),
+        ({"A": own["A"], "B": np.array([1, 0]) == 1}, "states of variable 'B' must be integers, not bool"),
+        ({"C": 0.5, "A": np.array([2])}, "state 2 out of range for variable 'A'"),
+        ({"C": np.array([7]), "B": own["B"], "A": None}, "states of variable 'A' must be integers, not object"),
+        ({"A": 5, "B": 1.5}, "state 5 out of range for variable 'A'"),
+        ({"A": own["A"], "B": 1.5, "C": 9}, "states of variable 'B' must be integers, not float64"),
         # an unknown name, before any state is checked
         ({"Z": 0, "A": own["A"]}, "unknown variable 'Z'"),
         ({"A": 9, "Z": own["A"]}, "unknown variable 'Z'"),

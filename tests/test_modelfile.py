@@ -64,6 +64,22 @@ def test_malformed_edge_has_line_number():
         ("graph undirected\nvar A 2\ndefault A 5\njoint\n0 1.0\n", 3, "out of range"),
         ("graph undirected\nvar A 2\npotential A\n0 1.0\n1 nan\n", 5, "positive and finite, got nan"),
         ("graph undirected\nvar A 2\npotential A\n0 inf\n1 1.0\n", 4, "positive and finite, got inf"),
+        ("graph undirected\nvar a 2\nvar b 2\nedge a b\nedge b a\n", 5, "duplicate edge ('b', 'a')"),
+        ("graph directed\nvar a 2\nvar b 2\nedge a b\nedge a b\n", 5, "duplicate edge ('a', 'b')"),
+        ("graph directed\nvar a 2\nvar b 2\nedge a b\nedge b a\njoint\n0 0 1.0\n", None, "contains a cycle"),
+        ("graph undirected\ngraph undirected\n", 2, "duplicate graph line"),
+        ("graph undirected\nvar A 2\njoint\n0 1.0\nvar B 2\n", 5, "variable declared after the distribution block"),
+        ("graph undirected\nvar a 2\nvar b 2\njoint\n0 0 1.0\nedge a b\n", 6, "edge declared after the distribution block"),
+        ("graph undirected\nvar a 2\nedge a a\n", 3, "self-loop on 'a'"),
+        ("graph undirected\nvar A 2\ndefault A\n", 3, "expected 'default <name> <state>'"),
+        ("graph undirected\nvar A 2\njoint\n0 1.0\njoint\n", 5, "duplicate joint block"),
+        ("graph directed\nvar A 2\ncpt A\n0 0.5\n1 0.5\ncpt A\n", 6, "duplicate cpt block for 'A'"),
+        ("", None, "empty model: missing graph line"),
+        ("# a comment\n\n", None, "empty model: missing graph line"),
+        ("graph undirected\n", None, "model declares no variables"),
+        ("graph undirected\nvar A 2\n", None, "model has no distribution block"),
+        ("graph directed\nvar A 2\npotential A\n0 1.0\n1 1.0\n", None, "potential models require an undirected graph"),
+        ("graph undirected\nvar A 2\ncpt A\n0 0.5\n1 0.5\n", None, "cpt models require a directed graph"),
     ],
 )
 def test_parse_errors(text, line, fragment):

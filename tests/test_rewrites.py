@@ -34,6 +34,7 @@ from crfactor import (
     factorize_bn,
     factorize_tcg,
     mutual_independence_deviation,
+    parse_expr,
     render,
     replay_trace,
     singleton_cr,
@@ -240,12 +241,32 @@ def test_ci_reduce_invalid_certificate(d3_table):
 def test_ci_reduce_parameter_validation(d3_table):
     e0 = CRTerm((block("A"), block("B", "C")))
     ctx = Context(table=d3_table)
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match="^ci_reduce needs non-empty y and w variable sets$"):
         apply_ci_reduce(e0, (), 0, ["C"], [], "numeric", ctx=ctx)  # empty w
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match="^y and w must partition the reduced block's variables$"):
         apply_ci_reduce(e0, (), 0, ["C"], ["Z"], "numeric", ctx=ctx)  # not a partition
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match="^ci_reduce applies to two-block CR terms$"):
         apply_ci_reduce(singleton_cr("ABC"), (), 0, ["C"], ["B"], "numeric", ctx=ctx)
+    with pytest.raises(RewriteError, match="^keep must be 0 or 1$"):
+        apply_ci_reduce(e0, (), 2, ["C"], ["B"], "numeric", ctx=ctx)
+
+
+@pytest.mark.parametrize(
+    "rule, target, args, message",
+    [
+        ("ci_split", "CR(A,B,C)", (0, ["A"], ["C"]), "ci_split applies to two-block CR terms"),
+        ("ci_split", "CR(B,A C)", (2, ["A"], ["C"]), "w_index must be 0 or 1"),
+        ("ci_split", "CR(B,A C)", (0, ["A", "C"], []), "ci_split needs non-empty x and y variable sets"),
+        ("ci_split", "CR(B,A C)", (0, ["A"], ["B"]), "x and y must partition the grouped block's variables"),
+        ("ci_split", "CR(B,A C)", (0, ["A", "C"], ["C"]), "x and y must partition the grouped block's variables"),
+        ("ci_collapse", "CR(A,B,C)", (), "ci_collapse applies to two-block CR terms"),
+    ],
+)
+def test_ci_split_and_collapse_parameter_validation(d3_table, rule, target, args, message):
+    """The twin of the ci_reduce checks: each message, pinned whole."""
+    with pytest.raises(RewriteError) as exc:
+        getattr(rewrites, f"apply_{rule}")(parse_expr(target), (), *args, ctx=Context(table=d3_table))
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
