@@ -129,6 +129,12 @@ def _require_kind(model: ParsedModel, kind: str, what: str) -> None:
 
 
 def _cmd_factorize(args) -> int:
+    if args.method == "trace" and not args.trace:
+        raise _UsageError("--trace FILE is required with --method trace")
+    if args.method != "trace" and args.trace is not None:
+        raise _UsageError("--trace is read only by --method trace")
+    if args.method != "chain-crf" and args.y is not None:
+        raise _UsageError("--y is read only by --method chain-crf")
     model = _load_model(args.model)
     from .expr import eval_expr, product_of, render
     from .factorizers import (
@@ -179,8 +185,6 @@ def _cmd_factorize(args) -> int:
             f"phi({' '.join(mc)}) = {render(phi)}" for mc, phi in result.factors.items()
         ]
     elif args.method == "trace":
-        if not args.trace:
-            raise _UsageError("--trace FILE is required with --method trace")
         initial, expr = _run_trace_file(args.trace, model, table, tol)
         lines = [render(expr)]
 

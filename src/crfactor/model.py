@@ -101,18 +101,7 @@ class JointTable:
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ModelError(f"probabilities sum to {total!r}, not 1")
-        self._fill(variables, arr.copy())
-
-    @classmethod
-    def _of(cls, variables: tuple[Variable, ...], arr: np.ndarray) -> "JointTable":
-        """A table over distinct variables from an array of their shape that
-        the caller owns and has already checked: finite, non-negative and
-        summing to one within SUM_TOL. Nothing is checked again."""
-        table = object.__new__(cls)
-        table._fill(variables, arr)
-        return table
-
-    def _fill(self, variables: tuple[Variable, ...], arr: np.ndarray) -> None:
+        arr = arr.copy()
         arr.setflags(write=False)
         self.variables = variables
         self.probs = arr

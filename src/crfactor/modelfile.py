@@ -37,15 +37,14 @@ from .model import (
     ModelGraph,
     Variable,
     _check_cells,
-    _scoped_product,
     build_joint_from_cpts,
 )
 
 
 @dataclass
 class ParsedModel:
-    """A fully validated model file: graph, variables, default states and
-    one distribution payload (kind "joint", "cpt" or "potential")."""
+    """A model file's graph, variables, default states and one distribution
+    payload (kind "joint", "cpt" or "potential"); a plain record."""
 
     kind: str
     variables: tuple[Variable, ...]
@@ -54,10 +53,6 @@ class ParsedModel:
     joint_probs: np.ndarray | None = None
     cpts: dict[str, CPT] = field(default_factory=dict)
     potentials: list[tuple[tuple[str, ...], np.ndarray]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._joint: JointTable | None = None
-        self._parsed = False  # set by parse_model, whose rows are checked once
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -68,9 +63,14 @@ class ParsedModel:
         out.update(self.defaults)
         return out
 
-    def gibbs(self) -> GibbsModel:
+    def joint(self) -> JointTable:
+        """Build the joint table, through the checked constructors, on each call."""
+        if self.kind == "joint":
+            return JointTable(self.variables, self.joint_probs)
+        if self.kind == "cpt":
+            return build_joint_from_cpts(self.graph, self.cpts, self.variables)
         if self.kind != "potential":
-            raise ModelError("not a potential model")
+            raise ModelError(f"model kind must be 'joint', 'cpt' or 'potential', got {self.kind!r}")
         merged: dict[tuple[str, ...], np.ndarray] = {}
         for scope, table in self.potentials:  # blocks over one scope multiply, in file order
             if scope in merged:
@@ -79,27 +79,7 @@ class ParsedModel:
                 if not np.all((table > 0) & (table < math.inf)):
                     raise PreconditionError(f"the potentials over {scope!r} multiply out of the float range")
             merged[scope] = table
-        return GibbsModel(self.variables, self.graph, merged)
-
-    def joint(self) -> JointTable:
-        """Materialize the joint table (cached). The table of a model from
-        parse_model is built from its checked rows without checking them
-        again; any other model goes through the public constructors."""
-        if self._joint is None:
-            if self.kind == "joint":
-                if self._parsed:
-                    self._joint = JointTable._of(self.variables, self.joint_probs.copy())
-                else:
-                    self._joint = JointTable(self.variables, self.joint_probs)
-            elif self.kind == "cpt":
-                if self._parsed:
-                    factors = (((*self.cpts[n].parents, n), self.cpts[n].probs) for n in self.graph.nodes)
-                    self._joint = JointTable._of(self.variables, _scoped_product(self.variables, factors))
-                else:
-                    self._joint = build_joint_from_cpts(self.graph, self.cpts, self.variables)
-            else:
-                self._joint = self.gibbs().to_joint()
-        return self._joint
+        return GibbsModel(self.variables, self.graph, merged).to_joint()
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -304,13 +284,10 @@ class _Builder:
 
         head = (kind, tuple(self.variables), graph, self.defaults)
         if kind == "joint":
-            model = ParsedModel(*head, joint_probs=tables[0][1])
-        elif kind == "cpt":
-            model = ParsedModel(*head, cpts={scope[-1]: cpt for scope, cpt in tables})
-        else:
-            model = ParsedModel(*head, potentials=tables)
-        model._parsed = True
-        return model
+            return ParsedModel(*head, joint_probs=tables[0][1])
+        if kind == "cpt":
+            return ParsedModel(*head, cpts={scope[-1]: cpt for scope, cpt in tables})
+        return ParsedModel(*head, potentials=tables)
 
 
 _KEYWORDS = frozenset({"graph", "var", "edge", "default", "joint", "cpt", "potential"})

@@ -37,7 +37,7 @@ _SHAPES = {"chain": None, "dag": 0.4, "path": None, "cycle": None, "complete": N
 
 def _spec_numbers(spec: str) -> tuple[str, int, float | None]:
     """The shape, count and edge probability of a spec `shape:N[:P]`; the
-    count is at least 1 and P lies in [0, 1]."""
+    count is at least 1 (3 for a cycle) and P lies in [0, 1]."""
     head, *args = spec.strip().split(":")
     if head not in _SHAPES:
         raise ModelError(f"unknown graph spec {spec!r}")
@@ -50,6 +50,8 @@ def _spec_numbers(spec: str) -> tuple[str, int, float | None]:
         raise ModelError(f"graph spec {spec!r} has a non-numeric count or edge probability") from None
     if n < 1:
         raise ModelError(f"graph spec {spec!r}: the count must be at least 1")
+    if head == "cycle" and n < 3:
+        raise ModelError(f"graph spec {spec!r}: a cycle needs at least 3 nodes")
     if p is not None and not 0.0 <= p <= 1.0:
         raise ModelError(f"graph spec {spec!r}: the edge probability must lie in [0, 1]")
     return head, n, p

@@ -175,6 +175,17 @@ def test_factorize_trace_requires_file(capsys):
     assert "--trace" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "trace", "--model", "missing.model"], "--trace FILE is required with --method trace"),
+    (["--method", "bn", "--model", str(DATA / "student.model"), "--trace", "missing.json"],
+     "--trace is read only by --method trace"),
+    (["--method", "bn", "--model", str(DATA / "student.model"), "--y", "D"], "--y is read only by --method chain-crf"),
+])
+def test_factorize_checks_its_flags_before_it_reads_the_model(argv, message, capsys):
+    code, out, err = run(capsys, "factorize", *argv)
+    assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
+
+
 def _merge_trace(**step):
     return {"initial": "CR(a,b,c)", "steps": [{"rule": "merge", "path": [], "params": {"i": 0, "j": 1}, **step}]}
 
@@ -488,6 +499,7 @@ def test_gen_random_kind_graph_mismatch(capsys):
 
 
 @pytest.mark.parametrize("spec", ["path:x", "er:5:abc", "dag:4:x", "triangles:", "path", "path:-3", "cycle:0",
+                                  "cycle:1", "cycle:2",
                                   "er:5:nan", "er:5:1.5", "path:3:9", "student:3", "bogus:3", ""])
 def test_gen_random_malformed_spec_exits_parse(spec, capsys):
     code, out, err = run(capsys, "gen-random", "--kind", "gibbs", "--graph", spec, "--seed", "0")

@@ -233,8 +233,9 @@ def _block_rows(text: str) -> dict[str, list[tuple[tuple[int, ...], float]]]:
 @pytest.mark.parametrize("spec, card", [("dag:8:0.4", 2), ("dag:10:0.3", 2), ("student", 3), ("dag:7:0.5", 3)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parsed_cpt_model_matches_the_public_constructors(spec, card, seed):
-    """The parser builds CPTs and the joint without checking its rows again;
-    the bits equal what the public constructors build from the same rows."""
+    """The parser builds CPTs without checking their rows again; the bits of
+    the CPTs and the joint equal what the public constructors build from the
+    same rows."""
     text = render_model(random_model("bn", spec, seed, card))
     model = parse_model(text)
     cpts = {}
@@ -291,6 +292,22 @@ def test_hand_built_cpt_model_checks_the_parents():
     cpts = {**parsed.cpts, "G": CPT("G", ("D",), g.probs[:, 0, :])}
     with pytest.raises(ModelError, match="CPT scope mismatch for 'G'"):
         ParsedModel("cpt", parsed.variables, parsed.graph, cpts=cpts).joint()
+    parsed.cpts["G"] = cpts["G"]  # a parsed model edited in place is checked the same way
+    with pytest.raises(ModelError, match="CPT scope mismatch for 'G'"):
+        parsed.joint()
+
+
+def test_edited_parsed_joint_model_is_checked():
+    parsed = parse_model((DATA / "d2.model").read_text())
+    parsed.joint_probs[0, 0] = -0.25
+    with pytest.raises(ModelError, match="probabilities must be finite and non-negative"):
+        parsed.joint()
+
+
+def test_hand_built_model_of_unknown_kind_is_refused():
+    parsed = parse_model((DATA / "d2.model").read_text())
+    with pytest.raises(ModelError, match="model kind must be 'joint', 'cpt' or 'potential', got 'jiont'"):
+        ParsedModel("jiont", parsed.variables, parsed.graph, joint_probs=parsed.joint_probs).joint()
 
 
 def test_repeated_potential_scopes_multiply():
