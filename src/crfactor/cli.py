@@ -56,7 +56,7 @@ class VerificationReport:
     assignments_checked: int
     max_abs_error: float
     max_rel_error: float
-    worst_assignment: dict[str, int] | None
+    worst_assignment: dict[str, int]
     tol: float
 
     @property
@@ -65,12 +65,10 @@ class VerificationReport:
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        worst = ""
-        if self.worst_assignment is not None:
-            worst = "  worst=" + ",".join(f"{k}={v}" for k, v in self.worst_assignment.items())
+        worst = ",".join(f"{k}={v}" for k, v in self.worst_assignment.items())
         return (
             f"verification: {status}  assignments={self.assignments_checked}"
-            f"  max_rel_err={self.max_rel_error:.3e}  max_abs_err={self.max_abs_error:.3e}{worst}"
+            f"  max_rel_err={self.max_rel_error:.3e}  max_abs_err={self.max_abs_error:.3e}  worst={worst}"
         )
 
 
@@ -272,8 +270,7 @@ def _cmd_istcg(args) -> int:
     if check.ok:
         for clique, maxadj in check.elimination:
             print(f"remove {{{' '.join(clique)}}} into {{{' '.join(maxadj)}}}")
-        if check.root is not None:
-            print(f"root {{{' '.join(check.root)}}}")
+        print(f"root {{{' '.join(check.root)}}}")
     return EXIT_OK
 
 

@@ -10,10 +10,10 @@ event is the same. A block member is either free (its state is read from the
 evaluation assignment) or pinned to a fixed state.
 
 One kernel, ``evaluate``, computes the value of every CR and P term, at one
-assignment or at a batch of them given as state arrays. It is the semantic
-ground truth that the symbolic layer in ``expr``/``rewrites`` is tested
-against. (The numeric independence deviation in ``separation`` reads the
-table's cached marginals directly.)
+assignment or over the table's grid. It is the semantic ground truth that
+the symbolic layer in ``expr``/``rewrites`` is tested against. (The numeric
+independence deviation in ``separation`` reads the table's cached marginals
+directly.)
 """
 
 from __future__ import annotations
@@ -104,17 +104,12 @@ def block(*members: BlockMemberSpec) -> Block:
 BlockList = Sequence[Block]
 
 
-def grid(table: JointTable, names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
-    """Every assignment of `names` (default: the table's variables) as sparse
-    state arrays that broadcast together, row-major in the given order.
-
-    Without `names` the arrays are the table's own read-only axes, the same
-    on every call, and an expression evaluated over them is memoized (see
-    ``crfactor.expr.eval_expr``)."""
-    if names is None:
-        return dict(table._own_grid())
-    names = tuple(dict.fromkeys(names))
-    return dict(zip(names, np.indices([table.cardinality(n) for n in names], sparse=True)))
+def grid(table: JointTable) -> dict[str, np.ndarray]:
+    """Every assignment of the table's variables as the table's own
+    read-only sparse axes, which broadcast together row-major in table
+    order. The arrays are the same on every call, and an expression
+    evaluated over them is memoized (see ``crfactor.expr.eval_expr``)."""
+    return dict(table._grid)
 
 
 def _prob(table: JointTable, blocks: BlockList, assignment: Assignment):
@@ -182,8 +177,9 @@ def evaluate(
     """The one evaluation kernel: CR(blocks | cond)^exponent for kind "CR",
     P(blocks | cond)^exponent (blocks read as one event) for kind "P".
 
-    States are integer arrays that broadcast over the table's axes (a batch,
-    see ``grid``); a plain int is a 0-d batch, one row. Also returns the
+    Each state is a plain int or the variable's axis of ``grid(table)``
+    (see ``JointTable.event_prob``): plain ints give one row, axes a batch
+    of rows that broadcast over the table's shape. Also returns the
     causes that leave rows undefined, as (bool or bool array, message) pairs
     in the order one row meets them.
     """

@@ -103,16 +103,17 @@ def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
 
     Products multiply, sums range over all states of their variable
     (shadowing any outer binding), CR-terms and P-terms evaluate from the
-    table and are raised to their exponents. States may be arrays, such as
-    ``crfactor.cr.grid(table)``, giving one value per row. An undefined row
-    raises UndefinedCRError (see ``crfactor.cr.settle``).
+    table and are raised to their exponents. A state is a plain int or the
+    variable's axis of ``crfactor.cr.grid(table)``, which gives one value
+    per row. An undefined row raises UndefinedCRError (see
+    ``crfactor.cr.settle``).
 
     Over ``grid(table)`` the expression is evaluated once: its value is
     memoized with the table and returned read-only (copy it before writing
     into it), and every call raises the same UndefinedCRError.
     """
     own = table._grid  # a memo key must hash: anything but a node is left to _evaluate's ModelError
-    memoize = own is not None and isinstance(expr, _NODES) and all(assignment.get(n) is own[n] for n in own)
+    memoize = isinstance(expr, _NODES) and all(assignment.get(n) is own[n] for n in own)
     memoized = table._memo.get(expr) if memoize else None
     if memoized is None:
         with np.errstate(all="ignore"):  # an undefined or overflowing row is a cause, not a warning

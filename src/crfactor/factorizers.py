@@ -343,7 +343,6 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     check = is_tcg(graph)
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
-    assert check.root is not None
     ctx = Context(graph=graph, table=table, tol=tol)  # a bad tol is a ModelError here
     rec = _Recorder(singleton_cr(table.names))
     factors: dict[tuple[str, ...], FactorExpr] = {}

@@ -109,7 +109,10 @@ class JointTable:
         self._axis = {v.name: i for i, v in enumerate(self.variables)}
         self._card = {v.name: v.cardinality for v in self.variables}
         self._marginal_cache: dict[frozenset[str], tuple[tuple[str, ...], np.ndarray]] = {}
-        self._grid: dict[str, np.ndarray] | None = None  # see _own_grid
+        axes = np.indices(shape, sparse=True)  # the table's own grid, see crfactor.cr.grid
+        for axis in axes:
+            axis.setflags(write=False)
+        self._grid: dict[str, np.ndarray] = dict(zip(self.names, axes))
         self._memo: dict = {}  # expression evaluated over `_grid` -> (value, causes)
 
     @property
@@ -129,17 +132,6 @@ class JointTable:
                 raise ModelError(f"assignment does not bind variable {n!r}")
         return self.event_prob({n: assignment[n] for n in self.names})
 
-    def _own_grid(self) -> dict[str, np.ndarray]:
-        """The table's own grid (see ``crfactor.cr.grid``), built once; its
-        axes are read-only, and ``eval_expr`` memoizes in `_memo` each
-        expression evaluated over them."""
-        if self._grid is None:
-            axes = np.indices(self.probs.shape, sparse=True)
-            for axis in axes:
-                axis.setflags(write=False)
-            self._grid = dict(zip(self.names, axes))
-        return self._grid
-
     def _marginal(self, names: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
         key = frozenset(names)
         cached = self._marginal_cache.get(key)
@@ -158,9 +150,9 @@ class JointTable:
 
     def event_prob(self, event: Assignment):
         """P of a partial assignment (the event that each listed variable
-        takes its listed state); the empty event has probability 1. States
-        are integer arrays that broadcast together, one P per row; plain ints
-        give one P."""
+        takes its listed state); the empty event has probability 1. A state
+        is a plain int, or the variable's own axis of the table's grid (see
+        ``crfactor.cr.grid``): plain ints give one P, own axes one P per row."""
         if not event:
             return 1.0
         kept, arr = self._marginal(event.keys())
@@ -172,31 +164,14 @@ class JointTable:
                 if not 0 <= s < self._card[n]:
                     raise ModelError(f"state {s} out of range for variable {n!r}")
                 index.append(s)
-            elif own is not None and s is own[n]:
+            elif s is own[n]:
                 index.append(slice(None))
                 shape[self._axis[n]] = self._card[n]
             else:
-                return self._gather(kept, arr, event)
+                got = np.asarray(s).dtype.name
+                raise ModelError(f"state of variable {n!r} must be an int or the table's own grid axis, got {got}")
         value = arr[tuple(index)]
         return value.reshape(shape) if isinstance(value, np.ndarray) else value
-
-    def _gather(self, kept: tuple[str, ...], arr: np.ndarray, event: Assignment):
-        """event_prob's rows through a row-major flat index into the marginal
-        `arr` over `kept`, for states other than plain ints and own axes."""
-        flat = 0
-        for n in kept:
-            s, card = event[n], self._card[n]
-            if type(s) is int:
-                bad = () if 0 <= s < card else (s,)
-            else:
-                s = np.asarray(s)
-                if s.dtype.kind not in "iu":  # bool, float, string and object states are refused
-                    raise ModelError(f"states of variable {n!r} must be integers, not {s.dtype.name}")
-                bad = s[(s < 0) | (s >= card)].flat
-            if len(bad):
-                raise ModelError(f"state {bad[0]} out of range for variable {n!r}")
-            flat = flat * card + s
-        return arr.reshape(-1)[flat]
 
 
 def _row(table: JointTable, flat: int) -> dict[str, int]:
@@ -371,8 +346,9 @@ class TcgCheck:
 
     ok is True when repeatedly removing cliques that have a dominating
     neighbor (one whose intersection contains every other neighbor's
-    intersection) reduces the clique graph to at most one node. The removal
-    order performed is kept for the factorization step.
+    intersection) reduces the clique graph to one node, `root` (None when
+    ok is False). The removal order performed is kept for the factorization
+    step.
     """
 
     ok: bool
@@ -408,7 +384,7 @@ def is_tcg(graph: ModelGraph) -> TcgCheck:
                 break
         else:
             return TcgCheck(False, tuple(elim), None)
-    return TcgCheck(True, tuple(elim), alive[0] if alive else None)
+    return TcgCheck(True, tuple(elim), alive[0])  # never empty: a graph without nodes has the clique ()
 
 
 @dataclass(frozen=True)
@@ -530,18 +506,12 @@ class GibbsModel:
                 raise ModelError(f"potential over {scope!r} has a non-positive or non-finite entry")
             checked[scope] = arr
         self.potentials = checked
-        self.normalizer: float | None = None
-        self._joint: JointTable | None = None
 
     def to_joint(self) -> JointTable:
-        """Materialize the full joint table (records the normalizer)."""
-        if self._joint is not None:
-            return self._joint
+        """Materialize the full joint table, a new one on each call."""
         arr = _scoped_product(self.variables, self.potentials.items())
         with np.errstate(over="ignore"):
             z = float(arr.sum())
         if not 0.0 < z < math.inf:
             raise PreconditionError(f"the potentials' normalizer is {z!r}: their product leaves the float range")
-        self.normalizer = z
-        self._joint = JointTable(self.variables, arr / z)
-        return self._joint
+        return JointTable(self.variables, arr / z)

@@ -69,8 +69,7 @@ class ParsedModel:
             return JointTable(self.variables, self.joint_probs)
         if self.kind == "cpt":
             return build_joint_from_cpts(self.graph, self.cpts, self.variables)
-        if self.kind != "potential":
-            raise ModelError(f"model kind must be 'joint', 'cpt' or 'potential', got {self.kind!r}")
+        _check_kind(self.kind)
         merged: dict[tuple[str, ...], np.ndarray] = {}
         for scope, table in self.potentials:  # blocks over one scope multiply, in file order
             if scope in merged:
@@ -80,6 +79,11 @@ class ParsedModel:
                     raise PreconditionError(f"the potentials over {scope!r} multiply out of the float range")
             merged[scope] = table
         return GibbsModel(self.variables, self.graph, merged).to_joint()
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("joint", "cpt", "potential"):
+        raise ModelError(f"model kind must be 'joint', 'cpt' or 'potential', got {kind!r}")
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -330,6 +334,7 @@ def parse_model(text: str) -> ParsedModel:
 def render_model(model: ParsedModel) -> str:
     """Canonical text for a parsed model; parse_model inverts it and the
     output is byte-stable for identical models."""
+    _check_kind(model.kind)
     lines = [f"graph {model.graph.kind}"]
     for v in model.variables:
         lines.append(f"var {v.name} {v.cardinality}")

@@ -25,6 +25,7 @@ from crfactor import (
     CertificateError,
     CIQuery,
     CRTerm,
+    Product,
     PTerm,
     apply_bipartition,
     apply_ci_collapse,
@@ -48,13 +49,15 @@ from crfactor import (
     singleton_cr,
     u_separated,
 )
-from crfactor.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERIFICATION, main
+from crfactor.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERIFICATION, main, verify_expression
 from crfactor.cr import grid
+from crfactor.model import REL_TOL
 from crfactor.randgen import (
     make_graph,
     random_chain_conditional_table,
     random_gibbs_model,
     random_joint_table,
+    random_model,
 )
 
 from conftest import DATA, exchange_sides, f1_merge_trace, f1_partition_trace, student_table
@@ -230,6 +233,7 @@ def test_criterion_3_unconnected_nodes_identity(gibbs_pool):
     worst = 0.0
     splits_checked = 0
     for graph, table in gibbs_pool:
+        own = grid(table)
         pairs = [
             (u, v)
             for u, v in itertools.combinations(graph.nodes, 2)
@@ -245,7 +249,7 @@ def test_criterion_3_unconnected_nodes_identity(gibbs_pool):
                 if blanket & out:
                     continue
                 splits_checked += 1
-                rows = grid(table, w + [a, b])
+                rows = {n: own[n] for n in w + [a, b]}
                 lhs, rhs = (eval_expr(e, table, rows) for e in exchange_sides(a, b, w, x))
                 worst = max(worst, rel_gap(lhs, rhs))
     ok = worst <= 1e-9 and splits_checked > 0
@@ -499,3 +503,31 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
     assert codes_ok
     assert deterministic
     assert elapsed < 120.0
+
+
+def test_criterion_10_tcg_at_scale():
+    """The paper's TCG result on the seed-0 Gibbs models (as gen-random
+    writes them) of a 20-node path, a 16-node tree, the 7-triangle hub and
+    the 12-node complete graph: factorize_tcg's numerators are exactly the
+    maximal cliques, no factor pins a state or has more than two terms, and
+    the product verifies against the joint at REL_TOL. The mrf and rmrf
+    products of the same models would need sum_c 2^|c| terms over every
+    clique c; that count is reported, the products are not built."""
+    details, failures = [], []
+    for spec in ("path:20", "tree:16", "triangles:7", "complete:12"):
+        model = random_model("gibbs", spec, 0)
+        graph, table = model.graph, model.joint()
+        result = factorize_tcg(table, graph)
+        terms = [phi.children if isinstance(phi, Product) else (phi,) for phi in result.factors.values()]
+        numerators = sorted(t.block.vars for ts in terms for t in ts if t.exponent > 0)
+        blocks = [b for ts in terms for t in ts for b in (t.block, t.condition) if b is not None]
+        pinned = [m for b in blocks for m in b.members if m[1] is not None]
+        widest = max(map(len, terms))
+        verdict = verify_expression(result.expr, table, REL_TOL)
+        hc_terms = sum(2 ** len(c) for c in graph.all_cliques())
+        cliques_ok = numerators == sorted(graph.maximal_cliques())
+        if not (cliques_ok and not pinned and widest <= 2 and verdict.passed):
+            failures.append((spec, cliques_ok, pinned, widest, verdict.line()))
+        details.append(f"{spec}: {len(terms)} factors, {hc_terms:,} mrf/rmrf terms, max_rel={verdict.max_rel_error:.3e}")
+    report("criterion 10 (TCG factorization at scale)", not failures, "; ".join(details))
+    assert not failures

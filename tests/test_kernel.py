@@ -221,13 +221,13 @@ def test_cr_value_wrappers_accept_grids():
         )
 
 
-def test_grid_rows_are_row_major_in_the_given_order():
+def test_grid_rows_are_row_major_in_table_order():
     table = TABLES["ternary"]
-    rows = grid(table, ("C", "A", "C"))
-    assert list(rows) == ["C", "A"]
-    states = np.broadcast_arrays(rows["C"], rows["A"])
-    flat = list(zip(states[0].ravel().tolist(), states[1].ravel().tolist()))
-    assert flat == list(itertools.product(range(3), range(3)))
+    rows = grid(table)
+    assert list(rows) == list(NAMES)
+    states = np.broadcast_arrays(*rows.values())
+    flat = list(zip(*(s.ravel().tolist() for s in states)))
+    assert flat == list(itertools.product(range(3), repeat=3))
 
 
 def test_batched_checks_match_row_loops():
@@ -370,7 +370,7 @@ def test_underflowing_marginal_product_divides_one_marginal_at_a_time():
     probs[1, 1, 1] = 1.0 - probs.sum()
     table = JointTable([Variable(n, 2) for n in NAMES], probs)
     cr, inverse_square = parse_expr("CR(A B,A C)"), parse_expr("CR(A B,A C)^-2")
-    rows = {"A": 0, "B": 1, "C": np.array([0, 1])}  # every row of the grid is defined here
+    rows = {"A": 0, "B": 1, "C": grid(table)["C"]}  # every row of the grid is defined here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         at = {"A": 0, "B": 1, "C": 0}
@@ -378,8 +378,9 @@ def test_underflowing_marginal_product_divides_one_marginal_at_a_time():
         assert eval_expr(inverse_square, table, at) == pytest.approx(1e-300, rel=1e-12)
         for expr in (cr, inverse_square):
             batch = eval_expr(expr, table, rows)
+            assert batch.shape == (1, 1, 2)
             for c in (0, 1):
-                assert batch[c] == eval_expr(expr, table, {"A": 0, "B": 1, "C": c})
+                assert batch[0, 0, c] == eval_expr(expr, table, {"A": 0, "B": 1, "C": c})
         assert eval_expr(cr, table, {"A": 0, "B": 1, "C": 1}) == pytest.approx(1e200, rel=1e-12)
 
 
@@ -451,13 +452,25 @@ def outcome(expr, table, rows):
     return np.broadcast_to(value, table.probs.shape).tobytes()
 
 
+def row_by_row(expr, table):
+    """`outcome` built from one plain-int evaluation per row: the values'
+    bytes, or the first undefined row's error, named as a batch names it."""
+    values = []
+    for a in assignments(table):
+        try:
+            values.append(eval_expr(expr, table, a))
+        except UndefinedCRError as exc:
+            return type(exc).__name__, f"{exc} (at assignment {a!r})"
+    return np.array(values).reshape(table.probs.shape).tobytes()
+
+
 @pytest.mark.parametrize("case", [*MEMO_CASES, "path:6/subnormal"])
 def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
     """The mrf, rmrf and (on a TCG) tcg products and conditional CR terms,
-    over grid(table) (filled, then hit) and over grid(twin, twin.names) of a
-    twin table that never hands out its own grid, so nothing is memoized.
-    The memo then holds each distinct expression eval_expr was given: each
-    term and each product."""
+    over grid(table) (filled, then hit), over grid(twin) of a twin table
+    (a fresh evaluation), and row by row at plain ints. The memo then holds
+    each distinct expression eval_expr was given over the grid: each term
+    and each product."""
     built, g = memo_case(case)
     exprs = memo_expressions(built, g)
     table = JointTable(built.variables, built.probs)  # nothing memoized yet
@@ -466,17 +479,18 @@ def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
         for term in (expr.children if isinstance(expr, Product) else (expr,)):
             first = outcome(term, table, grid(table))
             assert outcome(term, table, grid(table)) == first
-            assert outcome(term, twin, grid(twin, twin.names)) == first, (case, term)
+            assert outcome(term, twin, grid(twin)) == first, (case, term)
     memoized = len(table._memo)
     assert memoized > 0
     for expr in exprs:
         first = outcome(expr, table, grid(table))
         assert outcome(expr, table, grid(table)) == first
-        assert outcome(expr, twin, grid(twin, twin.names)) == first, (case, expr)
+        assert outcome(expr, twin, grid(twin)) == first, (case, expr)
+        assert row_by_row(expr, built) == first, (case, expr)
     products = {expr for expr in exprs if isinstance(expr, Product)}
     assert products and all(expr in table._memo for expr in products)
     assert len(table._memo) == memoized + len(products)  # each product adds its own entry, none for its terms
-    assert twin._memo == {}
+    assert twin._memo.keys() == table._memo.keys()
 
 
 def term_outcome(term, table, rows):
@@ -528,12 +542,13 @@ def test_memo_hit_raises_the_same_error():
     table, twin = (JointTable(ZT.variables, ZT.probs) for _ in range(2))  # nothing memoized yet
     expr = parse_expr("P(A B)^-1·CR(A,C)")
     messages = []
-    for t, rows in ((table, grid(table)), (table, grid(table)), (twin, grid(twin, twin.names))):
+    for t, rows in ((twin, grid(twin)), (table, grid(table)), (table, grid(table))):
         with pytest.raises(UndefinedCRError) as exc:
             eval_expr(expr, t, rows)
         messages.append(str(exc.value))
     assert messages == ["zero marginal for block (C) (at assignment {'A': 0, 'B': 0, 'C': 1})"] * 3
-    assert list(table._memo) == [expr] and twin._memo == {}  # the product alone, not its terms
+    assert row_by_row(expr, ZT) == ("UndefinedCRError", messages[0])
+    assert list(table._memo) == [expr] == list(twin._memo)  # the product alone, not its terms
 
 
 def test_cr_term_built_with_a_list_of_blocks_hits_the_memo():
@@ -544,7 +559,8 @@ def test_cr_term_built_with_a_list_of_blocks_hits_the_memo():
     listed = Product((CRTerm([block("A"), block("B")]), PTerm(block("C"), exponent=-1)))
     tupled = product_of([CRTerm((block("A"), block("B"))), PTerm(block("C"), exponent=-1)])
     assert listed == tupled and hash(listed) == hash(tupled)
-    want = outcome(tupled, twin, grid(twin, NAMES))
+    want = outcome(tupled, twin, grid(twin))
+    assert row_by_row(tupled, twin) == want
     assert outcome(listed, table, grid(table)) == want
     assert list(table._memo) == [listed]
     assert outcome(tupled, table, grid(table)) == want
@@ -573,9 +589,9 @@ def test_memo_values_and_grid_axes_are_read_only():
     for axis in rows.values():
         with pytest.raises(ValueError, match="read-only"):
             axis[...] = 0
-    # a user batch is evaluated afresh, into an array of its own
-    fresh = eval_expr(parse_expr("P(A B)^-1"), table, grid(table, NAMES))
-    fresh[...] = 0.0
+    # each memoized value equals the one-row evaluations at plain ints
+    for term in terms:
+        assert row_by_row(term, table) == outcome(term, table, rows)
 
 
 def test_mrf_then_verify_calls_the_kernel_once_per_term(monkeypatch):

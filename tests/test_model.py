@@ -56,7 +56,7 @@ def test_marginal_d2_matches_hand_sums(d2_table):
 
 
 def test_marginal_identity_and_errors(d2_table):
-    same = d2_table.event_prob(grid(d2_table, ["A", "B"]))
+    same = d2_table.event_prob(grid(d2_table))
     assert np.allclose(same, d2_table.probs, rtol=1e-9, atol=1e-12)
     with pytest.raises(ModelError):
         d2_table.event_prob({"A": 0, "Z": 0})
@@ -64,36 +64,41 @@ def test_marginal_identity_and_errors(d2_table):
 
 
 def test_event_prob_errors_keep_their_order():
-    """Out-of-range and non-integer states and unknown names raise the same
-    ModelError whether the other states are the table's own grid axes or
-    not: the first bad state in table order wins, and an unknown name wins
-    over any state."""
+    """A state is a plain int in range or the variable's own grid axis; any
+    other state is refused. An unknown name is reported before any state,
+    then the first bad state in table order, whatever the other states are."""
     table = JointTable([Variable("A", 2), Variable("B", 3), Variable("C", 2)], np.full(12, 1 / 12))
     own = grid(table)
-    foreign = grid(table, table.names)
+    other = grid(JointTable(table.variables, table.probs))
+
+    def refused(name, got):
+        return f"state of variable {name!r} must be an int or the table's own grid axis, got {got}"
+
     cases = [
         # a pinned int out of range next to own-grid axes
         ({"A": own["A"], "B": 3, "C": own["C"]}, "state 3 out of range for variable 'B'"),
         ({"C": own["C"], "B": -1, "A": own["A"]}, "state -1 out of range for variable 'B'"),
         ({"A": 2, "B": own["B"], "C": 5}, "state 2 out of range for variable 'A'"),
         ({"A": own["A"], "B": own["B"], "C": 2}, "state 2 out of range for variable 'C'"),
-        # a foreign array out of range, before and after an own axis or a pinned int
-        ({"A": np.array([0, 2]), "B": own["B"]}, "state 2 out of range for variable 'A'"),
-        ({"A": own["A"], "B": np.array([[0], [3], [4]])}, "state 3 out of range for variable 'B'"),
-        ({"A": 1, "B": foreign["B"], "C": np.array([1, -2])}, "state -2 out of range for variable 'C'"),
-        ({"A": np.array([5]), "B": 7, "C": own["C"]}, "state 5 out of range for variable 'A'"),
-        ({"A": own["B"], "B": 1}, "state 2 out of range for variable 'A'"),  # another name's axis
-        # a state that is not an integer, checked in table order with the ranges
-        ({"A": 1.0}, "states of variable 'A' must be integers, not float64"),
-        ({"A": np.array([0.0, 1.0])}, "states of variable 'A' must be integers, not float64"),
-        ({"A": "0"}, "states of variable 'A' must be integers, not str32"),
-        ({"A": None}, "states of variable 'A' must be integers, not object"),
-        ({"A": True}, "states of variable 'A' must be integers, not bool"),
-        ({"A": own["A"], "B": np.array([1, 0]) == 1}, "states of variable 'B' must be integers, not bool"),
-        ({"C": 0.5, "A": np.array([2])}, "state 2 out of range for variable 'A'"),
-        ({"C": np.array([7]), "B": own["B"], "A": None}, "states of variable 'A' must be integers, not object"),
+        # an array that is not the variable's own axis, before and after an own axis or a pinned int
+        ({"A": np.array([0, 1]), "B": own["B"]}, refused("A", "int64")),
+        ({"A": own["A"], "B": np.array([[0], [3], [4]])}, refused("B", "int64")),
+        ({"A": 1, "B": other["B"], "C": np.array([1, -2])}, refused("B", "int64")),  # another table's axis
+        ({"A": np.array([5]), "B": 7, "C": own["C"]}, refused("A", "int64")),
+        ({"A": own["B"], "B": 1}, refused("A", "int64")),  # another name's axis
+        # a state that is not an int, checked in table order with the ranges
+        ({"A": 1.0}, refused("A", "float64")),
+        ({"A": np.array([0.0, 1.0])}, refused("A", "float64")),
+        ({"A": "0"}, refused("A", "str32")),
+        ({"A": None}, refused("A", "object")),
+        ({"A": True}, refused("A", "bool")),
+        ({"A": np.int64(1)}, refused("A", "int64")),
+        ({"A": own["A"], "B": np.array([1, 0]) == 1}, refused("B", "bool")),
+        ({"C": 0.5, "A": np.array([2])}, refused("A", "int64")),
+        ({"C": np.array([7]), "B": own["B"], "A": None}, refused("A", "object")),
         ({"A": 5, "B": 1.5}, "state 5 out of range for variable 'A'"),
-        ({"A": own["A"], "B": 1.5, "C": 9}, "states of variable 'B' must be integers, not float64"),
+        ({"A": own["A"], "B": 1.5, "C": 9}, refused("B", "float64")),
+        ({"A": own["A"], "B": 1, "C": 0.5}, refused("C", "float64")),
         # an unknown name, before any state is checked
         ({"Z": 0, "A": own["A"]}, "unknown variable 'Z'"),
         ({"A": 9, "Z": own["A"]}, "unknown variable 'Z'"),
@@ -105,30 +110,32 @@ def test_event_prob_errors_keep_their_order():
         assert str(exc.value) == message, event
 
 
-def test_event_prob_on_own_axes_equals_the_gather():
-    """Events mixing own-grid axes, pinned ints and foreign arrays read the
-    same values as a twin table that never hands out its own grid."""
-    variables = [Variable("A", 2), Variable("B", 3), Variable("C", 2)]
+def test_event_prob_on_own_axes_equals_plain_int_rows():
+    """Events mixing own-grid axes and pinned ints read, at each row, the
+    same value as the event of plain ints at that row."""
     probs = np.random.default_rng(3).uniform(size=12)
-    table, twin = JointTable(variables, probs / probs.sum()), JointTable(variables, probs / probs.sum())
-    own, foreign = grid(table), grid(twin, twin.names)
+    table = JointTable([Variable("A", 2), Variable("B", 3), Variable("C", 2)], probs / probs.sum())
+    own = grid(table)
     events = [
-        ({"A": own["A"], "B": 2, "C": own["C"]}, {"A": foreign["A"], "B": 2, "C": foreign["C"]}),
-        ({"C": own["C"], "A": 1}, {"C": foreign["C"], "A": 1}),
-        ({"A": 0, "B": 1}, {"A": 0, "B": 1}),
-        ({"A": own["A"], "B": np.array([[0], [2]])}, {"A": foreign["A"], "B": np.array([[0], [2]])}),
-        ({"B": own["A"], "C": own["C"]}, {"B": foreign["A"], "C": foreign["C"]}),
+        {"A": own["A"], "B": 2, "C": own["C"]},
+        {"C": own["C"], "A": 1},
+        {"A": 0, "B": 1},
+        {"B": own["B"]},
+        {"A": own["A"], "B": own["B"], "C": own["C"]},
     ]
-    for mine, theirs in events:
-        got = table.event_prob(mine)
-        want = np.broadcast_to(twin.event_prob(theirs), np.broadcast_shapes(*map(np.shape, theirs.values())))
-        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes(), mine
-    assert type(table.event_prob({"A": 0, "B": 1})) is type(twin.event_prob({"A": 0, "B": 1}))
+    for event in events:
+        got = table.event_prob(event)
+        axes = [n for n, s in event.items() if s is own[n]]
+        for a in assignments(table):
+            want = table.event_prob({n: a[n] if n in axes else s for n, s in event.items()})
+            assert type(want) is np.float64
+            assert np.broadcast_to(got, table.probs.shape)[tuple(a.values())] == want, (event, a)
 
 
 def test_marginal_sums_to_one(d3_table):
+    own = grid(d3_table)
     for subset in (["A"], ["B"], ["C"], ["A", "C"], ["B", "C"]):
-        assert float(np.sum(d3_table.event_prob(grid(d3_table, subset)))) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(d3_table.event_prob({n: own[n] for n in subset}))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conditional_prob_examples(d2_table, coins_table):
@@ -205,7 +212,7 @@ def test_build_joint_from_potentials_uniform():
     gm = GibbsModel([Variable("A", 2), Variable("B", 2)], g, {("A", "B"): np.ones((2, 2))})
     table = gm.to_joint()
     assert np.allclose(table.probs, 0.25)
-    assert gm.normalizer == pytest.approx(4.0)
+    assert table is not gm.to_joint()
 
 
 def test_build_joint_from_potentials_d2():
@@ -214,7 +221,7 @@ def test_build_joint_from_potentials_d2():
         [Variable("A", 2), Variable("B", 2)], g, {("A", "B"): np.array([[4.0, 1.0], [1.0, 4.0]])}
     )
     table = gm.to_joint()
-    assert gm.normalizer == pytest.approx(10.0)
+    assert np.allclose(table.probs, np.array([[4.0, 1.0], [1.0, 4.0]]) / 10.0, rtol=1e-12, atol=0.0)
     assert table.prob({"A": 0, "B": 0}) == pytest.approx(0.4)
     assert table.strictly_positive
 

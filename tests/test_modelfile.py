@@ -306,8 +306,10 @@ def test_edited_parsed_joint_model_is_checked():
 
 def test_hand_built_model_of_unknown_kind_is_refused():
     parsed = parse_model((DATA / "d2.model").read_text())
-    with pytest.raises(ModelError, match="model kind must be 'joint', 'cpt' or 'potential', got 'jiont'"):
-        ParsedModel("jiont", parsed.variables, parsed.graph, joint_probs=parsed.joint_probs).joint()
+    hand_built = ParsedModel("jiont", parsed.variables, parsed.graph, joint_probs=parsed.joint_probs)
+    for use in (ParsedModel.joint, render_model):
+        with pytest.raises(ModelError, match="model kind must be 'joint', 'cpt' or 'potential', got 'jiont'"):
+            use(hand_built)
 
 
 def test_repeated_potential_scopes_multiply():
