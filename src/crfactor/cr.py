@@ -34,10 +34,11 @@ class Block:
 
     Members are (name, state) pairs; state ``None`` marks a free variable
     whose value comes from the evaluation assignment. A variable may appear
-    at most once within a block.
+    at most once within a block. The hash is computed on first use and kept;
+    a pickled block is rebuilt from its members, so it hashes anew.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "_hash")
 
     def __init__(self, members: Iterable[BlockMemberSpec]):
         norm: list[tuple[str, int | None]] = []
@@ -57,6 +58,7 @@ class Block:
         if not norm:
             raise ModelError("a block needs at least one member")
         self.members = tuple(norm)
+        self._hash = None
 
     @classmethod
     def _of(cls, members: tuple[tuple[str, int | None], ...]) -> "Block":
@@ -66,6 +68,7 @@ class Block:
             raise ModelError("a block needs at least one member")
         block = object.__new__(cls)
         block.members = members
+        block._hash = None
         return block
 
     @property
@@ -80,7 +83,12 @@ class Block:
         return isinstance(other, Block) and self.members == other.members
 
     def __hash__(self):
-        return hash(self.members)
+        if self._hash is None:
+            self._hash = hash(self.members)
+        return self._hash
+
+    def __reduce__(self):
+        return Block, (self.members,)
 
     def __str__(self):
         return " ".join(n if s is None else f"{n}={s}" for n, s in self.members)
@@ -213,15 +221,16 @@ def evaluate(
                 quotient = np.where(lost, stepwise, quotient)
             value = quotient
         if exponent != 1:
-            _note(causes, exponent < 0 and value == 0.0, "zero raised to a negative exponent")
             base = value
             if np.ndim(base):
                 value = np.asarray(_pow_each(base, exponent), dtype=float)
             else:  # one row: the same Python float power, without the object array
                 value = np.float64(_pow(float(base), exponent))
-            overflow = (value == math.inf) & (base != math.inf)
-            if _holds(overflow):  # the term's text is built only when it is needed
-                causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
+            if not np.isfinite(value).all():  # a zero base to a negative power reads nan, an overflow inf
+                _note(causes, exponent < 0 and base == 0.0, "zero raised to a negative exponent")
+                overflow = (value == math.inf) & (base != math.inf)
+                if _holds(overflow):  # the term's text is built only when it is needed
+                    causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
     return value, causes
 
 

@@ -95,8 +95,6 @@ def _check_exponent(exp) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_NODES = (Const, CRTerm, PTerm, Product, Sum)
-
 
 def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     """Evaluate an expression at a full (or sufficient) assignment.
@@ -112,9 +110,12 @@ def eval_expr(expr: FactorExpr, table: JointTable, assignment: Assignment):
     memoized with the table and returned read-only (copy it before writing
     into it), and every call raises the same UndefinedCRError.
     """
-    own = table._grid  # a memo key must hash: anything but a node is left to _evaluate's ModelError
-    memoize = isinstance(expr, _NODES) and all(assignment.get(n) is own[n] for n in own)
-    memoized = table._memo.get(expr) if memoize else None
+    own = table._grid
+    memoize = all(assignment.get(n) is own[n] for n in own)
+    try:
+        memoized = table._memo.get(expr) if memoize else None
+    except TypeError:  # unhashable, so no expression: left to _evaluate's ModelError
+        memoize = memoized = None
     if memoized is None:
         with np.errstate(all="ignore"):  # an undefined or overflowing row is a cause, not a warning
             value, causes = memoized = _evaluate(expr, table, assignment)
@@ -129,11 +130,19 @@ def _evaluate(expr: FactorExpr, table: JointTable, assignment: Assignment):
     if isinstance(expr, Const):
         return expr.value, []
     if isinstance(expr, Product):
-        out, causes = 1.0, []
+        # An equal child is evaluated once: its value is the same, and its causes
+        # repeat an earlier child's, which settle reports first.
+        out, causes, values = 1.0, [], {}
         for child in expr.children:
-            value, more = _evaluate(child, table, assignment)
+            try:
+                value = values.get(child)
+            except TypeError:  # unhashable, so no expression
+                raise ModelError(f"not a factor expression: {child!r}") from None
+            if value is None:
+                value, more = _evaluate(child, table, assignment)
+                values[child] = value
+                causes += more
             out = out * value
-            causes += more
         return out, causes
     if isinstance(expr, Sum):
         total, causes = 0.0, []

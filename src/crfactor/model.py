@@ -464,7 +464,7 @@ def _scoped_product(variables: Sequence[Variable], factors: Iterable[tuple[Seque
         for scope, factor in factors:
             scope = list(scope)
             factor = np.transpose(factor, [scope.index(n) for n in names if n in scope])
-            arr *= np.expand_dims(factor, [i for i, n in enumerate(names) if n not in scope])
+            arr *= factor.reshape([c if n in scope else 1 for n, c in zip(names, shape)])
     return arr
 
 

@@ -1,7 +1,14 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crfactor
 from crfactor import (
     Block,
     Const,
@@ -36,6 +43,41 @@ def test_block_validation():
         with pytest.raises(ModelError, match="pinned state for 'A' must be a non-negative integer"):
             Block([("A", state)])
     assert str(block("A", ("B", 0))) == "A B=0"
+
+
+PICKLE_CHILD = """
+import pickle, sys
+from crfactor import block
+b = block("A", ("B", 1))
+if sys.argv[1] == "dump":
+    hash(b)  # the block keeps this hash, which is stale under another hash seed
+    with open(sys.argv[2], "wb") as f:
+        pickle.dump((b, {b: "entry"}), f)
+else:
+    with open(sys.argv[2], "rb") as f:
+        loaded, keyed = pickle.load(f)
+    print({b: "fresh"}[loaded], keyed[b], loaded == b)
+"""
+
+
+def test_block_pickles_across_hash_seeds(tmp_path):
+    """A block pickled under one hash seed and loaded under another finds
+    the dict entry of an equal, freshly built block, and is found by one."""
+    path = str(tmp_path / "block.pickle")
+    src = str(Path(crfactor.__file__).parents[1])
+    out = []
+    for seed, mode in ((1, "dump"), (2, "load")):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        child = subprocess.run([sys.executable, "-c", PICKLE_CHILD, mode, path], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        out.append(child.stdout)
+    assert out == ["", "fresh entry True\n"]
+    b = block("A", ("B", 1))
+    hash(b)
+    for twin, keyed in (copy.deepcopy((b, {b: "entry"})), pickle.loads(pickle.dumps((b, {b: "entry"})))):
+        assert twin is not b and twin == b and str(twin) == "A B=1"
+        assert {b: "fresh"}[twin] == "fresh" and keyed[b] == "entry"
 
 
 def test_cr_independent_coins_is_one(coins_table):

@@ -190,11 +190,16 @@ def test_unknown_variable_raises(d2_table):
 
 def test_non_expression_raises_model_error(d2_table):
     """Over the table's own grid too, where eval_expr memoizes what it is
-    given: an unhashable non-expression is refused, not hashed."""
+    given: an unhashable non-expression is refused, not hashed, also as a
+    product's child, whose equal children are evaluated once."""
     for rows in (grid(d2_table), {"A": 0, "B": 0}):
         for bad in ({"A": 0}, [PTerm(block("A"))], "P(A)"):
             with pytest.raises(ModelError, match="^not a factor expression: "):
                 eval_expr(bad, d2_table, rows)
+            for product in (Product((bad,)), Product((PTerm(block("A")), bad, bad))):
+                with pytest.raises(ModelError) as exc:
+                    eval_expr(product, d2_table, rows)
+                assert str(exc.value) == f"not a factor expression: {bad!r}"
 
 
 def test_random_round_trips():

@@ -594,11 +594,12 @@ def test_memo_values_and_grid_axes_are_read_only():
         assert row_by_row(term, table) == outcome(term, table, rows)
 
 
-def test_mrf_then_verify_calls_the_kernel_once_per_term(monkeypatch):
+def test_mrf_then_verify_calls_the_kernel_once_per_distinct_term(monkeypatch):
     """mrf_factorize settles the Markov check on its own product over the
-    grid, calling the kernel once per term, equal terms included, and
-    verify_expression reads that product's value from the memo without
-    calling the kernel again. The memo holds the product only."""
+    grid, calling the kernel once per distinct term (equal terms reuse the
+    first one's value), and verify_expression reads that product's value
+    from the memo without calling the kernel again. The memo holds the
+    product only."""
     g = make_graph("path:10")
     table = random_gibbs_model(g, seed=1).to_joint()
     kernel_calls, reads = [], []
@@ -615,11 +616,59 @@ def test_mrf_then_verify_calls_the_kernel_once_per_term(monkeypatch):
     monkeypatch.setattr(expr_module, "evaluate", counting_kernel)
     monkeypatch.setattr(JointTable, "event_prob", counting_event_prob)
     expr = product_of(mrf_factorize(table, g).values())
-    assert len(kernel_calls) == len(expr.children)
+    distinct = set(expr.children)
+    assert len(expr.children) > len(distinct)
+    assert len(kernel_calls) == len(distinct)
     assert verify_expression(expr, table).passed
-    assert len(kernel_calls) == len(expr.children)
-    # each term is an unconditioned P term, which reads the table once, and some are equal
-    distinct = {(t.block, t.condition, t.exponent) for t in expr.children}
+    assert len(kernel_calls) == len(distinct)
+    # each term is an unconditioned P term, which reads the table once
     assert all(isinstance(t, PTerm) and t.condition is None for t in expr.children)
-    assert len(reads) == len(expr.children) > len(distinct)
+    assert len(reads) == len(distinct)
     assert list(table._memo) == [expr]
+
+
+def separately(children, table, rows):
+    """`outcome` of the children's values, each evaluated on its own and
+    multiplied left to right, or the first child's error."""
+    value = 1.0
+    try:
+        for child in children:
+            with np.errstate(over="ignore"):  # a product past the float range reads inf, as eval_expr's does
+                value = value * eval_expr(child, table, rows)
+    except UndefinedCRError as exc:
+        return type(exc).__name__, str(exc)
+    return np.broadcast_to(value, table.probs.shape).tobytes()
+
+
+# A table whose P(A=0 B=0) = 1e-150, so that P(A=0 B=0)^-3 overflows at every row.
+TINY = JointTable([Variable("A", 2), Variable("B", 2)], [1e-150, 0.25, 0.25, 0.5 - 1e-150])
+
+
+@pytest.mark.parametrize(
+    "table, text, message",
+    [
+        (ZT, "CR(A,B|C)·P(A)·CR(A,B|C)", "conditioning event (C) has probability zero (at assignment {'A': 0, 'B': 0, 'C': 1})"),
+        (ZT, "P(A B)^-1·CR(A,C)·P(A B)^-1·CR(A,C)", "zero marginal for block (C) (at assignment {'A': 0, 'B': 0, 'C': 1})"),
+        (ZT, "sum_C[CR(A,C)·P(C)·CR(A,C)]", "zero marginal for block (C) (at assignment {'A': 0, 'B': 0, 'C': 0})"),
+        (ZT, "sum_B[CR(A,B)·P(B)]·P(C)·sum_B[CR(A,B)·P(B)]", None),
+        (TABLES["ternary"], "2·P(A)·2·CR(A,B|C)^-1·P(A)·CR(A,B|C)^-1", None),
+        (TABLES["ternary"], "sum_B[P(A|B)·P(B)·P(A|B)]·sum_B[P(A|B)·P(B)·P(A|B)]", None),
+        (TINY, "P(A=0 B=0)^-2·P(A)·P(A=0 B=0)^-2", None),
+        (TINY, "P(A=0 B=0)^-3·P(A)·P(A=0 B=0)^-3", "P(A=0 B=0)^-3 overflows (at assignment {'A': 0, 'B': 0})"),
+    ],
+)
+def test_repeated_children_give_the_left_to_right_product(table, text, message):
+    """A product whose children repeat (undefined rows, sums, constants, a
+    power that overflows) gives the bytes of its children's separate values
+    multiplied left to right, or the error of its first undefined row, over
+    the grid and at every row."""
+    expr = parse_expr(text)
+    table = JointTable(table.variables, table.probs)  # nothing memoized yet
+    got = outcome(expr, table, grid(table))
+    assert row_by_row(expr, table) == got
+    assert got == (("UndefinedCRError", message) if message else separately(expr.children, table, grid(table)))
+    if isinstance(expr, Sum):  # its product of repeats is evaluated once per state of C
+        return
+    assert len(set(expr.children)) < len(expr.children)
+    for a in assignments(table):
+        assert outcome(expr, table, a) == separately(expr.children, table, a), a
