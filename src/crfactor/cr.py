@@ -14,6 +14,11 @@ assignment or over the table's grid. It is the semantic ground truth that
 the symbolic layer in ``expr``/``rewrites`` is tested against. (The numeric
 independence deviation in ``separation`` reads the table's cached marginals
 directly.)
+
+The kernel runs under its caller's ``np.errstate(all="ignore")`` (held by
+``eval_expr``, ``cr_value`` and ``conditional_cr_value``), so an undefined row
+is a cause, never a warning. A power is Python's float power at each row: for
+some doubles ``x ** -1`` differs from ``1 / x`` and ``np.power(x, -1)``.
 """
 
 from __future__ import annotations
@@ -62,8 +67,7 @@ class Block:
 
     @classmethod
     def _of(cls, members: tuple[tuple[str, int | None], ...]) -> "Block":
-        """A block of members taken from valid blocks, no variable twice:
-        their names and states are not checked again."""
+        """A block of members taken from valid blocks, no variable twice: not checked again."""
         if not members:
             raise ModelError("a block needs at least one member")
         block = object.__new__(cls)
@@ -91,7 +95,7 @@ class Block:
         return Block, (self.members,)
 
     def __str__(self):
-        return " ".join(n if s is None else f"{n}={s}" for n, s in self.members)
+        return " ".join([n if s is None else f"{n}={s}" for n, s in self.members])
 
     def __repr__(self):
         return f"Block({list(self.members)!r})"
@@ -120,10 +124,9 @@ def grid(table: JointTable) -> dict[str, np.ndarray]:
     return dict(table._grid)
 
 
-def _prob(table: JointTable, blocks: BlockList, assignment: Assignment):
-    """P of the union of blocks as one event; 0 where two occurrences of a
-    variable disagree."""
-    event: dict = {}
+def _prob(table: JointTable, event: dict, blocks: BlockList, assignment: Assignment):
+    """P of `event` with the blocks' members added to it, as one event; 0
+    where two occurrences of a variable disagree."""
     conflict = False
     for b in blocks:
         for name, state in b.members:
@@ -153,12 +156,8 @@ def _pow(base: float, exponent: int) -> float:
         return math.nan
 
 
-_pow_each = np.frompyfunc(_pow, 2, 1)
-
-
 def _holds(mask) -> bool:
-    """Whether a bool mask holds at some row: an array's any(), a scalar's
-    own truth value."""
+    """Whether a bool mask, an array or a scalar, holds at some row."""
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
@@ -186,51 +185,48 @@ def evaluate(
     P(blocks | cond)^exponent (blocks read as one event) for kind "P".
 
     Each state is a plain int or the variable's axis of ``grid(table)``
-    (see ``JointTable.event_prob``): plain ints give one row, axes a batch
-    of rows that broadcast over the table's shape. Also returns the
-    causes that leave rows undefined, as (bool or bool array, message) pairs
-    in the order one row meets them.
+    (see ``JointTable.event_prob``): plain ints give one row, axes a batch of
+    rows that broadcast over the table's shape. Also returns the causes that
+    leave rows undefined, as (bool or bool array, message) pairs in the order
+    one row meets them. Call it under ``np.errstate(all="ignore")``.
     """
     blocks = tuple(blocks)
     if kind == "CR" and not blocks:
         raise UndefinedCRError("CR of an empty block list is undefined")
     causes: list = []
-    with np.errstate(all="ignore"):  # a row that divides by zero or leaves the float range is a cause
-        head, pc = (), None
-        if cond is not None:
-            head, pc = (cond,), _prob(table, (cond,), assignment)
-            _note(causes, pc == 0.0, "conditioning event{} has probability zero", f" ({cond})" if kind == "CR" else "")
-        value = _div(_prob(table, head + blocks, assignment), pc)
-        if kind == "CR":
-            what = "marginal" if cond is None else "conditional marginal"
-            denom, marginals = 1.0, []
-            for b in blocks:
-                p = _div(_prob(table, head + (b,), assignment), pc)
-                _note(causes, p == 0.0, "zero {} for block ({})", what, b)
-                denom = denom * p
-                marginals.append(p)
-            quotient = _div(value, denom)
-            # Marginals are at most 1, so their product cannot overflow, but positive
-            # ones can underflow to 0: on those rows divide by one at a time.
-            lost = denom == 0.0
-            if _holds(lost):
-                stepwise = value
-                for p in marginals:
-                    lost = lost & (p > 0.0)
-                    stepwise = _div(stepwise, p)
-                quotient = np.where(lost, stepwise, quotient)
-            value = quotient
-        if exponent != 1:
-            base = value
-            if np.ndim(base):
-                value = np.asarray(_pow_each(base, exponent), dtype=float)
-            else:  # one row: the same Python float power, without the object array
-                value = np.float64(_pow(float(base), exponent))
-            if not np.isfinite(value).all():  # a zero base to a negative power reads nan, an overflow inf
-                _note(causes, exponent < 0 and base == 0.0, "zero raised to a negative exponent")
-                overflow = (value == math.inf) & (base != math.inf)
-                if _holds(overflow):  # the term's text is built only when it is needed
-                    causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
+    head, pc = {}, None  # the condition's event, walked once and copied for every other read
+    if cond is not None:
+        pc = _prob(table, head, (cond,), assignment)
+        _note(causes, pc == 0.0, "conditioning event{} has probability zero", f" ({cond})" if kind == "CR" else "")
+    value = _div(_prob(table, dict(head), blocks, assignment), pc)
+    if kind == "CR":
+        marginals = [_div(_prob(table, dict(head), (b,), assignment), pc) for b in blocks]
+        for b, p in zip(blocks, marginals):
+            _note(causes, p == 0.0, "zero {}marginal for block ({})", "" if cond is None else "conditional ", b)
+        # Marginals are at most 1, so their product cannot overflow, but positive
+        # ones can underflow to 0: on those rows divide by one at a time.
+        denom = math.prod(marginals)
+        stepwise, value = value, _div(value, denom)
+        lost = denom == 0.0
+        if _holds(lost):
+            for p in marginals:
+                lost = lost & (p > 0.0)
+                stepwise = _div(stepwise, p)
+            value = np.where(lost, stepwise, value)
+    if exponent != 1:
+        base = value
+        if np.ndim(base):  # Python's float power at each row, as at one row
+            values = list(map(_pow, base.ravel().tolist(), [exponent] * base.size))
+            value = np.array(values).reshape(base.shape)
+            finite = math.isfinite(sum(values))  # a sum that overflows only costs the checks below
+        else:
+            value = np.float64(_pow(float(base), exponent))
+            finite = math.isfinite(value)
+        if not finite:  # a zero base to a negative power reads nan, an overflow inf
+            _note(causes, exponent < 0 and base == 0.0, "zero raised to a negative exponent")
+            overflow = (value == math.inf) & (base != math.inf)
+            if _holds(overflow):  # the term's text is built only when it is needed
+                causes.append((overflow, f"{term_text(kind, blocks, cond, exponent)} overflows"))
     return value, causes
 
 
@@ -262,7 +258,8 @@ def cr_value(table: JointTable, blocks: BlockList, assignment: Assignment) -> fl
     denominator marginal is zero; a zero numerator over positive denominators
     yields 0.
     """
-    return settle(*evaluate(table, "CR", blocks, None, assignment), assignment)
+    with np.errstate(all="ignore"):  # an undefined row is a cause, not a warning
+        return settle(*evaluate(table, "CR", blocks, None, assignment), assignment)
 
 
 def conditional_cr_value(
@@ -274,4 +271,5 @@ def conditional_cr_value(
     UndefinedCRError when P(c) = 0 or any conditional marginal P(b_i | c)
     is zero.
     """
-    return settle(*evaluate(table, "CR", blocks, cond, assignment), assignment)
+    with np.errstate(all="ignore"):
+        return settle(*evaluate(table, "CR", blocks, cond, assignment), assignment)

@@ -191,9 +191,10 @@ def _subset_terms(
     so the blocks need no checks."""
     scope = set(clique)
     members = [n for n in span if n in scope]
+    pairs = [((n, None), (n, pins[n])) for n in span]  # each name's free and pinned member
     for r in range(len(members) + 1):
         for s in itertools.combinations(members, r):
-            blk = Block._of(tuple((n, None) if n in s else (n, pins[n]) for n in span))
+            blk = Block._of(tuple([free if free[0] in s else pinned for free, pinned in pairs]))
             yield PTerm(blk, cond, exponent=(-1) ** (len(members) - r))
 
 
@@ -264,10 +265,10 @@ def rmrf_factorize(
     pins = _default_assignment(table, default)
     factors: list[FactorExpr] = []
     for c in graph.all_cliques():
-        blanket = graph.markov_blanket(c)
+        blanket, scope = graph.markov_blanket(c), set(c)
         cond = Block._of(tuple((n, pins[n]) for n in blanket)) if blanket else None  # the table's names
         # The empty clique spans the whole table: its one term is P(X = default).
-        span = [n for n in table.names if n in set(c)] or table.names
+        span = [n for n in table.names if n in scope] or table.names
         factors.extend(_subset_terms(span, c, pins, cond))
     expr = Product(tuple(factors))
     _check_markov(table, tol, expr)

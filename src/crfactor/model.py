@@ -206,6 +206,7 @@ class ModelGraph:
             seen.add(key)
             edge_list.append(key)
         self.edges = tuple(edge_list)
+        self._maximal: tuple[tuple[str, ...], ...] | None = None  # maximal_cliques(), once found
         self._adj: dict[str, list[str]] = {n: [] for n in self.nodes}
         self._parents: dict[str, list[str]] = {n: [] for n in self.nodes}
         self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -283,10 +284,13 @@ class ModelGraph:
         """All maximal cliques, via Bron-Kerbosch with pivoting.
 
         Each clique is a tuple in declaration order; the list is sorted
-        lexicographically by sorted member names for reproducibility.
+        lexicographically by sorted member names for reproducibility. The
+        search runs once per graph: later calls return the same tuple.
         """
         if self.kind != "undirected":
             raise ModelError("maximal cliques require an undirected graph")
+        if self._maximal is not None:
+            return self._maximal
         adj = {n: set(self._adj[n]) for n in self.nodes}
         found: list[set[str]] = []
 
@@ -303,19 +307,16 @@ class ModelGraph:
         expand(set(), set(self.nodes), set())
         cliques = [self.sort_nodes(c) for c in found]
         cliques.sort(key=lambda c: tuple(sorted(c)))
-        return tuple(cliques)
+        self._maximal = tuple(cliques)
+        return self._maximal
 
     def all_cliques(self) -> tuple[tuple[str, ...], ...]:
         """Every clique of the graph, including the empty clique, ordered by
         (size, sorted names). Exponential in clique size; intended for small
         models."""
-        subsets: set[frozenset[str]] = {frozenset()}
-        for mc in self.maximal_cliques():
-            for r in range(1, len(mc) + 1):
-                for combo in itertools.combinations(mc, r):
-                    subsets.add(frozenset(combo))
-        ordered = sorted(subsets, key=lambda s: (len(s), tuple(sorted(s))))
-        return tuple(self.sort_nodes(s) for s in ordered)
+        subsets = {frozenset(c) for mc in self.maximal_cliques() for r in range(len(mc) + 1)
+                   for c in itertools.combinations(mc, r)}  # r = 0 gives the empty clique
+        return tuple(self.sort_nodes(s) for s in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))))
 
     def is_connected(self) -> bool:
         if not self.nodes:

@@ -203,6 +203,75 @@ def test_undefined_rows_keep_their_cause(text, message, row):
     assert str(exc.value) == f"{message} (at assignment {a!r})"
 
 
+@pytest.mark.parametrize(
+    "blocks, cond, row, message",
+    [
+        ([block("A"), block("C")], None, (0, 0, 1), "zero marginal for block (C)"),
+        ([block("A"), block("B")], block("C"), (0, 0, 1), "conditioning event (C) has probability zero"),
+        ([block("A", "B"), block("A")], block(("C", 0)), (1, 1, 0), "zero conditional marginal for block (A B)"),
+    ],
+)
+def test_cr_value_wrappers_hold_their_own_error_state(blocks, cond, row, message):
+    """The kernel enters no error state; cr_value and conditional_cr_value
+    each hold np.errstate(all="ignore"), so a zero marginal, at one row or
+    over the grid, raises its UndefinedCRError and no numpy warning, also
+    where a warning would be an error."""
+    a = dict(zip(NAMES, row))
+    calls = [lambda rows: conditional_cr_value(ZT, blocks, cond, rows)]
+    if cond is None:
+        calls.append(lambda rows: cr_value(ZT, blocks, rows))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        for call in calls:
+            for rows, want in ((a, message), (grid(ZT), f"{message} (at assignment {a!r})")):
+                with pytest.raises(UndefinedCRError) as exc:
+                    call(rows)
+                assert str(exc.value) == want
+
+
+# Zero cells, the subnormal marginal P(A=0) = 1e-310, P(A=1 B=0) = 1e-110,
+# whose cube of the inverse overflows, and P(A=1 B=1) = x, for which Python's
+# x ** -1 differs from 1 / x and from np.power(x, -1) in the last bit.
+LAST_BIT_X = 0.47700977655271704
+POW_PROBS = np.array([[0.0, 1e-310, 0.0], [1e-110, LAST_BIT_X, 1.0 - LAST_BIT_X - 1e-110]])
+
+
+@pytest.mark.parametrize("exponent", [-1, 2, -3])
+@pytest.mark.parametrize("text", ["P(A)", "P(A B)", "P(B|A)", "P(A=1 B)"])
+def test_a_power_is_pythons_float_power_at_every_row(text, exponent):
+    """Over the grid and at each plain-int row a power gives the same bytes
+    or the same UndefinedCRError, and each value is Python's float power
+    `base ** k` of the row's base."""
+    table = JointTable([Variable("A", 2), Variable("B", 3)], POW_PROBS)
+    term = parse_expr(f"{text}^{exponent}")
+    rows = grid(table)
+    with np.errstate(all="ignore"):
+        batch = np.broadcast_to(evaluate(table, "P", (term.block,), term.condition, rows, exponent)[0], (2, 3))
+    base = np.broadcast_to(eval_expr(parse_expr(text), table, rows), (2, 3))
+    first = None
+    for a in assignments(table):
+        at = (a["A"], a["B"])
+        try:
+            want = float(base[at]) ** exponent
+        except ZeroDivisionError:
+            want = "zero raised to a negative exponent"
+        except OverflowError:
+            want = f"{text}^{exponent} overflows"
+        try:
+            got = eval_expr(term, table, a)
+        except UndefinedCRError as exc:
+            assert str(exc) == want
+            first = first or f"{want} (at assignment {a!r})"
+            continue
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() == batch[at].tobytes()
+    if first is None:
+        assert np.broadcast_to(eval_expr(term, table, rows), (2, 3)).tobytes() == batch.tobytes()
+    else:
+        with pytest.raises(UndefinedCRError) as exc:
+            eval_expr(term, table, rows)
+        assert str(exc.value) == first
+
+
 def test_cr_value_wrappers_accept_grids():
     table = TABLES["ternary"]
     rows = grid(table)
@@ -495,10 +564,11 @@ def test_memo_hits_equal_fresh_evaluation_bit_for_bit(case):
 
 def term_outcome(term, table, rows):
     """`outcome` of one CR or P term straight from the kernel, with no
-    eval_expr around it."""
+    eval_expr around it: the error state eval_expr would hold is held here."""
     kind, blocks = ("CR", term.blocks) if isinstance(term, CRTerm) else ("P", (term.block,))
     try:
-        value = settle(*evaluate(table, kind, blocks, term.condition, rows, term.exponent), rows)
+        with np.errstate(all="ignore"):
+            value = settle(*evaluate(table, kind, blocks, term.condition, rows, term.exponent), rows)
     except UndefinedCRError as exc:
         return type(exc).__name__, str(exc)
     return np.broadcast_to(value, np.broadcast_shapes(*map(np.shape, rows.values()))).tobytes()

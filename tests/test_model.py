@@ -299,6 +299,41 @@ def test_maximal_cliques_properties():
             assert not set(c2) <= set(c1)
 
 
+# The graphs of the suite and of the benchmark: make_graph specs (seed 0)
+SUITE_GRAPHS = (
+    "path:3", "path:4", "path:5", "path:6", "path:10", "path:20", "path:21", "cycle:4", "cycle:5",
+    "cycle:6", "triangles:2", "triangles:3", "triangles:4", "triangles:7", "tree:5", "tree:6",
+    "tree:7", "tree:16", "star:5", "complete:2", "complete:3", "complete:4", "complete:5",
+    "complete:12", "er:4:0.0", "er:5:0.5", "er:6:0.4", "er:7:0.4", "er:8:0.4", "er:10:0.3",
+    "er:10:0.8", "er:12:0.8", "er:14:0.8", "er:16:0.8",
+)
+
+
+def _cliques_by_extension(g: ModelGraph) -> tuple[list, list]:
+    """Every clique and the maximal ones, grown one later-declared neighbour
+    at a time; independent of Bron-Kerbosch."""
+    later = {n: {m for m in g.neighbors(n) if g.declaration_index(m) > g.declaration_index(n)} for n in g.nodes}
+    cliques, frontier = [()], [((n,), later[n]) for n in g.nodes]
+    while frontier:
+        clique, common = frontier.pop()
+        cliques.append(clique)
+        frontier += [(clique + (m,), common & later[m]) for m in common]
+    maximal = [c for c in cliques if c and not any(all(g.has_edge(o, m) for m in c) for o in g.nodes if o not in c)]
+    cliques.sort(key=lambda c: (len(c), sorted(c)))
+    maximal.sort(key=sorted)
+    return cliques, maximal
+
+
+@pytest.mark.parametrize("spec", SUITE_GRAPHS)
+def test_maximal_cliques_are_found_once_per_graph(spec):
+    g = make_graph(spec)
+    cliques, maximal = _cliques_by_extension(g)
+    first = g.maximal_cliques()
+    assert g.maximal_cliques() is first
+    assert first == tuple(maximal)
+    assert g.all_cliques() == tuple(cliques)
+
+
 def test_all_cliques_includes_empty():
     path = make_graph("path:3")
     cliques = path.all_cliques()
