@@ -205,7 +205,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _chain_vars(args, model: ParsedModel) -> tuple[str, ...]:
-    if args.y:
+    if args.y is not None:
         return tuple(n.strip() for n in args.y.split(",") if n.strip())
     guessed = tuple(n for n in model.names if n.startswith("y"))
     if not guessed:

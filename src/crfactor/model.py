@@ -61,6 +61,13 @@ def _check_cells(shape: Sequence[int]) -> None:
         raise PreconditionError(f"a table of {cells} cells exceeds the cap of {MAX_TABLE_CELLS} cells")
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # non-numeric text, complex numbers, ragged nesting, other objects
+        raise ModelError(f"{what} must be real numbers") from None
+
+
 def _repeated(names: Iterable[str]) -> str | None:
     """The first name that occurs earlier in `names`, or None."""
     seen: set[str] = set()
@@ -69,11 +76,6 @@ def _repeated(names: Iterable[str]) -> str | None:
             return n
         seen.add(n)
     return None
-
-
-def _check_unique_names(names: Sequence[str], what: str) -> None:
-    if (twice := _repeated(names)) is not None:
-        raise ModelError(f"duplicate {what} {twice!r}")
 
 
 class JointTable:
@@ -88,15 +90,17 @@ class JointTable:
         variables = tuple(variables)
         if not variables:
             raise ModelError("a joint table needs at least one variable")
-        _check_unique_names([v.name for v in variables], "variable")
+        self.names = tuple(v.name for v in variables)
+        if (twice := _repeated(self.names)) is not None:
+            raise ModelError(f"duplicate variable {twice!r}")
         shape = tuple(v.cardinality for v in variables)
-        arr = np.asarray(probs, dtype=float)
-        if arr.shape != shape:
-            try:
-                arr = arr.reshape(shape)
-            except ValueError:
-                raise ModelError(f"probability array shape {arr.shape} does not match {shape}") from None
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        arr = _float_array(probs, "probabilities")
+        try:
+            arr = arr.reshape(shape)
+        except ValueError:
+            raise ModelError(f"probability array shape {arr.shape} does not match {shape}") from None
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi < math.inf):  # nan fails both
             raise ModelError("probabilities must be finite and non-negative")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -105,7 +109,7 @@ class JointTable:
         arr.setflags(write=False)
         self.variables = variables
         self.probs = arr
-        self.strictly_positive = bool(np.all(arr > 0))
+        self.strictly_positive = bool(lo > 0.0)
         self._axis = {v.name: i for i, v in enumerate(self.variables)}
         self._card = {v.name: v.cardinality for v in self.variables}
         self._marginal_cache: dict[frozenset[str], tuple[tuple[str, ...], np.ndarray]] = {}
@@ -114,10 +118,6 @@ class JointTable:
             axis.setflags(write=False)
         self._grid: dict[str, np.ndarray] = dict(zip(self.names, axes))
         self._memo: dict = {}  # expression evaluated over `_grid` -> (value, causes)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def cardinality(self, name: str) -> int:
         try:
@@ -191,7 +191,8 @@ class ModelGraph:
             raise ModelError(f"graph kind must be 'directed' or 'undirected', got {kind!r}")
         self.kind = kind
         self.nodes = tuple(nodes)
-        _check_unique_names(self.nodes, "node")
+        if (twice := _repeated(self.nodes)) is not None:
+            raise ModelError(f"duplicate node {twice!r}")
         self._order = {n: i for i, n in enumerate(self.nodes)}
         edge_list = []
         seen = set()
@@ -401,7 +402,7 @@ class CPT:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        arr = _float_array(self.probs, f"CPT entries for {self.node!r}")
         if not np.all(np.isfinite(arr)):
             raise ModelError(f"CPT for {self.node!r} has non-finite entries")
         if np.any(arr < 0):
@@ -456,17 +457,19 @@ def _scoped_product(variables: Sequence[Variable], factors: Iterable[tuple[Seque
     """The product of the factors, in order, over the variables' axes: a new
     array, its size checked before it is allocated. Each factor is a scope
     of variable names and an array with one axis per name, in scope order.
-    A product past the float range reads inf or 0 without a warning."""
+    A product past the float range reads inf or 0 without a warning. It
+    grows from 1.0 over the union of the scopes so far, each cell multiplied
+    as in a grid of ones, and in place once it spans every axis."""
     names = tuple(v.name for v in variables)
     shape = tuple(v.cardinality for v in variables)
     _check_cells(shape)
-    arr = np.ones(shape)
+    arr = np.ones(())
     with np.errstate(over="ignore", under="ignore"):
         for scope, factor in factors:
-            scope = list(scope)
             factor = np.transpose(factor, [scope.index(n) for n in names if n in scope])
-            arr *= factor.reshape([c if n in scope else 1 for n, c in zip(names, shape)])
-    return arr
+            factor = factor.reshape([c if n in scope else 1 for n, c in zip(names, shape)])
+            arr = np.multiply(arr, factor, out=arr if arr.shape == shape else None)
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape).copy()  # a variable in no factor
 
 
 class GibbsModel:
@@ -496,13 +499,12 @@ class GibbsModel:
             for a, b in itertools.combinations(scope, 2):
                 if not graph.has_edge(a, b):
                     raise ModelError(f"potential scope {scope!r} is not a clique")
-            arr = np.asarray(table, dtype=float)
+            arr = _float_array(table, f"potential entries over {scope!r}")
             expected = tuple(var_by_name[n].cardinality for n in scope)
-            if arr.shape != expected:
-                try:
-                    arr = arr.reshape(expected)
-                except ValueError:
-                    raise ModelError(f"potential over {scope!r} has wrong shape") from None
+            try:
+                arr = arr.reshape(expected)
+            except ValueError:
+                raise ModelError(f"potential over {scope!r} has wrong shape") from None
             if not np.all((arr > 0) & (arr < math.inf)):
                 raise ModelError(f"potential over {scope!r} has a non-positive or non-finite entry")
             checked[scope] = arr

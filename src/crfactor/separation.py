@@ -111,13 +111,14 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
     """Worst-case |P(z, g_1..g_k) P(z)^(k-1) / prod_i P(z, g_i) - 1|, i.e.
     |CR(g_1, ..., g_k | z) - 1|, over the rows where every P(z, g_i) > 0;
     0 exactly when the groups are mutually independent given z. Elsewhere
-    both sides of the factorization are 0, so those rows are skipped.
+    P(z, g_1..g_k) is 0 too, so the row reads nan (0/0, or 0·P(z)/0), which
+    the maximum skips: both sides of the factorization are 0 there.
 
     The ratio is taken as P(z, g) / P(z, g_1), then times P(z) and over
     P(z, g_i) for each further group, left to right. On a defined row every
     partial value lies between P(z, g) and the result, so none underflows
-    unless P(z, g) does or overflows unless the result does, and no row
-    reads 0/0. Two products of small marginals, as in the textbook form,
+    unless P(z, g) does or overflows unless the result does, and none is
+    nan. Two products of small marginals, as in the textbook form,
     can both underflow to 0 with every marginal positive.
 
     Each P is the table's cached marginal viewed on the table's own axes,
@@ -142,17 +143,14 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
         arr = table._marginal(names)[1]  # over its names in table order
         return arr.reshape([table.cardinality(n) if n in names else 1 for n in table.names])
 
-    pz, first = p(0), p(0, 1)
-    defined = first > 0.0
+    pz = p(0)
     with np.errstate(all="ignore"):
-        dev = p(*range(len(parts))) / first
+        dev = p(*range(len(parts))) / p(0, 1)
         for i in range(2, len(parts)):
-            pg = p(0, i)
-            defined = defined & (pg > 0.0)  # broadcasts up to the shape of dev
             dev *= pz  # in place: dev has every axis
-            dev /= pg
+            dev /= p(0, i)
     dev -= 1.0
-    return float(np.max(np.abs(dev, out=dev), where=defined, initial=0.0))
+    return float(np.fmax.reduce(np.abs(dev, out=dev), axis=None, initial=0.0))  # fmax skips nan
 
 
 def ci_deviation(table: JointTable, query: CIQuery) -> float:

@@ -328,6 +328,9 @@ def test_factorize_chain_crf_cli(tmp_path, capsys):
     assert code == EXIT_OK
     assert "CR(y1,y2|x1 x2 x3)" in out
     assert "verification: pass" in out
+    for empty in ("", ","):  # a given --y names the chain, even when it names nothing
+        code, out, err = run(capsys, "factorize", "--method", "chain-crf", "--y", empty, "--model", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", "error: need at least one chain variable\n")
 
 
 def test_verify_reports_undefined_value_with_assignment(tmp_path, capsys):

@@ -393,24 +393,46 @@ def _row_loop_deviation(table, groups, z):
 
 def test_deviations_match_row_loops_on_interleaved_groups():
     """Both deviations equal, with ==, a row loop doing the same operations
-    in the same order, on tables with vanishing and 1e-120 cells, groups
-    that interleave in table order, a z out of table order, and names that
-    two groups, or a group and z, share: such a name takes one state in all
-    of them (ci_reduce on CR(A B,A C) cites x = (A, B), y = (C,), z = (A,);
-    independence on CR(A,A) cites the groups (A,) and (A,))."""
+    in the same order, with no warning, on tables with vanishing and 1e-120
+    cells, groups that interleave in table order, a z out of table order,
+    and names that two to four groups, or a group and z, share: such a name
+    takes one state in all of them (ci_reduce on CR(A B,A C) cites x = (A,
+    B), y = (C,), z = (A,); independence on CR(A,A) cites the groups (A,)
+    and (A,)). Further tables leave P(z, g_1) positive where a later
+    P(z, g_i) vanishes, and one has every row undefined: no valid table
+    does (its largest cell's row is defined), so its entries are zeroed
+    past the constructor's checks, and the deviation reads 0.0."""
     cases = [_deviation_case(seed) for seed in range(30)]
     shared = [
         ([("v0", "v1"), ("v2",)], ("v0",)),
         ([("v3",), ("v3",)], ()),
         ([("v4", "v1"), ("v1", "v0"), ("v2",)], ("v2", "v0")),
+        ([("v1",), ("v2", "v1"), ("v1", "v3"), ("v4",)], ("v3",)),
+        ([("v0", "v4"), ("v4",), ("v0", "v2")], ()),
     ]
     cases += [(table, groups, z) for table, _, _ in cases[:10] for groups, z in shared]
-    for table, groups, z in cases:
-        worst = _row_loop_deviation(table, groups, z)
-        assert mutual_independence_deviation(table, groups, z) == worst
-        names = [*itertools.chain(*groups), *z]
-        if len(groups) == 2 and len(set(names)) == len(names):
-            assert ci_deviation(table, CIQuery(*groups, z)) == worst
+    for seed in range(4):
+        table = _deviation_case(seed)[0]
+        arr = np.array(table.probs)
+        arr[:, 1] = 0.0  # P(v1 = 1) = 0, so the rows with v1 = 1 are undefined only through v1's group
+        groups = [("v0",), ("v2", "v1"), ("v3",)] if seed % 2 else [("v2",), ("v1",)]
+        cases.append((JointTable(table.variables, arr / arr.sum()), groups, ("v4",)))
+    empty = JointTable(table.variables, table.probs)
+    empty.probs = np.zeros_like(empty.probs)
+    cases.append((empty, [("v0",), ("v1",)], ("v2",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table, groups, z in cases:
+            worst = _row_loop_deviation(table, groups, z)
+            assert mutual_independence_deviation(table, groups, z) == worst
+            names = [*itertools.chain(*groups), *z]
+            if len(groups) == 2 and len(set(names)) == len(names):
+                assert ci_deviation(table, CIQuery(*groups, z)) == worst
+    assert _row_loop_deviation(empty, [("v0",), ("v1",)], ("v2",)) == 0.0
+    for table, groups, z in cases[-5:-1]:  # some row has P(z, g_1) > 0 and a later P(z, g_i) = 0
+        rows = itertools.product(*(range(table.cardinality(v)) for v in table.names))
+        marginals = [[table.event_prob({v: row[table.names.index(v)] for v in (*z, *g)}) for g in groups] for row in rows]
+        assert any(m[0] > 0.0 and 0.0 in m[1:] for m in marginals)
     # the cases cover what they claim
     order = {f"v{i}": i for i in range(7)}
     spans = [[(order[min(g, key=order.get)], order[max(g, key=order.get)]) for g in groups] for _, groups, _ in cases]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from crfactor import (
     JointTable,
     ModelError,
     ModelGraph,
+    PreconditionError,
     PTerm,
     UndefinedCRError,
     Variable,
@@ -19,7 +21,7 @@ from crfactor import (
 )
 from crfactor.cli import export_dot
 from crfactor.cr import grid
-from crfactor.randgen import make_graph, random_gibbs_model
+from crfactor.randgen import make_graph, random_cpts, random_gibbs_model
 
 from conftest import D2_NAMES, D2_PROBS, assignments, oracle_event_prob
 
@@ -40,6 +42,17 @@ def test_joint_table_invariants(d2_table):
         JointTable([Variable("A", 2)], [-0.1, 1.1])
     with pytest.raises(ModelError):
         JointTable([Variable("A", 2), Variable("A", 2)], np.full((2, 2), 0.25))
+    a = [Variable("a", 2)]
+    for bad in (["x", "y"], [0.5 + 0j, 0.5], object(), [[0.5], [0.2, 0.3]]):  # numpy's ValueError or TypeError
+        with pytest.raises(ModelError, match="^probabilities must be real numbers$"):
+            JointTable(a, bad)
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [1.0, np.nan], [-0.5, 1.5]):
+        with pytest.raises(ModelError, match="^probabilities must be finite and non-negative$"):
+            JointTable(a, bad)
+    signed_zero = JointTable(a, [-0.0, 1.0])  # -0.0 >= 0: a zero entry
+    assert not signed_zero.strictly_positive and np.signbit(signed_zero.probs[0])
+    assert JointTable(a, [0.25, 0.75]).strictly_positive
+    assert d2_table.names == ("A", "B") and d2_table.names is d2_table.names
 
 
 def test_marginal_uniform_coins(coins_table):
@@ -183,6 +196,9 @@ def test_cpt_rejects_non_finite_entries():
         CPT("A", (), np.array([np.nan, np.nan]))
     with pytest.raises(ModelError, match="'B'"):
         CPT("B", ("A",), np.array([[0.5, 0.5], [np.inf, 0.0]]))
+    for bad in (["x", "y"], [0.5 + 0j, 0.5], object(), [[0.5], [0.2, 0.3]]):
+        with pytest.raises(ModelError, match="^CPT entries for 'A' must be real numbers$"):
+            CPT("A", (), bad)
 
 
 def test_student_cpts_give_marginally_independent_roots(student_graph):
@@ -235,6 +251,57 @@ def test_disjoint_cliques_factorize():
         assert table.prob(a) == pytest.approx(expected, rel=1e-12)
 
 
+def _ones_product(variables, factors):
+    """The product of (scope, array) factors multiplied in place, in order,
+    into a grid of ones over the variables' axes."""
+    names = [v.name for v in variables]
+    arr = np.ones([v.cardinality for v in variables])
+    with np.errstate(over="ignore", under="ignore"):
+        for scope, factor in factors:
+            factor = np.transpose(factor, [list(scope).index(n) for n in names if n in scope])
+            arr *= factor.reshape([v.cardinality if v.name in scope else 1 for v in variables])
+    return arr
+
+
+def test_joints_equal_an_in_place_product_over_ones_bit_for_bit():
+    """build_joint_from_cpts and GibbsModel.to_joint give the bytes of a grid
+    of ones times each factor in place, in order: on a DAG declared out of
+    topological order (with its variables in either order), a ternary BN,
+    generated BNs and Gibbs models, a Gibbs model with a variable in no
+    potential, and potentials whose product leaves the float range."""
+    dag = ModelGraph("directed", ["C", "A", "B", "D"], [("A", "B"), ("B", "C"), ("A", "C"), ("D", "A")])
+    bns = [(dag, random_cpts(dag, 3, card), [Variable(n, card) for n in order])
+           for card in (2, 3) for order in (dag.nodes, dag.nodes[::-1])]
+    for spec, card in (("student", 3), ("dag:8:0.4", 3), ("dag:12:0.3", 2), ("chain:6", 2)):
+        bn = make_graph(spec)
+        bns.append((bn, random_cpts(bn, 1, card), [Variable(n, card) for n in bn.nodes]))
+    for bn, cpts, variables in bns:
+        expected = _ones_product(variables, (((*cpts[n].parents, n), cpts[n].probs) for n in bn.nodes))
+        assert build_joint_from_cpts(bn, cpts, variables).probs.tobytes() == expected.tobytes()
+
+    path = ModelGraph("undirected", list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
+    lone = ModelGraph("undirected", ["A", "B", "C"], [("A", "B")])
+    models = [GibbsModel([Variable("A", 2), Variable("B", 3), Variable("C", 2)], lone,
+                         {("A", "B"): np.arange(1.0, 7.0).reshape(2, 3)})]  # C is in no potential
+    for tiny in (1e-105, 1e-160):  # tiny^3 at (a..d = 0) is subnormal, or 0 by underflow
+        pots = {("c", "d"): [[tiny, 1.0], [0.5, 1.0]], ("a", "b"): [[tiny, 1.0], [1.0, 2.0]],
+                ("b", "c"): [[tiny, 3.0], [1.0, 1.0]]}
+        models.append(GibbsModel([Variable(n, 2) for n in "abcd"], path, pots))
+    models += [random_gibbs_model(make_graph(spec), seed=2, cardinality=card)
+               for spec, card in (("cycle:6", 3), ("er:10:0.3", 2), ("triangles:4", 2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gm in models:
+            arr = _ones_product(gm.variables, gm.potentials.items())
+            assert gm.to_joint().probs.tobytes() == (arr / arr.sum()).tobytes()
+    first, second = (gm.to_joint().probs[0, 0, 0, 0] for gm in models[1:3])
+    assert 0.0 < first < np.finfo(float).tiny and second == 0.0
+    huge = GibbsModel([Variable(n, 2) for n in "abcd"], path, {s: np.full((2, 2), 1e120) for s in path.edges})
+    assert _ones_product(huge.variables, huge.potentials.items()).max() == np.inf  # 1e360
+    with pytest.raises(PreconditionError, match="normalizer is inf"):
+        huge.to_joint()
+
+
 def test_materialization_cap():
     from crfactor import PreconditionError
     from crfactor.randgen import random_cpts, random_model
@@ -260,6 +327,9 @@ def test_potential_validation():
         GibbsModel(vs, g, {("A", "B"): np.array([[1.0, np.nan], [1.0, 1.0]])})
     with pytest.raises(ModelError):  # scope not a clique
         GibbsModel(vs, g, {("A", "C"): np.ones((2, 2))})
+    for bad in ([["x", "y"], [1, 1]], [[1 + 0j, 1], [1, 1]], object(), [[1.0], [1.0, 1.0]]):
+        with pytest.raises(ModelError, match=r"^potential entries over \('A', 'B'\) must be real numbers$"):
+            GibbsModel(vs, g, {("A", "B"): bad})
 
 
 def test_potential_over_unknown_name():
