@@ -62,9 +62,14 @@ def _check_cells(shape: Sequence[int]) -> None:
 
 
 def _float_array(values, what: str) -> np.ndarray:
+    """`values` as a new float array, held by no caller; ModelError unless they are real numbers."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # non-numeric text, complex numbers, ragged nesting, other objects
+        arr = np.array(values)  # a copy, also of an array
+        kind = arr.dtype.kind
+        if kind not in "biufO" or (kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)):
+            raise TypeError  # complex numbers, text, other objects
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
         raise ModelError(f"{what} must be real numbers") from None
 
 
@@ -105,7 +110,6 @@ class JointTable:
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ModelError(f"probabilities sum to {total!r}, not 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.variables = variables
         self.probs = arr
@@ -393,8 +397,8 @@ def is_tcg(graph: ModelGraph) -> TcgCheck:
 class CPT:
     """Conditional probability table P(node | parents).
 
-    `probs` has shape (*parent cardinalities, node cardinality); every row
-    (one parent configuration) sums to one.
+    `probs` is a read-only array of shape (*parent cardinalities, node
+    cardinality); every row (one parent configuration) sums to one.
     """
 
     node: str
@@ -403,29 +407,21 @@ class CPT:
 
     def __post_init__(self):
         arr = _float_array(self.probs, f"CPT entries for {self.node!r}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()
+        if not (lo > -math.inf and hi < math.inf):  # nan fails both
             raise ModelError(f"CPT for {self.node!r} has non-finite entries")
-        if np.any(arr < 0):
+        if lo < 0.0:
             raise ModelError(f"CPT for {self.node!r} has negative entries")
-        rows = arr.reshape(-1, arr.shape[-1])
-        bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-9
-        if bad.any():
-            raise ModelError(f"CPT for {self.node!r}: row {int(np.flatnonzero(bad)[0])} does not sum to 1")
-        object.__setattr__(self, "probs", _normalized(arr))
-
-    @classmethod
-    def _of(cls, node: str, parents: tuple[str, ...], probs: np.ndarray) -> "CPT":
-        """A CPT from a float array whose entries and row sums the caller
-        has already checked; only the exact row normalization is done."""
-        cpt = object.__new__(cls)
-        object.__setattr__(cpt, "node", node)
-        object.__setattr__(cpt, "parents", parents)
-        object.__setattr__(cpt, "probs", _normalized(probs))
-        return cpt
-
-
-def _normalized(arr: np.ndarray) -> np.ndarray:
-    return arr / arr.sum(axis=-1, keepdims=True)
+        sums = arr.sum(axis=-1, keepdims=True)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+        if bad.size:
+            raise ModelError(
+                f"cpt rows for {self.node!r} (parent configuration index {int(bad[0])}) "
+                f"sum to {float(sums.flat[bad[0]])!r}, not 1"
+            )
+        arr = arr / sums  # each row exactly normalized
+        arr.setflags(write=False)
+        object.__setattr__(self, "probs", arr)
 
 
 def build_joint_from_cpts(
@@ -507,6 +503,7 @@ class GibbsModel:
                 raise ModelError(f"potential over {scope!r} has wrong shape") from None
             if not np.all((arr > 0) & (arr < math.inf)):
                 raise ModelError(f"potential over {scope!r} has a non-positive or non-finite entry")
+            arr.setflags(write=False)
             checked[scope] = arr
         self.potentials = checked
 

@@ -267,15 +267,10 @@ class _Builder:
                     raise ModelParseError(f"joint probabilities sum to {total!r}, not 1", lineno)
                 arr = arr / total
             elif kind == "cpt":
-                sums = arr.reshape(-1, shape[-1]).sum(axis=1)
-                bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-                if bad.size:
-                    raise ModelParseError(
-                        f"cpt rows for {scope[-1]!r} (parent configuration index {int(bad[0])}) "
-                        f"sum to {float(sums[bad[0]])!r}, not 1",
-                        lineno,
-                    )
-                arr = CPT._of(scope[-1], scope[:-1], arr)  # normalizes the rows exactly
+                try:
+                    arr = CPT(scope[-1], scope[:-1], arr)  # checks the row sums and normalizes each row exactly
+                except ModelError as exc:
+                    raise ModelParseError(str(exc), lineno) from None
             else:
                 if len(rows) != arr.size:
                     raise ModelParseError(

@@ -134,17 +134,22 @@ class Context:
 
 def validate_certificate(cert: Certificate, ctx: Context) -> None:
     """Raise CertificateError unless the certificate's declared source
-    confirms the recorded independence fact: every pair of groups separated
-    given z in the graph, or mutual independence given z in the table."""
-    groups = cert.groups or (cert.x, cert.y)
+    confirms the recorded independence fact: every pair of groups less z's
+    names separated given z in the graph, or mutual independence given z in the table."""
+    groups, z = cert.groups or (cert.x, cert.y), tuple(dict.fromkeys(cert.z))  # z = w + condition may repeat a name
     if cert.kind == "graph":
         if ctx.graph is None:
             raise CertificateError("graph certificate given but no graph to check it against")
-        if not all(separated(ctx.graph, CIQuery(*pair, cert.z)) for pair in itertools.combinations(groups, 2)):
-            raise CertificateError(f"graph separation does not hold: {cert}")
+        for n in itertools.chain(*groups, z):
+            ctx.graph.declaration_index(n)  # an unknown name raises ModelError
+        # given z, its names drop out of each group: a pair with an empty side is separated, one sharing a name not
+        sides = [tuple(n for n in dict.fromkeys(g) if n not in z) for g in groups]
+        for a, b in itertools.combinations(sides, 2):
+            if a and b and (not set(a).isdisjoint(b) or not separated(ctx.graph, CIQuery(a, b, z))):
+                raise CertificateError(f"graph separation does not hold: {cert}")
     elif ctx.table is None:
         raise CertificateError("numeric certificate given but no table to check it against")
-    elif (dev := mutual_independence_deviation(ctx.table, groups, cert.z)) > ctx.tol:
+    elif (dev := mutual_independence_deviation(ctx.table, groups, z)) > ctx.tol:
         raise CertificateError(f"numeric CI test fails (deviation {dev:.3e}): {cert}")
 
 

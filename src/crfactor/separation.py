@@ -31,8 +31,10 @@ class CIQuery:
         object.__setattr__(self, "z", tuple(self.z))
         if not self.x or not self.y:
             raise ModelError("a CI query needs non-empty x and y sets")
-        sx, sy, sz = set(self.x), set(self.y), set(self.z)
-        if sx & sy or sx & sz or sy & sz:
+        for part in (self.x, self.y, self.z):
+            if (twice := _repeated(part)) is not None:
+                raise ModelError(f"variable {twice!r} appears twice in one block")
+        if _repeated(self.x + self.y + self.z) is not None:  # a name in two sets, as none repeats within one
             raise ModelError("CI query sets must be pairwise disjoint")
 
 

@@ -310,6 +310,36 @@ def test_factorize_trace_tampered_certificate_exits_precondition(tmp_path, capsy
     assert "records certificate" in err
 
 
+@pytest.mark.parametrize("kind", ["graph", "numeric"])
+@pytest.mark.parametrize("initial, rule, params, cert, result", [
+    # CR(a b,b c) = CR(a b,b) as (a b ⊥ c | b): b is given, so it drops out of x
+    ("CR(a b,b c)", "ci_reduce", {"keep": 0, "y": ["c"], "w": ["b"]}, {"x": ["a", "b"], "y": ["c"], "z": ["b"]},
+     "CR(a b,b)"),
+    # z is w followed by the condition, so b is in it twice
+    ("CR(a,b c|b)", "ci_reduce", {"keep": 0, "y": ["c"], "w": ["b"]}, {"x": ["a"], "y": ["c"], "z": ["b", "b"]},
+     "CR(a,b|b)"),
+    ("CR(a,a)", "independence", {}, {"groups": [["a"], ["a"]]}, None),  # a is not independent of a
+], ids=["ci_reduce", "ci_reduce_given", "independence"])
+def test_factorize_trace_certificate_groups_that_share_a_name(kind, initial, rule, params, cert, result, tmp_path,
+                                                              capsys):
+    """Graph and numeric certificates give one verdict on groups and z that share a name."""
+    trace_file = tmp_path / "shared.trace.json"
+    step = {"rule": rule, "path": [], "params": params, "certificate": {"kind": kind, **cert}}
+    trace_file.write_text(json.dumps({"initial": initial, "steps": [step]}))
+    got, out, err = run(
+        capsys,
+        "factorize", "--method", "trace",
+        "--model", str(DATA / "path3_gibbs.model"),
+        "--trace", str(trace_file),
+    )
+    assert got == (EXIT_OK if result else EXIT_PRECONDITION), err
+    if result:
+        assert out.splitlines()[0] == result and "verification: pass" in out
+    else:
+        fault = "graph separation does not hold" if kind == "graph" else "numeric CI test fails"
+        assert out == "" and err.startswith(f"error: step 0: {fault}")
+
+
 def test_factorize_chain_crf_cli(tmp_path, capsys):
     nodes = ["y1", "y2", "y3", "x1", "x2", "x3"]
     edges = [("y1", "y2"), ("y2", "y3"), ("x1", "y1"), ("x2", "y2"), ("x3", "y3")]
@@ -646,6 +676,9 @@ def test_indep_bad_query(capsys):
         capsys, "indep", "--model", str(DATA / "student.model"), "--query", "D I G"
     )
     assert code == EXIT_PARSE
+    for numeric in ([], ["--numeric"]):  # refused before any verdict is printed
+        got = run(capsys, "indep", "--model", str(DATA / "student.model"), "--query", "D _|_ I | G G", *numeric)
+        assert got == (EXIT_PARSE, "", "error: variable 'G' appears twice in one block\n")
 
 
 def test_export_dot_round_trips_counts(capsys):

@@ -43,7 +43,9 @@ def test_joint_table_invariants(d2_table):
     with pytest.raises(ModelError):
         JointTable([Variable("A", 2), Variable("A", 2)], np.full((2, 2), 0.25))
     a = [Variable("a", 2)]
-    for bad in (["x", "y"], [0.5 + 0j, 0.5], object(), [[0.5], [0.2, 0.3]]):  # numpy's ValueError or TypeError
+    real_numbers_only = (["x", "y"], [0.5 + 0j, 0.5], object(), [[0.5], [0.2, 0.3]],  # numpy's ValueError or TypeError
+                         np.array([0.5 + 0j, 0.5]), ["0.5", "0.5"], np.array(["0.5", "0.5"], dtype=object))
+    for bad in real_numbers_only:
         with pytest.raises(ModelError, match="^probabilities must be real numbers$"):
             JointTable(a, bad)
     for bad in ([np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [1.0, np.nan], [-0.5, 1.5]):
@@ -53,6 +55,10 @@ def test_joint_table_invariants(d2_table):
     assert not signed_zero.strictly_positive and np.signbit(signed_zero.probs[0])
     assert JointTable(a, [0.25, 0.75]).strictly_positive
     assert d2_table.names == ("A", "B") and d2_table.names is d2_table.names
+    given = np.array([0.25, 0.75])
+    owned = JointTable(a, given)
+    given[0] = 0.0  # the table holds its own copy
+    assert owned.probs[0] == 0.25 and given.flags.writeable and not owned.probs.flags.writeable
 
 
 def test_marginal_uniform_coins(coins_table):
@@ -187,8 +193,11 @@ def test_build_joint_cpt_errors():
     with pytest.raises(ModelError):  # scope mismatch: B's parent missing
         build_joint_from_cpts(dag, {"A": good_a, "B": CPT("B", (), np.array([1.0, 0.0]))},
                               [Variable("A", 2), Variable("B", 2)])
-    with pytest.raises(ModelError):  # row not normalized
+    # a row not normalized, in the model file's wording
+    with pytest.raises(ModelError, match=r"^cpt rows for 'B' \(parent configuration index 0\) sum to 1\.1, not 1$"):
         CPT("B", ("A",), np.array([[0.9, 0.2], [0.1, 0.9]]))
+    with pytest.raises(ModelError, match=r"^cpt rows for 'C' \(parent configuration index 3\) sum to 0\.9, not 1$"):
+        CPT("C", ("A", "B"), np.array([[[0.5, 0.5], [0.3, 0.7]], [[1.0, 0.0], [0.4, 0.5]]]))
 
 
 def test_cpt_rejects_non_finite_entries():
@@ -196,9 +205,23 @@ def test_cpt_rejects_non_finite_entries():
         CPT("A", (), np.array([np.nan, np.nan]))
     with pytest.raises(ModelError, match="'B'"):
         CPT("B", ("A",), np.array([[0.5, 0.5], [np.inf, 0.0]]))
-    for bad in (["x", "y"], [0.5 + 0j, 0.5], object(), [[0.5], [0.2, 0.3]]):
+    # a non-finite entry is reported before a negative one, and both before a row sum
+    for bad, fault in (([0.5, np.nan], "non-finite"), ([-np.inf, 2.0], "non-finite"), ([-1.0, np.inf], "non-finite"),
+                       ([1.5, -0.5], "negative"), ([-0.5, 0.5], "negative")):
+        with pytest.raises(ModelError, match=f"^CPT for 'A' has {fault} entries$"):
+            CPT("A", (), np.array(bad))
+    for bad in (["x", "y"], [0.5 + 0j, 0.5], object(), [[0.5], [0.2, 0.3]], np.array([0.5 + 0j, 0.5]), ["0.5", "0.5"]):
         with pytest.raises(ModelError, match="^CPT entries for 'A' must be real numbers$"):
             CPT("A", (), bad)
+
+
+def test_cpt_probs_are_read_only():
+    given = np.array([[0.9, 0.1], [0.2, 0.8]])
+    cpt = CPT("B", ("A",), given)
+    with pytest.raises(ValueError, match="read-only"):
+        cpt.probs[0, 0] = 0.5
+    given[0, 0] = 0.5  # the caller's array stays writable, and the CPT does not see the write
+    assert cpt.probs[0, 0] == 0.9
 
 
 def test_student_cpts_give_marginally_independent_roots(student_graph):
@@ -327,9 +350,14 @@ def test_potential_validation():
         GibbsModel(vs, g, {("A", "B"): np.array([[1.0, np.nan], [1.0, 1.0]])})
     with pytest.raises(ModelError):  # scope not a clique
         GibbsModel(vs, g, {("A", "C"): np.ones((2, 2))})
-    for bad in ([["x", "y"], [1, 1]], [[1 + 0j, 1], [1, 1]], object(), [[1.0], [1.0, 1.0]]):
+    for bad in ([["x", "y"], [1, 1]], [[1 + 0j, 1], [1, 1]], object(), [[1.0], [1.0, 1.0]],
+                np.array([[1 + 0j, 1], [1, 1]]), [["1", "1"], ["1", "1"]]):
         with pytest.raises(ModelError, match=r"^potential entries over \('A', 'B'\) must be real numbers$"):
             GibbsModel(vs, g, {("A", "B"): bad})
+    given = np.ones((2, 2))
+    gm = GibbsModel(vs, g, {("A", "B"): given})
+    given[0, 0] = 0.0  # after the check: the model holds its own read-only copy
+    assert gm.to_joint().strictly_positive and not gm.potentials[("A", "B")].flags.writeable
 
 
 def test_potential_over_unknown_name():

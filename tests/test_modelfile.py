@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -74,6 +75,10 @@ def test_malformed_edge_has_line_number():
         ("graph undirected\nvar A 2\ndefault A\n", 3, "expected 'default <name> <state>'"),
         ("graph undirected\nvar A 2\njoint\n0 1.0\njoint\n", 5, "duplicate joint block"),
         ("graph directed\nvar A 2\ncpt A\n0 0.5\n1 0.5\ncpt A\n", 6, "duplicate cpt block for 'A'"),
+        ("graph directed\nvar A 2\ncpt A\n0 1.000000001\n1 0.0\n", 3,
+         "line 3: cpt rows for 'A' (parent configuration index 0) sum to 1.000000001, not 1"),
+        ("graph directed\nvar A 2\nvar B 2\nedge A B\ncpt B\n0 0 1\n0 1 0\n1 0 0.3\n1 1 0.3\ncpt A\n0 0.5\n1 0.5\n", 5,
+         "line 5: cpt rows for 'B' (parent configuration index 1) sum to 0.6, not 1"),
         ("", None, "empty model: missing graph line"),
         ("# a comment\n\n", None, "empty model: missing graph line"),
         ("graph undirected\n", None, "model declares no variables"),
@@ -198,7 +203,7 @@ def test_cpt_row_sum_error_names_block_line():
     )
     with pytest.raises(ModelParseError) as err:
         parse_model(text)
-    assert "sum to" in str(err.value)
+    assert str(err.value) == "line 8: cpt rows for 'B' (parent configuration index 0) sum to 1.1, not 1"
     assert err.value.line == 8  # the cpt B block line
 
 
@@ -233,9 +238,9 @@ def _block_rows(text: str) -> dict[str, list[tuple[tuple[int, ...], float]]]:
 @pytest.mark.parametrize("spec, card", [("dag:8:0.4", 2), ("dag:10:0.3", 2), ("student", 3), ("dag:7:0.5", 3)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parsed_cpt_model_matches_the_public_constructors(spec, card, seed):
-    """The parser builds CPTs without checking their rows again; the bits of
-    the CPTs and the joint equal what the public constructors build from the
-    same rows."""
+    """The bits of the parsed CPTs and joint equal what the public
+    constructors build from the same rows, and each CPT holds its own
+    read-only copy."""
     text = render_model(random_model("bn", spec, seed, card))
     model = parse_model(text)
     cpts = {}
@@ -248,11 +253,44 @@ def test_parsed_cpt_model_matches_the_public_constructors(spec, card, seed):
         cpts[node] = CPT(node, parents, arr)
         assert model.cpts[node].parents == parents
         assert model.cpts[node].probs.tobytes() == cpts[node].probs.tobytes()
+        assert not model.cpts[node].probs.flags.writeable and arr.flags.writeable
     public = build_joint_from_cpts(model.graph, cpts, model.variables)
     joint = model.joint()
     assert joint.probs.tobytes() == public.probs.tobytes()
     assert joint.strictly_positive == public.strictly_positive
     assert not joint.probs.flags.writeable
+
+
+MODEL_BYTES = {  # sha256 of the rendering, the joint's probs and each CPT's probs
+    "d2.model": "e48f0b2ab37cb16177793d7f4a2d3b93c119b297e2f589d2d49960a2a42de964",
+    "student.model": "00a3df003ec89a85bfdd6ff2469eb421fa1aee4c5682910a000f0b47f359a765",
+    "path3_gibbs.model": "8a2aeabe9ffea47c1efa8791c5bd4aeb9a4cc79575b366df782d299bb0597339",
+    "cycle4_gibbs.model": "0c8e1c190af1a97d1d3292f2e0b8f3a512c521f2c838bf1f0863fa69224d4fea",
+    "student/2": "06d2d144277c186bc4c46c121d67a34209dc2fe45d829ea800b7199911a4a2da",
+    "student/3": "f67ec5b4900589324076f0f9a0e44a7a6fd380007bd524c390dd08e17c330c6f",
+    "chain:6/3": "562a15bcb1a8d83d8deb3cb56e74d813ddbb5442c6377cc8b507afc2899bfcd9",
+    "dag:8:0.4/3": "df053f5688fc431a81cc3d5349ffc35732aaf4e23aafdbc1d5eea8f9336c79bb",
+    "dag:12:0.3/3": "1ad5bde3d5e907eee30991b5387005283b7e22fc35cf130cd44923e49f2d32b6",
+    "dag:16:0.3/2": "f3433f07450c326b549b0558b338dbacebf3be9d1c40320d819641581c678de5",
+    "dag:20:0.3/2": "bd81b20542e385951d407dfc50f2166adc29f9b5f7d4fe332678566938dcdd85",
+}
+
+
+@pytest.mark.parametrize("case", list(MODEL_BYTES))
+def test_parsed_models_keep_their_bytes(case):
+    """The test data files and seed-0 BN models (spec/cardinality), parsed
+    from their renderings, keep every byte of rendering, joint and CPTs."""
+    if case.endswith(".model"):
+        text = (DATA / case).read_text()
+    else:
+        spec, card = case.split("/")
+        text = render_model(random_model("bn", spec, 0, int(card)))
+    model = parse_model(text)
+    digest = hashlib.sha256(render_model(model).encode())
+    digest.update(model.joint().probs.tobytes())
+    for name in model.names if model.kind == "cpt" else ():
+        digest.update(model.cpts[name].probs.tobytes())
+    assert digest.hexdigest() == MODEL_BYTES[case]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -14,6 +14,7 @@ from crfactor import (
     Certificate,
     Context,
     CRTerm,
+    ModelError,
     ModelGraph,
     Product,
     PTerm,
@@ -371,6 +372,23 @@ def test_independence_graph_certificate():
     assert render(e1) == "1"
     # the certificate is about the edgeless graph, not the path table
     assert eval_expr(e1, t, {n: 0 for n in "abcd"}) == 1.0
+
+
+def test_graph_certificate_reads_each_group_less_z():
+    """A group's names in z are given: a pair left with an empty side is
+    separated, a pair sharing a name outside z is not, and z may repeat a
+    name; every name must be a node, also one that drops out."""
+    ctx = Context(graph=make_graph("path:3"))  # a - b - c
+    for cert in (Certificate("graph", ("a", "b"), ("c",), ("b",)), Certificate("graph", ("a", "b"), ("b",), ("b",)),
+                 Certificate("graph", ("a",), ("c",), ("b", "b")), Certificate("graph", groups=(("a",), ("b",)), z=("b",))):
+        validate_certificate(cert, ctx)
+    for cert in (Certificate("graph", groups=(("a",), ("a",))), Certificate("graph", ("a", "b"), ("b", "c"), ("a",)),
+                 Certificate("graph", ("a",), ("c",))):
+        with pytest.raises(CertificateError, match="^graph separation does not hold"):
+            validate_certificate(cert, ctx)
+    for cert in (Certificate("graph", ("a", "q"), ("c",), ("b",)), Certificate("graph", groups=(("a",), ("q",)), z=("q",))):
+        with pytest.raises(ModelError, match="^unknown node 'q'$"):
+            validate_certificate(cert, ctx)
 
 
 def test_independence_missing_context():

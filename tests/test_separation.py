@@ -42,6 +42,10 @@ def test_ci_query_validation():
         CIQuery(("a",), ("a",))
     with pytest.raises(ModelError):
         CIQuery(("a",), ("b",), ("a",))
+    for x, y, z, twice in ((("a", "a"), ("b",), (), "a"), (("a",), ("b", "c", "b"), (), "b"),
+                           (("a",), ("b",), ("c", "c"), "c")):
+        with pytest.raises(ModelError, match=f"^variable '{twice}' appears twice in one block$"):
+            CIQuery(x, y, z)
 
 
 def test_d_separation_student(student_graph):
