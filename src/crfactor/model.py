@@ -407,17 +407,25 @@ class CPT:
 
     def __post_init__(self):
         arr = _float_array(self.probs, f"CPT entries for {self.node!r}")
+        if arr.ndim != len(self.parents) + 1:
+            raise ModelError(
+                f"CPT for {self.node!r} has {arr.ndim} axes, expected {len(self.parents) + 1}: "
+                "one for each parent and one for the node"
+            )
+        if arr.size == 0:
+            raise ModelError(f"CPT for {self.node!r} has no entries")
         lo, hi = arr.min(), arr.max()
         if not (lo > -math.inf and hi < math.inf):  # nan fails both
             raise ModelError(f"CPT for {self.node!r} has non-finite entries")
         if lo < 0.0:
             raise ModelError(f"CPT for {self.node!r} has negative entries")
         sums = arr.sum(axis=-1, keepdims=True)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-        if bad.size:
+        bad = np.abs(sums - 1.0) > 1e-9
+        if bad.any():
+            index = int(np.flatnonzero(bad)[0])
             raise ModelError(
-                f"cpt rows for {self.node!r} (parent configuration index {int(bad[0])}) "
-                f"sum to {float(sums.flat[bad[0]])!r}, not 1"
+                f"cpt rows for {self.node!r} (parent configuration index {index}) "
+                f"sum to {float(sums.flat[index])!r}, not 1"
             )
         arr = arr / sums  # each row exactly normalized
         arr.setflags(write=False)

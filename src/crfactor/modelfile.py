@@ -23,8 +23,10 @@ carry the 1-based number of the offending line; a fault of the whole file
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ import numpy as np
 from .errors import ModelError, ModelParseError, PreconditionError
 from .model import (
     CPT,
+    MAX_TABLE_CELLS,
     GibbsModel,
     JointTable,
     ModelGraph,
@@ -100,15 +103,111 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
         raise ModelParseError(f"{what} must be a number, got {token!r}", lineno) from None
 
 
+class _Block:
+    """A distribution block as read so far: its rows in file order, as flat
+    (row-major) indices into the block's table and their values."""
+
+    def __init__(self, kind: str, scope: tuple[str, ...], cards: tuple[int, ...], lineno: int):
+        self.kind, self.scope, self.cards, self.lineno = kind, scope, cards, lineno
+        self.flat: list[int] = []
+        self.values: list[float] = []
+        self.top = -1  # the highest flat index so far: a row above it repeats none
+        self.taken: set[int] = set()  # self.flat[:len(self.taken)], filled by repeats()
+        # no spellings for a table over the cap: _Builder.row takes each of its rows
+        self.spelt = _spellings(cards) if math.prod(cards) <= MAX_TABLE_CELLS else None
+        # a value in range: a probability, or a positive finite weight
+        self.bounds = (math.ulp(0.0), sys.float_info.max) if kind == "potential" else (0.0, 1.0 + 1e-9)
+
+    def take(self, lines: list[str], start: int) -> int:
+        """Take the run of canonical rows at lines[start:], up to the first
+        line that is none, has a value out of range or repeats a row; return
+        how many rows it took. A canonical row is single-digit states in
+        range, each followed by one space, then the value."""
+        if self.spelt is None:
+            return 0
+        head, cut, tail, width = self.spelt
+        head, tail = head.get, tail.get
+        lo, hi = self.bounds
+        put, put_value = self.flat.append, self.values.append
+        top, before = self.top, len(self.flat)
+        for index in range(start, len(lines)):  # not islice, which walks lines[:start] on each call
+            line = lines[index]
+            flat = head(line[:cut], -math.inf) + tail(line[cut:width], -math.inf)  # -inf: not canonical
+            if flat <= top and (flat < 0 or self.repeats(flat)):
+                break
+            try:
+                value = float(line[width:])  # the builder's float() of the same text
+            except ValueError:
+                break
+            if not lo <= value <= hi:  # nan fails both
+                break
+            put(flat)
+            put_value(value)
+            if flat > top:
+                top = flat
+        self.top = top
+        return len(self.flat) - before
+
+    def repeats(self, flat: int) -> bool:
+        """Whether a row at this flat index, not above top, repeats one."""
+        self.taken.update(self.flat[len(self.taken):])
+        return flat in self.taken
+
+    def add(self, lineno: int, states: tuple[int, ...], value: float) -> None:
+        """Store a row that _Builder.row checked, unless it repeats one."""
+        flat = 0
+        for state, card in zip(states, self.cards):
+            flat = flat * card + state
+        if flat <= self.top and self.repeats(flat):
+            raise ModelParseError(f"duplicate {self.kind} row {states!r}", lineno)
+        self.top = max(self.top, flat)
+        self.flat.append(flat)
+        self.values.append(value)
+
+    def table(self) -> np.ndarray:
+        """The block's table, zero where no row is listed: one write, once
+        its size passes the cap."""
+        _check_cells(self.cards)
+        arr = np.zeros(self.cards)
+        arr.put(self.flat, self.values)
+        return arr
+
+
+_SPELT_CELLS = 1024  # the most state rows in one spelling table of _spellings
+
+
+@functools.lru_cache(maxsize=32)
+def _spellings(cards: tuple[int, ...]) -> tuple[dict[str, int], int, dict[str, int], int]:
+    """How _Block.take reads the states of a canonical row over these
+    cardinalities: (head, cut, tail, width). The row's first `width`
+    characters hold its states; they split at `cut` into a head and a tail,
+    and the table of each maps every spelling of its states (single digits
+    in range, each followed by one space) to its share of the flat index.
+    The tables are cached and shared: callers only read them."""
+    cut, tail = len(cards), 1
+    while cut and tail * min(cards[cut - 1], 10) <= _SPELT_CELLS:
+        cut -= 1
+        tail *= min(cards[cut], 10)
+
+    def spelt(part: tuple[int, ...], scale: int) -> dict[str, int]:
+        table = {"": 0}
+        for card in part:
+            table = {key + f"{s} ": flat * card + s for key, flat in table.items() for s in range(min(card, 10))}
+        return {key: flat * scale for key, flat in table.items()}
+
+    return spelt(cards[:cut], math.prod(cards[cut:])), 2 * cut, spelt(cards[cut:], 1), 2 * len(cards)
+
+
 class _Builder:
     def __init__(self):
         self.graph_kind: str | None = None
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
         self.edges: dict[object, tuple[str, str]] = {}  # (a, b), or {a, b} when undirected -> (a, b)
+        self.parents: dict[str, list[str]] = {}  # b -> each a of an edge a b, in file order
         self.defaults: dict[str, int] = {}
-        # (kind, scope, cardinalities, header line, rows); the model's kind is its first block's
-        self.blocks: list[tuple[str, tuple[str, ...], tuple[int, ...], int, dict[tuple[int, ...], float]]] = []
+        self.blocks: list[_Block] = []  # the model's kind is its first block's
+        self.cpt_nodes: set[str] = set()
 
     def card(self, name: str) -> int:
         return self.variables[self.index[name]].cardinality
@@ -157,6 +256,7 @@ class _Builder:
             if key in self.edges:
                 raise ModelParseError(f"duplicate edge ({a!r}, {b!r})", lineno)
             self.edges[key] = (a, b)
+            self.parents.setdefault(b, []).append(a)
         elif head == "default":
             if len(tokens) != 3:
                 raise ModelParseError("expected 'default <name> <state>'", lineno)
@@ -174,9 +274,9 @@ class _Builder:
     def open_block(self, lineno: int, kind: str, *args: str) -> None:
         if not self.variables:
             raise ModelParseError("distribution block before any variable", lineno)
-        if self.blocks and self.blocks[0][0] != kind:
+        if self.blocks and self.blocks[0].kind != kind:
             raise ModelParseError(
-                f"model already has a {self.blocks[0][0]!r} distribution; cannot mix with {kind!r}",
+                f"model already has a {self.blocks[0].kind!r} distribution; cannot mix with {kind!r}",
                 lineno,
             )
         if kind == "joint":
@@ -190,10 +290,10 @@ class _Builder:
                 raise ModelParseError("expected 'cpt <node>'", lineno)
             node = args[0]
             self.require_var(node, lineno)
-            if any(scope[-1] == node for _, scope, *_ in self.blocks):
+            if node in self.cpt_nodes:
                 raise ModelParseError(f"duplicate cpt block for {node!r}", lineno)
-            parents = sorted((a for a, b in self.edges.values() if b == node), key=self.index.__getitem__)
-            scope = (*parents, node)
+            self.cpt_nodes.add(node)
+            scope = (*sorted(self.parents.get(node, ()), key=self.index.__getitem__), node)
         else:
             scope = args
             if not scope:
@@ -202,16 +302,17 @@ class _Builder:
                 self.require_var(n, lineno)
             if len(set(scope)) != len(scope):
                 raise ModelParseError("duplicate variable in potential scope", lineno)
-        self.blocks.append((kind, scope, tuple(map(self.card, scope)), lineno, {}))
+        self.blocks.append(_Block(kind, scope, tuple(map(self.card, scope)), lineno))
 
     def row(self, lineno: int, tokens: list[str]) -> None:
-        """A row that parse_model's one-pass test did not take, checked
-        token by token: stored, or refused at its first fault."""
+        """A row that _Block.take did not take, checked token by token:
+        stored, or refused at its first fault."""
         if not self.blocks:
             if not tokens[0].lstrip("-").isdigit():
                 raise ModelParseError(f"unknown directive {tokens[0]!r}", lineno)
             raise ModelParseError("data row outside a distribution block", lineno)
-        kind, scope, _, _, rows = self.blocks[-1]
+        block = self.blocks[-1]
+        kind, scope = block.kind, block.scope
         noun = "weight" if kind == "potential" else "probability"
         if len(tokens) != len(scope) + 1:
             what = f"cpt row for {scope[-1]!r}" if kind == "cpt" else f"{kind} row"
@@ -222,7 +323,6 @@ class _Builder:
             if not 0 <= state < self.card(name):
                 raise ModelParseError(f"state {state} out of range for {name!r}", lineno)
             states.append(state)
-        states = tuple(states)
         value = _parse_float(tokens[-1], lineno, noun)
         if kind != "potential" and not 0.0 <= value <= 1.0 + 1e-9:
             raise ModelParseError(f"probability {value!r} out of range", lineno)
@@ -230,9 +330,7 @@ class _Builder:
             raise ModelParseError(f"potential weight must be positive, got {value!r}", lineno)
         if kind == "potential" and not value < math.inf:  # inf or nan
             raise ModelParseError(f"potential weight must be positive and finite, got {value!r}", lineno)
-        if states in rows:
-            raise ModelParseError(f"duplicate {kind} row {states!r}", lineno)
-        rows[states] = value
+        block.add(lineno, tuple(states), value)
 
     def finish(self) -> ParsedModel:
         if self.graph_kind is None:
@@ -245,22 +343,19 @@ class _Builder:
             raise ModelParseError(str(exc), None) from None
         if not self.blocks:
             raise ModelParseError("model has no distribution block", None)
-        kind = self.blocks[0][0]
+        kind = self.blocks[0].kind
         if kind == "cpt":
             if graph.kind != "directed":
                 raise ModelParseError("cpt models require a directed graph", None)
-            missing = [n for n in graph.nodes if not any(s[-1] == n for _, s, *_ in self.blocks)]
+            missing = [n for n in graph.nodes if n not in self.cpt_nodes]
             if missing:
                 raise ModelParseError(f"missing cpt blocks for {missing!r}", None)
         if kind == "potential" and graph.kind != "undirected":
             raise ModelParseError("potential models require an undirected graph", None)
 
         tables = []
-        for _, scope, shape, lineno, rows in self.blocks:
-            _check_cells(shape)
-            arr = np.zeros(shape)
-            for states, value in rows.items():
-                arr[states] = value
+        for block in self.blocks:
+            scope, lineno, arr = block.scope, block.lineno, block.table()
             if kind == "joint":
                 total = float(arr.sum())
                 if abs(total - 1.0) > 1e-9:
@@ -272,9 +367,9 @@ class _Builder:
                 except ModelError as exc:
                     raise ModelParseError(str(exc), lineno) from None
             else:
-                if len(rows) != arr.size:
+                if len(block.flat) != arr.size:
                     raise ModelParseError(
-                        f"potential over {scope!r} lists {len(rows)} of {arr.size} entries", lineno
+                        f"potential over {scope!r} lists {len(block.flat)} of {arr.size} entries", lineno
                     )
                 for a, b in itertools.combinations(scope, 2):
                     if not graph.has_edge(a, b):
@@ -290,39 +385,31 @@ class _Builder:
 
 
 _KEYWORDS = frozenset({"graph", "var", "edge", "default", "joint", "cpt", "potential"})
-# The single-digit states of a variable by its cardinality (all of them up
-# to 10), spelt the usual way; _Builder.row reads any other spelling with int().
-_STATE_TOKENS = [{str(s): s for s in range(min(card, 10))} for card in range(11)]
 
 
 def parse_model(text: str) -> ParsedModel:
-    """Parse and validate a model file, one line at a time. A row of
-    single-digit states in range, a value in range and no repeat is taken
-    here; `_Builder.row` takes any other row."""
+    """Parse and validate a model file. Inside a block, `_Block.take`
+    decodes each run of canonical rows (single-digit states in range, each
+    followed by one space, then the value): a row's flat index comes from
+    one lookup of its state text, and its value from `float` of the rest.
+    The run ends at the first line that is no such row, has a value out of
+    range or repeats a row. That line, and every line outside a run, is
+    split into tokens: a directive goes to `_Builder.directive`, and a row
+    to `_Builder.row`, which stores it or raises at its first fault. Rows
+    are seen in file order, so the first fault in the file is the one
+    reported."""
     builder = _Builder()
-    rows = None  # the open block's rows; with its width, state tokens per column and kind
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] in _KEYWORDS:
+    lines = text.splitlines()
+    lineno = 0  # the lines read so far
+    while lineno < len(lines):
+        tokens = lines[lineno].split("#", 1)[0].split()
+        lineno += 1
+        if tokens and tokens[0] in _KEYWORDS:
             builder.directive(lineno, tokens)
-            if builder.blocks:
-                kind, _, cards, _, rows = builder.blocks[-1]
-                width, potential = len(cards) + 1, kind == "potential"
-                columns = [_STATE_TOKENS[min(card, 10)] for card in cards]
-            continue
-        if rows is not None and len(tokens) == width:
-            try:  # map stops at the last column, before the value
-                states, value = tuple(map(dict.__getitem__, columns, tokens)), float(tokens[-1])
-            except (KeyError, ValueError):
-                pass
-            else:
-                in_range = (0.0 < value < math.inf) if potential else (0.0 <= value <= 1.0 + 1e-9)
-                if in_range and states not in rows:
-                    rows[states] = value
-                    continue
-        builder.row(lineno, tokens)
+        elif tokens:
+            builder.row(lineno, tokens)
+        if builder.blocks:
+            lineno += builder.blocks[-1].take(lines, lineno)
     return builder.finish()
 
 

@@ -215,6 +215,21 @@ def test_cpt_rejects_non_finite_entries():
             CPT("A", (), bad)
 
 
+@pytest.mark.parametrize(
+    "parents, probs, message",
+    [
+        ((), 1.0, "CPT for 'a' has 0 axes, expected 1: one for each parent and one for the node"),
+        (("b",), [0.5, 0.5], "CPT for 'a' has 1 axes, expected 2: one for each parent and one for the node"),
+        ((), [[0.5, 0.5]], "CPT for 'a' has 2 axes, expected 1: one for each parent and one for the node"),
+        ((), [], "CPT for 'a' has no entries"),
+    ],
+)
+def test_cpt_checks_its_shape(parents, probs, message):
+    with pytest.raises(ModelError) as err:
+        CPT("a", parents, probs)
+    assert str(err.value) == message
+
+
 def test_cpt_probs_are_read_only():
     given = np.array([[0.9, 0.1], [0.2, 0.8]])
     cpt = CPT("B", ("A",), given)

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from crfactor import (
     CPT,
     JointTable,
     ModelError,
+    ModelGraph,
     ModelParseError,
     ParsedModel,
     PreconditionError,
     build_joint_from_cpts,
+    modelfile,
     parse_model,
     render_model,
 )
@@ -305,15 +309,137 @@ def test_parsed_joint_model_matches_the_public_constructor(seed):
     assert model.joint_probs.flags.writeable  # the table holds its own copy
 
 
-def test_rows_the_one_pass_test_leaves_to_the_builder():
+def test_rows_the_block_decoder_leaves_to_the_builder():
     # "10" is no single-digit state and "01", "03" are not spelt as the
-    # one-pass test knows them, so _Builder.row stores those rows
+    # block decoder knows them, so _Builder.row stores those rows
     head = "graph undirected\nvar a 11\nvar b 2\nedge a b\njoint\n"
     spelt = parse_model(head + "10 01 0.5\n03 0 0.25\n0 0 0.25\n")
     canonical = parse_model(head + "10 1 0.5\n3 0 0.25\n0 0 0.25\n")
     assert spelt.joint_probs[10, 1] == 0.5 and spelt.joint_probs[3, 0] == 0.25
     assert spelt.joint_probs.tobytes() == canonical.joint_probs.tobytes()
     assert spelt.joint().probs.tobytes() == canonical.joint().probs.tobytes()
+
+
+def joint_text(n: int, seed: int) -> str:
+    """The rendering of a random joint model over n binary variables v0, v1, ...:
+    one block of 2**n rows, on lines n + 3 onwards."""
+    names = [f"v{i}" for i in range(n)]
+    table = random_joint_table(names, seed, 2)
+    graph = ModelGraph("undirected", names, ())
+    return render_model(ParsedModel("joint", table.variables, graph, joint_probs=table.probs))
+
+
+JOINT_1024 = joint_text(10, 0)  # rows 0-1023 on lines 13-1036, row r spelling r in binary
+JOINT_1024_ROWS = JOINT_1024.splitlines()[12:]
+RESPELT_TEXTS = [
+    render_model(random_model("bn", "student", 0, 3)),
+    render_model(random_model("bn", "dag:8:0.4", 1)),
+    render_model(random_model("gibbs", "cycle:5", 0, 3)),
+    JOINT_1024,
+]
+
+
+def _payload_bytes(model: ParsedModel) -> list:
+    """The bytes of what a parse produced: its arrays, its CPTs and its joint."""
+    out = [model.kind, model.joint().probs.tobytes()]
+    if model.joint_probs is not None:
+        out.append(model.joint_probs.tobytes())
+    out += [(name, cpt.parents, cpt.probs.tobytes()) for name, cpt in model.cpts.items()]
+    out += [(scope, arr.tobytes()) for scope, arr in model.potentials]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(RESPELT_TEXTS))), st.data())
+def test_respelt_rows_parse_to_the_same_bytes(which, data):
+    """Rows respelt so that the block decoder refuses them (a tab for a
+    space, a leading zero on a state, a trailing comment) go to
+    _Builder.row, and the parse keeps every byte of the canonical text's."""
+    text = RESPELT_TEXTS[which]
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line[0].isdigit()]
+    chosen = data.draw(st.sets(st.sampled_from(rows), min_size=1, max_size=8))
+    for i in chosen:
+        tokens = lines[i].split(" ")
+        state = data.draw(st.integers(0, len(tokens) - 2))
+        how = data.draw(st.sampled_from(["tab", "zero", "comment"]))
+        if how == "tab":
+            lines[i] = " ".join(tokens[: state + 1]) + "\t" + " ".join(tokens[state + 1 :])
+        elif how == "zero":
+            tokens[state] = "0" + tokens[state]
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] += "  # respelt"
+    built = []
+    row = modelfile._Builder.row
+
+    def counted_row(builder, lineno, tokens):
+        built.append(lineno)
+        row(builder, lineno, tokens)
+
+    with mock.patch.object(modelfile._Builder, "row", counted_row):
+        respelt = parse_model("\n".join(lines) + "\n")
+        canonical = parse_model(text)
+    assert built == sorted(i + 1 for i in chosen)
+    assert _payload_bytes(respelt) == _payload_bytes(canonical)
+
+
+def _edit_rows(text: str, edits: dict[int, str], comments: tuple[int, ...] = ()) -> str:
+    """`text` with the data rows at the given 0-based indices replaced, and
+    a comment line before each row index in `comments`."""
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines) if line[0].isdigit())
+    for row, line in edits.items():
+        lines[first + row] = line
+    for row in sorted(comments, reverse=True):
+        lines.insert(first + row, "# a comment line")
+    return "\n".join(lines) + "\n"
+
+
+def _states(row: int, n: int = 10) -> str:
+    return " ".join(format(row, f"0{n}b"))
+
+
+@pytest.mark.parametrize(
+    "edits, comments, message",
+    [
+        # each block holds a second fault further on, which is never reached
+        ({700: _states(300) + " 0.001", 900: _states(900) + " 1.5"}, (),
+         "line 713: duplicate joint row (0, 1, 0, 0, 1, 0, 1, 1, 0, 0)"),
+        ({500: "2" + _states(500)[1:] + " 0.001", 900: _states(100) + " 0.001"}, (),
+         "line 513: state 2 out of range for 'v0'"),
+        ({500: _states(500) + " 1.5", 900: _states(900) + " nan"}, (), "line 513: probability 1.5 out of range"),
+        ({500: _states(500) + " nan", 900: _states(900) + " 1.5"}, (), "line 513: probability nan out of range"),
+        ({500: _states(500), 900: _states(900) + " 1.5"}, (), "line 513: joint row needs 10 states and a probability"),
+        ({500: JOINT_1024_ROWS[500] + "  # a trailing comment", 800: _states(100) + " 0.001"}, (400,),
+         "line 814: duplicate joint row (0, 0, 0, 1, 1, 0, 0, 1, 0, 0)"),
+        ({1023: _states(1022) + " 0.001"}, (), "line 1036: duplicate joint row (1, 1, 1, 1, 1, 1, 1, 1, 1, 0)"),
+    ],
+)
+def test_first_fault_in_a_large_block_is_pinned(edits, comments, message):
+    with pytest.raises(ModelParseError) as err:
+        parse_model(_edit_rows(JOINT_1024, edits, comments))
+    assert str(err.value) == message
+
+
+def test_block_over_the_cap_reports_its_rows_first_and_allocates_no_table():
+    # 21 binary variables: 2**21 cells, over MAX_TABLE_CELLS (2**20)
+    head = "graph undirected\n" + "".join(f"var v{i} 2\n" for i in range(21)) + "joint\n"
+    rows = [_states(r, 21) + " 0.125" for r in range(8)]
+    bad = rows[:3] + [_states(3, 21) + " 1.5"] + rows[4:]
+    for text, error, message in [
+        (head + "\n".join(bad) + "\n", ModelParseError, "line 27: probability 1.5 out of range"),
+        (head + "\n".join(rows) + "\n", PreconditionError, "a table of 2097152 cells exceeds the cap of 1048576 cells"),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as err:
+                parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 2**20  # a table of 2**21 floats would take 16 MiB
 
 
 @pytest.mark.parametrize("name", ["d2.model", "student.model"])
@@ -360,7 +486,9 @@ def test_repeated_potential_scopes_multiply():
     assert model.joint().prob({"A": 0, "B": 0}) == pytest.approx(4 / 15, rel=1e-12)
 
 
-MUTATION_FILES = ["d2.model", "student.model", "path3_gibbs.model", "cycle4_gibbs.model"]
+MUTATION_FILES = ["d2.model", "student.model", "path3_gibbs.model", "cycle4_gibbs.model", "joint over 10 variables"]
+MUTATION_TEXTS = {name: (DATA / name).read_text() for name in MUTATION_FILES[:-1]}
+MUTATION_TEXTS["joint over 10 variables"] = JOINT_1024  # a block of 1,024 canonical rows
 MUTATION_TOKENS = [
     "nan", "inf", "-inf", "1e400", "1e200", "1e-200", "\n",
     "0", "1", "2", "-1", "0.5", "a", "b", "potential",
@@ -370,7 +498,7 @@ MUTATION_TOKENS = [
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(MUTATION_FILES), st.data())
 def test_mutated_model_files_end_in_a_documented_error(name, data):
-    tokens = re.findall(r"\S+|\n", (DATA / name).read_text())
+    tokens = re.findall(r"\S+|\n", MUTATION_TEXTS[name])
     for _ in range(data.draw(st.integers(0, 3))):
         token = data.draw(st.sampled_from(MUTATION_TOKENS))
         if data.draw(st.booleans()):
@@ -381,7 +509,8 @@ def test_mutated_model_files_end_in_a_documented_error(name, data):
         else:
             tokens.insert(data.draw(st.integers(0, len(tokens))), token)
     try:
-        model = parse_model(" ".join(tokens))
+        # rows away from a mutation keep their canonical spelling: no space next to a newline
+        model = parse_model(re.sub(" ?\n ?", "\n", " ".join(tokens)))
     except (ModelParseError, PreconditionError):
         return
     text = render_model(model)
