@@ -126,6 +126,11 @@ def _require_kind(model: ParsedModel, kind: str, what: str) -> None:
         raise PreconditionError(f"{what} requires {article} {kind} graph")
 
 
+# Each --method, in the order --method lists them, and the graph kind it requires (None: either).
+METHODS = {"bn": "directed", "tree": "undirected", "chain-crf": None, "mrf": "undirected",
+           "rmrf": "undirected", "tcg": "undirected", "trace": None}
+
+
 def _cmd_factorize(args) -> int:
     if args.method == "trace" and not args.trace:
         raise _UsageError("--trace FILE is required with --method trace")
@@ -145,18 +150,16 @@ def _cmd_factorize(args) -> int:
     )
 
     table = model.joint()
+    if METHODS[args.method] is not None:
+        _require_kind(model, METHODS[args.method], f"method {args.method!r}")
     tol = args.tol
     expected = None
-    lines: list[str]
+    phis = None  # the factors of mrf and tcg, one phi(...) line each
 
     if args.method == "bn":
-        _require_kind(model, "directed", "method 'bn'")
         expr, _trace = factorize_bn(model.graph)
-        lines = [render(expr)]
     elif args.method == "tree":
-        _require_kind(model, "undirected", "method 'tree'")
         expr = factorize_tree_mn(model.graph)
-        lines = [render(expr)]
     elif args.method == "chain-crf":
         y_order = _chain_vars(args, model)
         expr = factorize_chain_crf(table, y_order)
@@ -165,33 +168,21 @@ def _cmd_factorize(args) -> int:
         def expected(a, _x=x_vars):  # P(y | x)
             return table.prob(a) / table.event_prob({n: a[n] for n in _x})
 
-        lines = [render(expr)]
     elif args.method == "mrf":
-        _require_kind(model, "undirected", "method 'mrf'")
         phis = mrf_factorize(table, model.graph, model.default_assignment(), tol=tol)
         expr = product_of(phis.values())
-        lines = [f"phi({' '.join(mc)}) = {render(phi)}" for mc, phi in phis.items()]
     elif args.method == "rmrf":
-        _require_kind(model, "undirected", "method 'rmrf'")
         expr = rmrf_factorize(table, model.graph, model.default_assignment(), tol=tol)
-        lines = [render(expr)]
     elif args.method == "tcg":
-        _require_kind(model, "undirected", "method 'tcg'")
         result = factorize_tcg(table, model.graph, tol=tol)
-        expr = result.expr
-        lines = [
-            f"phi({' '.join(mc)}) = {render(phi)}" for mc, phi in result.factors.items()
-        ]
-    elif args.method == "trace":
+        expr, phis = result.expr, result.factors
+    else:  # trace
         initial, expr = _run_trace_file(args.trace, model, table, tol)
-        lines = [render(expr)]
 
         def expected(a, _init=initial):
             return eval_expr(_init, table, a)
 
-    else:  # unreachable; argparse limits choices
-        raise _UsageError(f"unknown method {args.method!r}")
-
+    lines = [render(expr)] if phis is None else [f"phi({' '.join(c)}) = {render(phi)}" for c, phi in phis.items()]
     if args.no_verify:
         print("\n".join(lines))
         return EXIT_OK
@@ -352,7 +343,7 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factorize", help="factorize a model and verify the result")
-    p.add_argument("--method", required=True, choices=["bn", "tree", "chain-crf", "mrf", "rmrf", "tcg", "trace"])
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--model", required=True)
     p.add_argument("--trace", help="trace file (JSON) for --method trace")
     p.add_argument("--tol", type=_tolerance, default=REL_TOL)

@@ -463,8 +463,11 @@ def _scoped_product(variables: Sequence[Variable], factors: Iterable[tuple[Seque
     of variable names and an array with one axis per name, in scope order.
     A product past the float range reads inf or 0 without a warning. It
     grows from 1.0 over the union of the scopes so far, each cell multiplied
-    as in a grid of ones, and in place once it spans every axis."""
+    as in a grid of ones, and in place once it spans every axis. A variable
+    named twice is a ModelError."""
     names = tuple(v.name for v in variables)
+    if (twice := _repeated(names)) is not None:
+        raise ModelError(f"duplicate variable {twice!r}")
     shape = tuple(v.cardinality for v in variables)
     _check_cells(shape)
     arr = np.ones(())

@@ -324,12 +324,12 @@ class _Builder:
                 raise ModelParseError(f"state {state} out of range for {name!r}", lineno)
             states.append(state)
         value = _parse_float(tokens[-1], lineno, noun)
-        if kind != "potential" and not 0.0 <= value <= 1.0 + 1e-9:
-            raise ModelParseError(f"probability {value!r} out of range", lineno)
-        if kind == "potential" and value <= 0.0:
-            raise ModelParseError(f"potential weight must be positive, got {value!r}", lineno)
-        if kind == "potential" and not value < math.inf:  # inf or nan
-            raise ModelParseError(f"potential weight must be positive and finite, got {value!r}", lineno)
+        lo, hi = block.bounds
+        if not lo <= value <= hi:  # nan fails both
+            if kind != "potential":
+                raise ModelParseError(f"probability {value!r} out of range", lineno)
+            finite = "" if value < lo else " and finite"
+            raise ModelParseError(f"potential weight must be positive{finite}, got {value!r}", lineno)
         block.add(lineno, tuple(states), value)
 
     def finish(self) -> ParsedModel:

@@ -10,6 +10,7 @@ model files are byte-identical across runs with the same inputs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import string
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelError
-from .model import CPT, GibbsModel, JointTable, ModelGraph, Variable, _check_cells
+from .model import CPT, GibbsModel, JointTable, ModelGraph, Variable, _check_cells, _scoped_product
 from .modelfile import ParsedModel
 
 POTENTIAL_RANGE = (0.1, 10.0)
@@ -91,29 +92,27 @@ def make_graph(spec: str, seed: int = 0) -> ModelGraph:
     return ModelGraph("directed" if head in ("chain", "dag") else "undirected", names, edges)
 
 
+def _draw(rng: random.Random, shape: tuple[int, ...], lo: float, hi: float) -> np.ndarray:
+    """An array of this shape, its entries drawn uniformly in [lo, hi] in row-major order."""
+    return np.array([rng.uniform(lo, hi) for _ in range(math.prod(shape))]).reshape(shape)
+
+
 def random_gibbs_model(graph: ModelGraph, seed: int, cardinality: int = 2) -> GibbsModel:
     """Positive potentials over every maximal clique, entries uniform in
     [0.1, 10]."""
     rng = random.Random(seed)
     variables = [Variable(n, cardinality) for n in graph.nodes]
-    lo, hi = POTENTIAL_RANGE
-    potentials = {}
-    for clique in graph.maximal_cliques():
-        shape = tuple(cardinality for _ in clique)
-        table = np.array([rng.uniform(lo, hi) for _ in range(int(np.prod(shape)))]).reshape(shape)
-        potentials[clique] = table
+    potentials = {c: _draw(rng, (cardinality,) * len(c), *POTENTIAL_RANGE) for c in graph.maximal_cliques()}
     return GibbsModel(variables, graph, potentials)
 
 
 def random_cpts(dag: ModelGraph, seed: int, cardinality: int = 2) -> dict[str, CPT]:
     """One strictly positive CPT per node, rows normalized."""
     rng = random.Random(seed)
-    cards = {n: cardinality for n in dag.nodes}
     cpts = {}
     for node in dag.nodes:
         parents = dag.parents(node)
-        shape = tuple(cards[p] for p in parents) + (cards[node],)
-        raw = np.array([rng.uniform(0.05, 1.0) for _ in range(int(np.prod(shape)))]).reshape(shape)
+        raw = _draw(rng, (cardinality,) * (len(parents) + 1), 0.05, 1.0)
         cpts[node] = CPT(node, parents, raw / raw.sum(axis=-1, keepdims=True))
     return cpts
 
@@ -123,8 +122,7 @@ def random_joint_table(names: Sequence[str], seed: int, cardinality: int = 2) ->
     normalized; independent of any graph."""
     rng = random.Random(seed)
     variables = [Variable(n, cardinality) for n in names]
-    size = cardinality ** len(variables)
-    raw = np.array([rng.uniform(0.05, 1.0) for _ in range(size)])
+    raw = _draw(rng, (cardinality ** len(variables),), 0.05, 1.0)
     return JointTable(variables, raw / raw.sum())
 
 
@@ -132,34 +130,20 @@ def random_chain_conditional_table(
     y_names: Sequence[str], x_names: Sequence[str], seed: int, cardinality: int = 2
 ) -> JointTable:
     """A table where, given the x-variables, the y-variables form a chain:
-    P(y, x) = P(x) P(y_1 | x) prod_i P(y_{i+1} | y_i, x)."""
+    P(y, x) = P(x) P(y_1 | x) prod_i P(y_{i+1} | y_i, x), the product of
+    these factors in this order. P(x) is drawn first; then, for each x
+    configuration in row-major order, the row of P(y_1 | x) and the
+    cardinality rows of each transition."""
     rng = random.Random(seed)
-    y_names = tuple(y_names)
-    x_names = tuple(x_names)
-    variables = [Variable(n, cardinality) for n in y_names + x_names]
-
-    def row() -> np.ndarray:
-        raw = np.array([rng.uniform(0.05, 1.0) for _ in range(cardinality)])
-        return raw / raw.sum()
-
-    x_shape = tuple(cardinality for _ in x_names)
-    x_size = int(np.prod(x_shape)) if x_names else 1
-    raw_x = np.array([rng.uniform(0.05, 1.0) for _ in range(x_size)])
-    px = raw_x / raw_x.sum()
-
-    shape = tuple(cardinality for _ in variables)
-    arr = np.zeros(shape)
-    for xi, xs in enumerate(itertools.product(*(range(cardinality) for _ in x_names))):
-        first = row()
-        trans = [
-            {s: row() for s in range(cardinality)} for _ in range(len(y_names) - 1)
-        ]
-        for ys in itertools.product(*(range(cardinality) for _ in y_names)):
-            p = px[xi] * first[ys[0]]
-            for i in range(len(y_names) - 1):
-                p *= trans[i][ys[i]][ys[i + 1]]
-            arr[ys + xs] = p
-    return JointTable(variables, arr)
+    y_names, x_names, k = tuple(y_names), tuple(x_names), cardinality
+    variables = [Variable(n, k) for n in y_names + x_names]
+    px = _draw(rng, (k,) * len(x_names), 0.05, 1.0)
+    rows = _draw(rng, (k,) * len(x_names) + (1 + (len(y_names) - 1) * k, k), 0.05, 1.0)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    factors = [(x_names, px / px.sum()), ((*x_names, y_names[0]), rows[..., 0, :])]
+    for i, pair in enumerate(zip(y_names, y_names[1:])):
+        factors.append(((*x_names, *pair), rows[..., 1 + i * k : 1 + (i + 1) * k, :]))
+    return JointTable(variables, _scoped_product(variables, factors))
 
 
 def random_model(kind: str, spec: str, seed: int, cardinality: int = 2) -> ParsedModel:

@@ -1,11 +1,14 @@
 """Shared fixtures: small hand-checkable tables, the five-node study-network
 DAG, an oracle that computes event probabilities by explicit summation,
-independent of the library's marginalization code, and the two sides of the
+independent of the library's marginalization code, its exact counterpart
+over Fraction tables for products of P terms, and the two sides of the
 exchange identity as CR expressions."""
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,57 @@ def oracle_cr(probs, names, block_events: list[dict[str, int]]) -> float:
     for ev in block_events:
         denom *= oracle_event_prob(probs, names, ev)
     return oracle_event_prob(probs, names, union) / denom
+
+
+def exact_gibbs_table(nodes, potentials, cardinality: int = 2) -> dict[tuple[int, ...], Fraction]:
+    """The exact joint {states: Fraction} over `nodes`, row-major: the
+    normalized product of integer `potentials`, each a scope (a tuple of
+    nodes) mapped to {states over the scope: weight}. With a potential on
+    every node and edge of a graph and none on other scopes, the table is
+    Markov for that graph by construction."""
+    weights = {}
+    for states in itertools.product(range(cardinality), repeat=len(nodes)):
+        at = dict(zip(nodes, states))
+        weights[states] = math.prod(table[tuple(at[n] for n in scope)] for scope, table in potentials.items())
+    z = sum(weights.values())
+    return {states: Fraction(w, z) for states, w in weights.items()}
+
+
+def exact_evaluator(probs: dict[tuple[int, ...], Fraction], names: tuple[str, ...]):
+    """value(expr, row): the exact value at a full assignment `row` of a
+    product of P terms over the exact table `probs`, by explicit sums. Of the
+    expression it reads only a product's `children` and a term's
+    `block.members`, `condition` and `exponent`."""
+    pos = {n: i for i, n in enumerate(names)}
+    marginals: dict[tuple[str, ...], dict[tuple[int, ...], Fraction]] = {}
+
+    def event(pairs) -> Fraction:
+        """P of the event that every (name, state) pair holds."""
+        states = dict(pairs)
+        if len(states) < len(set(pairs)):  # one name in two states
+            return Fraction(0)
+        key = tuple(sorted(states))
+        if key not in marginals:
+            marginal = marginals[key] = {}
+            for row, p in probs.items():
+                cell = tuple(row[pos[n]] for n in key)
+                marginal[cell] = marginal.get(cell, 0) + p
+        return marginals[key].get(tuple(states[n] for n in key), Fraction(0))
+
+    def value(expr, row: dict[str, int]) -> Fraction:
+        children = getattr(expr, "children", None)
+        if children is not None:  # a product: multiply numerators and denominators, reduce once
+            num = den = 1
+            for child in children:
+                v = value(child, row)
+                num, den = num * v.numerator, den * v.denominator
+            return Fraction(num, den)
+        cond = [] if expr.condition is None else expr.condition.members
+        pairs = [(n, row[n] if s is None else s) for n, s in (*expr.block.members, *cond)]
+        given = pairs[len(expr.block.members):]
+        return (event(pairs) / event(given)) ** expr.exponent
+
+    return value
 
 
 def oracle_d_separated(nodes, edges, x, y, z) -> bool:

@@ -637,17 +637,32 @@ def test_istcg_output(capsys):
     assert out.strip() == "TCG: false"
 
 
-def test_graph_kind_error_names_the_command_or_method(capsys):
+def test_graph_kind_error_names_the_command_or_method(tmp_path, capsys):
     student, path3 = str(DATA / "student.model"), str(DATA / "path3_gibbs.model")
     assert run(capsys, "istcg", "--model", student) == (
         EXIT_PRECONDITION, "", "error: command 'istcg' requires an undirected graph\n"
     )
-    assert run(capsys, "factorize", "--method", "mrf", "--model", student) == (
-        EXIT_PRECONDITION, "", "error: method 'mrf' requires an undirected graph\n"
-    )
+    for method in ("tree", "mrf", "rmrf", "tcg"):
+        assert run(capsys, "factorize", "--method", method, "--model", student) == (
+            EXIT_PRECONDITION, "", f"error: method '{method}' requires an undirected graph\n"
+        )
     assert run(capsys, "factorize", "--method", "bn", "--model", path3) == (
         EXIT_PRECONDITION, "", "error: method 'bn' requires a directed graph\n"
     )
+    # chain-crf and trace take either kind: the partition identity replays with no steps
+    for model, names in ((student, "D I G S L"), (path3, "a b c")):
+        trace = tmp_path / "identity.trace.json"
+        initial = f"CR({','.join(names.split())})·" + "·".join(f"P({n})" for n in names.split())
+        trace.write_text(json.dumps({"initial": initial, "steps": []}))
+        chain = ["--method", "chain-crf", "--y", names.replace(" ", ",")]
+        for method in (chain, ["--method", "trace", "--trace", str(trace)]):
+            code, out, err = run(capsys, "factorize", *method, "--model", model, "--no-verify")
+            assert (code, err) == (EXIT_OK, "") and out
+    code, out, err = run(capsys, "factorize", "--method", "nope", "--model", student)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: argument --method: invalid choice: 'nope' (choose from ")
+    choices = err.rsplit("(choose from ", 1)[1].rstrip(")\n")
+    assert [c.strip("'") for c in choices.split(", ")] == ["bn", "tree", "chain-crf", "mrf", "rmrf", "tcg", "trace"]
 
 
 def test_indep_student(capsys):

@@ -1,9 +1,11 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfactor import (
     CPT,
@@ -45,7 +47,7 @@ from crfactor.randgen import (
     random_model,
 )
 
-from conftest import assignments, student_table
+from conftest import assignments, exact_evaluator, exact_gibbs_table, student_table
 
 
 def _assert_matches_joint(expr, table, rel=1e-9):
@@ -643,3 +645,34 @@ def test_tcg_random_models():
         result = factorize_tcg(table, g)
         _assert_matches_joint(result.expr, table)
         assert "=" not in render(result.expr)
+
+
+@st.composite
+def exact_markov_tables(draw):
+    """A graph of at most 7 nodes and the exact joint of integer potentials
+    in 1..9 on every node and edge of it, over binary variables."""
+    nodes = tuple("abcdefg"[: draw(st.integers(1, 7))])
+    edges = [e for e in itertools.combinations(nodes, 2) if draw(st.booleans())]
+    weight = st.integers(1, 9)
+    potentials = {(v,): {(s,): draw(weight) for s in range(2)} for v in nodes}
+    potentials.update({e: {s: draw(weight) for s in itertools.product(range(2), repeat=2)} for e in edges})
+    return ModelGraph("undirected", nodes, edges), exact_gibbs_table(nodes, potentials)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_markov_tables())
+def test_product_methods_equal_the_exact_joint(case):
+    """Built on the float copy of an exact Markov table, the mrf, rmrf and
+    (on a TCG) tcg products equal the exact joint at every row when
+    evaluated exactly, and eval_expr is within 1e-12 relative of it."""
+    graph, exact = case
+    table = JointTable([Variable(n, 2) for n in graph.nodes], [float(p) for p in exact.values()])
+    products = {"mrf": product_of(mrf_factorize(table, graph).values()), "rmrf": rmrf_factorize(table, graph)}
+    if is_tcg(graph):
+        products["tcg"] = factorize_tcg(table, graph).expr
+    value = exact_evaluator(exact, graph.nodes)
+    for method, expr in products.items():
+        floats = np.broadcast_to(eval_expr(expr, table, grid(table)), table.probs.shape)
+        for states, p in exact.items():
+            assert value(expr, dict(zip(graph.nodes, states))) == p, (method, states)
+            assert abs(Fraction(float(floats[states])) - p) <= p / 10**12, (method, states)

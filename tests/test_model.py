@@ -21,7 +21,7 @@ from crfactor import (
 )
 from crfactor.cli import export_dot
 from crfactor.cr import grid
-from crfactor.randgen import make_graph, random_cpts, random_gibbs_model
+from crfactor.randgen import make_graph, random_chain_conditional_table, random_cpts, random_gibbs_model
 
 from conftest import D2_NAMES, D2_PROBS, assignments, oracle_event_prob
 
@@ -237,6 +237,17 @@ def test_cpt_probs_are_read_only():
         cpt.probs[0, 0] = 0.5
     given[0, 0] = 0.5  # the caller's array stays writable, and the CPT does not see the write
     assert cpt.probs[0, 0] == 0.9
+
+
+def test_products_refuse_a_variable_named_twice():
+    """Every table built by the factor product names its variables once."""
+    twice = [Variable("a", 2), Variable("a", 2)]
+    with pytest.raises(ModelError, match=r"^duplicate variable 'a'$"):
+        build_joint_from_cpts(ModelGraph("directed", ["a"], []), {"a": CPT("a", (), [0.5, 0.5])}, twice)
+    with pytest.raises(ModelError, match=r"^duplicate variable 'a'$"):
+        GibbsModel(twice, ModelGraph("undirected", ["a"], []), {("a",): np.ones(2)}).to_joint()
+    with pytest.raises(ModelError, match=r"^duplicate variable 'b'$"):
+        random_chain_conditional_table(["a", "b"], ["b"], 0)
 
 
 def test_student_cpts_give_marginally_independent_roots(student_graph):

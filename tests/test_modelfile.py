@@ -21,7 +21,7 @@ from crfactor import (
     parse_model,
     render_model,
 )
-from crfactor.randgen import random_joint_table, random_model
+from crfactor.randgen import random_chain_conditional_table, random_joint_table, random_model
 
 from conftest import DATA
 
@@ -157,6 +157,55 @@ def test_row_errors_are_pinned(kind, rows, message):
     assert str(err.value) == message
 
 
+# The outcome of a one-row block over a binary `a` whose value is the key: a
+# joint row (a=0, a=1 unlisted), a cpt row beside "1 0.0", a potential row
+# beside "1 1.0"; "ok" or the error.
+EDGE_HEADS = {
+    "joint": ("graph undirected\nvar a 2\njoint\n", ""),
+    "cpt": ("graph directed\nvar a 2\ncpt a\n", "1 0.0\n"),
+    "potential": ("graph undirected\nvar a 2\npotential a\n", "1 1.0\n"),
+}
+JOINT_SUM = "line 3: joint probabilities sum to {}, not 1"
+CPT_SUM = "line 3: cpt rows for 'a' (parent configuration index 0) sum to {}, not 1"
+OUT = "line 4: probability {} out of range"
+POSITIVE = "line 4: potential weight must be positive, got {}"
+FINITE = "line 4: potential weight must be positive and finite, got {}"
+EDGE_OUTCOMES = {  # value: joint, cpt and potential outcome
+    "0.0": (JOINT_SUM.format("0.0"), CPT_SUM.format("0.0"), POSITIVE.format("0.0")),
+    "-0.0": (JOINT_SUM.format("0.0"), CPT_SUM.format("0.0"), POSITIVE.format("-0.0")),
+    "5e-324": (JOINT_SUM.format("5e-324"), CPT_SUM.format("5e-324"), "ok"),
+    "1.0": ("ok", "ok", "ok"),
+    "1.000000001": (JOINT_SUM.format("1.000000001"), CPT_SUM.format("1.000000001"), "ok"),
+    "1.0000000010000002": (OUT.format("1.0000000010000003"), OUT.format("1.0000000010000003"), "ok"),
+    "1.5": (OUT.format("1.5"), OUT.format("1.5"), "ok"),
+    "1.7976931348623157e+308": (OUT.format("1.7976931348623157e+308"),) * 2 + ("ok",),
+    "inf": (OUT.format("inf"), OUT.format("inf"), FINITE.format("inf")),
+    "-inf": (OUT.format("-inf"), OUT.format("-inf"), POSITIVE.format("-inf")),
+    "nan": (OUT.format("nan"), OUT.format("nan"), FINITE.format("nan")),
+    "1e309": (OUT.format("inf"), OUT.format("inf"), FINITE.format("inf")),
+}
+
+
+@pytest.mark.parametrize("kind", list(EDGE_HEADS))
+@pytest.mark.parametrize("value", list(EDGE_OUTCOMES))
+def test_both_row_paths_agree_at_the_range_edges(kind, value):
+    """A canonical row (which _Block.take reads) and the same row with a tab
+    (which _Builder.row reads) give the same bytes or the same error."""
+    head, tail = EDGE_HEADS[kind]
+
+    def outcome(row: str):
+        try:
+            model = parse_model(head + row + tail)
+        except ModelParseError as exc:
+            return str(exc)
+        return render_model(model), model.joint().probs.tobytes()
+
+    canonical, tabbed = outcome(f"0 {value}\n"), outcome(f"0\t{value}\n")
+    assert canonical == tabbed
+    expected = EDGE_OUTCOMES[value][list(EDGE_HEADS).index(kind)]
+    assert isinstance(canonical, tuple) if expected == "ok" else canonical == expected
+
+
 def test_whole_file_errors():
     with pytest.raises(ModelParseError, match="no distribution"):
         parse_model("graph undirected\nvar A 2\n")
@@ -277,18 +326,36 @@ MODEL_BYTES = {  # sha256 of the rendering, the joint's probs and each CPT's pro
     "dag:12:0.3/3": "1ad5bde3d5e907eee30991b5387005283b7e22fc35cf130cd44923e49f2d32b6",
     "dag:16:0.3/2": "f3433f07450c326b549b0558b338dbacebf3be9d1c40320d819641581c678de5",
     "dag:20:0.3/2": "bd81b20542e385951d407dfc50f2166adc29f9b5f7d4fe332678566938dcdd85",
+    "gibbs cycle:6/3": "e25e4f8ddb46fc1712520c30cfd93e8ccfa5a297931ca6888037e43d3d17f9a9",
+    "gibbs er:10:0.3/2": "9745aa21b2fa2b054815bd73e07adf38a1518fb3ee69aa3f2ddcfabf10a54b01",
+    "gibbs triangles:4/2": "216580ae8c37ef0b06234bda892c60dc54b84b8a550e21bf3f9347be87ca583d",
+    "gibbs complete:5/2": "d269be25db88f9b3704682c7c2fff856570e6ed699b0cd547ec0b3824b6aca2f",
+    "joint chain:4:6/2/0": "db86b85d59a4b5c484065387784c57fd911390f565f1bbe135f07b61bf3c0e77",
+    "joint chain:4:6/2/1": "0f9ce4693b11c787c941adb0b1d5fe79c2e7adc707303bf21cba49a48f661e73",
+    "joint chain:3:2/3/0": "14f2920ca14cdcb72d9edd7185a02cbb787c6fcbd06c9085a190f7307df281be",
 }
+
+
+def generated_text(case: str) -> str:
+    """The rendering of a generated model: "[gibbs ]spec/card" is the seed-0
+    random model (a BN without the prefix), and "joint chain:Y:X/card/seed"
+    the joint of random_chain_conditional_table over y1..yY given x1..xX."""
+    kind, _, rest = case.rpartition(" ")
+    spec, card, *seed = rest.split("/")
+    if kind != "joint":
+        return render_model(random_model(kind or "bn", spec, 0, int(card)))
+    _, ys, xs = spec.split(":")
+    y_names, x_names = [f"y{i}" for i in range(1, int(ys) + 1)], [f"x{i}" for i in range(1, int(xs) + 1)]
+    table = random_chain_conditional_table(y_names, x_names, int(seed[0]), int(card))
+    graph = ModelGraph("undirected", table.names, ())
+    return render_model(ParsedModel("joint", table.variables, graph, joint_probs=table.probs))
 
 
 @pytest.mark.parametrize("case", list(MODEL_BYTES))
 def test_parsed_models_keep_their_bytes(case):
-    """The test data files and seed-0 BN models (spec/cardinality), parsed
+    """The test data files and generated models (see generated_text), parsed
     from their renderings, keep every byte of rendering, joint and CPTs."""
-    if case.endswith(".model"):
-        text = (DATA / case).read_text()
-    else:
-        spec, card = case.split("/")
-        text = render_model(random_model("bn", spec, 0, int(card)))
+    text = (DATA / case).read_text() if case.endswith(".model") else generated_text(case)
     model = parse_model(text)
     digest = hashlib.sha256(render_model(model).encode())
     digest.update(model.joint().probs.tobytes())
