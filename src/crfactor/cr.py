@@ -12,8 +12,8 @@ evaluation assignment) or pinned to a fixed state.
 One kernel, ``evaluate``, computes the value of every CR and P term, at one
 assignment or over the table's grid. It is the semantic ground truth that
 the symbolic layer in ``expr``/``rewrites`` is tested against. (The numeric
-independence deviation in ``separation`` reads the table's cached marginals
-directly.)
+independence deviation in ``separation`` reads its P values through
+``JointTable.event_prob`` as the kernel does.)
 
 The kernel runs under its caller's ``np.errstate(all="ignore")`` (held by
 ``eval_expr``, ``cr_value`` and ``conditional_cr_value``), so an undefined row
@@ -214,15 +214,11 @@ def evaluate(
                 stepwise = _div(stepwise, p)
             value = np.where(lost, stepwise, value)
     if exponent != 1:
-        base = value
-        if np.ndim(base):  # Python's float power at each row, as at one row
-            values = list(map(_pow, base.ravel().tolist(), [exponent] * base.size))
-            value = np.array(values).reshape(base.shape)
-            finite = math.isfinite(sum(values))  # a sum that overflows only costs the checks below
-        else:
-            value = np.float64(_pow(float(base), exponent))
-            finite = math.isfinite(value)
-        if not finite:  # a zero base to a negative power reads nan, an overflow inf
+        base = np.asarray(value)  # one row is a 0-d batch
+        values = list(map(_pow, base.ravel().tolist(), [exponent] * base.size))  # Python's float power
+        value = np.array(values).reshape(base.shape)
+        # A zero base to a negative power reads nan, an overflow inf; a sum that overflows only costs the checks.
+        if not math.isfinite(sum(values)):
             _note(causes, exponent < 0 and base == 0.0, "zero raised to a negative exponent")
             overflow = (value == math.inf) & (base != math.inf)
             if _holds(overflow):  # the term's text is built only when it is needed

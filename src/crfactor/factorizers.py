@@ -155,7 +155,8 @@ def factorize_chain_crf(table: JointTable, y_order: Sequence[str]) -> FactorExpr
     x_vars = tuple(n for n in table.names if n not in set(y_order))
     cond = Block(x_vars) if x_vars else None
     if x_vars:
-        zero = (table._marginal(x_vars)[1] == 0.0).nonzero()  # row-major over x_vars
+        px = table.event_prob({x: table._grid[x] for x in x_vars})
+        zero = (px.squeeze() == 0.0).nonzero()  # row-major over x_vars: the labels' axes have length 1
         if zero[0].size:
             states = tuple(int(ix[0]) for ix in zero)
             raise PreconditionError(f"conditioning configuration {states!r} has probability zero")

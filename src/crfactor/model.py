@@ -136,30 +136,26 @@ class JointTable:
                 raise ModelError(f"assignment does not bind variable {n!r}")
         return self.event_prob({n: assignment[n] for n in self.names})
 
-    def _marginal(self, names: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
-        key = frozenset(names)
-        cached = self._marginal_cache.get(key)
-        if cached is not None:
-            return cached
-        for n in key:
-            if n not in self._axis:
-                raise ModelError(f"unknown variable {n!r}")
-        kept = tuple(v.name for v in self.variables if v.name in key)
-        drop_axes = tuple(i for i, v in enumerate(self.variables) if v.name not in key)
-        arr = np.asarray(self.probs.sum(axis=drop_axes) if drop_axes else self.probs)
-        arr.setflags(write=False)  # event_prob may return a view of it
-        result = (kept, arr)
-        self._marginal_cache[key] = result
-        return result
-
     def event_prob(self, event: Assignment):
         """P of a partial assignment (the event that each listed variable
         takes its listed state); the empty event has probability 1. A state
         is a plain int, or the variable's own axis of the table's grid (see
-        ``crfactor.cr.grid``): plain ints give one P, own axes one P per row."""
+        ``crfactor.cr.grid``): plain ints give one P, own axes one P per row.
+        The first unknown variable in the event's order is a ModelError.
+        Each marginal is summed once per table and kept read-only."""
         if not event:
             return 1.0
-        kept, arr = self._marginal(event.keys())
+        key = frozenset(event)
+        cached = self._marginal_cache.get(key)
+        if cached is None:
+            for n in event:
+                if n not in self._axis:
+                    raise ModelError(f"unknown variable {n!r}")
+            drop_axes = tuple(i for i, n in enumerate(self.names) if n not in key)
+            arr = np.asarray(self.probs.sum(axis=drop_axes) if drop_axes else self.probs)
+            arr.setflags(write=False)  # a read may return a view of it
+            cached = self._marginal_cache[key] = (tuple(n for n in self.names if n in key), arr)
+        kept, arr = cached
         own = self._grid  # over the table's own axes, read the marginal by basic indexing
         index, shape = [], [1] * len(self.variables)
         for n in kept:

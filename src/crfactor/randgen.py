@@ -134,8 +134,10 @@ def random_chain_conditional_table(
     these factors in this order. P(x) is drawn first; then, for each x
     configuration in row-major order, the row of P(y_1 | x) and the
     cardinality rows of each transition."""
-    rng = random.Random(seed)
     y_names, x_names, k = tuple(y_names), tuple(x_names), cardinality
+    if not y_names:
+        raise ModelError("need at least one chain variable")
+    rng = random.Random(seed)
     variables = [Variable(n, k) for n in y_names + x_names]
     px = _draw(rng, (k,) * len(x_names), 0.05, 1.0)
     rows = _draw(rng, (k,) * len(x_names) + (1 + (len(y_names) - 1) * k, k), 0.05, 1.0)

@@ -192,12 +192,15 @@ def _splice(node: FactorExpr, path: Sequence[int], replacement: Sequence[FactorE
     return Product(tuple(kids))
 
 
-def _target_cr(root: FactorExpr, path: Sequence[int]) -> CRTerm:
+def _target_cr(root: FactorExpr, path: Sequence[int], rule: str = "", blocks: int = 0) -> CRTerm:
+    """The CR term at `path`, of exponent 1 and, when `blocks` is set, with the one or two blocks `rule` needs."""
     node = get_node(root, path)
     if not isinstance(node, CRTerm):
         raise RewriteError(f"rewrite target at {tuple(path)!r} is not a CR term")
     if node.exponent != 1:
         raise RewriteError("rewrites target CR terms with exponent 1")
+    if blocks and len(node.blocks) != blocks:
+        raise RewriteError(f"{rule} applies to {('one', 'two')[blocks - 1]}-block CR terms")
     return node
 
 
@@ -226,9 +229,7 @@ def _rewrite(
 
 def apply_single_block(root: FactorExpr, path: Sequence[int]) -> tuple[FactorExpr, TraceStep]:
     """CR(b) = 1 for any single block b."""
-    term = _target_cr(root, path)
-    if len(term.blocks) != 1:
-        raise RewriteError("single_block applies to one-block CR terms")
+    term = _target_cr(root, path, "single_block", 1)
     return _rewrite(root, path, [], "single_block", {})
 
 
@@ -342,9 +343,7 @@ def apply_ci_reduce(
     `keep` names the retained block (0 or 1); the other block's members must
     split exactly into y and w, with w non-empty (an empty w is the plain
     independence rewrite)."""
-    term = _target_cr(root, path)
-    if len(term.blocks) != 2:
-        raise RewriteError("ci_reduce applies to two-block CR terms")
+    term = _target_cr(root, path, "ci_reduce", 2)
     if keep not in (0, 1):
         raise RewriteError("keep must be 0 or 1")
     kept = term.blocks[keep]
@@ -379,9 +378,7 @@ def apply_ci_split(
 
     `w_index` names the separator block (kept whole); the other block's
     members must split exactly into x and y."""
-    term = _target_cr(root, path)
-    if len(term.blocks) != 2:
-        raise RewriteError("ci_split applies to two-block CR terms")
+    term = _target_cr(root, path, "ci_split", 2)
     if w_index not in (0, 1):
         raise RewriteError("w_index must be 0 or 1")
     w_block = term.blocks[w_index]
@@ -420,9 +417,7 @@ def apply_ci_collapse(
     Both blocks must carry the shared variables with identical bindings.
     When either private part is empty the identity needs no certificate
     (CR(w, w y) = 1 / P(w) holds unconditionally)."""
-    term = _target_cr(root, path)
-    if len(term.blocks) != 2:
-        raise RewriteError("ci_collapse applies to two-block CR terms")
+    term = _target_cr(root, path, "ci_collapse", 2)
     b1, b2 = term.blocks
     shared = set(b1.vars) & set(b2.vars)
     if not shared:
@@ -452,7 +447,7 @@ def apply_independence(
     term = _target_cr(root, path)
     groups = tuple(b.vars for b in term.blocks)
     cert = Certificate(cert_kind, z=_cond_vars(term), groups=groups)
-    return _rewrite(root, path, [], "independence", {}, cert, ctx, validate and len(term.blocks) > 1)
+    return _rewrite(root, path, [], "independence", {}, cert, ctx, validate and len(groups) > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,10 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
     nan. Two products of small marginals, as in the textbook form,
     can both underflow to 0 with every marginal positive.
 
-    Each P is the table's cached marginal viewed on the table's own axes,
-    with length 1 where a name is summed out, never gathered or copied: a
-    row is one state of every name, which a name in several parts takes in
-    all of them."""
+    Each P is ``event_prob`` with every name at its axis of the table's
+    grid, so it has length 1 where a name is summed out and is never
+    gathered or copied: a row is one state of every name, which a name in
+    several parts takes in all of them."""
     for n in itertools.chain(*groups, z):
         table.cardinality(n)  # an unknown name raises ModelError
     parts = (z, *groups)
@@ -139,11 +139,7 @@ def _deviation(table: JointTable, groups: tuple[tuple[str, ...], ...], z: tuple[
         raise ModelError("mutual independence needs at least one variable")
 
     def p(*which):  # P(the parts `which`) on the table's axes, 1.0 for the empty event
-        names = {n for i in which for n in parts[i]}
-        if not names:
-            return 1.0
-        arr = table._marginal(names)[1]  # over its names in table order
-        return arr.reshape([table.cardinality(n) if n in names else 1 for n in table.names])
+        return table.event_prob({n: table._grid[n] for i in which for n in parts[i]})
 
     pz = p(0)
     with np.errstate(all="ignore"):

@@ -1,8 +1,8 @@
 """Shared fixtures: small hand-checkable tables, the five-node study-network
 DAG, an oracle that computes event probabilities by explicit summation,
 independent of the library's marginalization code, its exact counterpart
-over Fraction tables for products of P terms, and the two sides of the
-exchange identity as CR expressions."""
+over Fraction tables for products of CR and P terms, and the two sides of
+the exchange identity as CR expressions."""
 
 from __future__ import annotations
 
@@ -74,11 +74,29 @@ def exact_gibbs_table(nodes, potentials, cardinality: int = 2) -> dict[tuple[int
     return {states: Fraction(w, z) for states, w in weights.items()}
 
 
+def exact_bn_table(nodes, parents, weights, cardinality: int = 2) -> dict[tuple[int, ...], Fraction]:
+    """The exact joint {states: Fraction} over `nodes`, row-major, of a
+    Bayesian network: `parents` maps each node to a tuple of its parents and
+    `weights` maps it to {states over (*parents, node): integer weight}. A
+    CPT row is its weights over their sum."""
+    joint = {}
+    for states in itertools.product(range(cardinality), repeat=len(nodes)):
+        at = dict(zip(nodes, states))
+        p = Fraction(1)
+        for n in nodes:
+            pa = tuple(at[q] for q in parents[n])
+            p *= Fraction(weights[n][(*pa, at[n])], sum(weights[n][(*pa, s)] for s in range(cardinality)))
+        joint[states] = p
+    return joint
+
+
 def exact_evaluator(probs: dict[tuple[int, ...], Fraction], names: tuple[str, ...]):
     """value(expr, row): the exact value at a full assignment `row` of a
-    product of P terms over the exact table `probs`, by explicit sums. Of the
-    expression it reads only a product's `children` and a term's
-    `block.members`, `condition` and `exponent`."""
+    product of CR and P terms over the exact table `probs`, by explicit sums.
+    A CR term is read from its definition, P(b_1..b_n | c) / prod_i P(b_i | c),
+    a P term as P(b | c). Of the expression it reads only a product's
+    `children` and a term's `blocks` or `block`, each block's `members`, and
+    its `condition` and `exponent`."""
     pos = {n: i for i, n in enumerate(names)}
     marginals: dict[tuple[str, ...], dict[tuple[int, ...], Fraction]] = {}
 
@@ -103,10 +121,19 @@ def exact_evaluator(probs: dict[tuple[int, ...], Fraction], names: tuple[str, ..
                 v = value(child, row)
                 num, den = num * v.numerator, den * v.denominator
             return Fraction(num, den)
-        cond = [] if expr.condition is None else expr.condition.members
-        pairs = [(n, row[n] if s is None else s) for n, s in (*expr.block.members, *cond)]
-        given = pairs[len(expr.block.members):]
-        return (event(pairs) / event(given)) ** expr.exponent
+
+        def bound(members) -> list[tuple[str, int]]:
+            return [(n, row[n] if s is None else s) for n, s in members]
+
+        cr_blocks = getattr(expr, "blocks", None)  # a P term has one `block` instead
+        given = bound(() if expr.condition is None else expr.condition.members)
+        blocks = [bound(b.members) for b in cr_blocks or (expr.block,)]
+        p_given = event(given)
+        v = event([*given, *itertools.chain(*blocks)]) / p_given
+        if cr_blocks is not None:  # over each block's conditional probability
+            for b in blocks:
+                v /= event([*given, *b]) / p_given
+        return v**expr.exponent
 
     return value
 

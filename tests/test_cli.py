@@ -453,20 +453,36 @@ def test_verify_deeply_nested_expression_exits_parse(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_scoping_error_does_not_depend_on_the_hash_seed(tmp_path):
-    """Of two clashing sum variables, the first in text order is named,
-    whatever order the interpreter's string hashing gives a set of them."""
-    expr_file = tmp_path / "clash.txt"
-    expr_file.write_text("sum_A[sum_B[P(A B)]]·P(A)·P(B)\n")
-    argv = [sys.executable, "-m", "crfactor.cli", "verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file)]
+def _under_hash_seeds(*args: str) -> set[tuple[str, str, int]]:
+    """The distinct (stdout, stderr, exit code) of a CLI command run in
+    fresh interpreters under PYTHONHASHSEED 0 to 3."""
+    argv = [sys.executable, "-m", "crfactor.cli", *args]
     src = str(Path(crfactor.__file__).parents[1])
     procs = [
         subprocess.Popen(argv, env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for seed in range(4)
     ]
-    results = {(*p.communicate(timeout=60), p.returncode) for p in procs}
+    return {(*p.communicate(timeout=60), p.returncode) for p in procs}
+
+
+def test_scoping_error_does_not_depend_on_the_hash_seed(tmp_path):
+    """Of two clashing sum variables, the first in text order is named,
+    whatever order the interpreter's string hashing gives a set of them."""
+    expr_file = tmp_path / "clash.txt"
+    expr_file.write_text("sum_A[sum_B[P(A B)]]·P(A)·P(B)\n")
+    results = _under_hash_seeds("verify", "--model", str(DATA / "d2.model"), "--expr", str(expr_file))
     assert results == {("", "error: sum variable 'A' also occurs free outside its sum\n", EXIT_PARSE)}
+
+
+def test_unknown_variable_error_does_not_depend_on_the_hash_seed(tmp_path):
+    """Of three unknown names in one event, the first in the event's order
+    is named, whatever order string hashing gives a set of them."""
+    trace = tmp_path / "unknown.trace.json"
+    trace.write_text('{"initial": "P(Q=0 Z=0 W=0)", "steps": []}\n')
+    model = str(DATA / "d2.model")
+    results = _under_hash_seeds("factorize", "--method", "trace", "--model", model, "--trace", str(trace))
+    assert results == {("", "error: unknown variable 'Q'\n", EXIT_PARSE)}
 
 
 def test_parse_error_exit_code(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crfactor import (
     CPT,
@@ -47,7 +47,7 @@ from crfactor.randgen import (
     random_model,
 )
 
-from conftest import assignments, exact_evaluator, exact_gibbs_table, student_table
+from conftest import assignments, exact_bn_table, exact_evaluator, exact_gibbs_table, student_table
 
 
 def _assert_matches_joint(expr, table, rel=1e-9):
@@ -647,32 +647,134 @@ def test_tcg_random_models():
         assert "=" not in render(result.expr)
 
 
+# ---------------------------------------------------------------------------
+# Exact tables: each product, read over Fraction tables by the explicit-sum
+# evaluator of conftest, equals what it factorizes with no tolerance.
+
+
+def _integer_weights(scopes, card: int, weight) -> list[dict[tuple[int, ...], int]]:
+    """For each scope, {states over the scope: weight()}."""
+    return [{s: weight() for s in itertools.product(range(card), repeat=len(scope))} for scope in scopes]
+
+
+def _exact_gibbs(nodes, edges, card: int, weight):
+    """An undirected graph and the exact joint of integer potentials on
+    every node and edge of it, which is Markov for it."""
+    scopes = [*((v,) for v in nodes), *edges]
+    potentials = dict(zip(scopes, _integer_weights(scopes, card, weight)))
+    return ModelGraph("undirected", nodes, edges), card, exact_gibbs_table(nodes, potentials, card)
+
+
+def _exact_bn(nodes, edges, card: int, weight):
+    """A DAG and the exact joint of CPT rows of integer weights."""
+    graph = ModelGraph("directed", nodes, edges)
+    parents = {n: graph.parents(n) for n in nodes}
+    weights = dict(zip(nodes, _integer_weights([(*parents[n], n) for n in nodes], card, weight)))
+    return graph, card, exact_bn_table(nodes, parents, weights, card)
+
+
+def _sizes(draw) -> tuple[int, tuple[str, ...]]:
+    """A cardinality, 2 or 3, and up to 7 node names (4 at cardinality 3)."""
+    card = draw(st.sampled_from((2, 3)))
+    return card, tuple("abcdefg"[: draw(st.integers(1, 7 if card == 2 else 4))])
+
+
 @st.composite
-def exact_markov_tables(draw):
-    """A graph of at most 7 nodes and the exact joint of integer potentials
-    in 1..9 on every node and edge of it, over binary variables."""
-    nodes = tuple("abcdefg"[: draw(st.integers(1, 7))])
+def exact_markov_tables(draw, tree: bool = False):
+    """A graph (a tree if asked) and the exact joint of integer potentials
+    in 1..9 on every node and edge of it."""
+    card, nodes = _sizes(draw)
+    if tree:
+        edges = [(nodes[draw(st.integers(0, i - 1))], n) for i, n in enumerate(nodes) if i]
+    else:
+        edges = [e for e in itertools.combinations(nodes, 2) if draw(st.booleans())]
+    return _exact_gibbs(nodes, edges, card, lambda: draw(st.integers(1, 9)))
+
+
+@st.composite
+def exact_bn_tables(draw):
+    """A DAG, each edge from an earlier to a later node, and the exact joint
+    of CPT rows of integer weights in 1..9."""
+    card, nodes = _sizes(draw)
     edges = [e for e in itertools.combinations(nodes, 2) if draw(st.booleans())]
-    weight = st.integers(1, 9)
-    potentials = {(v,): {(s,): draw(weight) for s in range(2)} for v in nodes}
-    potentials.update({e: {s: draw(weight) for s in itertools.product(range(2), repeat=2)} for e in edges})
-    return ModelGraph("undirected", nodes, edges), exact_gibbs_table(nodes, potentials)
+    return _exact_bn(nodes, edges, card, lambda: draw(st.integers(1, 9)))
+
+
+@st.composite
+def exact_chain_tables(draw):
+    """2-4 binary labels y1.. and 0-2 binary conditioning variables x1..,
+    in a drawn table order, and the exact joint of integer potentials in
+    1..9 on every variable and on each pair of neighbouring labels with all
+    the conditioning variables: given X, the labels form a chain."""
+    ys = tuple(f"y{i}" for i in range(1, draw(st.integers(2, 4)) + 1))
+    xs = tuple(f"x{i}" for i in range(1, draw(st.integers(0, 2)) + 1))
+    nodes = tuple(draw(st.permutations(ys + xs)))
+    scopes = [*((v,) for v in nodes), *((a, b, *xs) for a, b in zip(ys, ys[1:]))]
+    potentials = dict(zip(scopes, _integer_weights(scopes, 2, lambda: draw(st.integers(1, 9)))))
+    return nodes, ys, exact_gibbs_table(nodes, potentials)
+
+
+def _float_copy(nodes, card: int, exact) -> JointTable:
+    return JointTable([Variable(n, card) for n in nodes], [float(p) for p in exact.values()])
+
+
+def _assert_exact(expr, table: JointTable, value, want) -> None:
+    """At every row, `expr` read exactly by `value` equals `want`, and
+    eval_expr on the float table is within 1e-12 relative of it."""
+    floats = np.broadcast_to(eval_expr(expr, table, grid(table)), table.probs.shape)
+    for states, p in want.items():
+        assert value(expr, dict(zip(table.names, states))) == p, states
+        assert abs(Fraction(float(floats[states])) - p) <= p / 10**12, states
+
+
+# Weights of the cardinality-3 cases run whatever Hypothesis draws: a path, which is a TCG, and a collider with a child.
+_WEIGHTS = (2, 7, 1, 8, 2, 8, 1, 8, 3)
 
 
 @settings(max_examples=40, deadline=None)
+@example(_exact_gibbs("abc", [("a", "b"), ("b", "c")], 3, itertools.cycle(_WEIGHTS).__next__))
 @given(exact_markov_tables())
 def test_product_methods_equal_the_exact_joint(case):
     """Built on the float copy of an exact Markov table, the mrf, rmrf and
     (on a TCG) tcg products equal the exact joint at every row when
     evaluated exactly, and eval_expr is within 1e-12 relative of it."""
-    graph, exact = case
-    table = JointTable([Variable(n, 2) for n in graph.nodes], [float(p) for p in exact.values()])
+    graph, card, exact = case
+    table = _float_copy(graph.nodes, card, exact)
     products = {"mrf": product_of(mrf_factorize(table, graph).values()), "rmrf": rmrf_factorize(table, graph)}
     if is_tcg(graph):
         products["tcg"] = factorize_tcg(table, graph).expr
     value = exact_evaluator(exact, graph.nodes)
-    for method, expr in products.items():
-        floats = np.broadcast_to(eval_expr(expr, table, grid(table)), table.probs.shape)
-        for states, p in exact.items():
-            assert value(expr, dict(zip(graph.nodes, states))) == p, (method, states)
-            assert abs(Fraction(float(floats[states])) - p) <= p / 10**12, (method, states)
+    for expr in products.values():
+        _assert_exact(expr, table, value, exact)
+
+
+@settings(max_examples=20, deadline=None)
+@given(exact_markov_tables(tree=True))
+def test_tree_product_equals_the_exact_joint(case):
+    graph, card, exact = case
+    table = _float_copy(graph.nodes, card, exact)
+    _assert_exact(factorize_tree_mn(graph), table, exact_evaluator(exact, graph.nodes), exact)
+
+
+@settings(max_examples=30, deadline=None)
+@example(_exact_bn("abcd", [("a", "c"), ("b", "c"), ("c", "d")], 3, itertools.cycle(_WEIGHTS).__next__))
+@given(exact_bn_tables())
+def test_bn_product_equals_the_exact_joint(case):
+    graph, card, exact = case
+    table = _float_copy(graph.nodes, card, exact)
+    _assert_exact(factorize_bn(graph)[0], table, exact_evaluator(exact, graph.nodes), exact)
+
+
+@settings(max_examples=20, deadline=None)
+@given(exact_chain_tables())
+def test_chain_crf_product_equals_the_exact_conditional(case):
+    """The chain-crf product equals P(Y | X), each P(X) an explicit sum."""
+    nodes, ys, exact = case
+    x_at = [i for i, n in enumerate(nodes) if n not in ys]
+    px: dict[tuple[int, ...], Fraction] = {}
+    for states, p in exact.items():
+        x = tuple(states[i] for i in x_at)
+        px[x] = px.get(x, 0) + p
+    want = {states: p / px[tuple(states[i] for i in x_at)] for states, p in exact.items()}
+    table = _float_copy(nodes, 2, exact)
+    _assert_exact(factorize_chain_crf(table, ys), table, exact_evaluator(exact, nodes), want)

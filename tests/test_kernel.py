@@ -65,6 +65,8 @@ TABLES = {
     "positive": random_joint_table(NAMES, seed=11),
     "ternary": random_joint_table(NAMES, seed=12, cardinality=3),
     "zeros": zero_table(),
+    # the edges of the float range: the least subnormal and a tiny normal cell
+    "tiny": JointTable([Variable(n, 2) for n in NAMES], [5e-324, 1e-300, 0.125, 0.125, 0.25, 0.125, 0.125, 0.25]),
 }
 
 EXPRESSIONS = (

@@ -250,6 +250,12 @@ def test_products_refuse_a_variable_named_twice():
         random_chain_conditional_table(["a", "b"], ["b"], 0)
 
 
+def test_chain_table_needs_a_chain_variable():
+    """The generator refuses an empty chain in factorize_chain_crf's words."""
+    with pytest.raises(ModelError, match=r"^need at least one chain variable$"):
+        random_chain_conditional_table([], ["x"], 0)
+
+
 def test_student_cpts_give_marginally_independent_roots(student_graph):
     from conftest import student_table
     from crfactor.model import REL_TOL

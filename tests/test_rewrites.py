@@ -411,7 +411,7 @@ def test_single_block(d3_table):
     e0 = Product((CRTerm((block("A", "B", "C"),)), PTerm(block("A"))))
     e1, _ = apply_single_block(e0, (0,))
     assert render(e1) == "P(A)"
-    with pytest.raises(RewriteError):
+    with pytest.raises(RewriteError, match="^single_block applies to one-block CR terms$"):
         apply_single_block(singleton_cr("AB"), ())
 
 
