@@ -271,10 +271,7 @@ def _parse_ci_query(text: str) -> CIQuery:
     if "_|_" not in text:
         raise ExprParseError("query must look like 'X _|_ Y | Z'")
     lhs, rest = text.split("_|_", 1)
-    if "|" in rest:
-        mid, cond = rest.split("|", 1)
-    else:
-        mid, cond = rest, ""
+    mid, _, cond = rest.partition("|")
 
     def names(part: str) -> tuple[str, ...]:
         return tuple(tok for tok in part.replace(",", " ").split() if tok)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ModelError, UndefinedCRError
-from .model import Assignment, JointTable
+from .model import Assignment, JointTable, _is_name
 
 BlockMemberSpec = Union[str, tuple[str, int]]
 
@@ -102,8 +102,8 @@ class Block:
 
 
 def _check_name(name) -> str:
-    """`name` if it is an identifier, the only valid block member name."""
-    if not isinstance(name, str) or not name.isidentifier():
+    """`name` if it is a name (see ``crfactor.model.NAME``), the only valid block member name."""
+    if not _is_name(name):
         raise ModelError(f"block member name must be an identifier, got {name!r}")
     return name
 

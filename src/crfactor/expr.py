@@ -20,14 +20,14 @@ a ``·`` separator (``*`` is accepted on input).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
 from .errors import ExprParseError, ModelError
 from .cr import Block, evaluate, settle, term_text
-from .model import Assignment, JointTable
+from .model import NAME, Assignment, JointTable, _is_name
 
 FactorExpr = Union["Const", "CRTerm", "PTerm", "Product", "Sum"]
 
@@ -83,7 +83,7 @@ class Sum:
     child: FactorExpr
 
     def __post_init__(self):
-        if not isinstance(self.over, str) or not self.over.isidentifier():
+        if not _is_name(self.over):
             raise ModelError(f"sum variable must be an identifier, got {self.over!r}")
 
 
@@ -196,7 +196,10 @@ def validate_scoping(expr: FactorExpr) -> tuple[dict[str, None], dict[str, None]
 
 
 def render(expr: FactorExpr) -> str:
-    """Deterministic textual form; ``parse_expr`` inverts it."""
+    """Deterministic textual form. ``parse_expr`` inverts it where each
+    product has two or more children, none a product: ``Product(())`` is
+    written ``1``, a one-child product as its child, and a product inside a
+    product in parentheses, which the parser flattens."""
     if isinstance(expr, Const):
         text = f"{expr.value:g}"
         return text if float(text) == expr.value else repr(expr.value)
@@ -237,9 +240,9 @@ def product_of(exprs) -> FactorExpr:
 # Parsing
 
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)
-      | (?P<name>[A-Za-z_]\w*)
+      | (?P<name>{NAME.pattern})
       | (?P<punct>[(),|\[\]=^·*-])
     )""",
     re.VERBOSE,
@@ -294,13 +297,9 @@ class _Parser:
 
     def product(self) -> FactorExpr:
         factors = [self.factor()]
-        while True:
-            kind, val, _ = self.peek()
-            if val in ("·", "*"):
-                self.next()
-                factors.append(self.factor())
-            else:
-                break
+        while self.peek()[1] in ("·", "*"):
+            self.next()
+            factors.append(self.factor())
         flat: list[FactorExpr] = []
         for f in factors:
             if isinstance(f, Product):
@@ -376,7 +375,7 @@ class _Parser:
         except ModelError as exc:
             raise ExprParseError(str(exc)) from None
 
-    def with_exponent(self, node: FactorExpr) -> FactorExpr:
+    def with_exponent(self, node: CRTerm | PTerm) -> CRTerm | PTerm:
         if self.peek()[1] != "^":
             return node
         self.next()
@@ -387,12 +386,7 @@ class _Parser:
             kind, val, off = self.next()
         if kind != "number" or "." in val or "e" in val.lower():
             raise ExprParseError(f"exponent must be an integer at offset {off}")
-        exp = sign * int(val)
-        if isinstance(node, CRTerm):
-            return CRTerm(node.blocks, node.condition, exp)
-        if isinstance(node, PTerm):
-            return PTerm(node.block, node.condition, exp)
-        raise ExprParseError("exponents apply to CR and P terms only")
+        return replace(node, exponent=sign * int(val))
 
 
 def parse_expr(text: str) -> FactorExpr:

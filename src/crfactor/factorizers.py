@@ -234,8 +234,7 @@ def mrf_factorize(
     maximal clique containing it. Requires a strictly positive table that
     passes the numeric Markov check for the graph.
     """
-    _check_markov_args(table, graph, tol)
-    pins = _default_assignment(table, default)
+    pins = _check_markov_args(table, graph, default, tol)
     maximal = graph.maximal_cliques()
     parts: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
     for c in graph.all_cliques():
@@ -262,8 +261,7 @@ def rmrf_factorize(
     by exactly that factor). Requires a strictly positive table that passes
     the numeric Markov check for the graph.
     """
-    _check_markov_args(table, graph, tol)
-    pins = _default_assignment(table, default)
+    pins = _check_markov_args(table, graph, default, tol)
     factors: list[FactorExpr] = []
     for c in graph.all_cliques():
         blanket, scope = graph.markov_blanket(c), set(c)
@@ -276,12 +274,14 @@ def rmrf_factorize(
     return expr
 
 
-def _check_markov_args(table: JointTable, graph: ModelGraph, tol: float) -> None:
+def _check_markov_args(table: JointTable, graph: ModelGraph, default: Mapping[str, int] | None, tol: float) -> dict:
     """mrf's and rmrf's argument checks, in the order they are reported:
-    is_markov's, then strict positivity."""
+    is_markov's, strict positivity, then the default states; returns
+    ``_default_assignment(table, default)``."""
     _check_markov_inputs(table, graph, tol)
     if not table.strictly_positive:
         raise PreconditionError("this factorization requires a strictly positive table")
+    return _default_assignment(table, default)
 
 
 def _check_markov(table: JointTable, tol: float, product: FactorExpr) -> None:
@@ -340,12 +340,11 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     marginals gives the factor P(V(c)) / P(separator); the final clique
     keeps P(V(root)). The table must pass the numeric Markov check.
     """
-    if set(table.names) != set(graph.nodes):
-        raise ModelError("graph nodes do not match table variables")
+    _check_markov_inputs(table, graph, tol)
     check = is_tcg(graph)
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
-    ctx = Context(graph=graph, table=table, tol=tol)  # a bad tol is a ModelError here
+    ctx = Context(graph=graph, table=table, tol=tol)
     rec = _Recorder(singleton_cr(table.names))
     factors: dict[tuple[str, ...], FactorExpr] = {}
     rem_path: tuple[int, ...] = ()

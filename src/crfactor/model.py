@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +32,16 @@ MAX_TABLE_CELLS = 2**20
 
 Assignment = Mapping[str, int]
 
+# A name: a letter or underscore, then word characters. It is the expression
+# grammar's name token, so every name the package accepts reads back from its text.
+NAME = re.compile(r"[^\W\d]\w*")
+
+
+def _is_name(name) -> bool:
+    """Whether `name` is a str that NAME matches whole: the package's one name
+    rule. For ASCII text that is str.isidentifier, which is faster to test."""
+    return isinstance(name, str) and (name.isidentifier() if name.isascii() else NAME.fullmatch(name) is not None)
+
 
 def _check_tol(tol: float) -> float:
     """`tol` if it is a finite, non-negative number; ModelError otherwise
@@ -48,7 +59,7 @@ class Variable:
     cardinality: int
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name.isidentifier():
+        if not _is_name(self.name):
             raise ModelError(f"variable name must be an identifier, got {self.name!r}")
         if not isinstance(self.cardinality, int) or self.cardinality < 2:
             raise ModelError(f"variable {self.name!r} needs cardinality >= 2, got {self.cardinality!r}")
@@ -319,23 +330,22 @@ class ModelGraph:
                    for c in itertools.combinations(mc, r)}  # r = 0 gives the empty clique
         return tuple(self.sort_nodes(s) for s in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))))
 
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
+    def _reach(self, start: Iterable[str], blocked: Iterable[str] = ()) -> set[str]:
+        """The nodes reachable from `start` (included) along edges of either
+        direction without entering `blocked`, which `start` must avoid."""
+        seen, stack = set(blocked).union(start), list(start)
         while stack:
             for m in self._adj[stack.pop()]:
                 if m not in seen:
                     seen.add(m)
                     stack.append(m)
-        return len(seen) == len(self.nodes)
+        return seen.difference(blocked)
 
     def is_tree(self) -> bool:
         return (
             self.kind == "undirected"
-            and self.is_connected()
             and len(self.edges) == len(self.nodes) - 1
+            and len(self._reach(self.nodes[:1])) == len(self.nodes)
         )
 
     def __repr__(self):

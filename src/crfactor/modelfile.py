@@ -266,10 +266,8 @@ class _Builder:
             if not 0 <= state < self.card(name):
                 raise ModelParseError(f"default state {state} out of range for {name!r}", lineno)
             self.defaults[name] = state
-        elif head in ("joint", "cpt", "potential"):
+        else:  # parse_model passes keyword lines only: joint, cpt or potential
             self.open_block(lineno, *tokens)
-        else:
-            raise ModelParseError(f"unknown directive {head!r}", lineno)
 
     def open_block(self, lineno: int, kind: str, *args: str) -> None:
         if not self.variables:

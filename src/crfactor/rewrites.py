@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from .cr import Block, _check_name
 from .errors import CertificateError, CRFactorError, RewriteError
 from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum, validate_scoping
-from .model import JointTable, ModelGraph, REL_TOL, _check_tol, _repeated
+from .model import JointTable, ModelGraph, REL_TOL, _check_tol, _is_name, _repeated
 from .separation import CIQuery, mutual_independence_deviation, separated
 
 
@@ -47,10 +47,8 @@ def _ints(value) -> bool:
 
 
 def _names(value) -> bool:
-    """Whether a JSON value is a list of identifiers (of type str exactly)."""
-    return (
-        isinstance(value, (list, tuple)) and _STR.issuperset(map(type, value)) and all(map(str.isidentifier, value))
-    )
+    """Whether a JSON value is a list of names (of type str exactly)."""
+    return isinstance(value, (list, tuple)) and _STR.issuperset(map(type, value)) and all(map(_is_name, value))
 
 
 def _of_kind(value, kind: str) -> bool:
@@ -58,7 +56,7 @@ def _of_kind(value, kind: str) -> bool:
     if kind == "int":
         return type(value) is int
     if kind == "name":
-        return type(value) is str and value.isidentifier()
+        return type(value) is str and _is_name(value)
     return _ints(value) if kind == "int list" else _names(value)
 
 

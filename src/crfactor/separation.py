@@ -79,27 +79,13 @@ def d_separated(dag: ModelGraph, query: CIQuery) -> bool:
 
 
 def u_separated(graph: ModelGraph, query: CIQuery) -> bool:
-    """Whether removing z disconnects x from y in an undirected graph. The
-    query's names are checked once; the walk reads the graph's own
-    neighbour lists."""
+    """Whether removing z disconnects x from y in an undirected graph: no
+    node of y is reachable from x without entering z."""
     if graph.kind != "undirected":
         raise ModelError("vertex separation requires an undirected graph")
     for n in query.x + query.y + query.z:
         graph.declaration_index(n)
-    adj = graph._adj
-    y = set(query.y)
-    seen = set(query.x)
-    seen.update(query.z)  # z is never entered
-    frontier = list(query.x)
-    while frontier:
-        n = frontier.pop()
-        if n in y:
-            return False
-        for m in adj[n]:
-            if m not in seen:
-                seen.add(m)
-                frontier.append(m)
-    return True
+    return graph._reach(query.x, query.z).isdisjoint(query.y)
 
 
 def separated(graph: ModelGraph, query: CIQuery) -> bool:

@@ -91,13 +91,17 @@ def exact_bn_table(nodes, parents, weights, cardinality: int = 2) -> dict[tuple[
 
 
 def exact_evaluator(probs: dict[tuple[int, ...], Fraction], names: tuple[str, ...]):
-    """value(expr, row): the exact value at a full assignment `row` of a
-    product of CR and P terms over the exact table `probs`, by explicit sums.
-    A CR term is read from its definition, P(b_1..b_n | c) / prod_i P(b_i | c),
-    a P term as P(b | c). Of the expression it reads only a product's
-    `children` and a term's `blocks` or `block`, each block's `members`, and
-    its `condition` and `exponent`."""
+    """value(expr, row): the exact value at a full assignment `row` of an
+    expression over the exact table `probs`, by explicit sums. A CR term is
+    read from its definition, P(b_1..b_n | c) / prod_i P(b_i | c), a P term
+    as P(b | c), a constant as its value and a sum as its child summed over
+    every state of its variable, which shadows the row's. Of the expression
+    it reads only a constant's `value`, a sum's `over` and `child`, a
+    product's `children` and a term's `blocks` or `block`, each block's
+    `members`, and its `condition` and `exponent`. A row where a term
+    divides by zero raises ZeroDivisionError."""
     pos = {n: i for i, n in enumerate(names)}
+    cards = {n: 1 + max(row[i] for row in probs) for n, i in pos.items()}
     marginals: dict[tuple[str, ...], dict[tuple[int, ...], Fraction]] = {}
 
     def event(pairs) -> Fraction:
@@ -114,6 +118,10 @@ def exact_evaluator(probs: dict[tuple[int, ...], Fraction], names: tuple[str, ..
         return marginals[key].get(tuple(states[n] for n in key), Fraction(0))
 
     def value(expr, row: dict[str, int]) -> Fraction:
+        if hasattr(expr, "value"):  # a constant
+            return Fraction(expr.value)
+        if hasattr(expr, "over"):  # a sum
+            return sum((value(expr.child, {**row, expr.over: s}) for s in range(cards[expr.over])), Fraction(0))
         children = getattr(expr, "children", None)
         if children is not None:  # a product: multiply numerators and denominators, reduce once
             num = den = 1

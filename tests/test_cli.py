@@ -702,6 +702,34 @@ def test_indep_undirected(capsys):
     assert out.splitlines() == ["u-separated: true", "numeric-ci: true"]
 
 
+def test_indep_query_without_a_condition(capsys):
+    code, out, err = run(capsys, "indep", "--model", str(DATA / "path3_gibbs.model"), "--query", "a _|_ b")
+    assert (code, out, err) == (EXIT_OK, "u-separated: false\n", "")
+
+
+NAME_MODEL = "graph undirected\nvar {n} 2\nvar c 2\nedge {n} c\njoint\n0 0 0.4\n0 1 0.1\n1 0 0.2\n1 1 0.3\n"
+
+
+def test_a_factorization_reads_back_for_verify(tmp_path, capsys):
+    """A name with a letter outside ASCII is printed by factorize and read by verify."""
+    model, printed = tmp_path / "e.model", tmp_path / "e.expr"
+    model.write_text(NAME_MODEL.format(n="é"), encoding="utf-8")
+    code, out, _ = run(capsys, "factorize", "--method", "tree", "--no-verify", "--model", str(model))
+    assert (code, out) == (EXIT_OK, "CR(é,c)·P(é)·P(c)\n")
+    printed.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--model", str(model), "--expr", str(printed))
+    assert (code, err) == (EXIT_OK, "") and out.startswith("verification: pass  assignments=4")
+
+
+@pytest.mark.parametrize("name", ["a·b", "℘", "e\u0301"])
+def test_a_name_the_grammar_cannot_read_is_refused_where_declared(name, tmp_path, capsys):
+    """factorize would print such a name in a product that verify cannot parse."""
+    model = tmp_path / "bad.model"
+    model.write_text(NAME_MODEL.format(n=name), encoding="utf-8")
+    got = run(capsys, "factorize", "--method", "tree", "--model", str(model))
+    assert got == (EXIT_PARSE, "", f"error: line 2: variable name must be an identifier, got {name!r}\n")
+
+
 def test_indep_bad_query(capsys):
     code, _, err = run(
         capsys, "indep", "--model", str(DATA / "student.model"), "--query", "D I G"

@@ -45,6 +45,21 @@ def test_block_validation():
     assert str(block("A", ("B", 0))) == "A B=0"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: block("A", ("B", 0)).restrict(["C"]), "a block needs at least one member"),
+        (lambda: Block(["A", "a·b"]), "block member name must be an identifier, got 'a·b'"),
+        (lambda: Block([("1A", 0)]), "block member name must be an identifier, got '1A'"),
+        (lambda: Block([(3, None)]), "block member name must be an identifier, got 3"),
+    ],
+)
+def test_block_guards(call, message):
+    with pytest.raises(ModelError) as err:
+        call()
+    assert str(err.value) == message
+
+
 PICKLE_CHILD = """
 import pickle, sys
 from crfactor import block

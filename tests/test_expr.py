@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crfactor import (
     Block,
@@ -13,6 +13,7 @@ from crfactor import (
     Product,
     Sum,
     UndefinedCRError,
+    Variable,
     block,
     cr_value,
     eval_expr,
@@ -22,6 +23,7 @@ from crfactor import (
 )
 from crfactor.cr import grid
 from crfactor.expr import validate_scoping
+from crfactor.rewrites import singleton_cr
 from crfactor.randgen import random_joint_table
 
 from conftest import assignments
@@ -99,6 +101,9 @@ def test_node_validation():
         (Const(0.1234567), "0.1234567"),
         (Const(123456789), "123456789.0"),
         (Const(-0.0), "0"),
+        (Product(()), "1"),
+        (Product((PTerm(block("A")),)), "P(A)"),
+        (Product((Product((PTerm(block("A")), PTerm(block("B")))), PTerm(block("C")))), "(P(A)·P(B))·P(C)"),
     ],
 )
 def test_render_exact(expr, text):
@@ -165,6 +170,40 @@ def test_parse_errors(text):
     with pytest.raises(ExprParseError) as info:
         parse_expr(text)
     assert "None" not in str(info.value)  # the end of the text is named "end of input"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validate_scoping("P(A)"), ModelError, "not a factor expression: 'P(A)'"),
+        (lambda: render(block("A")), ModelError, "not a factor expression: Block([('A', None)])"),
+        (lambda: parse_expr("P(a a)"), ExprParseError, "variable 'a' appears twice in one block"),
+        (lambda: Sum("a·b", PTerm(block("A"))), ModelError, "sum variable must be an identifier, got 'a·b'"),
+    ],
+)
+def test_expression_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _accepted(name: str) -> bool:
+    try:
+        Variable(name, 2)
+    except ModelError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=3) | st.from_regex(r"[^\W\d]\w*", fullmatch=True), min_size=1, max_size=4))
+@example(["é", "a·b", "℘", "e\u0301"])
+def test_every_name_a_variable_takes_reads_back(names):
+    """The text of CR over any names Variable accepts parses back to it."""
+    names = [n for n in names if _accepted(n)]
+    assume(names)
+    term = singleton_cr(names)
+    assert parse_expr(render(term)) == term
 
 
 def test_parse_rejects_ambiguous_sum_scope():

@@ -531,6 +531,26 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
     assert is_markov(table, cycle, tol=1) and not is_markov(table, path, tol=0)  # ints are tolerances too
 
 
+_PATH3 = make_graph("path:3")
+_PATH3_GIBBS = random_gibbs_model(_PATH3, seed=1).to_joint()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: factorize_bn(_PATH3), "BN factorization requires a directed graph"),
+        (lambda: factorize_tree_mn(make_graph("chain:3")), "tree factorization requires an undirected graph"),
+        (lambda: mrf_factorize(_PATH3_GIBBS, _PATH3, {"b": 2}), "default state 2 out of range for 'b'"),
+        (lambda: rmrf_factorize(_PATH3_GIBBS, _PATH3, {"b": -1}), "default state -1 out of range for 'b'"),
+        (lambda: hc_potential(_PATH3_GIBBS, ("a", "b", "a")), "duplicate variable in clique"),
+    ],
+)
+def test_factorizers_refuse_bad_arguments(call, message):
+    with pytest.raises(ModelError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("state", ["1", 1.0, None, np.int64(1), True])
 def test_non_int_default_state_is_a_model_error(state):
     g = make_graph("path:3")

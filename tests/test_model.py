@@ -1,9 +1,12 @@
 import itertools
 import random
+import re
+import string
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfactor import (
     CPT,
@@ -33,6 +36,35 @@ def test_variable_validation():
         Variable("x", 1)
 
 
+@pytest.mark.parametrize("name", ["é", "_x1", "Zé_2", "ǅ"])
+def test_variable_names_follow_the_name_rule(name):
+    """A name is a letter or underscore, then word characters: the
+    expression grammar's name token."""
+    assert Variable(name, 2).name == name
+
+
+@pytest.mark.parametrize("name", ["a·b", "℘", "e\u0301", "a\u0301b", "1a", "a b", "", 3])
+def test_names_the_grammar_cannot_read_are_refused(name):
+    """Middle dots, Other_ID_Start symbols and combining marks pass
+    str.isidentifier, but no name token holds them."""
+    with pytest.raises(ModelError) as err:
+        Variable(name, 2)
+    assert str(err.value) == f"variable name must be an identifier, got {name!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=4) | st.text(alphabet=string.printable, max_size=4))
+def test_a_name_is_exactly_a_name_token(name):
+    """Variable takes a name when the grammar's name token, a letter or
+    underscore then word characters, matches all of it, and refuses it otherwise."""
+    try:
+        Variable(name, 2)
+    except ModelError:
+        assert re.fullmatch(r"[^\W\d]\w*", name) is None
+    else:
+        assert re.fullmatch(r"[^\W\d]\w*", name) is not None
+
+
 def test_joint_table_invariants(d2_table):
     assert d2_table.strictly_positive
     assert abs(float(d2_table.probs.sum()) - 1.0) <= 1e-12
@@ -59,6 +91,41 @@ def test_joint_table_invariants(d2_table):
     owned = JointTable(a, given)
     given[0] = 0.0  # the table holds its own copy
     assert owned.probs[0] == 0.25 and given.flags.writeable and not owned.probs.flags.writeable
+
+
+_AB = [Variable("a", 2), Variable("b", 2)]
+_DAG = ModelGraph("directed", ["a", "b"], [("a", "b")])
+_UNDIRECTED = ModelGraph("undirected", ["a", "b"], [("a", "b")])
+_CPT_A = CPT("a", (), [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: JointTable([], [1.0]), "a joint table needs at least one variable"),
+        (lambda: JointTable([Variable("a", 2)], [0.25] * 4), "probability array shape (4,) does not match (2,)"),
+        (lambda: JointTable(_AB, np.full((2, 2), 0.25)).prob({"a": 0}), "assignment does not bind variable 'b'"),
+        (lambda: ModelGraph("undirected", ["a", "b", "a"], []), "duplicate node 'a'"),
+        (lambda: ModelGraph("undirected", ["a", "b"], [("a", "b"), ("b", "a")]), "duplicate edge ('b', 'a')"),
+        (lambda: _UNDIRECTED.parents("a"), "parents() requires a directed graph"),
+        (lambda: _UNDIRECTED.topological_order(), "topological order requires a directed graph"),
+        (lambda: _DAG.markov_blanket(["a"]), "markov_blanket() requires an undirected graph"),
+        (lambda: _DAG.maximal_cliques(), "maximal cliques require an undirected graph"),
+        (lambda: build_joint_from_cpts(_UNDIRECTED, {"a": _CPT_A}, _AB), "CPT models require a directed graph"),
+        (lambda: build_joint_from_cpts(_DAG, {"a": _CPT_A}, _AB[:1]), "variables do not match graph nodes"),
+        (lambda: build_joint_from_cpts(_DAG, {"a": _CPT_A}, _AB), "missing CPT for node 'b'"),
+        (lambda: build_joint_from_cpts(_DAG, {"a": CPT("a", (), [0.2, 0.3, 0.5]), "b": CPT("b", ("a",), np.eye(2))},
+                                       _AB), "CPT for 'a' has shape (3,), expected (2,)"),
+        (lambda: GibbsModel(_AB, _DAG, {}), "Gibbs models require an undirected graph"),
+        (lambda: GibbsModel(_AB[:1], _UNDIRECTED, {}), "variables do not match graph nodes"),
+        (lambda: GibbsModel(_AB, _UNDIRECTED, {(): np.ones(())}), "potential with empty scope"),
+        (lambda: GibbsModel(_AB, _UNDIRECTED, {("a",): np.ones(3)}), "potential over ('a',) has wrong shape"),
+    ],
+)
+def test_tables_and_graphs_refuse_bad_arguments(call, message):
+    with pytest.raises(ModelError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_marginal_uniform_coins(coins_table):

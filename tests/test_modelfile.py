@@ -89,6 +89,15 @@ def test_malformed_edge_has_line_number():
         ("graph undirected\nvar A 2\n", None, "model has no distribution block"),
         ("graph directed\nvar A 2\npotential A\n0 1.0\n1 1.0\n", None, "potential models require an undirected graph"),
         ("graph undirected\nvar A 2\ncpt A\n0 0.5\n1 0.5\n", None, "cpt models require a directed graph"),
+        ("graph undirected\nvar A 2\njoint x\n", 3, "line 3: 'joint' takes no arguments"),
+        ("graph directed\nvar a 2\ncpt\n", 3, "line 3: expected 'cpt <node>'"),
+        ("graph directed\nvar a 2\nvar b 2\ncpt a b\n", 4, "line 4: expected 'cpt <node>'"),
+        ("graph undirected\nvar A 2\npotential\n", 3, "line 3: a potential needs at least one variable"),
+        ("graph undirected\nvar a 2\npotential a a\n", 3, "line 3: duplicate variable in potential scope"),
+        # names that str.isidentifier takes but the expression grammar cannot read
+        ("graph undirected\nvar c 2\nvar a·b 2\n", 3, "line 3: variable name must be an identifier, got 'a·b'"),
+        ("graph undirected\nvar ℘ 2\n", 2, "line 2: variable name must be an identifier, got '℘'"),
+        ("graph undirected\nvar e\u0301 2\n", 2, "line 2: variable name must be an identifier, got 'e\u0301'"),
     ],
 )
 def test_parse_errors(text, line, fragment):
@@ -274,6 +283,23 @@ def test_render_round_trip(name):
     assert np.allclose(again.joint().probs, model.joint().probs, rtol=1e-12, atol=1e-15)
     # canonical text is a fixed point
     assert render_model(again) == text
+
+
+def test_render_round_trip_keeps_the_default_states():
+    model = random_model("gibbs", "path:3", seed=1)
+    model.defaults = {"c": 1, "a": 1}
+    text = render_model(model)
+    assert "\nedge b c\ndefault a 1\ndefault c 1\npotential a b\n" in text  # in declaration order
+    again = parse_model(text)
+    assert again.defaults == {"a": 1, "c": 1}
+    assert again.default_assignment() == {"a": 1, "b": 0, "c": 1}
+    assert render_model(again) == text
+
+
+def test_random_model_refuses_an_unknown_kind():
+    with pytest.raises(ModelError) as err:
+        random_model("joint", "path:3", seed=0)
+    assert str(err.value) == "unknown random model kind 'joint'"
 
 
 def _block_rows(text: str) -> dict[str, list[tuple[tuple[int, ...], float]]]:

@@ -1,11 +1,12 @@
 import inspect
+import itertools
 import json
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from crfactor import rewrites
 from crfactor import (
@@ -46,7 +47,9 @@ from crfactor.cr import grid
 from crfactor.randgen import random_gibbs_model, random_joint_table, make_graph
 from crfactor.rewrites import RULES, validate_certificate
 
-from conftest import assignments, oracle_cr, D3_NAMES, D3_PROBS
+from conftest import (
+    D3_NAMES, D3_PROBS, assignments, exact_evaluator, exact_gibbs_table, oracle_cr, oracle_u_separated,
+)
 
 A000 = {"A": 0, "B": 0, "C": 0}
 
@@ -522,33 +525,43 @@ def test_factorize_tcg_steps_pass_the_json_boundary(spec):
     assert _json_round_trip(trace) == trace
 
 
+def _certificate_free_step(draw, names, card: int) -> tuple[CRTerm, str, dict]:
+    """A CR term over the first k of `names` (at least one name stays
+    outside it) in drawn blocks, each member free or pinned, under a
+    condition on some outside names or none, and a certificate-free rule
+    with params that apply to it."""
+    k = draw(st.integers(1, len(names) - 1))
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+    blocks = tuple(_pinned(draw, names[a:b], card) for a, b in zip([0, *cuts], [*cuts, k]))
+    m = len(blocks)
+    rule = draw(st.sampled_from(["duplicate", "condition"] + (["bipartition", "merge"] if m > 1 else ["single_block"])))
+    outside = draw(st.sets(st.sampled_from(names[k:])))
+    cond = _pinned(draw, [v for v in names if v in outside], card) if outside and rule != "condition" else None
+    if rule == "bipartition":
+        left = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)))
+        params = {"left": left, "right": [i for i in range(m) if i not in left]}
+    elif rule == "merge":
+        params = dict(zip("ij", draw(st.permutations(range(m)))))
+    elif rule == "duplicate":
+        params = {"index": draw(st.integers(0, m - 1))}
+    elif rule == "condition":
+        params = {"over": draw(st.sampled_from(names[k:]))}
+    else:
+        params = {}
+    return CRTerm(blocks, cond), rule, params
+
+
+def _pinned(draw, names, card: int) -> Block:
+    """A block of `names`, in order, each free or pinned to a drawn state."""
+    return Block([(n, draw(st.none() | st.integers(0, card - 1))) for n in names])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_certificate_free_rewrites_preserve_value_and_round_trip(data):
     n, card = data.draw(st.integers(3, 4)), data.draw(st.integers(2, 3))
     table = random_joint_table("ABCD"[:n], seed=data.draw(st.integers(0, 999)), cardinality=card)
-    names = data.draw(st.permutations(table.names))
-    k = data.draw(st.integers(1, n - 1))  # the term's variables; at least one stays outside it
-    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
-    pins = {v: data.draw(st.none() | st.integers(0, card - 1)) for v in names}
-    blocks = tuple(Block([(v, pins[v]) for v in names[a:b]]) for a, b in zip([0, *cuts], [*cuts, k]))
-    m = len(blocks)
-    rules = ["duplicate", "condition"] + (["bipartition", "merge"] if m > 1 else ["single_block"])
-    rule = data.draw(st.sampled_from(rules))
-    outside = data.draw(st.sets(st.sampled_from(names[k:])))
-    cond = Block([(v, pins[v]) for v in names if v in outside]) if outside and rule != "condition" else None
-    if rule == "bipartition":
-        left = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)))
-        params = {"left": left, "right": [i for i in range(m) if i not in left]}
-    elif rule == "merge":
-        params = dict(zip("ij", data.draw(st.permutations(range(m)))))
-    elif rule == "duplicate":
-        params = {"index": data.draw(st.integers(0, m - 1))}
-    elif rule == "condition":
-        params = {"over": data.draw(st.sampled_from(names[k:]))}
-    else:
-        params = {}
-    e0 = CRTerm(blocks, cond)
+    e0, rule, params = _certificate_free_step(data.draw, data.draw(st.permutations(table.names)), card)
     e1, step = getattr(rewrites, f"apply_{rule}")(e0, (), **params)
     rows = grid(table)
     np.testing.assert_allclose(eval_expr(e1, table, rows), eval_expr(e0, table, rows), rtol=1e-9)
@@ -632,3 +645,108 @@ def test_independence_of_three_groups_needs_every_pair_separated():
         apply_independence(expr, (), "graph", ctx=Context(graph=dag))
     apart = ModelGraph("directed", ("a", "b", "c"), [])
     assert render(apply_independence(expr, (), "graph", ctx=Context(graph=apart))[0]) == "1"
+
+
+# ---------------------------------------------------------------------------
+# Exact tables: a rewrite keeps the exact value of its term, read by the
+# explicit-sum evaluator of conftest over a Fraction table, at every row where
+# both sides are defined; a certificate rule wherever its graph certificate
+# holds in the graph that generated the table.
+
+
+@st.composite
+def exact_markov_cases(draw):
+    """3 to 7 nodes (4 at cardinality 3) in a drawn order, a graph over
+    them and the exact joint of integer potentials in 1..9 on every node and
+    edge of it, which is Markov for it."""
+    card = draw(st.sampled_from((2, 3)))
+    nodes = tuple("abcdefg"[: draw(st.integers(3, 7 if card == 2 else 4))])
+    edges = [e for e in itertools.combinations(nodes, 2) if draw(st.booleans())]
+    potentials = {
+        scope: {s: draw(st.integers(1, 9)) for s in itertools.product(range(card), repeat=len(scope))}
+        for scope in [*((v,) for v in nodes), *edges]
+    }
+    return nodes, edges, card, exact_gibbs_table(nodes, potentials, card), draw(st.permutations(nodes))
+
+
+def _assert_exact_value_kept(before, after, nodes, exact) -> None:
+    value = exact_evaluator(exact, nodes)
+
+    def defined(expr, row):
+        try:
+            return value(expr, row)
+        except ZeroDivisionError:
+            return None
+
+    for states in exact:
+        row = dict(zip(nodes, states))
+        want, got = defined(before, row), defined(after, row)
+        if want is not None and got is not None:
+            assert got == want, row
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_markov_cases(), st.data())
+def test_certificate_free_rewrites_keep_the_exact_value(case, data):
+    nodes, _, card, exact, order = case
+    before, rule, params = _certificate_free_step(data.draw, order, card)
+    after, _ = getattr(rewrites, f"apply_{rule}")(before, (), **params)
+    _assert_exact_value_kept(before, after, nodes, exact)
+
+
+def _certified(cert, nodes, edges) -> bool:
+    """Whether the graph holds `cert` as validate_certificate reads it, by
+    the oracle: each pair of groups, less z's names, is separated by z."""
+    if cert is None:
+        return True
+    groups, z = cert.groups or (cert.x, cert.y), set(cert.z)
+    sides = [set(g) - z for g in groups]
+    return all(
+        not a & b and oracle_u_separated(nodes, edges, a, b, z) for a, b in itertools.combinations(sides, 2) if a and b
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_markov_cases(), st.sampled_from(["ci_reduce", "ci_split", "ci_collapse", "independence"]), st.data())
+def test_certificate_rewrites_keep_the_exact_value_where_the_graph_certifies(case, rule, data):
+    """The certificate (x ⊥ y | w, condition) of a drawn x: its neighbours
+    less y go to w or to the condition, so it mostly holds. The oracle
+    checks it all the same, and the value is compared only where it holds."""
+    nodes, edges, card, exact, order = case
+    draw = data.draw
+    adjacent = set(map(frozenset, edges))
+    x = list(order[: draw(st.integers(1, 2))])
+    near = [n for n in order if n not in x and any(frozenset((n, v)) in adjacent for v in x)]
+    far = [n for n in order if n not in x and n not in near]
+    y = draw(st.lists(st.sampled_from(far or near), min_size=1, max_size=2, unique=True))
+    spare = [n for n in order if n not in x and n not in y]
+    where = {n: draw(st.sampled_from(("w", "cond") if n in near else ("w", "cond", None))) for n in spare}
+    w = [n for n in spare if where[n] == "w"]
+    z = [n for n in spare if where[n] == "cond"]
+    if rule == "independence":  # no w: the condition holds all of x's separator
+        z = w + z
+        term = CRTerm((_pinned(draw, x, card), _pinned(draw, y, card)), _pinned(draw, z, card) if z else None)
+        after, step = apply_independence(term, (), validate=False)
+    else:  # w needs a node: one more name in z keeps x and y apart
+        assume(spare)
+        w = w or [spare[0]]
+        z = [n for n in z if n not in w]
+        cond = _pinned(draw, z, card) if z else None
+        side = draw(st.integers(0, 1))
+        if rule == "ci_reduce":
+            kept, other = _pinned(draw, x, card), _pinned(draw, draw(st.permutations(y + w)), card)
+            term = CRTerm((kept, other) if side == 0 else (other, kept), cond)
+            after, step = apply_ci_reduce(term, (), side, y, w, validate=False)
+        elif rule == "ci_split":
+            sep, xy = _pinned(draw, draw(st.permutations(w)), card), _pinned(draw, draw(st.permutations(x + y)), card)
+            term = CRTerm((sep, xy) if side == 0 else (xy, sep), cond)
+            after, step = apply_ci_split(term, (), side, x, y, validate=False)
+        else:
+            shared = _pinned(draw, w, card).members
+            term = CRTerm((Block([*shared, *_pinned(draw, x, card).members]),
+                           Block([*shared, *_pinned(draw, y, card).members])), cond)
+            after, step = apply_ci_collapse(term, (), validate=False)
+    certified = _certified(step.certificate, nodes, edges)
+    event(f"{rule}: certified" if certified else f"{rule}: not certified")
+    if certified:
+        _assert_exact_value_kept(term, after, nodes, exact)

@@ -16,6 +16,7 @@ from crfactor import (
     ci_deviation,
     d_separated,
     eval_expr,
+    factorize_tcg,
     is_markov,
     mutual_independence_deviation,
     u_separated,
@@ -77,6 +78,28 @@ def test_d_separation_collider_descendant():
 def test_d_separation_requires_dag():
     with pytest.raises(ModelError):
         d_separated(make_graph("path:3"), CIQuery(("a",), ("c",), ("b",)))
+
+
+_PATH3_TABLE = random_joint_table(("a", "b", "c"), seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: u_separated(make_graph("chain:3"), CIQuery(("a",), ("c",), ("b",))),
+         "vertex separation requires an undirected graph"),
+        (lambda: is_markov(_PATH3_TABLE, make_graph("chain:3")), "the Markov check requires an undirected graph"),
+        (lambda: factorize_tcg(_PATH3_TABLE, make_graph("chain:3")), "the Markov check requires an undirected graph"),
+        (lambda: is_markov(_PATH3_TABLE, make_graph("path:4")), "graph nodes do not match table variables"),
+        (lambda: factorize_tcg(_PATH3_TABLE, make_graph("path:2")), "graph nodes do not match table variables"),
+    ],
+)
+def test_graph_checks_refuse_the_wrong_graph(call, message):
+    """Vertex separation and the Markov gate, through is_markov and
+    factorize_tcg, refuse a graph of the wrong kind or over other names."""
+    with pytest.raises(ModelError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_u_separation_examples(fig4_graph):
