@@ -234,7 +234,8 @@ def mrf_factorize(
     maximal clique containing it. Requires a strictly positive table that
     passes the numeric Markov check for the graph.
     """
-    pins = _check_markov_args(table, graph, default, tol)
+    _check_markov_args(table, graph, tol)
+    pins = _default_assignment(table, default)
     maximal = graph.maximal_cliques()
     parts: dict[tuple[str, ...], list[FactorExpr]] = {mc: [] for mc in maximal}
     for c in graph.all_cliques():
@@ -261,7 +262,8 @@ def rmrf_factorize(
     by exactly that factor). Requires a strictly positive table that passes
     the numeric Markov check for the graph.
     """
-    pins = _check_markov_args(table, graph, default, tol)
+    _check_markov_args(table, graph, tol)
+    pins = _default_assignment(table, default)
     factors: list[FactorExpr] = []
     for c in graph.all_cliques():
         blanket, scope = graph.markov_blanket(c), set(c)
@@ -274,14 +276,12 @@ def rmrf_factorize(
     return expr
 
 
-def _check_markov_args(table: JointTable, graph: ModelGraph, default: Mapping[str, int] | None, tol: float) -> dict:
+def _check_markov_args(table: JointTable, graph: ModelGraph, tol: float) -> None:
     """mrf's and rmrf's argument checks, in the order they are reported:
-    is_markov's, strict positivity, then the default states; returns
-    ``_default_assignment(table, default)``."""
+    is_markov's, then strict positivity."""
     _check_markov_inputs(table, graph, tol)
     if not table.strictly_positive:
         raise PreconditionError("this factorization requires a strictly positive table")
-    return _default_assignment(table, default)
 
 
 def _check_markov(table: JointTable, tol: float, product: FactorExpr) -> None:

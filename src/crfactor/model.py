@@ -38,9 +38,8 @@ NAME = re.compile(r"[^\W\d]\w*")
 
 
 def _is_name(name) -> bool:
-    """Whether `name` is a str that NAME matches whole: the package's one name
-    rule. For ASCII text that is str.isidentifier, which is faster to test."""
-    return isinstance(name, str) and (name.isidentifier() if name.isascii() else NAME.fullmatch(name) is not None)
+    """Whether `name` is a str that NAME matches whole: the package's one name rule."""
+    return isinstance(name, str) and NAME.fullmatch(name) is not None
 
 
 def _check_tol(tol: float) -> float:

@@ -43,21 +43,11 @@ def test_block_validation():
         with pytest.raises(ModelError, match="pinned state for 'A' must be a non-negative integer"):
             Block([("A", state)])
     assert str(block("A", ("B", 0))) == "A B=0"
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: block("A", ("B", 0)).restrict(["C"]), "a block needs at least one member"),
-        (lambda: Block(["A", "a·b"]), "block member name must be an identifier, got 'a·b'"),
-        (lambda: Block([("1A", 0)]), "block member name must be an identifier, got '1A'"),
-        (lambda: Block([(3, None)]), "block member name must be an identifier, got 3"),
-    ],
-)
-def test_block_guards(call, message):
-    with pytest.raises(ModelError) as err:
-        call()
-    assert str(err.value) == message
+    with pytest.raises(ModelError, match="^a block needs at least one member$"):
+        block("A", ("B", 0)).restrict(["C"])
+    for member, shown in (("a·b", "'a·b'"), (("1A", 0), "'1A'"), ((3, None), "3")):
+        with pytest.raises(ModelError, match=f"^block member name must be an identifier, got {shown}$"):
+            Block(["A", member])
 
 
 PICKLE_CHILD = """
