@@ -29,7 +29,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ModelError, UndefinedCRError
-from .model import Assignment, JointTable, _is_name
+from .model import Assignment, JointTable, _check_name
 
 BlockMemberSpec = Union[str, tuple[str, int]]
 
@@ -51,11 +51,13 @@ class Block:
         for m in members:
             if isinstance(m, str):
                 name, state = m, None
-            else:
+            elif isinstance(m, tuple) and len(m) == 2:
                 name, state = m
                 if state is not None and (type(state) is not int or state < 0):  # a bool would render as A=True
                     raise ModelError(f"pinned state for {name!r} must be a non-negative integer")
-            _check_name(name)
+            else:
+                raise ModelError(f"block member must be a name or a (name, state) pair, got {m!r}")
+            _check_name(name, "block member name")
             if name in seen:
                 raise ModelError(f"variable {name!r} appears twice in one block")
             seen.add(name)
@@ -99,13 +101,6 @@ class Block:
 
     def __repr__(self):
         return f"Block({list(self.members)!r})"
-
-
-def _check_name(name) -> str:
-    """`name` if it is a name (see ``crfactor.model.NAME``), the only valid block member name."""
-    if not _is_name(name):
-        raise ModelError(f"block member name must be an identifier, got {name!r}")
-    return name
 
 
 def block(*members: BlockMemberSpec) -> Block:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ExprParseError, ModelError
 from .cr import Block, evaluate, settle, term_text
-from .model import NAME, Assignment, JointTable, _is_name
+from .model import NAME, Assignment, JointTable, _check_name
 
 FactorExpr = Union["Const", "CRTerm", "PTerm", "Product", "Sum"]
 
@@ -83,8 +83,7 @@ class Sum:
     child: FactorExpr
 
     def __post_init__(self):
-        if not _is_name(self.over):
-            raise ModelError(f"sum variable must be an identifier, got {self.over!r}")
+        _check_name(self.over, "sum variable")
 
 
 def _check_exponent(exp) -> None:

@@ -42,6 +42,13 @@ def _is_name(name) -> bool:
     return isinstance(name, str) and NAME.fullmatch(name) is not None
 
 
+def _check_name(name, what: str) -> str:
+    """`name` if it is a name; ModelError stating NAME's rule otherwise."""
+    if not _is_name(name):
+        raise ModelError(f"{what} must be a letter or underscore, then letters, digits or underscores, got {name!r}")
+    return name
+
+
 def _check_tol(tol: float) -> float:
     """`tol` if it is a finite, non-negative number; ModelError otherwise
     (with nan, no `dev > tol` test could fail)."""
@@ -58,8 +65,7 @@ class Variable:
     cardinality: int
 
     def __post_init__(self):
-        if not _is_name(self.name):
-            raise ModelError(f"variable name must be an identifier, got {self.name!r}")
+        _check_name(self.name, "variable name")
         if not isinstance(self.cardinality, int) or self.cardinality < 2:
             raise ModelError(f"variable {self.name!r} needs cardinality >= 2, got {self.cardinality!r}")
 

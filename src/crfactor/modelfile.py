@@ -27,6 +27,7 @@ import functools
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,72 +105,62 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
 
 
 class _Block:
-    """A distribution block as read so far: its rows in file order, as flat
-    (row-major) indices into the block's table and their values."""
+    """A distribution block as read so far. A block within MAX_TABLE_CELLS
+    owns its table from the start, row-major, nan in each cell no row has
+    listed (no row's value is nan); a block over the cap keeps only the set
+    of the flat indices its rows listed, so its row faults come before
+    finish's cap error and nothing table-sized is allocated."""
 
     def __init__(self, kind: str, scope: tuple[str, ...], cards: tuple[int, ...], lineno: int):
         self.kind, self.scope, self.cards, self.lineno = kind, scope, cards, lineno
-        self.flat: list[int] = []
-        self.values: list[float] = []
-        self.top = -1  # the highest flat index so far: a row above it repeats none
-        self.taken: set[int] = set()  # self.flat[:len(self.taken)], filled by repeats()
+        size = math.prod(cards)
         # no spellings for a table over the cap: _Builder.row takes each of its rows
-        self.spelt = _spellings(cards) if math.prod(cards) <= MAX_TABLE_CELLS else None
+        self.spelt = _spellings(cards) if size <= MAX_TABLE_CELLS else None
+        self.cells = set() if self.spelt is None else array("d", [math.nan]) * size
         # a value in range: a probability, or a positive finite weight
         self.bounds = (math.ulp(0.0), sys.float_info.max) if kind == "potential" else (0.0, 1.0 + 1e-9)
 
-    def take(self, lines: list[str], start: int) -> int:
-        """Take the run of canonical rows at lines[start:], up to the first
-        line that is none, has a value out of range or repeats a row; return
-        how many rows it took. A canonical row is single-digit states in
-        range, each followed by one space, then the value."""
+    def take(self, line: str) -> bool:
+        """Store `line` if it is a canonical row whose value is in range and
+        whose cell holds no value yet; return whether it did. A canonical row
+        is single-digit states in range, each followed by one space, then the
+        value."""
         if self.spelt is None:
-            return 0
+            return False
         head, cut, tail, width = self.spelt
-        head, tail = head.get, tail.get
+        flat = head.get(line[:cut], -math.inf) + tail.get(line[cut:width], -math.inf)  # -inf: not canonical
+        if flat < 0 or not math.isnan(self.cells[flat]):
+            return False
+        try:
+            value = float(line[width:])  # the builder's float() of the same text
+        except ValueError:
+            return False
         lo, hi = self.bounds
-        put, put_value = self.flat.append, self.values.append
-        top, before = self.top, len(self.flat)
-        for index in range(start, len(lines)):  # not islice, which walks lines[:start] on each call
-            line = lines[index]
-            flat = head(line[:cut], -math.inf) + tail(line[cut:width], -math.inf)  # -inf: not canonical
-            if flat <= top and (flat < 0 or self.repeats(flat)):
-                break
-            try:
-                value = float(line[width:])  # the builder's float() of the same text
-            except ValueError:
-                break
-            if not lo <= value <= hi:  # nan fails both
-                break
-            put(flat)
-            put_value(value)
-            if flat > top:
-                top = flat
-        self.top = top
-        return len(self.flat) - before
-
-    def repeats(self, flat: int) -> bool:
-        """Whether a row at this flat index, not above top, repeats one."""
-        self.taken.update(self.flat[len(self.taken):])
-        return flat in self.taken
+        if not lo <= value <= hi:  # nan fails both
+            return False
+        self.cells[flat] = value
+        return True
 
     def add(self, lineno: int, states: tuple[int, ...], value: float) -> None:
-        """Store a row that _Builder.row checked, unless it repeats one."""
+        """Store a row that _Builder.row checked, unless its cell holds a value."""
         flat = 0
         for state, card in zip(states, self.cards):
             flat = flat * card + state
-        if flat <= self.top and self.repeats(flat):
+        if self.spelt is None:
+            listed = flat in self.cells
+            self.cells.add(flat)
+        else:
+            listed = not math.isnan(self.cells[flat])
+            self.cells[flat] = value
+        if listed:
             raise ModelParseError(f"duplicate {self.kind} row {states!r}", lineno)
-        self.top = max(self.top, flat)
-        self.flat.append(flat)
-        self.values.append(value)
 
     def table(self) -> np.ndarray:
-        """The block's table, zero where no row is listed: one write, once
-        its size passes the cap."""
+        """The block's table, zero where no row is listed, once its size
+        passes the cap."""
         _check_cells(self.cards)
-        arr = np.zeros(self.cards)
-        arr.put(self.flat, self.values)
+        arr = np.frombuffer(self.cells).reshape(self.cards)
+        arr[np.isnan(arr)] = 0.0
         return arr
 
 
@@ -365,10 +356,9 @@ class _Builder:
                 except ModelError as exc:
                     raise ModelParseError(str(exc), lineno) from None
             else:
-                if len(block.flat) != arr.size:
-                    raise ModelParseError(
-                        f"potential over {scope!r} lists {len(block.flat)} of {arr.size} entries", lineno
-                    )
+                listed = np.count_nonzero(arr)  # every weight is positive: the listed cells
+                if listed != arr.size:
+                    raise ModelParseError(f"potential over {scope!r} lists {listed} of {arr.size} entries", lineno)
                 for a, b in itertools.combinations(scope, 2):
                     if not graph.has_edge(a, b):
                         raise ModelParseError(f"potential scope {scope!r} is not a clique", lineno)
@@ -386,28 +376,26 @@ _KEYWORDS = frozenset({"graph", "var", "edge", "default", "joint", "cpt", "poten
 
 
 def parse_model(text: str) -> ParsedModel:
-    """Parse and validate a model file. Inside a block, `_Block.take`
-    decodes each run of canonical rows (single-digit states in range, each
-    followed by one space, then the value): a row's flat index comes from
-    one lookup of its state text, and its value from `float` of the rest.
-    The run ends at the first line that is no such row, has a value out of
-    range or repeats a row. That line, and every line outside a run, is
-    split into tokens: a directive goes to `_Builder.directive`, and a row
-    to `_Builder.row`, which stores it or raises at its first fault. Rows
-    are seen in file order, so the first fault in the file is the one
-    reported."""
+    """Parse and validate a model file in one pass over its lines. Each
+    block's table is allocated when the block opens, and every row is
+    stored into it as it is read. Inside a block, `_Block.take` stores a
+    canonical row (single-digit states in range, each followed by one
+    space, then the value): its cell comes from one lookup of its state
+    text, and its value from `float` of the rest. It takes no row whose
+    value is out of range or whose cell already holds a value. Every line
+    it does not take is split into tokens: a directive goes to
+    `_Builder.directive`, and a row to `_Builder.row`, which stores it or
+    raises at its first fault. Rows are seen in file order, so the first
+    fault in the file is the one reported."""
     builder = _Builder()
-    lines = text.splitlines()
-    lineno = 0  # the lines read so far
-    while lineno < len(lines):
-        tokens = lines[lineno].split("#", 1)[0].split()
-        lineno += 1
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if builder.blocks and builder.blocks[-1].take(line):
+            continue
+        tokens = line.split("#", 1)[0].split()
         if tokens and tokens[0] in _KEYWORDS:
             builder.directive(lineno, tokens)
         elif tokens:
             builder.row(lineno, tokens)
-        if builder.blocks:
-            lineno += builder.blocks[-1].take(lines, lineno)
     return builder.finish()
 
 

@@ -31,10 +31,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cr import Block, _check_name
+from .cr import Block
 from .errors import CertificateError, CRFactorError, RewriteError
 from .expr import ONE, CRTerm, FactorExpr, PTerm, Product, Sum, validate_scoping
-from .model import JointTable, ModelGraph, REL_TOL, _check_tol, _is_name, _repeated
+from .model import JointTable, ModelGraph, REL_TOL, _check_name, _check_tol, _is_name, _repeated
 from .separation import CIQuery, mutual_independence_deviation, separated
 
 
@@ -500,7 +500,7 @@ def replay_trace(
 def singleton_cr(names: Iterable[str]) -> CRTerm:
     """CR over one free singleton block per name: the usual starting point
     of a whole-model factorization."""
-    return CRTerm(tuple(Block._of(((_check_name(n), None),)) for n in names))
+    return CRTerm(tuple(Block._of(((_check_name(n, "block member name"), None),)) for n in names))
 
 
 # ---------------------------------------------------------------------------

@@ -727,7 +727,7 @@ def test_a_name_the_grammar_cannot_read_is_refused_where_declared(name, tmp_path
     model = tmp_path / "bad.model"
     model.write_text(NAME_MODEL.format(n=name), encoding="utf-8")
     got = run(capsys, "factorize", "--method", "tree", "--model", str(model))
-    assert got == (EXIT_PARSE, "", f"error: line 2: variable name must be an identifier, got {name!r}\n")
+    assert got == (EXIT_PARSE, "", f"error: line 2: variable name must be a letter or underscore, then letters, digits or underscores, got {name!r}\n")
 
 
 def test_indep_bad_query(capsys):

@@ -46,8 +46,16 @@ def test_block_validation():
     with pytest.raises(ModelError, match="^a block needs at least one member$"):
         block("A", ("B", 0)).restrict(["C"])
     for member, shown in (("a·b", "'a·b'"), (("1A", 0), "'1A'"), ((3, None), "3")):
-        with pytest.raises(ModelError, match=f"^block member name must be an identifier, got {shown}$"):
+        with pytest.raises(ModelError) as err:
             Block(["A", member])
+        assert str(err.value) == (
+            f"block member name must be a letter or underscore, then letters, digits or underscores, got {shown}"
+        )
+    # a member is a name or a (name, state) pair, nothing else
+    for member in (3, None, b"a", ("a",), ("a", 0, 1), ["a", 0]):
+        with pytest.raises(ModelError) as err:
+            Block(["A", member])
+        assert str(err.value) == f"block member must be a name or a (name, state) pair, got {member!r}"
 
 
 PICKLE_CHILD = """

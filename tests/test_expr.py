@@ -178,7 +178,7 @@ def test_parse_errors(text):
         (lambda: validate_scoping("P(A)"), ModelError, "not a factor expression: 'P(A)'"),
         (lambda: render(block("A")), ModelError, "not a factor expression: Block([('A', None)])"),
         (lambda: parse_expr("P(a a)"), ExprParseError, "variable 'a' appears twice in one block"),
-        (lambda: Sum("a·b", PTerm(block("A"))), ModelError, "sum variable must be an identifier, got 'a·b'"),
+        (lambda: Sum("a·b", PTerm(block("A"))), ModelError, "sum variable must be a letter or underscore, then letters, digits or underscores, got 'a·b'"),
     ],
 )
 def test_expression_guards(call, error, message):

@@ -40,7 +40,7 @@ def test_variable_validation():
     for name in ("é", "_x1", "Zé_2", "ǅ"):
         assert Variable(name, 2).name == name
     for name in ("a·b", "℘", "e\u0301", "a\u0301b", "1a", "a b", "", 3):
-        with pytest.raises(ModelError, match=f"^{re.escape(f'variable name must be an identifier, got {name!r}')}$"):
+        with pytest.raises(ModelError, match=f"^{re.escape(f'variable name must be a letter or underscore, then letters, digits or underscores, got {name!r}')}$"):
             Variable(name, 2)
 
 

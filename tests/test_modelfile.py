@@ -54,6 +54,9 @@ def test_malformed_edge_has_line_number():
     assert "unknown variable" in str(err.value)
 
 
+NAME_RULE = "must be a letter or underscore, then letters, digits or underscores"
+
+
 @pytest.mark.parametrize(
     "text, line, fragment",
     [
@@ -95,9 +98,9 @@ def test_malformed_edge_has_line_number():
         ("graph undirected\nvar A 2\npotential\n", 3, "line 3: a potential needs at least one variable"),
         ("graph undirected\nvar a 2\npotential a a\n", 3, "line 3: duplicate variable in potential scope"),
         # names that str.isidentifier takes but the expression grammar cannot read
-        ("graph undirected\nvar c 2\nvar a·b 2\n", 3, "line 3: variable name must be an identifier, got 'a·b'"),
-        ("graph undirected\nvar ℘ 2\n", 2, "line 2: variable name must be an identifier, got '℘'"),
-        ("graph undirected\nvar e\u0301 2\n", 2, "line 2: variable name must be an identifier, got 'e\u0301'"),
+        ("graph undirected\nvar c 2\nvar a·b 2\n", 3, f"line 3: variable name {NAME_RULE}, got 'a·b'"),
+        ("graph undirected\nvar ℘ 2\n", 2, f"line 2: variable name {NAME_RULE}, got '℘'"),
+        ("graph undirected\nvar e\u0301 2\n", 2, f"line 2: variable name {NAME_RULE}, got 'e\u0301'"),
     ],
 )
 def test_parse_errors(text, line, fragment):
@@ -520,8 +523,10 @@ def test_block_over_the_cap_reports_its_rows_first_and_allocates_no_table():
     head = "graph undirected\n" + "".join(f"var v{i} 2\n" for i in range(21)) + "joint\n"
     rows = [_states(r, 21) + " 0.125" for r in range(8)]
     bad = rows[:3] + [_states(3, 21) + " 1.5"] + rows[4:]
+    repeat = rows[:5] + [rows[2]] + rows[6:]  # a set of listed rows finds the repeat, with no table
     for text, error, message in [
         (head + "\n".join(bad) + "\n", ModelParseError, "line 27: probability 1.5 out of range"),
+        (head + "\n".join(repeat) + "\n", ModelParseError, f"line 29: duplicate joint row {(0,) * 19 + (1, 0)!r}"),
         (head + "\n".join(rows) + "\n", PreconditionError, "a table of 2097152 cells exceeds the cap of 1048576 cells"),
     ]:
         tracemalloc.start()
@@ -533,6 +538,24 @@ def test_block_over_the_cap_reports_its_rows_first_and_allocates_no_table():
             tracemalloc.stop()
         assert str(err.value) == message
         assert peak < 2**20  # a table of 2**21 floats would take 16 MiB
+
+
+def test_a_parse_holds_no_object_per_row():
+    """Each row goes straight into the block's table: parsing a block of
+    2**16 rows takes, beyond what the list of its lines takes, a few times
+    the table's bytes, not a Python object per row."""
+    text = joint_text(16, 0)
+    tracemalloc.start()
+    try:
+        text.splitlines()
+        lines_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        model = parse_model(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.joint_probs.nbytes == 8 * 2**16
+    assert peak - lines_peak < 4 * model.joint_probs.nbytes
 
 
 @pytest.mark.parametrize("name", ["d2.model", "student.model"])
