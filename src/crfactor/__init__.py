@@ -38,7 +38,7 @@ _MODULE_OF = {
         ("modelfile", "ParsedModel parse_model render_model"),
         (
             "rewrites",
-            "Certificate Context OperationTrace TraceStep apply_bipartition apply_ci_collapse"
+            "Certificate Context TraceStep apply_bipartition apply_ci_collapse"
             " apply_ci_reduce apply_ci_split apply_condition apply_duplicate apply_independence"
             " apply_merge apply_single_block replay_trace singleton_cr trace_from_dicts trace_to_dicts",
         ),

@@ -21,7 +21,6 @@ from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
 from .model import JointTable, ModelGraph, REL_TOL, _row, is_tcg
 from .rewrites import (
     Context,
-    OperationTrace,
     TraceStep,
     apply_bipartition,
     apply_ci_collapse,
@@ -30,19 +29,24 @@ from .rewrites import (
     apply_independence,
     apply_single_block,
     singleton_cr,
+    validate_certificate,
 )
 from .separation import _check_markov_inputs
 
 
 class _Recorder:
-    """The expression a factorizer is rewriting and the steps taken so far."""
+    """The expression a factorizer is rewriting, the steps taken so far and
+    the context each step's certificate is validated against before the step is taken."""
 
-    def __init__(self, expr: FactorExpr):
-        self.expr = expr
+    def __init__(self, expr: FactorExpr, ctx: Context):
+        self.expr, self.ctx = expr, ctx
         self.steps: list[TraceStep] = []
 
-    def apply(self, fn, *args, **kw) -> None:
-        self.expr, step = fn(self.expr, *args, **kw)
+    def apply(self, fn, *args) -> None:
+        expr, step = fn(self.expr, *args)
+        if step.certificate is not None:
+            validate_certificate(step.certificate, self.ctx)
+        self.expr = expr
         self.steps.append(step)
 
 
@@ -56,7 +60,7 @@ def _split_part(path: tuple[int, ...], j: int) -> tuple[int, ...]:
 # Bayesian networks
 
 
-def factorize_bn(dag: ModelGraph) -> tuple[FactorExpr, OperationTrace]:
+def factorize_bn(dag: ModelGraph) -> tuple[FactorExpr, tuple[TraceStep, ...]]:
     """Chain-rule factorization of a DAG, derived by rewrites.
 
     Nodes are split off one at a time in reverse topological order; each cut
@@ -74,9 +78,8 @@ def factorize_bn(dag: ModelGraph) -> tuple[FactorExpr, OperationTrace]:
     if dag.kind != "directed":
         raise ModelError("BN factorization requires a directed graph")
     order = dag.topological_order()
-    ctx = Context(graph=dag)
     initial = singleton_cr(order)
-    rec = _Recorder(initial)
+    rec = _Recorder(initial, Context(graph=dag))
     rem_path: tuple[int, ...] = ()
     rem = list(order)
     for x in reversed(order[1:]):
@@ -90,9 +93,9 @@ def factorize_bn(dag: ModelGraph) -> tuple[FactorExpr, OperationTrace]:
             rem_path = _split_part(rem_path, 1)
             rest = [v for v in rem if v not in parents]
             if rest:
-                rec.apply(apply_ci_reduce, cut_path, 0, rest, list(parents), "graph", ctx=ctx)
+                rec.apply(apply_ci_reduce, cut_path, 0, rest, list(parents), "graph")
         else:
-            rec.apply(apply_independence, cut_path, "graph", ctx=ctx)
+            rec.apply(apply_independence, cut_path, "graph")
             rem_path = cut_path
     rec.apply(apply_single_block, rem_path)
 
@@ -327,7 +330,7 @@ class TcgResult:
 
     factors: dict[tuple[str, ...], FactorExpr]
     expr: FactorExpr
-    trace: OperationTrace
+    trace: tuple[TraceStep, ...]
 
 
 def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) -> TcgResult:
@@ -344,8 +347,7 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     check = is_tcg(graph)
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
-    ctx = Context(graph=graph, table=table, tol=tol)
-    rec = _Recorder(singleton_cr(table.names))
+    rec = _Recorder(singleton_cr(table.names), Context(graph=graph, table=table, tol=tol))
     factors: dict[tuple[str, ...], FactorExpr] = {}
     rem_path: tuple[int, ...] = ()
     rem = list(table.names)
@@ -359,7 +361,7 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
         left = sorted(rem.index(v) for v in clique)  # each clique variable's first position
         right = [p for p in range(len(rem)) if p not in left]
         rec.apply(apply_bipartition, rem_path, left, right)
-        rec.apply(apply_ci_collapse, _split_part(rem_path, 1), "graph", ctx=ctx)
+        rec.apply(apply_ci_collapse, _split_part(rem_path, 1), "graph")
         rem_path = _split_part(rem_path, 2)
         rem = [rem[p] for p in right]
     factors[check.root] = PTerm(Block(check.root))

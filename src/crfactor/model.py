@@ -372,9 +372,6 @@ class TcgCheck:
     elimination: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     root: tuple[str, ...] | None
 
-    def __bool__(self):
-        return self.ok
-
 
 def is_tcg(graph: ModelGraph) -> TcgCheck:
     """Test whether the clique graph is tree-reducible.

@@ -13,16 +13,18 @@ Each rewrite implements one algebraic identity of co-occurrence rates:
     independence   blocks mutually independent  =>  CR(b_1..b_n) = 1
 
 The first five need no side conditions and hold on every strictly positive
-table; the last four consume an independence certificate, sourced either
-from graph separation or from a numeric test, and fail loudly when the
-certificate does not validate.
+table; the last four need an independence certificate, sourced either from
+graph separation or from a numeric test. A rule is pure algebra: it
+derives the rewritten expression and the certificate the step needs, and
+checks no certificate. Whoever takes the step checks it with
+`validate_certificate`: replay here, and the factorizers' recorder.
 
 A rewrite targets a node by its path (child positions from the root),
 returns a new tree plus a trace step, and never reorders untouched
 siblings. `RULES` gives each rule's recorded params. Replaying a recorded
 trace from the initial expression reproduces the final expression exactly:
 each step must derive the certificate it recorded, and every certificate is
-re-validated.
+validated, failing loudly when the claimed independence does not hold.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _of_kind(value, kind: str) -> bool:
 
 # rule -> ({recorded param: kind}, consumes a certificate). The params are
 # the keyword parameters of apply_<rule> after (root, path), in order; a
-# certificate rule also takes (cert_kind, *, ctx, validate).
+# certificate rule also takes cert_kind.
 RULES: dict[str, tuple[dict[str, str], bool]] = {
     "bipartition": ({"left": "int list", "right": "int list"}, False),
     "merge": ({"i": "int", "j": "int"}, False),
@@ -118,11 +120,8 @@ class TraceStep:
     certificate: Certificate | None = None
 
 
-OperationTrace = tuple[TraceStep, ...]
-
-
 class Context:
-    """Validation context carried by certificate-consuming rewrites."""
+    """The graph, table and tolerance a certificate is validated against."""
 
     def __init__(self, graph: ModelGraph | None = None, table: JointTable | None = None, tol: float = REL_TOL):
         self.graph = graph
@@ -133,8 +132,11 @@ class Context:
 def validate_certificate(cert: Certificate, ctx: Context) -> None:
     """Raise CertificateError unless the certificate's declared source
     confirms the recorded independence fact: every pair of groups less z's
-    names separated given z in the graph, or mutual independence given z in the table."""
+    names separated given z in the graph, or mutual independence given z in
+    the table. A certificate of fewer than two groups states nothing and is not checked."""
     groups, z = cert.groups or (cert.x, cert.y), tuple(dict.fromkeys(cert.z))  # z = w + condition may repeat a name
+    if len(groups) < 2:
+        return
     if cert.kind == "graph":
         if ctx.graph is None:
             raise CertificateError("graph certificate given but no graph to check it against")
@@ -212,12 +214,9 @@ def _merge_blocks(blocks: Iterable[Block]) -> Block:
 
 def _rewrite(
     root: FactorExpr, path: Sequence[int], replacement: Sequence[FactorExpr], rule: str, params: dict,
-    cert: Certificate | None = None, ctx: Context | None = None, validate: bool = False,
+    cert: Certificate | None = None,
 ) -> tuple[FactorExpr, TraceStep]:
-    """Finish a rewrite: validate its certificate when asked, splice the
-    replacement in at `path` and record the step."""
-    if validate:
-        validate_certificate(cert, ctx or Context())
+    """Finish a rewrite: splice the replacement in at `path` and record the step."""
     return _splice(root, path, replacement), TraceStep(rule, tuple(path), params, cert)
 
 
@@ -330,9 +329,6 @@ def apply_ci_reduce(
     y: Sequence[str],
     w: Sequence[str],
     cert_kind: str = "graph",
-    *,
-    ctx: Context | None = None,
-    validate: bool = True,
 ) -> tuple[FactorExpr, TraceStep]:
     """Drop variables made redundant by conditional independence:
 
@@ -356,7 +352,7 @@ def apply_ci_reduce(
     cert = Certificate(cert_kind, x=kept.vars, y=y, z=w + _cond_vars(term))
     result = CRTerm((kept, other.restrict(w)), term.condition)
     params = {"keep": keep, "y": list(y), "w": list(w)}
-    return _rewrite(root, path, [result], "ci_reduce", params, cert, ctx, validate)
+    return _rewrite(root, path, [result], "ci_reduce", params, cert)
 
 
 def apply_ci_split(
@@ -366,9 +362,6 @@ def apply_ci_split(
     x: Sequence[str],
     y: Sequence[str],
     cert_kind: str = "graph",
-    *,
-    ctx: Context | None = None,
-    validate: bool = True,
 ) -> tuple[FactorExpr, TraceStep]:
     """Split a grouped block across a separator:
 
@@ -397,16 +390,13 @@ def apply_ci_split(
         CRTerm((xb, yb), term.condition, exponent=-1),
     ]
     params = {"w_index": w_index, "x": list(x), "y": list(y)}
-    return _rewrite(root, path, replacement, "ci_split", params, cert, ctx, validate)
+    return _rewrite(root, path, replacement, "ci_split", params, cert)
 
 
 def apply_ci_collapse(
     root: FactorExpr,
     path: Sequence[int],
     cert_kind: str = "graph",
-    *,
-    ctx: Context | None = None,
-    validate: bool = True,
 ) -> tuple[FactorExpr, TraceStep]:
     """Collapse two blocks overlapping on a shared separator:
 
@@ -429,39 +419,34 @@ def apply_ci_collapse(
     z = tuple(sorted(shared)) + _cond_vars(term)
     cert = Certificate(cert_kind, x=x_vars, y=y_vars, z=z) if x_vars and y_vars else None
     result = PTerm(b1.restrict(shared), term.condition, exponent=-1)
-    return _rewrite(root, path, [result], "ci_collapse", {}, cert, ctx, validate and cert is not None)
+    return _rewrite(root, path, [result], "ci_collapse", {}, cert)
 
 
 def apply_independence(
     root: FactorExpr,
     path: Sequence[int],
     cert_kind: str = "graph",
-    *,
-    ctx: Context | None = None,
-    validate: bool = True,
 ) -> tuple[FactorExpr, TraceStep]:
     """Mutually independent blocks co-occur at rate one: the term becomes a
     literal 1 (and vanishes from an enclosing product)."""
     term = _target_cr(root, path)
-    groups = tuple(b.vars for b in term.blocks)
-    cert = Certificate(cert_kind, z=_cond_vars(term), groups=groups)
-    return _rewrite(root, path, [], "independence", {}, cert, ctx, validate and len(groups) > 1)
+    cert = Certificate(cert_kind, z=_cond_vars(term), groups=tuple(b.vars for b in term.blocks))
+    return _rewrite(root, path, [], "independence", {}, cert)
 
 
 # ---------------------------------------------------------------------------
 # Replay
 
-def replay_step(
-    root: FactorExpr, step: TraceStep, *, ctx: Context | None = None, validate: bool = True
-) -> FactorExpr:
-    """Apply one recorded step: apply_<rule> with the recorded params, which
-    must derive the recorded certificate."""
+def replay_step(root: FactorExpr, step: TraceStep, ctx: Context) -> FactorExpr:
+    """Apply one recorded step: apply_<rule> with the recorded params, whose
+    derived certificate must validate against `ctx` and equal the recorded one."""
     kwargs, cert = step.params, step.certificate
-    if _rule(step.rule)[1]:  # with no recorded certificate, the mismatch below reports it
-        kind = getattr(cert, "kind", "graph")
-        kwargs = {**kwargs, "cert_kind": kind, "ctx": ctx, "validate": validate and cert is not None}
+    if _rule(step.rule)[1]:
+        kwargs = {**kwargs, "cert_kind": getattr(cert, "kind", "graph")}
     # Looked up at call time, so that wrappers of the module attribute see replays.
     new_root, derived = globals()[f"apply_{step.rule}"](root, step.path, **kwargs)
+    if cert is not None and derived.certificate is not None:  # with none recorded, the mismatch below reports it
+        validate_certificate(derived.certificate, ctx)
     if derived.certificate != cert:
         raise RewriteError(
             f"{step.rule} step at {step.path!r} records certificate {cert}, "
@@ -477,21 +462,20 @@ def replay_trace(
     graph: ModelGraph | None = None,
     table: JointTable | None = None,
     tol: float = REL_TOL,
-    validate: bool = True,
 ) -> FactorExpr:
     """Re-run a recorded trace from an initial expression.
 
     Deterministic: the same trace on the same initial expression always
-    yields the same final expression. With validate=True every certificate
-    is re-checked against the supplied graph/table and a failing certificate
-    raises CertificateError; validate=False replays the raw algebra (used to
-    inspect traces whose certificates are knowingly wrong). An error at step
-    N (from 0) is re-raised as the same class with "step N: " in front."""
+    yields the same final expression. Every certificate is checked against
+    the supplied graph/table and a failing certificate raises
+    CertificateError; the raw algebra of a step, certificate unchecked, is a
+    direct call of its apply_<rule>. An error at step N (from 0) is
+    re-raised as the same class with "step N: " in front."""
     ctx = Context(graph=graph, table=table, tol=tol)
     expr = initial
     for n, step in enumerate(trace):
         try:
-            expr = replay_step(expr, step, ctx=ctx, validate=validate)
+            expr = replay_step(expr, step, ctx)
         except CRFactorError as exc:
             raise type(exc)(f"step {n}: {exc}") from None
     return expr
@@ -554,7 +538,7 @@ def trace_to_dicts(trace: Iterable[TraceStep]) -> list[dict]:
     return [step_to_dict(s) for s in trace]
 
 
-def trace_from_dicts(items: Sequence[dict]) -> OperationTrace:
+def trace_from_dicts(items: Sequence[dict]) -> tuple[TraceStep, ...]:
     """Steps from their JSON form; a RewriteError names the bad step."""
     if not isinstance(items, (list, tuple)):
         raise RewriteError(f"trace steps must be a list, got {items!r}")

@@ -59,6 +59,7 @@ from crfactor.randgen import (
     random_joint_table,
     random_model,
 )
+from crfactor.rewrites import validate_certificate
 
 from conftest import DATA, exchange_sides, f1_merge_trace, f1_partition_trace, student_table
 
@@ -205,17 +206,18 @@ def test_criterion_2_ci_rewrite_soundness(gibbs_pool):
         ctx = Context(graph=graph, table=table)
         for x, y, w in _separated_triples(graph, rng, want=6):
             reduce_target = CRTerm((Block(x), Block(y + w)))
-            reduced, _ = apply_ci_reduce(
-                reduce_target, (), 0, list(y), list(w), "graph", ctx=ctx
-            )
+            reduced, step = apply_ci_reduce(reduce_target, (), 0, list(y), list(w), "graph")
+            validate_certificate(step.certificate, ctx)
             worst = max(worst, max_rel_gap(reduced, reduce_target, table))
 
             split_target = CRTerm((Block(w), Block(x + y)))
-            split, _ = apply_ci_split(split_target, (), 0, list(x), list(y), "graph", ctx=ctx)
+            split, step = apply_ci_split(split_target, (), 0, list(x), list(y), "graph")
+            validate_certificate(step.certificate, ctx)
             worst = max(worst, max_rel_gap(split, split_target, table))
 
             collapse_target = CRTerm((Block(w + x), Block(w + y)))
-            collapsed, _ = apply_ci_collapse(collapse_target, (), "graph", ctx=ctx)
+            collapsed, step = apply_ci_collapse(collapse_target, (), "graph")
+            validate_certificate(step.certificate, ctx)
             worst = max(worst, max_rel_gap(collapsed, collapse_target, table))
             applications += 3
     ok = worst <= 1e-9 and applications > 0
@@ -287,7 +289,7 @@ def test_criterion_4b_fixed_reduction_traces(student_graph, student_tables, g_ro
     The recorded derivations reduce CR(D,I,G,S,L) to the four factors
     CR(D,G)·CR(S,I)·CR(I,G)·CR(G,L) (split route) and the same factors in
     merge order. The rewrite machinery reproduces both products exactly
-    (checked below with certificate validation off).
+    (checked below by strict replay on the G-rooted DAG alone).
 
     The split route's first reduction and the merge route's second cite
     (D ⊥ I,S,L | G) / (D ⊥ I,L | G). The four factors are the edges of the
@@ -310,8 +312,8 @@ def test_criterion_4b_fixed_reduction_traces(student_graph, student_tables, g_ro
     initial = singleton_cr(("D", "I", "G", "S", "L"))
     routes = (f1_partition_trace(), f1_merge_trace())
 
-    # Structural reproduction (certificates not checked, validation off).
-    partition_final, merge_final = (replay_trace(initial, steps, validate=False) for steps in routes)
+    # Structural reproduction, strict on the G-rooted DAG, where every cited certificate holds.
+    partition_final, merge_final = (replay_trace(initial, steps, graph=student_g_rooted_graph) for steps in routes)
     split_render = render(partition_final)
     merge_factors = sorted(render(c) for c in merge_final.children)
     split_ok = split_render == "CR(D,G)·CR(S,I)·CR(I,G)·CR(G,L)"

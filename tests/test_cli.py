@@ -123,7 +123,7 @@ def test_markov_methods_exit_ok_or_precondition_never_verification(argv_files, e
     variables = tuple(Variable(n, 2) for n in "abcd")
     model_file = argv_files / "markov.model"
     model_file.write_text(render_model(ParsedModel("joint", variables, graph, {}, joint_probs=probs / probs.sum())))
-    for method in ("mrf", "rmrf", "tcg") if is_tcg(graph) else ("mrf", "rmrf"):
+    for method in ("mrf", "rmrf", "tcg") if is_tcg(graph).ok else ("mrf", "rmrf"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["factorize", "--method", method, "--model", str(model_file)])
@@ -604,7 +604,7 @@ def test_gen_random_output_factorizes_and_verifies(argv_files, spec, seed, card)
     if kind == "bn":
         methods = ["bn"]
     else:
-        methods = ["mrf", "rmrf"] + ["tcg"] * bool(is_tcg(graph)) + ["tree"] * graph.is_tree()
+        methods = ["mrf", "rmrf"] + ["tcg"] * is_tcg(graph).ok + ["tree"] * graph.is_tree()
     for method in methods:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -116,8 +116,8 @@ def test_merge_value_and_structure(d3_table):
 def test_merge_independent_blocks_then_independence(coins_table):
     e0 = singleton_cr("AB")
     e1, _ = apply_merge(e0, (), 0, 1)
-    ctx = Context(table=coins_table)
-    e2, _ = apply_independence(e1, (1,), "numeric", ctx=ctx)
+    e2, step = apply_independence(e1, (1,), "numeric")
+    validate_certificate(step.certificate, Context(table=coins_table))
     assert render(e2) == "CR(A B)"
     _everywhere_equal(e0, e2, coins_table)
 
@@ -218,8 +218,8 @@ def test_rewrites_at_nested_paths():
 def test_ci_reduce_d3(d3_table):
     # CR(A, BC) -> CR(A, B) given (A ⊥ C | B); both equal 1.8 at all-zeros
     e0 = CRTerm((block("A"), block("B", "C")))
-    ctx = Context(table=d3_table)
-    e1, step = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric", ctx=ctx)
+    e1, step = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric")
+    validate_certificate(step.certificate, Context(table=d3_table))
     assert render(e1) == "CR(A,B)"
     assert eval_expr(e0, d3_table, A000) == pytest.approx(1.8)
     assert eval_expr(e1, d3_table, A000) == pytest.approx(1.8)
@@ -230,29 +230,29 @@ def test_ci_reduce_d3(d3_table):
 def test_ci_reduce_graph_certificate(d3_table):
     chain = make_graph("chain:3")  # a -> b -> c
     e0 = CRTerm((Block(["a"]), Block(["b", "c"])))
-    e1, _ = apply_ci_reduce(e0, (), 0, ["c"], ["b"], "graph", ctx=Context(graph=chain))
+    e1, step = apply_ci_reduce(e0, (), 0, ["c"], ["b"], "graph")
+    validate_certificate(step.certificate, Context(graph=chain))
     assert render(e1) == "CR(a,b)"
 
 
 def test_ci_reduce_invalid_certificate(d3_table):
     e0 = CRTerm((block("A"), block("B", "C")))
-    ctx = Context(table=d3_table)
+    _, step = apply_ci_reduce(e0, (), 0, ["B"], ["C"], "numeric")
     with pytest.raises(CertificateError):
         # (A ⊥ B | C) is false for the chain table
-        apply_ci_reduce(e0, (), 0, ["B"], ["C"], "numeric", ctx=ctx)
+        validate_certificate(step.certificate, Context(table=d3_table))
 
 
 def test_ci_reduce_parameter_validation(d3_table):
     e0 = CRTerm((block("A"), block("B", "C")))
-    ctx = Context(table=d3_table)
     with pytest.raises(RewriteError, match="^ci_reduce needs non-empty y and w variable sets$"):
-        apply_ci_reduce(e0, (), 0, ["C"], [], "numeric", ctx=ctx)  # empty w
+        apply_ci_reduce(e0, (), 0, ["C"], [], "numeric")  # empty w
     with pytest.raises(RewriteError, match="^y and w must partition the reduced block's variables$"):
-        apply_ci_reduce(e0, (), 0, ["C"], ["Z"], "numeric", ctx=ctx)  # not a partition
+        apply_ci_reduce(e0, (), 0, ["C"], ["Z"], "numeric")  # not a partition
     with pytest.raises(RewriteError, match="^ci_reduce applies to two-block CR terms$"):
-        apply_ci_reduce(singleton_cr("ABC"), (), 0, ["C"], ["B"], "numeric", ctx=ctx)
+        apply_ci_reduce(singleton_cr("ABC"), (), 0, ["C"], ["B"], "numeric")
     with pytest.raises(RewriteError, match="^keep must be 0 or 1$"):
-        apply_ci_reduce(e0, (), 2, ["C"], ["B"], "numeric", ctx=ctx)
+        apply_ci_reduce(e0, (), 2, ["C"], ["B"], "numeric")
 
 
 @pytest.mark.parametrize(
@@ -269,7 +269,7 @@ def test_ci_reduce_parameter_validation(d3_table):
 def test_ci_split_and_collapse_parameter_validation(d3_table, rule, target, args, message):
     """The twin of the ci_reduce checks: each message, pinned whole."""
     with pytest.raises(RewriteError) as exc:
-        getattr(rewrites, f"apply_{rule}")(parse_expr(target), (), *args, ctx=Context(table=d3_table))
+        getattr(rewrites, f"apply_{rule}")(parse_expr(target), (), *args)
     assert str(exc.value) == message
 
 
@@ -280,8 +280,8 @@ def test_ci_split_and_collapse_parameter_validation(d3_table, rule, target, args
 def test_ci_split_d3(d3_table):
     # CR(B, AC) -> CR(A,B) CR(C,B) / CR(A,C) under (A ⊥ C | B)
     e0 = CRTerm((block("B"), block("A", "C")))
-    ctx = Context(table=d3_table)
-    e1, _ = apply_ci_split(e0, (), 0, ["A"], ["C"], "numeric", ctx=ctx)
+    e1, step = apply_ci_split(e0, (), 0, ["A"], ["C"], "numeric")
+    validate_certificate(step.certificate, Context(table=d3_table))
     assert render(e1) == "CR(A,B)·CR(C,B)·CR(A,C)^-1"
     # oracle: CR(A,C) = P(A=0,C=0) / 0.25 = 0.37 / 0.25 = 1.48
     cr_ac = oracle_cr(D3_PROBS, D3_NAMES, [{"A": 0}, {"C": 0}])
@@ -292,9 +292,9 @@ def test_ci_split_d3(d3_table):
 
 def test_ci_split_composes_with_ci_reduce(d3_table):
     # both routes out of CR(B, AC) agree everywhere
-    ctx = Context(table=d3_table)
     e0 = CRTerm((block("B"), block("A", "C")))
-    split, _ = apply_ci_split(e0, (), 0, ["A"], ["C"], "numeric", ctx=ctx)
+    split, step = apply_ci_split(e0, (), 0, ["A"], ["C"], "numeric")
+    validate_certificate(step.certificate, Context(table=d3_table))
     _everywhere_equal(e0, split, d3_table)
 
 
@@ -313,7 +313,8 @@ def test_ci_split_independent_blocks(coins_table):
                 arr[i, j, k] = px[i] * py[j] * pw[k]
     t = JointTable([Variable("x", 2), Variable("y", 2), Variable("w", 2)], arr)
     e0 = CRTerm((block("w"), block("x", "y")))
-    e1, _ = apply_ci_split(e0, (), 0, ["x"], ["y"], "numeric", ctx=Context(table=t))
+    e1, step = apply_ci_split(e0, (), 0, ["x"], ["y"], "numeric")
+    validate_certificate(step.certificate, Context(table=t))
     for a in assignments(t):
         assert eval_expr(e1, t, a) == pytest.approx(1.0)
 
@@ -325,8 +326,8 @@ def test_ci_split_independent_blocks(coins_table):
 def test_ci_collapse_d3(d3_table):
     # CR(A B, B C) -> 1 / P(B) = 2.0 at B = 0
     e0 = CRTerm((block("A", "B"), block("B", "C")))
-    ctx = Context(table=d3_table)
-    e1, _ = apply_ci_collapse(e0, (), "numeric", ctx=ctx)
+    e1, step = apply_ci_collapse(e0, (), "numeric")
+    validate_certificate(step.certificate, Context(table=d3_table))
     assert render(e1) == "P(B)^-1"
     assert eval_expr(e0, d3_table, A000) == pytest.approx(2.0)
     assert eval_expr(e1, d3_table, A000) == pytest.approx(2.0)
@@ -355,23 +356,24 @@ def test_ci_collapse_binding_mismatch():
 
 def test_independence_drops_term(coins_table):
     e0 = Product((singleton_cr("AB"), PTerm(block("A")), PTerm(block("B"))))
-    ctx = Context(table=coins_table)
-    e1, _ = apply_independence(e0, (0,), "numeric", ctx=ctx)
+    e1, step = apply_independence(e0, (0,), "numeric")
+    validate_certificate(step.certificate, Context(table=coins_table))
     assert render(e1) == "P(A)·P(B)"
     _everywhere_equal(e0, e1, coins_table)
 
 
 def test_independence_invalid_certificate(d2_table):
-    ctx = Context(table=d2_table)
+    _, step = apply_independence(singleton_cr("AB"), (), "numeric")
     with pytest.raises(CertificateError):
-        apply_independence(singleton_cr("AB"), (), "numeric", ctx=ctx)
+        validate_certificate(step.certificate, Context(table=d2_table))
 
 
 def test_independence_graph_certificate():
     g = make_graph("er:4:0.0")  # no edges: everything separated
     t = random_gibbs_model(make_graph("path:4"), seed=1).to_joint()
     e0 = singleton_cr("abcd")
-    e1, _ = apply_independence(e0, (), "graph", ctx=Context(graph=g))
+    e1, step = apply_independence(e0, (), "graph")
+    validate_certificate(step.certificate, Context(graph=g))
     assert render(e1) == "1"
     # the certificate is about the edgeless graph, not the path table
     assert eval_expr(e1, t, {n: 0 for n in "abcd"}) == 1.0
@@ -395,10 +397,13 @@ def test_graph_certificate_reads_each_group_less_z():
 
 
 def test_independence_missing_context():
-    with pytest.raises(CertificateError):
-        apply_independence(singleton_cr("AB"), (), "numeric", ctx=Context())
-    with pytest.raises(CertificateError):
-        apply_independence(singleton_cr("AB"), (), "graph", ctx=Context())
+    for kind in ("numeric", "graph"):
+        _, step = apply_independence(singleton_cr("AB"), (), kind)
+        with pytest.raises(CertificateError):
+            validate_certificate(step.certificate, Context())
+        # one group is independent of nothing else: its certificate states nothing and is not checked
+        _, step = apply_independence(singleton_cr("A"), (), kind)
+        assert render(replay_trace(singleton_cr("A"), [step])) == "1"
 
 
 def test_certificate_validation_requires_known_kind():
@@ -438,14 +443,13 @@ def test_rewrites_require_cr_targets():
 
 
 def test_replay_reproduces_recorded_run(d3_table):
-    ctx = Context(table=d3_table)
     e0 = singleton_cr("ABC")
     steps = []
     e, s = apply_bipartition(e0, (), [0], [1, 2])
     steps.append(s)
     e, s = apply_single_block(e, (0,))
     steps.append(s)
-    e, s = apply_ci_reduce(e, (0,), 0, ["C"], ["B"], "numeric", ctx=ctx)
+    e, s = apply_ci_reduce(e, (0,), 0, ["C"], ["B"], "numeric")
     steps.append(s)
     e, s = apply_merge(e, (1,), 0, 1)
     steps.append(s)
@@ -472,21 +476,20 @@ def test_replay_stale_target_raises(d3_table):
 
 def test_replay_revalidates_certificates(d3_table):
     # recorded against one table, replayed against a table lacking the CI
-    ctx = Context(table=d3_table)
     e0 = CRTerm((block("A"), block("B", "C")))
-    _, s = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric", ctx=ctx)
+    _, s = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric")
+    validate_certificate(s.certificate, Context(table=d3_table))
     bad = random_joint_table(("A", "B", "C"), seed=17)
     with pytest.raises(CertificateError):
         replay_trace(e0, [s], table=bad)
-    # validation can be switched off to inspect the raw algebra
-    out = replay_trace(e0, [s], table=bad, validate=False)
+    # the rule alone is the raw algebra: it checks no certificate
+    out, _ = apply_ci_reduce(e0, s.path, **s.params, cert_kind="numeric")
     assert render(out) == "CR(A,B)"
 
 
 def test_replay_requires_the_recorded_certificate(d3_table):
-    ctx = Context(table=d3_table)
     e0 = CRTerm((block("A"), block("B", "C")))
-    _, reduce = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric", ctx=ctx)
+    _, reduce = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric")
     _, merge = apply_merge(e0, (), 0, 1)
     tampered = [
         replace(reduce, certificate=replace(reduce.certificate, x=("B",))),
@@ -494,9 +497,11 @@ def test_replay_requires_the_recorded_certificate(d3_table):
         replace(merge, certificate=reduce.certificate),
     ]
     for step in tampered:
-        for validate in (True, False):
-            with pytest.raises(RewriteError, match="records certificate"):
-                replay_trace(e0, [step], table=d3_table, validate=validate)
+        with pytest.raises(RewriteError, match="records certificate"):
+            replay_trace(e0, [step], table=d3_table)
+    # the derived certificate is validated before it is compared: where it fails, so does the step
+    with pytest.raises(CertificateError, match="^step 0: numeric CI test fails"):
+        replay_trace(e0, [tampered[0]], table=random_joint_table(("A", "B", "C"), seed=17))
 
 
 def test_replay_refuses_an_unknown_rule():
@@ -572,7 +577,7 @@ def test_certificate_free_rewrites_preserve_value_and_round_trip(data):
 def test_apply_signatures_follow_the_rule_table():
     for rule, (params, certified) in RULES.items():
         names = list(inspect.signature(getattr(rewrites, f"apply_{rule}")).parameters)
-        cert_args = ["cert_kind", "ctx", "validate"] if certified else []
+        cert_args = ["cert_kind"] if certified else []
         assert names == ["root", "path", *params, *cert_args], rule
 
 
@@ -641,10 +646,11 @@ def test_independence_of_three_groups_needs_every_pair_separated():
     # a -> b, c apart: (a, c) and (b, c) are d-separated, (a, b) is not
     dag = ModelGraph("directed", ("a", "b", "c"), [("a", "b")])
     expr = singleton_cr(("a", "b", "c"))
+    after, step = apply_independence(expr, (), "graph")
     with pytest.raises(CertificateError, match="graph separation does not hold"):
-        apply_independence(expr, (), "graph", ctx=Context(graph=dag))
-    apart = ModelGraph("directed", ("a", "b", "c"), [])
-    assert render(apply_independence(expr, (), "graph", ctx=Context(graph=apart))[0]) == "1"
+        validate_certificate(step.certificate, Context(graph=dag))
+    validate_certificate(step.certificate, Context(graph=ModelGraph("directed", ("a", "b", "c"), [])))
+    assert render(after) == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +703,6 @@ def test_certificate_free_rewrites_keep_the_exact_value(case, data):
 def _certified(cert, nodes, edges) -> bool:
     """Whether the graph holds `cert` as validate_certificate reads it, by
     the oracle: each pair of groups, less z's names, is separated by z."""
-    if cert is None:
-        return True
     groups, z = cert.groups or (cert.x, cert.y), set(cert.z)
     sides = [set(g) - z for g in groups]
     return all(
@@ -711,8 +715,9 @@ def _certified(cert, nodes, edges) -> bool:
 @given(exact_markov_cases(), st.data())
 def test_certificate_rewrites_keep_the_exact_value_where_the_graph_certifies(rule, case, data):
     """The certificate (x ⊥ y | w, condition) of a drawn x: its neighbours
-    less y go to w or to the condition, so it mostly holds. The oracle
-    checks it all the same, and the value is compared only where it holds."""
+    less y go to w or to the condition, so it mostly holds. Each rule must
+    record exactly that certificate; the oracle checks it all the same, and
+    the value is compared only where it holds."""
     nodes, edges, card, exact, order = case
     draw = data.draw
     adjacent = set(map(frozenset, edges))
@@ -727,7 +732,8 @@ def test_certificate_rewrites_keep_the_exact_value_where_the_graph_certifies(rul
     if rule == "independence":  # no w: the condition holds all of x's separator
         z = w + z
         term = CRTerm((_pinned(draw, x, card), _pinned(draw, y, card)), _pinned(draw, z, card) if z else None)
-        after, step = apply_independence(term, (), validate=False)
+        after, step = apply_independence(term, ())
+        want = Certificate("graph", z=z, groups=(x, y))
     else:  # w needs a node: one more name in z keeps x and y apart
         assume(spare)
         w = w or [spare[0]]
@@ -737,17 +743,22 @@ def test_certificate_rewrites_keep_the_exact_value_where_the_graph_certifies(rul
         if rule == "ci_reduce":
             kept, other = _pinned(draw, x, card), _pinned(draw, draw(st.permutations(y + w)), card)
             term = CRTerm((kept, other) if side == 0 else (other, kept), cond)
-            after, step = apply_ci_reduce(term, (), side, y, w, validate=False)
+            after, step = apply_ci_reduce(term, (), side, y, w)
+            want = Certificate("graph", x, y, w + z)
         elif rule == "ci_split":
-            sep, xy = _pinned(draw, draw(st.permutations(w)), card), _pinned(draw, draw(st.permutations(x + y)), card)
+            w = draw(st.permutations(w))
+            sep, xy = _pinned(draw, w, card), _pinned(draw, draw(st.permutations(x + y)), card)
             term = CRTerm((sep, xy) if side == 0 else (xy, sep), cond)
-            after, step = apply_ci_split(term, (), side, x, y, validate=False)
+            after, step = apply_ci_split(term, (), side, x, y)
+            want = Certificate("graph", x, y, w + z)
         else:
             shared = _pinned(draw, w, card).members
             term = CRTerm((Block([*shared, *_pinned(draw, x, card).members]),
                            Block([*shared, *_pinned(draw, y, card).members])), cond)
-            after, step = apply_ci_collapse(term, (), validate=False)
-    certified = _certified(step.certificate, nodes, edges)
+            after, step = apply_ci_collapse(term, ())
+            want = Certificate("graph", x, y, sorted(w) + z)
+    assert step.certificate == want
+    certified = _certified(want, nodes, edges)
     event(f"{rule}: certified" if certified else f"{rule}: not certified")
     if certified:
         _assert_exact_value_kept(term, after, nodes, exact)
