@@ -20,33 +20,26 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("cr", "Block block conditional_cr_value cr_value"),
+        ("cr", "Block"),
         (
             "errors",
             "CertificateError CRFactorError ExprParseError ModelError ModelParseError"
             " PreconditionError RewriteError UndefinedCRError",
         ),
-        ("expr", "Const CRTerm FactorExpr PTerm Product Sum eval_expr parse_expr product_of render"),
-        ("model", "TcgCheck"),
+        ("expr", "Const CRTerm PTerm Product Sum eval_expr parse_expr product_of render"),
         (
             "factorizers",
-            "TcgResult factorize_bn factorize_chain_crf factorize_tcg factorize_tree_mn hc_potential",
+            "factorize_bn factorize_chain_crf factorize_tcg factorize_tree_mn mrf_factorize rmrf_factorize",
         ),
-        ("model", "is_tcg"),
-        ("factorizers", "mrf_factorize rmrf_factorize"),
-        ("model", "CPT GibbsModel JointTable ModelGraph Variable build_joint_from_cpts"),
+        ("model", "CPT GibbsModel JointTable ModelGraph Variable build_joint_from_cpts is_tcg"),
         ("modelfile", "ParsedModel parse_model render_model"),
         (
             "rewrites",
-            "Certificate Context TraceStep apply_bipartition apply_ci_collapse"
-            " apply_ci_reduce apply_ci_split apply_condition apply_duplicate apply_independence"
-            " apply_merge apply_single_block replay_trace singleton_cr trace_from_dicts trace_to_dicts",
+            "Certificate TraceStep apply_bipartition apply_ci_collapse apply_ci_reduce apply_ci_split"
+            " apply_condition apply_duplicate apply_independence apply_merge apply_single_block"
+            " replay_trace singleton_cr trace_from_dicts trace_to_dicts",
         ),
-        (
-            "separation",
-            "CIQuery ci_deviation d_separated is_markov mutual_independence_deviation"
-            " separated u_separated",
-        ),
+        ("separation", "CIQuery ci_deviation d_separated mutual_independence_deviation separated u_separated"),
     )
     for name in names.split()
 }

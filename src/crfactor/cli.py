@@ -6,7 +6,7 @@ Commands:
     verify      --model F --expr E [--tol E]
     gen-random  --kind {gibbs,bn} --graph SPEC --seed N [--card K]
     istcg       --model F
-    indep       --model F --query "X _|_ Y | Z" [--numeric]
+    indep       --model F --query "X _|_ Y | Z" [--numeric] [--tol E]
     export-dot  --model F [--clique-graph]
 
 Exit codes: 0 success, 1 internal error (a defect in crfactor; the
@@ -336,7 +336,7 @@ def _tolerance(text: str) -> float:
 
 
 def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="crfactor", description=__doc__)
+    parser = _ArgumentParser(prog="crfactor", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factorize", help="factorize a model and verify the result")

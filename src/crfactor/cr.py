@@ -103,11 +103,6 @@ class Block:
         return f"Block({list(self.members)!r})"
 
 
-def block(*members: BlockMemberSpec) -> Block:
-    """Convenience constructor: ``block("A", ("B", 0))``."""
-    return Block(members)
-
-
 BlockList = Sequence[Block]
 
 

@@ -20,7 +20,6 @@ from .errors import ModelError, PreconditionError, UndefinedCRError
 from .expr import CRTerm, FactorExpr, PTerm, Product, eval_expr, product_of
 from .model import JointTable, ModelGraph, REL_TOL, _row, is_tcg
 from .rewrites import (
-    Context,
     TraceStep,
     apply_bipartition,
     apply_ci_collapse,
@@ -36,16 +35,17 @@ from .separation import _check_markov_inputs
 
 class _Recorder:
     """The expression a factorizer is rewriting, the steps taken so far and
-    the context each step's certificate is validated against before the step is taken."""
+    the graph=, table= and tol= keywords of `validate_certificate` that each
+    step's certificate is validated against before the step is taken."""
 
-    def __init__(self, expr: FactorExpr, ctx: Context):
-        self.expr, self.ctx = expr, ctx
+    def __init__(self, expr: FactorExpr, **against):
+        self.expr, self.against = expr, against
         self.steps: list[TraceStep] = []
 
     def apply(self, fn, *args) -> None:
         expr, step = fn(self.expr, *args)
         if step.certificate is not None:
-            validate_certificate(step.certificate, self.ctx)
+            validate_certificate(step.certificate, **self.against)
         self.expr = expr
         self.steps.append(step)
 
@@ -79,7 +79,7 @@ def factorize_bn(dag: ModelGraph) -> tuple[FactorExpr, tuple[TraceStep, ...]]:
         raise ModelError("BN factorization requires a directed graph")
     order = dag.topological_order()
     initial = singleton_cr(order)
-    rec = _Recorder(initial, Context(graph=dag))
+    rec = _Recorder(initial, graph=dag)
     rem_path: tuple[int, ...] = ()
     rem = list(order)
     for x in reversed(order[1:]):
@@ -347,7 +347,7 @@ def factorize_tcg(table: JointTable, graph: ModelGraph, tol: float = REL_TOL) ->
     check = is_tcg(graph)
     if not check.ok:
         raise PreconditionError("not a TCG: the clique graph is not tree-reducible")
-    rec = _Recorder(singleton_cr(table.names), Context(graph=graph, table=table, tol=tol))
+    rec = _Recorder(singleton_cr(table.names), graph=graph, table=table, tol=tol)
     factors: dict[tuple[str, ...], FactorExpr] = {}
     rem_path: tuple[int, ...] = ()
     rem = list(table.names)

@@ -17,7 +17,9 @@ table; the last four need an independence certificate, sourced either from
 graph separation or from a numeric test. A rule is pure algebra: it
 derives the rewritten expression and the certificate the step needs, and
 checks no certificate. Whoever takes the step checks it with
-`validate_certificate`: replay here, and the factorizers' recorder.
+`validate_certificate`: replay here, and the factorizers' recorder. A
+certificate is checked against the keywords `graph=`, `table=` and `tol=`,
+which `validate_certificate`, `replay_step` and `replay_trace` all take.
 
 A rewrite targets a node by its path (child positions from the root),
 returns a new tree plus a trace step, and never reorders untouched
@@ -120,36 +122,31 @@ class TraceStep:
     certificate: Certificate | None = None
 
 
-class Context:
-    """The graph, table and tolerance a certificate is validated against."""
-
-    def __init__(self, graph: ModelGraph | None = None, table: JointTable | None = None, tol: float = REL_TOL):
-        self.graph = graph
-        self.table = table
-        self.tol = _check_tol(tol)
-
-
-def validate_certificate(cert: Certificate, ctx: Context) -> None:
+def validate_certificate(
+    cert: Certificate, *, graph: ModelGraph | None = None, table: JointTable | None = None, tol: float = REL_TOL
+) -> None:
     """Raise CertificateError unless the certificate's declared source
     confirms the recorded independence fact: every pair of groups less z's
-    names separated given z in the graph, or mutual independence given z in
-    the table. A certificate of fewer than two groups states nothing and is not checked."""
+    names separated given z in `graph`, or mutual independence given z in
+    `table` within `tol`. A certificate of fewer than two groups states
+    nothing and is not checked; a bad `tol` raises ModelError all the same."""
+    _check_tol(tol)
     groups, z = cert.groups or (cert.x, cert.y), tuple(dict.fromkeys(cert.z))  # z = w + condition may repeat a name
     if len(groups) < 2:
         return
     if cert.kind == "graph":
-        if ctx.graph is None:
+        if graph is None:
             raise CertificateError("graph certificate given but no graph to check it against")
         for n in itertools.chain(*groups, z):
-            ctx.graph.declaration_index(n)  # an unknown name raises ModelError
+            graph.declaration_index(n)  # an unknown name raises ModelError
         # given z, its names drop out of each group: a pair with an empty side is separated, one sharing a name not
         sides = [tuple(n for n in dict.fromkeys(g) if n not in z) for g in groups]
         for a, b in itertools.combinations(sides, 2):
-            if a and b and (not set(a).isdisjoint(b) or not separated(ctx.graph, CIQuery(a, b, z))):
+            if a and b and (not set(a).isdisjoint(b) or not separated(graph, CIQuery(a, b, z))):
                 raise CertificateError(f"graph separation does not hold: {cert}")
-    elif ctx.table is None:
+    elif table is None:
         raise CertificateError("numeric certificate given but no table to check it against")
-    elif (dev := mutual_independence_deviation(ctx.table, groups, z)) > ctx.tol:
+    elif (dev := mutual_independence_deviation(table, groups, z)) > tol:
         raise CertificateError(f"numeric CI test fails (deviation {dev:.3e}): {cert}")
 
 
@@ -437,16 +434,25 @@ def apply_independence(
 # ---------------------------------------------------------------------------
 # Replay
 
-def replay_step(root: FactorExpr, step: TraceStep, ctx: Context) -> FactorExpr:
+def replay_step(
+    root: FactorExpr,
+    step: TraceStep,
+    *,
+    graph: ModelGraph | None = None,
+    table: JointTable | None = None,
+    tol: float = REL_TOL,
+) -> FactorExpr:
     """Apply one recorded step: apply_<rule> with the recorded params, whose
-    derived certificate must validate against `ctx` and equal the recorded one."""
+    derived certificate must validate against `graph`, `table` and `tol` and
+    equal the recorded one."""
+    _check_tol(tol)
     kwargs, cert = step.params, step.certificate
     if _rule(step.rule)[1]:
         kwargs = {**kwargs, "cert_kind": getattr(cert, "kind", "graph")}
     # Looked up at call time, so that wrappers of the module attribute see replays.
     new_root, derived = globals()[f"apply_{step.rule}"](root, step.path, **kwargs)
     if cert is not None and derived.certificate is not None:  # with none recorded, the mismatch below reports it
-        validate_certificate(derived.certificate, ctx)
+        validate_certificate(derived.certificate, graph=graph, table=table, tol=tol)
     if derived.certificate != cert:
         raise RewriteError(
             f"{step.rule} step at {step.path!r} records certificate {cert}, "
@@ -470,12 +476,13 @@ def replay_trace(
     the supplied graph/table and a failing certificate raises
     CertificateError; the raw algebra of a step, certificate unchecked, is a
     direct call of its apply_<rule>. An error at step N (from 0) is
-    re-raised as the same class with "step N: " in front."""
-    ctx = Context(graph=graph, table=table, tol=tol)
+    re-raised as the same class with "step N: " in front; a bad `tol`
+    raises ModelError before any step."""
+    _check_tol(tol)
     expr = initial
     for n, step in enumerate(trace):
         try:
-            expr = replay_step(expr, step, ctx)
+            expr = replay_step(expr, step, graph=graph, table=table, tol=tol)
         except CRFactorError as exc:
             raise type(exc)(f"step {n}: {exc}") from None
     return expr

@@ -34,7 +34,6 @@ from crfactor import (
     apply_condition,
     apply_duplicate,
     apply_merge,
-    Context,
     eval_expr,
     factorize_bn,
     factorize_chain_crf,
@@ -203,21 +202,20 @@ def test_criterion_2_ci_rewrite_soundness(gibbs_pool):
     applications = 0
     for seed, (graph, table) in enumerate(gibbs_pool):
         rng = random.Random(10_000 + seed)
-        ctx = Context(graph=graph, table=table)
         for x, y, w in _separated_triples(graph, rng, want=6):
             reduce_target = CRTerm((Block(x), Block(y + w)))
             reduced, step = apply_ci_reduce(reduce_target, (), 0, list(y), list(w), "graph")
-            validate_certificate(step.certificate, ctx)
+            validate_certificate(step.certificate, graph=graph, table=table)
             worst = max(worst, max_rel_gap(reduced, reduce_target, table))
 
             split_target = CRTerm((Block(w), Block(x + y)))
             split, step = apply_ci_split(split_target, (), 0, list(x), list(y), "graph")
-            validate_certificate(step.certificate, ctx)
+            validate_certificate(step.certificate, graph=graph, table=table)
             worst = max(worst, max_rel_gap(split, split_target, table))
 
             collapse_target = CRTerm((Block(w + x), Block(w + y)))
             collapsed, step = apply_ci_collapse(collapse_target, (), "graph")
-            validate_certificate(step.certificate, ctx)
+            validate_certificate(step.certificate, graph=graph, table=table)
             worst = max(worst, max_rel_gap(collapsed, collapse_target, table))
             applications += 3
     ok = worst <= 1e-9 and applications > 0

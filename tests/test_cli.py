@@ -518,6 +518,14 @@ def test_usage_error_exit_code(capsys):
     assert code == EXIT_PARSE
 
 
+def test_help_prints_the_command_table_as_written(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert '\n    indep       --model F --query "X _|_ Y | Z" [--numeric] [--tol E]\n' in out
+
+
 def test_gen_random_deterministic_and_reparses(capsys):
     code, out1, _ = run(capsys, "gen-random", "--kind", "gibbs", "--graph", "path:3", "--seed", "9")
     assert code == EXIT_OK

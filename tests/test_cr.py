@@ -20,11 +20,9 @@ from crfactor import (
     UndefinedCRError,
     Variable,
     JointTable,
-    block,
-    conditional_cr_value,
-    cr_value,
     eval_expr,
 )
+from crfactor.cr import conditional_cr_value, cr_value
 from crfactor.randgen import random_joint_table
 
 from conftest import D3_NAMES, D3_PROBS, assignments, oracle_cr, oracle_event_prob
@@ -42,9 +40,9 @@ def test_block_validation():
     for state in (True, False):  # would render as A=True, which parse_expr refuses
         with pytest.raises(ModelError, match="pinned state for 'A' must be a non-negative integer"):
             Block([("A", state)])
-    assert str(block("A", ("B", 0))) == "A B=0"
+    assert str(Block(["A", ("B", 0)])) == "A B=0"
     with pytest.raises(ModelError, match="^a block needs at least one member$"):
-        block("A", ("B", 0)).restrict(["C"])
+        Block(["A", ("B", 0)]).restrict(["C"])
     for member, shown in (("a·b", "'a·b'"), (("1A", 0), "'1A'"), ((3, None), "3")):
         with pytest.raises(ModelError) as err:
             Block(["A", member])
@@ -60,8 +58,8 @@ def test_block_validation():
 
 PICKLE_CHILD = """
 import pickle, sys
-from crfactor import block
-b = block("A", ("B", 1))
+from crfactor import Block
+b = Block(["A", ("B", 1)])
 if sys.argv[1] == "dump":
     hash(b)  # the block keeps this hash, which is stale under another hash seed
     with open(sys.argv[2], "wb") as f:
@@ -86,7 +84,7 @@ def test_block_pickles_across_hash_seeds(tmp_path):
         assert child.returncode == 0, child.stderr
         out.append(child.stdout)
     assert out == ["", "fresh entry True\n"]
-    b = block("A", ("B", 1))
+    b = Block(["A", ("B", 1)])
     hash(b)
     for twin, keyed in (copy.deepcopy((b, {b: "entry"})), pickle.loads(pickle.dumps((b, {b: "entry"})))):
         assert twin is not b and twin == b and str(twin) == "A B=1"
@@ -95,23 +93,23 @@ def test_block_pickles_across_hash_seeds(tmp_path):
 
 def test_cr_independent_coins_is_one(coins_table):
     for a in assignments(coins_table):
-        assert cr_value(coins_table, [block("A"), block("B")], a) == pytest.approx(1.0)
+        assert cr_value(coins_table, [Block(["A"]), Block(["B"])], a) == pytest.approx(1.0)
 
 
 def test_cr_d2(d2_table):
     # 0.4 / (0.5 * 0.5), checked by hand
-    got = cr_value(d2_table, [block("A"), block("B")], {"A": 0, "B": 0})
+    got = cr_value(d2_table, [Block(["A"]), Block(["B"])], {"A": 0, "B": 0})
     assert got == pytest.approx(1.6)
 
 
 def test_cr_d3_three_singletons(d3_table):
     # 0.36 / 0.125, checked by hand
-    assert cr_value(d3_table, [block("A"), block("B"), block("C")], A000) == pytest.approx(2.88)
+    assert cr_value(d3_table, [Block(["A"]), Block(["B"]), Block(["C"])], A000) == pytest.approx(2.88)
 
 
 def test_cr_d3_grouping_changes_value(d3_table):
     # CR(AB, C) = 0.36 / (0.45 * 0.5): grouping A and B into one event
-    got = cr_value(d3_table, [block("A", "B"), block("C")], A000)
+    got = cr_value(d3_table, [Block(["A", "B"]), Block(["C"])], A000)
     assert got == pytest.approx(1.6)
     assert got != pytest.approx(2.88)
     # the oracle agrees
@@ -121,7 +119,7 @@ def test_cr_d3_grouping_changes_value(d3_table):
 
 def test_cr_single_block_is_one(d3_table):
     for a in assignments(d3_table):
-        assert cr_value(d3_table, [block("A", "B", "C")], a) == pytest.approx(1.0)
+        assert cr_value(d3_table, [Block(["A", "B", "C"])], a) == pytest.approx(1.0)
 
 
 def test_cr_empty_block_list_undefined(d2_table):
@@ -132,40 +130,40 @@ def test_cr_empty_block_list_undefined(d2_table):
 def test_cr_zero_marginal_raises():
     table = JointTable([Variable("A", 2), Variable("B", 2)], [[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(UndefinedCRError):
-        cr_value(table, [block("A"), block("B")], {"A": 1, "B": 0})
+        cr_value(table, [Block(["A"]), Block(["B"])], {"A": 1, "B": 0})
 
 
 def test_cr_zero_numerator_is_zero():
     table = JointTable([Variable("A", 2), Variable("B", 2)], [[0.5, 0.0], [0.0, 0.5]])
-    assert cr_value(table, [block("A"), block("B")], {"A": 0, "B": 1}) == 0.0
+    assert cr_value(table, [Block(["A"]), Block(["B"])], {"A": 0, "B": 1}) == 0.0
 
 
 def test_cr_inconsistent_pins_give_zero(d2_table):
-    got = cr_value(d2_table, [block(("A", 0)), block(("A", 1))], {})
+    got = cr_value(d2_table, [Block([("A", 0)]), Block([("A", 1)])], {})
     assert got == 0.0
 
 
 def test_cr_repeated_variable_counts_once_in_numerator(d3_table):
     # CR(A, A) = P(A) / P(A)^2 = 1 / P(A)
-    got = cr_value(d3_table, [block("A"), block("A")], A000)
+    got = cr_value(d3_table, [Block(["A"]), Block(["A"])], A000)
     assert got == pytest.approx(2.0)
 
 
 def test_unbound_free_variable_raises(d2_table):
     with pytest.raises(ModelError):
-        cr_value(d2_table, [block("A"), block("B")], {"A": 0})
+        cr_value(d2_table, [Block(["A"]), Block(["B"])], {"A": 0})
 
 
 def test_conditional_cr_chain_independence(d3_table):
     for a in assignments(d3_table):
-        got = conditional_cr_value(d3_table, [block("A"), block("C")], block("B"), a)
+        got = conditional_cr_value(d3_table, [Block(["A"]), Block(["C"])], Block(["B"]), a)
         assert got == pytest.approx(1.0)
 
 
 def test_conditional_cr_empty_condition_degenerates(d2_table):
     a = {"A": 0, "B": 0}
-    assert conditional_cr_value(d2_table, [block("A"), block("B")], None, a) == pytest.approx(
-        cr_value(d2_table, [block("A"), block("B")], a)
+    assert conditional_cr_value(d2_table, [Block(["A"]), Block(["B"])], None, a) == pytest.approx(
+        cr_value(d2_table, [Block(["A"]), Block(["B"])], a)
     )
 
 
@@ -178,18 +176,18 @@ def test_conditional_cr_d3_pinned_condition(d3_table):
     pab = oracle_event_prob(D3_PROBS, D3_NAMES, {"A": 0, "B": 0, "C": 0}) / pc0
     want = pab / (pa * pb)
     assert want == pytest.approx(1.2162162162162162)
-    got = conditional_cr_value(d3_table, [block("A"), block("B")], block(("C", 0)), {"A": 0, "B": 0})
+    got = conditional_cr_value(d3_table, [Block(["A"]), Block(["B"])], Block([("C", 0)]), {"A": 0, "B": 0})
     assert got == pytest.approx(want)
 
 
 def test_conditional_cr_zero_condition_raises():
     table = JointTable([Variable("A", 2), Variable("B", 2)], [[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(UndefinedCRError):
-        conditional_cr_value(table, [block("B")], block(("A", 1)), {"B": 0})
+        conditional_cr_value(table, [Block(["B"])], Block([("A", 1)]), {"B": 0})
 
 
 def test_conditional_prob_wrapper(d2_table):
-    got = eval_expr(PTerm(block("B"), block("A")), d2_table, {"A": 0, "B": 0})
+    got = eval_expr(PTerm(Block(["B"]), Block(["A"])), d2_table, {"A": 0, "B": 0})
     assert got == pytest.approx(0.8)
 
 
@@ -213,36 +211,36 @@ def marginal_sides(blocks, drop: str) -> tuple[Sum, CRTerm | Const]:
 
 
 def test_reconstruct_d2(d2_table):
-    got = eval_expr(reconstruction([block("A"), block("B")]), d2_table, {"A": 0, "B": 0})
+    got = eval_expr(reconstruction([Block(["A"]), Block(["B"])]), d2_table, {"A": 0, "B": 0})
     assert got == pytest.approx(0.4)
 
 
 def test_reconstruct_single_block_returns_entry(d3_table):
     for a in assignments(d3_table):
-        got = eval_expr(reconstruction([block("A", "B", "C")]), d3_table, a)
+        got = eval_expr(reconstruction([Block(["A", "B", "C"])]), d3_table, a)
         assert got == pytest.approx(d3_table.prob(a))
 
 
 def test_reconstruct_d3(d3_table):
-    got = eval_expr(reconstruction([block("A"), block("B"), block("C")]), d3_table, A000)
+    got = eval_expr(reconstruction([Block(["A"]), Block(["B"]), Block(["C"])]), d3_table, A000)
     assert got == pytest.approx(0.36)
 
 
 def test_marginal_cr_two_vars_collapses_to_one(d2_table):
-    lhs, rhs = (eval_expr(e, d2_table, {"A": 0}) for e in marginal_sides([block("A"), block("B")], "B"))
+    lhs, rhs = (eval_expr(e, d2_table, {"A": 0}) for e in marginal_sides([Block(["A"]), Block(["B"])], "B"))
     assert rhs == pytest.approx(1.0)
     assert lhs == pytest.approx(rhs)
 
 
 def test_marginal_cr_d3_drop_c(d3_table):
-    sides = marginal_sides([block("A"), block("B"), block("C")], "C")
+    sides = marginal_sides([Block(["A"]), Block(["B"]), Block(["C"])], "C")
     lhs, rhs = (eval_expr(e, d3_table, {"A": 0, "B": 0}) for e in sides)
-    assert rhs == pytest.approx(cr_value(d3_table, [block("A"), block("B")], {"A": 0, "B": 0}))
+    assert rhs == pytest.approx(cr_value(d3_table, [Block(["A"]), Block(["B"])], {"A": 0, "B": 0}))
     assert lhs == pytest.approx(rhs)
 
 
 def test_marginal_cr_independent_coins(coins_table):
-    lhs, rhs = (eval_expr(e, coins_table, {"A": 1}) for e in marginal_sides([block("A"), block("B")], "B"))
+    lhs, rhs = (eval_expr(e, coins_table, {"A": 1}) for e in marginal_sides([Block(["A"]), Block(["B"])], "B"))
     assert lhs == pytest.approx(1.0)
     assert rhs == pytest.approx(1.0)
 
@@ -292,11 +290,11 @@ def test_duplicate_divides_by_marginal():
     for trial in range(20):
         names = ("x", "y", "z")
         table = random_joint_table(names, seed=2000 + trial)
-        blocks = [block("x"), block("y"), block("z")]
+        blocks = [Block(["x"]), Block(["y"]), Block(["z"])]
         var = rng.choice(names)
         for a in assignments(table):
             base = cr_value(table, blocks, a)
-            doubled = cr_value(table, blocks + [block(var)], a)
+            doubled = cr_value(table, blocks + [Block([var])], a)
             assert doubled == pytest.approx(base / table.event_prob({var: a[var]}), rel=1e-9)
 
 
@@ -305,8 +303,8 @@ def test_conditional_cr_identity():
     for trial in range(20):
         names = ("x", "y", "z")
         table = random_joint_table(names, seed=3000 + trial)
-        blocks = [block("y"), block("z")]
-        cond = block("x")
+        blocks = [Block(["y"]), Block(["z"])]
+        cond = Block(["x"])
         for a in assignments(table):
             lhs = conditional_cr_value(table, blocks, cond, a)
             for b in blocks:

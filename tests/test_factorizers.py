@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crfactor import (
+    Block,
     CPT,
     GibbsModel,
     JointTable,
@@ -17,15 +18,12 @@ from crfactor import (
     PTerm,
     UndefinedCRError,
     Variable,
-    block,
     build_joint_from_cpts,
     eval_expr,
     factorize_bn,
     factorize_chain_crf,
     factorize_tcg,
     factorize_tree_mn,
-    hc_potential,
-    is_markov,
     is_tcg,
     mrf_factorize,
     product_of,
@@ -38,7 +36,9 @@ from crfactor import separation
 from crfactor.cli import verify_expression
 from crfactor.cr import grid
 from crfactor.model import REL_TOL
-from crfactor.rewrites import Context
+from crfactor.factorizers import hc_potential
+from crfactor.rewrites import Certificate, TraceStep, replay_step, validate_certificate
+from crfactor.separation import is_markov
 from crfactor.randgen import (
     make_graph,
     random_chain_conditional_table,
@@ -107,7 +107,7 @@ def test_bn_trace_replays_with_valid_certificates(student_graph):
     table = student_table(student_graph, seed=8)
     order = student_graph.topological_order()
     cr_product = replay_trace(singleton_cr(order), trace, graph=student_graph, table=table)
-    full = product_of([cr_product] + [PTerm(block(n)) for n in order])
+    full = product_of([cr_product] + [PTerm(Block([n])) for n in order])
     _assert_matches_joint(full, table)
 
 
@@ -521,7 +521,9 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
         lambda: mrf_factorize(table, path, tol=tol),
         lambda: rmrf_factorize(table, path, tol=tol),
         lambda: factorize_tcg(table, path, tol=tol),
-        lambda: Context(table=table, tol=tol),
+        # before anything else: a certificate of one group, a step of no known rule, an empty trace
+        lambda: validate_certificate(Certificate("numeric", groups=(("a",),)), table=table, tol=tol),
+        lambda: replay_step(singleton_cr(["a"]), TraceStep("bogus", (), {}), table=table, tol=tol),
         lambda: replay_trace(singleton_cr(table.names), (), table=table, tol=tol),
     ]
     for call in calls:
@@ -642,7 +644,7 @@ def test_tcg_trace_replays(d3_table):
     path = ModelGraph("undirected", ["A", "B", "C"], [("A", "B"), ("B", "C")])
     result = factorize_tcg(d3_table, path)
     final = replay_trace(singleton_cr(d3_table.names), result.trace, graph=path, table=d3_table)
-    full = product_of([final] + [PTerm(block(n)) for n in path.nodes])
+    full = product_of([final] + [PTerm(Block([n])) for n in path.nodes])
     _assert_matches_joint(full, d3_table)
 
 

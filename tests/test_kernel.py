@@ -31,9 +31,6 @@ from crfactor import (
     Sum,
     UndefinedCRError,
     Variable,
-    block,
-    conditional_cr_value,
-    cr_value,
     eval_expr,
     factorize_tcg,
     is_tcg,
@@ -44,7 +41,7 @@ from crfactor import (
 )
 from crfactor import expr as expr_module
 from crfactor.cli import verify_expression
-from crfactor.cr import evaluate, grid, settle
+from crfactor.cr import conditional_cr_value, cr_value, evaluate, grid, settle
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 from crfactor.separation import CIQuery, ci_deviation, mutual_independence_deviation
 
@@ -208,9 +205,9 @@ def test_undefined_rows_keep_their_cause(text, message, row):
 @pytest.mark.parametrize(
     "blocks, cond, row, message",
     [
-        ([block("A"), block("C")], None, (0, 0, 1), "zero marginal for block (C)"),
-        ([block("A"), block("B")], block("C"), (0, 0, 1), "conditioning event (C) has probability zero"),
-        ([block("A", "B"), block("A")], block(("C", 0)), (1, 1, 0), "zero conditional marginal for block (A B)"),
+        ([Block(["A"]), Block(["C"])], None, (0, 0, 1), "zero marginal for block (C)"),
+        ([Block(["A"]), Block(["B"])], Block(["C"]), (0, 0, 1), "conditioning event (C) has probability zero"),
+        ([Block(["A", "B"]), Block(["A"])], Block([("C", 0)]), (1, 1, 0), "zero conditional marginal for block (A B)"),
     ],
 )
 def test_cr_value_wrappers_hold_their_own_error_state(blocks, cond, row, message):
@@ -277,18 +274,18 @@ def test_a_power_is_pythons_float_power_at_every_row(text, exponent):
 def test_cr_value_wrappers_accept_grids():
     table = TABLES["ternary"]
     rows = grid(table)
-    blocks = [block("A", ("B", 2)), block("C")]
+    blocks = [Block(["A", ("B", 2)]), Block(["C"])]
     batch_cr = cr_value(table, blocks, rows)
-    batch_ccr = conditional_cr_value(table, blocks[:1], block("C"), rows)
-    batch_p = eval_expr(PTerm(block("A"), block("B", "C")), table, rows)
+    batch_ccr = conditional_cr_value(table, blocks[:1], Block(["C"]), rows)
+    batch_p = eval_expr(PTerm(Block(["A"]), Block(["B", "C"])), table, rows)
     for a in assignments(table):
         at = tuple(a[n] for n in NAMES)
         assert np.broadcast_to(batch_cr, table.probs.shape)[at] == cr_value(table, blocks, a)
         assert np.broadcast_to(batch_ccr, table.probs.shape)[at] == conditional_cr_value(
-            table, blocks[:1], block("C"), a
+            table, blocks[:1], Block(["C"]), a
         )
         assert np.broadcast_to(batch_p, table.probs.shape)[at] == eval_expr(
-            PTerm(block("A"), block("B", "C")), table, a
+            PTerm(Block(["A"]), Block(["B", "C"])), table, a
         )
 
 
@@ -482,9 +479,9 @@ def test_one_row_gives_a_float():
     table = TABLES["ternary"]
     a = {"A": 1, "B": 2, "C": 0}
     values = [
-        cr_value(table, [block("A"), block("B", "C")], a),
-        conditional_cr_value(table, [block("A"), block("B")], block("C"), a),
-        eval_expr(PTerm(block("A"), block("B")), table, a),
+        cr_value(table, [Block(["A"]), Block(["B", "C"])], a),
+        conditional_cr_value(table, [Block(["A"]), Block(["B"])], Block(["C"]), a),
+        eval_expr(PTerm(Block(["A"]), Block(["B"])), table, a),
         table.prob(a),
         table.event_prob({"A": 1, "C": 0}),
         eval_expr(parse_expr("CR(A=0,A)"), table, a),
@@ -650,8 +647,8 @@ def test_cr_term_built_with_a_list_of_blocks_hits_the_memo():
     equals its tuple form and its product keys the memo as any other."""
     table = random_joint_table(NAMES, seed=11)
     twin = JointTable(table.variables, table.probs)
-    listed = Product((CRTerm([block("A"), block("B")]), PTerm(block("C"), exponent=-1)))
-    tupled = product_of([CRTerm((block("A"), block("B"))), PTerm(block("C"), exponent=-1)])
+    listed = Product((CRTerm([Block(["A"]), Block(["B"])]), PTerm(Block(["C"]), exponent=-1)))
+    tupled = product_of([CRTerm((Block(["A"]), Block(["B"]))), PTerm(Block(["C"]), exponent=-1)])
     assert listed == tupled and hash(listed) == hash(tupled)
     want = outcome(tupled, twin, grid(twin))
     assert row_by_row(tupled, twin) == want
@@ -666,9 +663,9 @@ def test_memo_values_and_grid_axes_are_read_only():
     rows = grid(table)
     assert rows is not grid(table) and all(rows[n] is grid(table)[n] for n in NAMES)
     terms = [
-        PTerm(block("A", "B")),  # a view of the cached marginal
-        PTerm(block("A", "B"), exponent=-1),
-        CRTerm((block("A"), block("B")), block("C")),
+        PTerm(Block(["A", "B"])),  # a view of the cached marginal
+        PTerm(Block(["A", "B"]), exponent=-1),
+        CRTerm((Block(["A"]), Block(["B"])), Block(["C"])),
     ]
     for term in terms:
         value = eval_expr(term, table, rows)
@@ -677,7 +674,7 @@ def test_memo_values_and_grid_axes_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0.0
     # the kernel itself memoizes nothing: each call builds its value afresh
-    kernel_args = (table, "CR", (block("A"), block("B")), block("C"), rows)
+    kernel_args = (table, "CR", (Block(["A"]), Block(["B"])), Block(["C"]), rows)
     assert evaluate(*kernel_args)[0] is not evaluate(*kernel_args)[0]
     assert len(table._memo) == len(terms)
     for axis in rows.values():

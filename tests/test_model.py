@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crfactor import (
+    Block,
     CPT,
     GibbsModel,
     JointTable,
@@ -18,7 +19,6 @@ from crfactor import (
     PTerm,
     UndefinedCRError,
     Variable,
-    block,
     build_joint_from_cpts,
     eval_expr,
 )
@@ -188,16 +188,16 @@ def test_marginal_sums_to_one(d3_table):
 
 
 def test_conditional_prob_examples(d2_table, coins_table):
-    assert eval_expr(PTerm(block(("B", 0)), block(("A", 0))), d2_table, {}) == pytest.approx(0.8)
-    assert eval_expr(PTerm(block(("A", 1)), block(("A", 1))), d2_table, {}) == pytest.approx(1.0)
-    assert eval_expr(PTerm(block(("A", 0)), block(("A", 1))), d2_table, {}) == 0.0
-    assert eval_expr(PTerm(block(("B", 0)), block(("A", 1))), coins_table, {}) == pytest.approx(0.5)
+    assert eval_expr(PTerm(Block([("B", 0)]), Block([("A", 0)])), d2_table, {}) == pytest.approx(0.8)
+    assert eval_expr(PTerm(Block([("A", 1)]), Block([("A", 1)])), d2_table, {}) == pytest.approx(1.0)
+    assert eval_expr(PTerm(Block([("A", 0)]), Block([("A", 1)])), d2_table, {}) == 0.0
+    assert eval_expr(PTerm(Block([("B", 0)]), Block([("A", 1)])), coins_table, {}) == pytest.approx(0.5)
 
 
 def test_conditional_prob_zero_event():
     table = JointTable([Variable("A", 2), Variable("B", 2)], [[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(UndefinedCRError, match="conditioning event has probability zero"):
-        eval_expr(PTerm(block(("B", 0)), block(("A", 1))), table, {})
+        eval_expr(PTerm(Block([("B", 0)]), Block([("A", 1)])), table, {})
 
 
 def test_build_joint_single_node():
@@ -313,8 +313,8 @@ def test_chain_rule_reproduces_cpts(student_graph):
     for node in student_graph.nodes:
         parents = student_graph.parents(node)
         for states in itertools.product(range(2), repeat=len(parents) + 1):
-            given = block(*zip(parents, states[:-1])) if parents else None
-            got = eval_expr(PTerm(block((node, states[-1])), given), table, {})
+            given = Block(zip(parents, states[:-1])) if parents else None
+            got = eval_expr(PTerm(Block([(node, states[-1])]), given), table, {})
             assert got == pytest.approx(float(cpts[node].probs[states]), abs=1e-12)
 
 

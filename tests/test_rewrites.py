@@ -13,7 +13,6 @@ from crfactor import (
     Block,
     CertificateError,
     Certificate,
-    Context,
     CRTerm,
     ModelError,
     ModelGraph,
@@ -31,7 +30,6 @@ from crfactor import (
     apply_independence,
     apply_merge,
     apply_single_block,
-    block,
     eval_expr,
     factorize_bn,
     factorize_tcg,
@@ -96,7 +94,7 @@ def test_bipartition_invalid_split(d3_table):
 
 def test_bipartition_merge_duplicate_variable_rejected():
     # merging two blocks that share a variable is illegal inside the cut
-    e0 = CRTerm((block("A"), block("A"), block("B")))
+    e0 = CRTerm((Block(["A"]), Block(["A"]), Block(["B"])))
     with pytest.raises(RewriteError):
         apply_bipartition(e0, (), [0, 1], [2])
 
@@ -117,7 +115,7 @@ def test_merge_independent_blocks_then_independence(coins_table):
     e0 = singleton_cr("AB")
     e1, _ = apply_merge(e0, (), 0, 1)
     e2, step = apply_independence(e1, (1,), "numeric")
-    validate_certificate(step.certificate, Context(table=coins_table))
+    validate_certificate(step.certificate, table=coins_table)
     assert render(e2) == "CR(A B)"
     _everywhere_equal(e0, e2, coins_table)
 
@@ -142,7 +140,7 @@ def test_duplicate_preserves_value(d2_table):
 
 
 def test_duplicate_single_block_gives_one(d3_table):
-    e0 = CRTerm((block("A"),))
+    e0 = CRTerm((Block(["A"]),))
     e1, _ = apply_duplicate(e0, (), 0)
     assert render(e1) == "CR(A,A)·P(A)"
     for a in assignments(d3_table):
@@ -165,7 +163,7 @@ def test_condition_structure(fig4_graph):
 
 
 def test_condition_single_variable_collapses(d3_table):
-    e0 = CRTerm((block("A"),))
+    e0 = CRTerm((Block(["A"]),))
     e1, _ = apply_condition(e0, (), "B")
     for a in assignments(d3_table):
         assert eval_expr(e1, d3_table, a) == pytest.approx(1.0)
@@ -182,15 +180,15 @@ def test_condition_value_on_random_positive_tables():
 def test_condition_errors(d3_table):
     with pytest.raises(RewriteError):
         apply_condition(singleton_cr("AB"), (), "A")  # already in the term
-    e = Sum("C", Product((singleton_cr("AB"), PTerm(block("C")))))
+    e = Sum("C", Product((singleton_cr("AB"), PTerm(Block(["C"])))))
     with pytest.raises(RewriteError):
         apply_condition(e, (0, 0), "C")  # bound by the enclosing sum
     with pytest.raises(RewriteError):
-        apply_condition(CRTerm((block("A"),), condition=block("B")), (), "C")
+        apply_condition(CRTerm((Block(["A"]),), condition=Block(["B"])), (), "C")
     with pytest.raises(RewriteError, match="already occurs free"):
-        apply_condition(Product((singleton_cr("AB"), PTerm(block("C")))), (0,), "C")  # free beside the target
+        apply_condition(Product((singleton_cr("AB"), PTerm(Block(["C"])))), (0,), "C")  # free beside the target
     # a sum of the same name beside the target binds its own C, so there is no clash
-    e1, _ = apply_condition(Product((singleton_cr("AB"), Sum("C", PTerm(block("C"))))), (0,), "C")
+    e1, _ = apply_condition(Product((singleton_cr("AB"), Sum("C", PTerm(Block(["C"]))))), (0,), "C")
     assert render(e1) == "sum_C[CR(A,B|C)·CR(A,C)·CR(B,C)·P(C)]·sum_C[P(C)]"
 
 
@@ -198,7 +196,7 @@ def test_rewrites_at_nested_paths():
     # condition puts a sum below the root product; the next steps reach
     # through the sum into its product
     table = random_joint_table("ABCD", seed=3)
-    e0 = Product((singleton_cr("AB"), PTerm(block("D"))))
+    e0 = Product((singleton_cr("AB"), PTerm(Block(["D"]))))
     e1, s1 = apply_condition(e0, (0,), "C")
     e2, s2 = apply_duplicate(e1, (0, 0, 1), 0)
     e3, s3 = apply_bipartition(e2, (0, 0, 0), [0], [1])
@@ -217,9 +215,9 @@ def test_rewrites_at_nested_paths():
 
 def test_ci_reduce_d3(d3_table):
     # CR(A, BC) -> CR(A, B) given (A ⊥ C | B); both equal 1.8 at all-zeros
-    e0 = CRTerm((block("A"), block("B", "C")))
+    e0 = CRTerm((Block(["A"]), Block(["B", "C"])))
     e1, step = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric")
-    validate_certificate(step.certificate, Context(table=d3_table))
+    validate_certificate(step.certificate, table=d3_table)
     assert render(e1) == "CR(A,B)"
     assert eval_expr(e0, d3_table, A000) == pytest.approx(1.8)
     assert eval_expr(e1, d3_table, A000) == pytest.approx(1.8)
@@ -231,20 +229,20 @@ def test_ci_reduce_graph_certificate(d3_table):
     chain = make_graph("chain:3")  # a -> b -> c
     e0 = CRTerm((Block(["a"]), Block(["b", "c"])))
     e1, step = apply_ci_reduce(e0, (), 0, ["c"], ["b"], "graph")
-    validate_certificate(step.certificate, Context(graph=chain))
+    validate_certificate(step.certificate, graph=chain)
     assert render(e1) == "CR(a,b)"
 
 
 def test_ci_reduce_invalid_certificate(d3_table):
-    e0 = CRTerm((block("A"), block("B", "C")))
+    e0 = CRTerm((Block(["A"]), Block(["B", "C"])))
     _, step = apply_ci_reduce(e0, (), 0, ["B"], ["C"], "numeric")
     with pytest.raises(CertificateError):
         # (A ⊥ B | C) is false for the chain table
-        validate_certificate(step.certificate, Context(table=d3_table))
+        validate_certificate(step.certificate, table=d3_table)
 
 
 def test_ci_reduce_parameter_validation(d3_table):
-    e0 = CRTerm((block("A"), block("B", "C")))
+    e0 = CRTerm((Block(["A"]), Block(["B", "C"])))
     with pytest.raises(RewriteError, match="^ci_reduce needs non-empty y and w variable sets$"):
         apply_ci_reduce(e0, (), 0, ["C"], [], "numeric")  # empty w
     with pytest.raises(RewriteError, match="^y and w must partition the reduced block's variables$"):
@@ -279,9 +277,9 @@ def test_ci_split_and_collapse_parameter_validation(d3_table, rule, target, args
 
 def test_ci_split_d3(d3_table):
     # CR(B, AC) -> CR(A,B) CR(C,B) / CR(A,C) under (A ⊥ C | B)
-    e0 = CRTerm((block("B"), block("A", "C")))
+    e0 = CRTerm((Block(["B"]), Block(["A", "C"])))
     e1, step = apply_ci_split(e0, (), 0, ["A"], ["C"], "numeric")
-    validate_certificate(step.certificate, Context(table=d3_table))
+    validate_certificate(step.certificate, table=d3_table)
     assert render(e1) == "CR(A,B)·CR(C,B)·CR(A,C)^-1"
     # oracle: CR(A,C) = P(A=0,C=0) / 0.25 = 0.37 / 0.25 = 1.48
     cr_ac = oracle_cr(D3_PROBS, D3_NAMES, [{"A": 0}, {"C": 0}])
@@ -292,9 +290,9 @@ def test_ci_split_d3(d3_table):
 
 def test_ci_split_composes_with_ci_reduce(d3_table):
     # both routes out of CR(B, AC) agree everywhere
-    e0 = CRTerm((block("B"), block("A", "C")))
+    e0 = CRTerm((Block(["B"]), Block(["A", "C"])))
     split, step = apply_ci_split(e0, (), 0, ["A"], ["C"], "numeric")
-    validate_certificate(step.certificate, Context(table=d3_table))
+    validate_certificate(step.certificate, table=d3_table)
     _everywhere_equal(e0, split, d3_table)
 
 
@@ -312,9 +310,9 @@ def test_ci_split_independent_blocks(coins_table):
             for k in range(2):
                 arr[i, j, k] = px[i] * py[j] * pw[k]
     t = JointTable([Variable("x", 2), Variable("y", 2), Variable("w", 2)], arr)
-    e0 = CRTerm((block("w"), block("x", "y")))
+    e0 = CRTerm((Block(["w"]), Block(["x", "y"])))
     e1, step = apply_ci_split(e0, (), 0, ["x"], ["y"], "numeric")
-    validate_certificate(step.certificate, Context(table=t))
+    validate_certificate(step.certificate, table=t)
     for a in assignments(t):
         assert eval_expr(e1, t, a) == pytest.approx(1.0)
 
@@ -325,9 +323,9 @@ def test_ci_split_independent_blocks(coins_table):
 
 def test_ci_collapse_d3(d3_table):
     # CR(A B, B C) -> 1 / P(B) = 2.0 at B = 0
-    e0 = CRTerm((block("A", "B"), block("B", "C")))
+    e0 = CRTerm((Block(["A", "B"]), Block(["B", "C"])))
     e1, step = apply_ci_collapse(e0, (), "numeric")
-    validate_certificate(step.certificate, Context(table=d3_table))
+    validate_certificate(step.certificate, table=d3_table)
     assert render(e1) == "P(B)^-1"
     assert eval_expr(e0, d3_table, A000) == pytest.approx(2.0)
     assert eval_expr(e1, d3_table, A000) == pytest.approx(2.0)
@@ -335,7 +333,7 @@ def test_ci_collapse_d3(d3_table):
 
 
 def test_ci_collapse_identical_blocks_needs_no_certificate(d3_table):
-    e0 = CRTerm((block("B"), block("B")))
+    e0 = CRTerm((Block(["B"]), Block(["B"])))
     e1, step = apply_ci_collapse(e0, ())
     assert render(e1) == "P(B)^-1"
     assert step.certificate is None
@@ -343,11 +341,11 @@ def test_ci_collapse_identical_blocks_needs_no_certificate(d3_table):
 
 
 def test_ci_collapse_binding_mismatch():
-    e0 = CRTerm((block(("B", 0), "A"), block(("B", 1), "C")))
+    e0 = CRTerm((Block([("B", 0), "A"]), Block([("B", 1), "C"])))
     with pytest.raises(RewriteError):
         apply_ci_collapse(e0, ())
     with pytest.raises(RewriteError):
-        apply_ci_collapse(CRTerm((block("A"), block("C"))), ())  # no overlap
+        apply_ci_collapse(CRTerm((Block(["A"]), Block(["C"]))), ())  # no overlap
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +353,9 @@ def test_ci_collapse_binding_mismatch():
 
 
 def test_independence_drops_term(coins_table):
-    e0 = Product((singleton_cr("AB"), PTerm(block("A")), PTerm(block("B"))))
+    e0 = Product((singleton_cr("AB"), PTerm(Block(["A"])), PTerm(Block(["B"]))))
     e1, step = apply_independence(e0, (0,), "numeric")
-    validate_certificate(step.certificate, Context(table=coins_table))
+    validate_certificate(step.certificate, table=coins_table)
     assert render(e1) == "P(A)·P(B)"
     _everywhere_equal(e0, e1, coins_table)
 
@@ -365,7 +363,7 @@ def test_independence_drops_term(coins_table):
 def test_independence_invalid_certificate(d2_table):
     _, step = apply_independence(singleton_cr("AB"), (), "numeric")
     with pytest.raises(CertificateError):
-        validate_certificate(step.certificate, Context(table=d2_table))
+        validate_certificate(step.certificate, table=d2_table)
 
 
 def test_independence_graph_certificate():
@@ -373,7 +371,7 @@ def test_independence_graph_certificate():
     t = random_gibbs_model(make_graph("path:4"), seed=1).to_joint()
     e0 = singleton_cr("abcd")
     e1, step = apply_independence(e0, (), "graph")
-    validate_certificate(step.certificate, Context(graph=g))
+    validate_certificate(step.certificate, graph=g)
     assert render(e1) == "1"
     # the certificate is about the edgeless graph, not the path table
     assert eval_expr(e1, t, {n: 0 for n in "abcd"}) == 1.0
@@ -383,24 +381,24 @@ def test_graph_certificate_reads_each_group_less_z():
     """A group's names in z are given: a pair left with an empty side is
     separated, a pair sharing a name outside z is not, and z may repeat a
     name; every name must be a node, also one that drops out."""
-    ctx = Context(graph=make_graph("path:3"))  # a - b - c
+    path = make_graph("path:3")  # a - b - c
     for cert in (Certificate("graph", ("a", "b"), ("c",), ("b",)), Certificate("graph", ("a", "b"), ("b",), ("b",)),
                  Certificate("graph", ("a",), ("c",), ("b", "b")), Certificate("graph", groups=(("a",), ("b",)), z=("b",))):
-        validate_certificate(cert, ctx)
+        validate_certificate(cert, graph=path)
     for cert in (Certificate("graph", groups=(("a",), ("a",))), Certificate("graph", ("a", "b"), ("b", "c"), ("a",)),
                  Certificate("graph", ("a",), ("c",))):
         with pytest.raises(CertificateError, match="^graph separation does not hold"):
-            validate_certificate(cert, ctx)
+            validate_certificate(cert, graph=path)
     for cert in (Certificate("graph", ("a", "q"), ("c",), ("b",)), Certificate("graph", groups=(("a",), ("q",)), z=("q",))):
         with pytest.raises(ModelError, match="^unknown node 'q'$"):
-            validate_certificate(cert, ctx)
+            validate_certificate(cert, graph=path)
 
 
 def test_independence_missing_context():
     for kind in ("numeric", "graph"):
         _, step = apply_independence(singleton_cr("AB"), (), kind)
         with pytest.raises(CertificateError):
-            validate_certificate(step.certificate, Context())
+            validate_certificate(step.certificate)
         # one group is independent of nothing else: its certificate states nothing and is not checked
         _, step = apply_independence(singleton_cr("A"), (), kind)
         assert render(replay_trace(singleton_cr("A"), [step])) == "1"
@@ -416,7 +414,7 @@ def test_certificate_validation_requires_known_kind():
 
 
 def test_single_block(d3_table):
-    e0 = Product((CRTerm((block("A", "B", "C"),)), PTerm(block("A"))))
+    e0 = Product((CRTerm((Block(["A", "B", "C"]),)), PTerm(Block(["A"]))))
     e1, _ = apply_single_block(e0, (0,))
     assert render(e1) == "P(A)"
     with pytest.raises(RewriteError, match="^single_block applies to one-block CR terms$"):
@@ -424,7 +422,7 @@ def test_single_block(d3_table):
 
 
 def test_single_block_at_root_leaves_constant_one(d3_table):
-    e0 = CRTerm((block("A"),))
+    e0 = CRTerm((Block(["A"]),))
     e1, _ = apply_single_block(e0, ())
     assert render(e1) == "1"
 
@@ -435,11 +433,11 @@ def test_single_block_at_root_leaves_constant_one(d3_table):
 
 def test_rewrites_require_cr_targets():
     with pytest.raises(RewriteError):
-        apply_single_block(PTerm(block("A")), ())
+        apply_single_block(PTerm(Block(["A"])), ())
     with pytest.raises(RewriteError):
-        apply_merge(CRTerm((block("A"), block("B")), exponent=-1), (), 0, 1)
+        apply_merge(CRTerm((Block(["A"]), Block(["B"])), exponent=-1), (), 0, 1)
     with pytest.raises(RewriteError):
-        apply_single_block(Product((PTerm(block("A")),)), (3,))
+        apply_single_block(Product((PTerm(Block(["A"])),)), (3,))
 
 
 def test_replay_reproduces_recorded_run(d3_table):
@@ -471,14 +469,14 @@ def test_replay_stale_target_raises(d3_table):
     e0 = singleton_cr("ABC")
     _, s = apply_bipartition(e0, (), [0], [1, 2])
     with pytest.raises(RewriteError):
-        replay_trace(Product((PTerm(block("A")),)), [s])
+        replay_trace(Product((PTerm(Block(["A"])),)), [s])
 
 
 def test_replay_revalidates_certificates(d3_table):
     # recorded against one table, replayed against a table lacking the CI
-    e0 = CRTerm((block("A"), block("B", "C")))
+    e0 = CRTerm((Block(["A"]), Block(["B", "C"])))
     _, s = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric")
-    validate_certificate(s.certificate, Context(table=d3_table))
+    validate_certificate(s.certificate, table=d3_table)
     bad = random_joint_table(("A", "B", "C"), seed=17)
     with pytest.raises(CertificateError):
         replay_trace(e0, [s], table=bad)
@@ -488,7 +486,7 @@ def test_replay_revalidates_certificates(d3_table):
 
 
 def test_replay_requires_the_recorded_certificate(d3_table):
-    e0 = CRTerm((block("A"), block("B", "C")))
+    e0 = CRTerm((Block(["A"]), Block(["B", "C"])))
     _, reduce = apply_ci_reduce(e0, (), 0, ["C"], ["B"], "numeric")
     _, merge = apply_merge(e0, (), 0, 1)
     tampered = [
@@ -637,9 +635,9 @@ def test_numeric_certificate_tolerance_boundary(nearly_markov):
     cert = Certificate("numeric", x=("a",), y=("c", "d"), z=("b",))
     d = mutual_independence_deviation(table, (cert.x, cert.y), cert.z)
     assert 0.0 < d < 1e-3
-    validate_certificate(cert, Context(table=table, tol=2 * d))
+    validate_certificate(cert, table=table, tol=2 * d)
     with pytest.raises(CertificateError, match="numeric CI test fails"):
-        validate_certificate(cert, Context(table=table, tol=d / 2))
+        validate_certificate(cert, table=table, tol=d / 2)
 
 
 def test_independence_of_three_groups_needs_every_pair_separated():
@@ -648,8 +646,8 @@ def test_independence_of_three_groups_needs_every_pair_separated():
     expr = singleton_cr(("a", "b", "c"))
     after, step = apply_independence(expr, (), "graph")
     with pytest.raises(CertificateError, match="graph separation does not hold"):
-        validate_certificate(step.certificate, Context(graph=dag))
-    validate_certificate(step.certificate, Context(graph=ModelGraph("directed", ("a", "b", "c"), [])))
+        validate_certificate(step.certificate, graph=dag)
+    validate_certificate(step.certificate, graph=ModelGraph("directed", ("a", "b", "c"), []))
     assert render(after) == "1"
 
 

@@ -17,13 +17,14 @@ from crfactor import (
     d_separated,
     eval_expr,
     factorize_tcg,
-    is_markov,
+    is_tcg,
     mutual_independence_deviation,
     u_separated,
 )
 from crfactor.cli import main
 from crfactor.model import REL_TOL
-from crfactor.rewrites import Certificate, Context, validate_certificate
+from crfactor.rewrites import Certificate, validate_certificate
+from crfactor.separation import is_markov
 from crfactor.randgen import make_graph, random_gibbs_model, random_joint_table
 
 from conftest import (
@@ -142,6 +143,85 @@ def test_u_separation_matches_reachability(case):
     graph, edges, queries = case
     for x, y, z in queries:
         assert u_separated(graph, CIQuery(x, y, z)) == oracle_u_separated(graph.nodes, edges, x, y, z)
+
+
+# Every labelled graph on up to five nodes, every labelled DAG on up to four,
+# each against oracles written here. Nodes are declared out of name order, so
+# a clique listed in declaration order is not its sorted names.
+SWEEP_NODES = ("c", "a", "e", "b", "d")
+
+
+def _chordal(nodes, edges) -> bool:
+    """Whether simplicial vertices (whose neighbours are pairwise adjacent)
+    can be removed one by one until none is left (Blair & Peyton 1993)."""
+    adj = {n: {m for e in edges if n in e for m in e if m != n} for n in nodes}
+    while adj:
+        n = next((n for n in adj if all(b in adj[a] for a, b in itertools.combinations(adj[n], 2))), None)
+        if n is None:
+            return False
+        for m in adj.pop(n):
+            adj[m].discard(n)
+    return True
+
+
+def _maximal_cliques(nodes, edges) -> list[tuple[str, ...]]:
+    """Every node set that is a clique and lies in no larger one, members in
+    declaration order, sorted by their sorted names."""
+    cliques = [c for r in range(len(nodes) + 1) for c in itertools.combinations(nodes, r)
+               if all(frozenset(p) in edges for p in itertools.combinations(c, 2))]
+    maximal = [c for c in cliques if not any(set(c) < set(d) for d in cliques)]
+    return sorted(maximal, key=sorted)
+
+
+def _queries(nodes):
+    """Each pair of nodes with each set of the others as the condition."""
+    for x, y in itertools.combinations(nodes, 2):
+        rest = [n for n in nodes if n not in (x, y)]
+        for r in range(len(rest) + 1):
+            for z in itertools.combinations(rest, r):
+                yield (x,), (y,), z
+
+
+def test_every_graph_on_up_to_five_nodes():
+    """is_tcg holds exactly on the connected chordal graphs, maximal_cliques
+    is the brute-force list, and u_separated is plain reachability, for each
+    of the 1,099 labelled graphs on 1-5 nodes."""
+    count = tcg = 0
+    for n in range(1, 6):
+        nodes = SWEEP_NODES[:n]
+        pairs = list(itertools.combinations(nodes, 2))
+        for mask in range(2 ** len(pairs)):
+            edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+            graph = ModelGraph("undirected", nodes, edges)
+            connected = not any(oracle_u_separated(nodes, edges, nodes[:1], (m,), ()) for m in nodes[1:])
+            ok = connected and _chordal(nodes, edges)
+            assert is_tcg(graph).ok == ok, edges
+            assert list(graph.maximal_cliques()) == _maximal_cliques(nodes, set(map(frozenset, edges))), edges
+            for x, y, z in _queries(nodes):
+                assert u_separated(graph, CIQuery(x, y, z)) == oracle_u_separated(nodes, edges, x, y, z), (edges, z)
+            count, tcg = count + 1, tcg + ok
+    assert (count, tcg) == (1099, 1 + 1 + 4 + 35 + 541)  # connected chordal labelled graphs, OEIS A058862
+
+
+def test_every_dag_on_up_to_four_nodes():
+    """d_separated is separation in the moralized ancestral graph (Lauritzen
+    et al., Networks 1990) for each of the 572 labelled DAGs on 1-4 nodes."""
+    count = 0
+    for n in range(1, 5):
+        nodes = SWEEP_NODES[:n]
+        pairs = list(itertools.combinations(nodes, 2))
+        for way in itertools.product((None, 0, 1), repeat=len(pairs)):  # no edge, or one of two directions
+            edges = [pair[::-1] if d else pair for pair, d in zip(pairs, way) if d is not None]
+            remaining = set(nodes)
+            while (free := {v for v in remaining if not any(b == v and a in remaining for a, b in edges)}):
+                remaining -= free
+            if remaining:  # a cycle: no node without a remaining parent is left
+                continue
+            dag = ModelGraph("directed", nodes, edges)
+            for x, y, z in _queries(nodes):
+                assert d_separated(dag, CIQuery(x, y, z)) == oracle_d_separated(nodes, edges, x, y, z), (edges, z)
+            count += 1
+    assert count == 572
 
 
 def test_numeric_ci_examples(coins_table, d2_table, d3_table):
@@ -290,10 +370,10 @@ def test_ci_deviation_survives_underflowing_products(q, independent, tmp_path, c
     assert is_markov(table, path) == independent
     cert = Certificate("numeric", ("x",), ("y",), ("z",))
     if independent:
-        validate_certificate(cert, Context(table=table))
+        validate_certificate(cert, table=table)
     else:
         with pytest.raises(CertificateError, match="deviation 1.000e\\+50"):
-            validate_certificate(cert, Context(table=table))
+            validate_certificate(cert, table=table)
     rows = "".join(f"{z} {x} {y} {float(probs[z, x, y])!r}\n" for z, x, y in itertools.product(range(2), repeat=3))
     model = tmp_path / "underflow.model"
     model.write_text("graph undirected\nvar z 2\nvar x 2\nvar y 2\nedge x z\nedge z y\njoint\n" + rows)

@@ -3,14 +3,18 @@
     python tools/differential.py --base REV
 
 REV's ``src`` is extracted with ``git archive`` into a temporary directory (no
-worktree, no network). One corpus of command lines then runs once per tree,
-each in a child interpreter with that tree's ``src`` first on ``sys.path``,
-every case in process through ``crfactor.cli.main``. A case's outcome is its
-stdout, stderr and exit code. The tool prints the cases whose outcomes
-differ, grouped by error class and by the message with names and numbers
-masked, with a count and one example per group. It reports and does not
-gate: a change may differ on purpose, so the exit status is 0 whenever both
-trees ran.
+worktree, no network). One corpus then runs once per tree, each in a child
+interpreter with that tree's ``src`` first on ``sys.path`` and its own random
+hash seed, every case in process. A command line runs through
+``crfactor.cli.main``, and its outcome is its stdout, stderr and exit code. A
+mutated model file runs through ``parse_model``, ``render_model`` and
+``ParsedModel.joint``, and its outcome is the SHA-256 of the rendering and of
+the joint's bytes, or the error class and message (a parse error's message
+starts with its line). The tool prints the cases whose outcomes differ,
+grouped by error class and by the message with names and numbers masked,
+with a count and one example per group. It reports and does not gate: a
+change may differ on purpose, so the exit status is 0 whenever both trees
+ran, and a caller that wants no difference checks for "0 differing outcomes".
 
 The corpus, read from this checkout and the same for both trees:
   - every ``tests/data`` model through every ``factorize --method``, with and
@@ -22,17 +26,24 @@ The corpus, read from this checkout and the same for both trees:
   - ``factorize --method trace`` on each ``bench/data`` trace file and on
     tampered copies of it, written to a temporary directory: one step's
     certificate removed, changed (x and y swapped) or switched to numeric,
-    and one step's rule unknown.
+    and one step's rule unknown;
+  - 3,000 seeded mutations of each ``tests/data`` model, written to the
+    temporary directory: one to three edits, each a token replaced or
+    inserted, a line repeated, dropped or moved, or a data row respelt, as
+    the model-file fuzz and respelt-row tests of ``tests/test_modelfile.py``
+    make them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -49,6 +60,9 @@ TRACE_MODEL = f"{DATA}/student.model"  # the network both bench/data traces rewr
 METHODS = ("bn", "tree", "chain-crf", "mrf", "rmrf", "tcg", "trace")
 GEN_RANDOM = (("gibbs", "cycle:4"), ("gibbs", "er:5:0.5"), ("bn", "student"), ("bn", "dag:5:0.5"))
 EXIT_CLASS = {0: "ok", 1: "internal", 2: "verification", 3: "precondition", 4: "parse or usage"}
+PARSE = "parse_model"  # the first word of a mutated model file's case; the CLI has no such command
+MUTATIONS = 3000  # per tests/data model
+TOKENS = ("nan", "inf", "-inf", "1e400", "1e200", "1e-200", "\n", "0", "1", "2", "-1", "0.5", "a", "b", "potential")
 
 
 def _variables(model: Path) -> list[str]:
@@ -74,9 +88,45 @@ def _tampered(trace: dict) -> dict[str, dict]:
     }
 
 
+def mutate(text: str, seed: str) -> str:
+    """A model file after one to three edits drawn by ``random.Random(seed)``:
+    a token replaced (mostly a line's last, a probability or a weight) or
+    inserted, where a newline token splits its line; a line repeated,
+    dropped or moved; or a data row respelt with a tab for a space, a leading
+    zero on a state or a trailing comment."""
+    rng, lines = random.Random(seed), text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        op, i = rng.choice(("replace", "insert", "repeat", "drop", "move", "respell")), rng.randrange(len(lines))
+        if op in ("replace", "insert"):
+            tokens, width = lines[i].split(" "), op == "replace"
+            j = len(tokens) - 1 if width and rng.random() < 0.5 else rng.randrange(len(tokens) + 1 - width)
+            tokens[j : j + width] = [rng.choice(TOKENS)]
+            lines[i : i + 1] = re.sub(" ?\n ?", "\n", " ".join(tokens)).split("\n")
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "drop":
+            del lines[i]
+        elif op == "move":
+            lines.insert(rng.randrange(len(lines)), lines.pop(i))
+        elif rows := [k for k, line in enumerate(lines) if line[:1].isdigit()]:
+            k = rng.choice(rows)
+            tokens, how = lines[k].split(" "), rng.choice(("tab", "zero", "comment"))
+            state = rng.randrange(max(len(tokens) - 1, 1))
+            if how == "tab":
+                lines[k] = " ".join(tokens[: state + 1]) + "\t" + " ".join(tokens[state + 1 :])
+            elif how == "zero":
+                lines[k] = " ".join([*tokens[:state], "0" + tokens[state], *tokens[state + 1 :]])
+            else:
+                lines[k] += "  # respelt"
+    return "".join(line + "\n" for line in lines)
+
+
 def corpus(scratch: Path) -> list[list[str]]:
     """The argvs, relative to the repository root except the tampered
-    traces, which are written under `scratch`."""
+    traces, which are written under `scratch`, and the mutated model files,
+    written under `scratch` too, each as [PARSE, path]."""
     exprs = sorted((ROOT / DATA).glob("*.txt"))
     cases = []
     for model in sorted((ROOT / DATA).glob("*.model")):
@@ -89,6 +139,10 @@ def corpus(scratch: Path) -> list[list[str]]:
         query = f"{names[0]} _|_ {names[-1]} | {' '.join(names[1:-1])}"
         cases += [["istcg", "--model", m], ["indep", "--model", m, "--query", query, "--numeric"],
                   ["export-dot", "--model", m], ["export-dot", "--model", m, "--clique-graph"]]
+        for k in range(MUTATIONS):
+            path = scratch / f"{model.stem}.{k}.model"
+            path.write_text(mutate(model.read_text("utf-8"), f"{model.name}/{k}"), "utf-8")
+            cases.append([PARSE, str(path)])
     for kind, spec in GEN_RANDOM:
         for seed in range(3):
             cases += [["gen-random", "--kind", kind, "--graph", spec, "--seed", str(seed), "--card", str(card)]
@@ -103,14 +157,33 @@ def corpus(scratch: Path) -> list[list[str]]:
     return cases
 
 
+def _parse_outcome(path: str) -> list:
+    """[digests, error message, "ok" or the error's class] of a model file
+    through parse_model, render_model and ParsedModel.joint."""
+    from crfactor.modelfile import parse_model, render_model
+
+    out = ""
+    try:
+        model = parse_model(Path(path).read_text("utf-8"))
+        out += f"render {hashlib.sha256(render_model(model).encode()).hexdigest()}\n"
+        out += f"joint {hashlib.sha256(model.joint().probs.tobytes()).hexdigest()}\n"
+    except Exception as exc:  # a defect's class is recorded as any other's
+        return [out, f"{exc}\n", type(exc).__name__]
+    return [out, "", "ok"]
+
+
 def run_cases(cases: list[list[str]]) -> list[list]:
     """[stdout, stderr, exit code] of each argv through ``crfactor.cli.main``
     in this process; an exception that escapes ``main`` is recorded as exit
-    code None and its class and message on stderr."""
+    code None and its class and message on stderr. A [PARSE, path] case
+    gets its model file's outcome instead."""
     from crfactor.cli import main
 
     outcomes = []
     for argv in cases:
+        if argv[0] == PARSE:
+            outcomes.append(_parse_outcome(argv[1]))
+            continue
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -124,8 +197,10 @@ def run_cases(cases: list[list[str]]) -> list[list]:
 
 def error_class(outcome: list) -> str:
     """The exit code's meaning, or the exception class of an internal error
-    or of one that escaped ``main``."""
+    or of one that escaped ``main``; a model file's "ok" or error class."""
     _, err, code = outcome
+    if isinstance(code, str):
+        return code
     if code is None or code == 1:
         found = re.match(r"(?:raised |error: internal error: )(\w+)", err)
         return f"{'escaped' if code is None else 'internal'} {found.group(1) if found else '?'}"
@@ -174,7 +249,7 @@ def _run_tree(src: Path, cases_file: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, __file__, "--runner", str(src), str(cases_file)],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "random"},
     )
 
 
@@ -222,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     for (base_class, base_msg, here_class, here_msg), items in sorted(groups.items(), key=lambda g: -len(g[1])):
         argv, a, b = items[0]
         print(f"\n{len(items)} × {base_class}: {base_msg!r}  ->  {here_class}: {here_msg!r}")
-        print(f"  e.g. crfactor {' '.join(argv)}")
+        print(f"  e.g. {PARSE} {Path(argv[1]).name}" if argv[0] == PARSE else f"  e.g. crfactor {' '.join(argv)}")
         print(f"    base: {_show(a)}")
         print(f"    here: {_show(b)}")
     return 0
